@@ -76,8 +76,21 @@ def nn_similarity_ratio(
     threshold: float,
 ) -> tuple[float, list[NearestNeighbor]]:
     """SIM_AA@threshold plus the per-item nearest-neighbor audit records."""
+    _check_threshold(threshold)
+    best, records = _nearest_segments(gen_set, train_segment_set)
+    return float(np.mean(best >= threshold)), records
+
+
+def _check_threshold(threshold: float) -> None:
     if not (0.0 <= threshold <= 1.0):
         raise ValueError("threshold must lie in [0, 1]")
+
+
+def _nearest_segments(
+    gen_set: dict[str, Embedding], train_segment_set: dict[str, Embedding]
+) -> tuple[np.ndarray, list[NearestNeighbor]]:
+    """Each generated item's best cosine over the training segments (in id
+    order), plus the audit records; independent of any threshold."""
     gen_ids, gen = _stack(gen_set)
     seg_ids, segs = _stack(train_segment_set)
     if gen.shape[1] != segs.shape[1]:
@@ -87,8 +100,7 @@ def nn_similarity_ratio(
         NearestNeighbor(gen_ids[i], seg_ids[int(idx[i])], float(best[i]))
         for i in range(len(gen_ids))
     ]
-    ratio = float(np.mean(best >= threshold))
-    return ratio, records
+    return best, records
 
 
 def frechet_distance(set_a: np.ndarray, set_b: np.ndarray) -> float:
@@ -226,24 +238,6 @@ class MetricsReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        payload = json.loads(text)
-        return cls(
-            fd=dict(payload.get("fd", {})),
-            inception_score=payload.get("inception_score"),
-            paired_kl=payload.get("paired_kl"),
-            mean_text_audio_sim=payload.get("mean_text_audio_sim"),
-            test_set_text_audio_sim=payload.get("test_set_text_audio_sim"),
-            retrieval_max=payload.get("retrieval_max"),
-            sim_aa={float(k): v for k, v in payload.get("sim_aa", {}).items()},
-            nn_audit=[
-                NearestNeighbor(r["gen_id"], r["segment_id"], r["similarity"])
-                for r in payload.get("nn_audit", [])
-            ],
-            provenance=dict(payload.get("provenance", {})),
-        )
-
 
 def build_report(
     *,
@@ -267,7 +261,6 @@ def build_report(
         "kl_direction": "KL(groundtruth || generated)",
         "thresholds": [float(t) for t in thresholds],
         "cov_regularization": COV_REG,
-        "nn_backend": _kernels.BACKEND,
     }
 
     if fd_sets:
@@ -294,10 +287,10 @@ def build_report(
         report.retrieval_max = retrieval_max(text_emb, train_seg_emb)
 
     if gen_emb and train_seg_emb:
+        best, report.nn_audit = _nearest_segments(gen_emb, train_seg_emb)
         for tau in sorted(thresholds):
-            ratio, records = nn_similarity_ratio(gen_emb, train_seg_emb, tau)
-            report.sim_aa[float(tau)] = ratio
-            report.nn_audit = records  # records are threshold-independent
+            _check_threshold(tau)
+            report.sim_aa[float(tau)] = float(np.mean(best >= tau))
         report.provenance["sim_sizes"] = [len(gen_emb), len(train_seg_emb)]
     return report
 

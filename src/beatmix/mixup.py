@@ -12,8 +12,7 @@ fully reproducible from (seed, corpus, config), and rendering a spec is a
 pure function of the spec, so it can be parallelized freely.
 """
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +38,6 @@ class TempoGroup:
     bpm_high: float
     members: tuple
 
-    def __contains__(self, track_id):
-        return track_id in self.members
-
 
 @dataclass(frozen=True)
 class MixupSpec:
@@ -57,9 +53,6 @@ class MixupSpec:
     lam: float | None = None
     clip_samples: int = DEFAULT_CLIP_SAMPLES
     seed: int | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def group_id_for(bpm: float, bucket_width: float = DEFAULT_BUCKET_WIDTH) -> int:

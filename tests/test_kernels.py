@@ -1,17 +1,10 @@
-"""Backend equivalence: the compiled kernels against the fallback and
-against plain-Python oracles written from the definitions."""
+"""The kernels against plain-Python oracles written from their definitions,
+bit for bit, including the tie-breaking rules."""
 
 import numpy as np
 import pytest
 
 from beatmix import _kernels
-from beatmix._kernels import fallback
-
-compiled = pytest.importorskip(
-    "beatmix._kernels._core", reason="compiled kernel extension not built"
-)
-
-BACKENDS = [("compiled", compiled), ("python", fallback)]
 
 
 def python_nn_oracle(queries, refs):
@@ -53,9 +46,8 @@ def python_dp_oracle(score, penalty, gap_min, gap_max, thresh):
     return np.array(backlink), np.array(cumscore)
 
 
-def _dp_inputs(rng, n=400, period=50.0):
+def _dp_inputs(rng, n=400, period=50.0, gap_min=25, gap_max=100):
     score = rng.random(n)
-    gap_min, gap_max = 25, 100
     gaps = np.arange(gap_max + 1, dtype=float)
     gaps[0] = 1.0
     penalty = 100.0 * np.log(gaps / period) ** 2
@@ -63,59 +55,109 @@ def _dp_inputs(rng, n=400, period=50.0):
     return score, penalty, gap_min, gap_max, 0.01 * score.max()
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_beat_dp_matches_python_oracle(name, impl, rng):
-    score, penalty, gmin, gmax, thresh = _dp_inputs(rng)
-    bl, cs = impl.beat_dp(score, penalty, gmin, gmax, thresh)
+def _assert_dp_matches_oracle(score, penalty, gmin, gmax, thresh):
+    bl, cs = _kernels.beat_dp(score, penalty, gmin, gmax, thresh)
     obl, ocs = python_dp_oracle(score.tolist(), penalty.tolist(), gmin, gmax, thresh)
     assert np.array_equal(bl, obl)
     assert np.array_equal(cs, ocs)  # bitwise: same operations, same order
 
 
-def test_beat_dp_backends_bitwise_identical(rng):
-    for _ in range(5):
-        score, penalty, gmin, gmax, thresh = _dp_inputs(rng, n=700)
-        bl_c, cs_c = compiled.beat_dp(score, penalty, gmin, gmax, thresh)
-        bl_p, cs_p = fallback.beat_dp(score, penalty, gmin, gmax, thresh)
-        assert np.array_equal(bl_c, bl_p)
-        assert np.array_equal(cs_c, cs_p)
+@pytest.mark.parametrize("gaps", [(25, 100), (1, 30), (40, 40), (7, 9)])
+def test_beat_dp_matches_python_oracle(gaps, rng):
+    for n in (1, 5, 400, 701):
+        _assert_dp_matches_oracle(*_dp_inputs(rng, n=n, gap_min=gaps[0], gap_max=gaps[1]))
 
 
-def test_nn_compiled_matches_python_oracle_bitwise(rng):
-    q = rng.normal(size=(12, 24))
-    r = rng.normal(size=(80, 24))
-    best, idx = compiled.nn_max_dot(q, r)
+def test_beat_dp_tie_heavy_matches_python_oracle(rng):
+    # quarter-step scores and no penalty: most frames have many equal
+    # candidates, and a silent lead-in delays the start of the chain
+    score = np.r_[np.zeros(60), np.floor(rng.random(1500) * 4) / 4]
+    penalty = np.zeros(81)
+    _assert_dp_matches_oracle(score, penalty, 20, 80, 0.5)
+    bl, _ = _kernels.beat_dp(score, penalty, 20, 80, 0.5)
+    assert (bl[:60] == -1).all()
+
+
+def _unit_rows(rng, n, d):
+    mat = rng.normal(size=(n, d))
+    return mat / np.linalg.norm(mat, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n,m,d", [(12, 80, 24), (5, 200, 512), (300, 40, 3)])
+def test_nn_matches_python_oracle_bitwise(n, m, d, rng):
+    q = _unit_rows(rng, n, d)
+    q[1] = 0.0  # every reference ties at 0.0
+    r = _unit_rows(rng, m, d)
+    best, idx = _kernels.nn_max_dot(q, r)
     obest, oidx = python_nn_oracle(q, r)
     assert np.array_equal(idx, oidx)
     assert np.array_equal(best, obest)
 
 
-def test_nn_fallback_agrees_with_compiled(rng):
-    q = rng.normal(size=(30, 64))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    r = rng.normal(size=(500, 64))
-    r /= np.linalg.norm(r, axis=1, keepdims=True)
-    best_c, idx_c = compiled.nn_max_dot(q, r)
-    best_p, idx_p = fallback.nn_max_dot(q, r)
-    assert np.array_equal(idx_c, idx_p)
-    assert np.abs(best_c - best_p).max() < 1e-12
+def test_nn_duplicate_rows_tie_to_lowest_index(rng):
+    r = _unit_rows(rng, 50, 16)
+    r[[17, 30, 44]] = r[9]
+    q = r[[9, 30, 44]] + 1e-3 * rng.normal(size=(3, 16))
+    best, idx = _kernels.nn_max_dot(q, r)
+    assert idx.tolist() == [9, 9, 9]
+    assert np.array_equal(best, python_nn_oracle(q, r)[0])
+
+    best, idx = _kernels.nn_max_dot(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]]))
+    assert idx[0] == 0 and best[0] == 1.0
 
 
-def test_nn_tie_breaks_to_first(rng):
-    q = np.array([[1.0, 0.0]])
-    r = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
-    for impl in (compiled, fallback):
-        best, idx = impl.nn_max_dot(q, r)
-        assert idx[0] == 0 and best[0] == 1.0
+def test_nn_near_ties_one_ulp_apart(rng):
+    # dyadic rows, so every partial sum is exact; raising the last component
+    # of row j by j ulps of the total makes the fixed-order dot products climb
+    # one ulp per row, far inside the shortlist margin
+    d = 64
+    q = np.ones((1, d))
+    base = rng.integers(-512, 512, d) / 1024
+    base[-1] = 0.375
+    ulp = np.spacing(abs(base.sum()))
+    r = np.tile(base, (8, 1))
+    r[:, -1] += np.arange(8) * ulp
+    r = np.vstack([_unit_rows(rng, 5, d), r, r[7]])  # a later duplicate of the winner
+    values = [sum(row) for row in r[5:13].tolist()]
+    assert np.diff(values).tolist() == [ulp] * 7
+    best, idx = _kernels.nn_max_dot(q, r)
+    assert idx[0] == 12 and best[0] == values[-1]
+    assert np.array_equal(best, python_nn_oracle(q, r)[0])
+
+
+def test_nn_near_ties_a_few_ulps_apart(rng):
+    # copies of one row with a few components nudged by a few ulps: the
+    # fixed-order dot products of most queries with them lie a few ulps
+    # apart, where a BLAS summation order often ranks them differently
+    d = 64
+    q = _unit_rows(rng, 20, d)
+    r = np.tile(_unit_rows(rng, 1, d), (60, 1))
+    for row in r:
+        k = rng.integers(d, size=4)
+        row[k] += rng.integers(-4, 5, size=4) * np.spacing(row[k])
+    best, idx = _kernels.nn_max_dot(q, r)
+    obest, oidx = python_nn_oracle(q, r)
+    assert np.array_equal(idx, oidx)
+    assert np.array_equal(best, obest)
+
+
+def test_nn_independent_of_query_tiling(rng):
+    q = _unit_rows(rng, 600, 32)
+    r = _unit_rows(rng, 700, 32)
+    r[5] = r[600]
+    best, idx = _kernels.nn_max_dot(q, r)
+    for k in (1, 255, 256, 300, 599):
+        b_lo, i_lo = _kernels.nn_max_dot(q[:k], r)
+        b_hi, i_hi = _kernels.nn_max_dot(q[k:], r)
+        assert np.array_equal(np.r_[b_lo, b_hi], best)
+        assert np.array_equal(np.r_[i_lo, i_hi], idx)
+
+
+def test_nn_without_references():
+    best, idx = _kernels.nn_max_dot(np.ones((2, 3)), np.zeros((0, 3)))
+    assert np.array_equal(best, [-np.inf, -np.inf]) and idx.tolist() == [-1, -1]
 
 
 def test_nn_dim_mismatch_raises():
     with pytest.raises(ValueError):
-        compiled.nn_max_dot(np.zeros((2, 3)), np.zeros((2, 4)))
-    with pytest.raises(ValueError):
-        fallback.nn_max_dot(np.zeros((2, 3)), np.zeros((2, 4)))
-
-
-def test_dispatcher_exposes_backend():
-    assert _kernels.BACKEND in ("compiled", "python")
-    assert callable(_kernels.beat_dp) and callable(_kernels.nn_max_dot)
+        _kernels.nn_max_dot(np.zeros((2, 3)), np.zeros((2, 4)))

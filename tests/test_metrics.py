@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,7 +259,7 @@ def test_paired_kl_missing_partner():
 
 # --- report -----------------------------------------------------------------------------
 
-def test_report_round_trip(rng):
+def test_report_to_json(rng):
     gen = unit_set(rng, 10, 8, "g")
     train = unit_set(rng, 30, 8, "s")
     text = {k: Embedding(v.vector, "text", k) for k, v in gen.items()}
@@ -270,9 +272,27 @@ def test_report_round_trip(rng):
         gen_post=posts,
         gt_post=posts,
     )
-    back = MT.MetricsReport.from_json(report.to_json())
-    assert back.to_json() == report.to_json()
-    assert back.sim_aa.keys() == {0.90, 0.95}
+    payload = json.loads(report.to_json())
+    assert payload["sim_aa"].keys() == {"0.90", "0.95"}
+    assert [r["gen_id"] for r in payload["nn_audit"]] == sorted(gen)
+    assert "nn_backend" not in payload["provenance"]
+
+
+def test_report_searches_once_for_all_thresholds(rng, monkeypatch):
+    gen = unit_set(rng, 40, 8, "g")
+    train = unit_set(rng, 60, 8, "s")
+    thresholds = (0.3, 0.5, 0.7, 0.9)
+    expected = {t: MT.nn_similarity_ratio(gen, train, t) for t in thresholds}
+
+    calls = []
+    search = MT._kernels.nn_max_dot
+    monkeypatch.setattr(MT._kernels, "nn_max_dot", lambda q, r: calls.append(1) or search(q, r))
+    report = MT.build_report(gen_emb=gen, train_seg_emb=train, thresholds=thresholds)
+    assert len(calls) == 1
+    assert report.sim_aa == {t: ratio for t, (ratio, _) in expected.items()}
+    assert all(report.nn_audit == records for _, records in expected.values())
+    with pytest.raises(ValueError):
+        MT.build_report(gen_emb=gen, train_seg_emb=train, thresholds=(0.5, 1.5))
 
 
 def test_report_default_thresholds(rng):
