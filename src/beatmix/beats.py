@@ -18,6 +18,7 @@ import numpy as np
 from . import _kernels
 from .dsp import MelSpectrogram, SignalConfig, Waveform, mel_spectrogram
 from .errors import InvariantViolation, NoOnsets, SchemaError, TooFewBeats, TooShort
+from .manifest import atomic_write
 
 TEMPO_MIN = 60.0
 TEMPO_MAX = 180.0
@@ -234,9 +235,7 @@ def save_beat_annotation(grid: BeatGrid, path) -> None:
         "downbeat_times": [float(t) for t in grid.downbeat_times],
         "source": grid.source,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_beat_annotation(path) -> BeatGrid:

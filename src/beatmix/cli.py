@@ -16,6 +16,7 @@ files. Exit codes: 0 success, 1 input error, 2 internal error.
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -38,11 +39,36 @@ from .errors import (
 from .manifest import (
     Manifest,
     TrackEntry,
-    atomic_write_text,
+    atomic_write,
     content_hash,
     load_manifest,
     save_manifest,
     validate_manifest,
+)
+
+
+def _checked(convert, ok, expect):
+    """An argparse type: ``convert`` the text, then require ``ok(value)``."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {expect}")
+        return value
+
+    return parse
+
+
+_fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a positive number")
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_thresholds = _checked(
+    lambda text: tuple(float(t) for t in text.split(",")),
+    lambda values: all(0.0 <= t <= 1.0 for t in values),
+    "a comma-separated list of numbers in [0, 1]",
 )
 
 _CONFIG_KEYS = {
@@ -57,8 +83,8 @@ _CONFIG_KEYS = {
     "bucket_width": float,
     "clip_samples": int,
     "gl_iterations": int,
-    "segment_seconds": float,
-    "mix_p": float,
+    "segment_seconds": _positive_float,
+    "mix_p": _fraction,
 }
 
 
@@ -81,7 +107,7 @@ def read_config_file(path) -> dict:
                 raise SchemaError(f"{path}:{line_no}: unknown key {key!r}")
             try:
                 values[key] = _CONFIG_KEYS[key](value)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise SchemaError(f"{path}:{line_no}: bad value for {key} ({exc})") from exc
     return values
 
@@ -260,6 +286,8 @@ def cmd_group(args) -> int:
 # --- fit-codec ---------------------------------------------------------------
 
 def cmd_fit_codec(args) -> int:
+    if args.components > args.patch**2:
+        raise InputError(f"--components {args.components} exceeds --patch squared")
     manifest = load_manifest(args.manifest)
     validate_manifest(manifest)
     settings = {**manifest.config, **merged_settings(args)}
@@ -345,21 +373,21 @@ def cmd_mix(args) -> int:
             raise InputError(f"{track_id}: clip at {offset} runs past end of track")
         return clip
 
-    n_mixed = 0
-    for spec, wave in mixup.apply_mixup_pass(
-        tracks, groups, args.strategy, p, args.count, rng, load_clip,
-        codec=codec, config=config, clip_samples=clip_samples,
-        iterations=iterations, seed=args.seed,
-    ):
-        n_mixed += spec.mixed
+    specs = mixup.plan_mixup_pass(
+        tracks, groups, args.strategy, p, args.count, rng,
+        clip_samples=clip_samples, sample_rate=config.sample_rate, seed=args.seed,
+    )
+    for spec in specs:
+        wave = mixup.render_spec(spec, load_clip, codec, config, iterations)
         wavio.save_wav(os.path.join(args.out, f"{spec.out_id}.wav"), wave)
         payload = asdict(spec)
         payload["caption_a"] = captions.get(spec.track_a, "")
         payload["caption_b"] = captions.get(spec.track_b, "") if spec.track_b else None
-        atomic_write_text(
+        atomic_write(
             os.path.join(args.out, f"{spec.out_id}.mixspec.json"),
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
         )
+    n_mixed = sum(spec.mixed for spec in specs)
     log(f"mix: wrote {args.count} clips ({n_mixed} mixed) -> {args.out}")
     return 0
 
@@ -374,6 +402,8 @@ def cmd_segment(args) -> int:
     )
     config = signal_config(settings)
     seg_len = int(round(seconds * config.sample_rate))
+    if seg_len < 1:
+        raise InputError(f"segments of {seconds:g} s are shorter than one sample")
     segments = []
     empty = 0
     for entry in manifest.entries:
@@ -400,7 +430,7 @@ def cmd_segment(args) -> int:
         "sample_rate": config.sample_rate,
         "segments": segments,
     }
-    atomic_write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     log(f"segment: {len(segments)} segments from {len(manifest.entries) - empty} tracks -> {out}")
     return 0
 
@@ -422,38 +452,23 @@ def _parse_named(values):
     return out
 
 
-def _load_named_embeddings(named, modality):
-    loaded = {}
-    for name, path in named.items():
-        try:
-            loaded[name] = gateway.load_embedding_set(path, modality)
-        except FileNotFoundError as exc:
-            raise InputError(f"{path}: {exc.strerror}") from exc
-    return loaded
-
-
 def cmd_eval(args) -> int:
     gen_named = _parse_named(args.gen_emb)
     gt_named = _parse_named(args.gt_emb)
     if not gen_named:
         raise InputError("at least one --gen-emb is required")
-    gen_sets = _load_named_embeddings(gen_named, "audio")
-    gt_sets = _load_named_embeddings(gt_named, "audio")
+    gen_sets = {name: gateway.load_embedding_set(path) for name, path in gen_named.items()}
+    gt_sets = {name: gateway.load_embedding_set(path) for name, path in gt_named.items()}
 
     fd_sets = {
         name: (gen_sets[name], gt_sets[name]) for name in gen_sets if name in gt_sets
     }
     primary = next(iter(gen_sets.values()))
 
-    train_seg = (
-        gateway.load_embedding_set(args.train_seg_emb, "audio")
-        if args.train_seg_emb
-        else None
-    )
-    text = gateway.load_embedding_set(args.text_emb, "text") if args.text_emb else None
+    train_seg = gateway.load_embedding_set(args.train_seg_emb) if args.train_seg_emb else None
+    text = gateway.load_embedding_set(args.text_emb) if args.text_emb else None
     gen_post = gateway.load_posterior_set(args.gen_post) if args.gen_post else None
     gt_post = gateway.load_posterior_set(args.gt_post) if args.gt_post else None
-    thresholds = tuple(float(t) for t in args.thresholds.split(","))
 
     gt_primary = next(iter(gt_sets.values())) if gt_sets else None
     report = metrics.build_report(
@@ -464,19 +479,17 @@ def cmd_eval(args) -> int:
         gt_emb=gt_primary,
         gen_post=gen_post,
         gt_post=gt_post,
-        thresholds=thresholds,
+        thresholds=args.thresholds,
     )
     report.provenance["gen_providers"] = sorted(gen_sets)
 
     os.makedirs(args.out, exist_ok=True)
     report_json = os.path.join(args.out, "report.json")
-    atomic_write_text(report_json, report.to_json())
-    with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(metrics.render_table(report))
-    audit_path = os.path.join(args.out, "nn_audit.json")
+    atomic_write(report_json, report.to_json())
+    atomic_write(os.path.join(args.out, "report.txt"), metrics.render_table(report))
     if report.nn_audit:
-        atomic_write_text(
-            audit_path,
+        atomic_write(
+            os.path.join(args.out, "nn_audit.json"),
             json.dumps(
                 [
                     {
@@ -531,8 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-codec", help="fit the patch-PCA latent codec")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--components", "-C", type=int, default=16)
-    p.add_argument("--patch", "-P", type=int, default=8)
+    p.add_argument("--components", "-C", type=_positive_int, default=16)
+    p.add_argument("--patch", "-P", type=_positive_int, default=8)
     p.add_argument("--out")
     p.add_argument("--config")
     p.set_defaults(func=cmd_fit_codec)
@@ -541,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--strategy", choices=mixup.STRATEGIES, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--p", type=float, default=None, help="mixup rate (default 0.5)")
+    p.add_argument("--p", type=_fraction, default=None, help="mixup rate (default 0.5)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="mixes")
     p.add_argument("--codec", help="codec file (default: the one in the manifest)")
@@ -550,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", help="index non-overlapping segments per track")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--seconds", type=float, default=None)
+    p.add_argument("--seconds", type=_positive_float, default=None)
     p.add_argument("--out")
     p.add_argument("--config")
     p.set_defaults(func=cmd_segment)
@@ -564,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text-emb", help="caption text embeddings")
     p.add_argument("--gen-post", help="generated-audio classifier posteriors")
     p.add_argument("--gt-post", help="groundtruth classifier posteriors")
-    p.add_argument("--thresholds", default="0.90,0.95")
+    p.add_argument("--thresholds", type=_thresholds, default="0.90,0.95")
     p.add_argument("--out", default="report")
     p.set_defaults(func=cmd_eval)
 

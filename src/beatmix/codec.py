@@ -26,6 +26,7 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
 )
+from .manifest import atomic_write
 
 _MAGIC = b"BMPC"
 _VERSION = 1
@@ -177,12 +178,13 @@ def decode(
 
 def save(codec: PcaCodec, path) -> None:
     """Versioned binary file: header, content hash, mean, basis (all f32 LE)."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", _VERSION, codec.patch_size, codec.n_components))
-        fh.write(_payload_hash(codec))
-        fh.write(codec.mean.astype("<f4").tobytes())
-        fh.write(codec.basis.astype("<f4").tobytes())
+    atomic_write(path, b"".join([
+        _MAGIC,
+        struct.pack("<III", _VERSION, codec.patch_size, codec.n_components),
+        _payload_hash(codec),
+        codec.mean.astype("<f4").tobytes(),
+        codec.basis.astype("<f4").tobytes(),
+    ]))
 
 
 def load(path) -> PcaCodec:

@@ -1,8 +1,10 @@
 """Embedding and classifier-posterior transport.
 
 This is the only module that talks to embedding providers; everything in
-``metrics`` is pure given its outputs. Vectors are L2-normalized at the
-boundary, so a dot product downstream is always a cosine similarity.
+``metrics`` is pure given its outputs. A set read from a file is one
+``RecordSet``, a matrix with its rows in id order. Vectors are
+L2-normalized at the boundary, so a dot product downstream is always a
+cosine similarity.
 
 Two on-disk formats are supported:
 
@@ -35,6 +37,7 @@ from .errors import (
     Timeout,
     ZeroNorm,
 )
+from .manifest import atomic_write
 from .wavio import wav_bytes
 
 EMB_MAGIC = b"EMB1"
@@ -53,15 +56,6 @@ class Embedding:
             raise ValueError("embedding vector must be 1-D")
 
 
-@dataclass
-class ClassPosterior:
-    probs: np.ndarray
-    id: str = ""
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-
-
 def normalize(emb: Embedding) -> Embedding:
     """Scale to unit L2 norm. Raises ZeroNorm on a zero vector."""
     norm = float(np.linalg.norm(emb.vector))
@@ -70,22 +64,53 @@ def normalize(emb: Embedding) -> Embedding:
     return Embedding(emb.vector / norm, emb.modality, emb.id)
 
 
+@dataclass(frozen=True, eq=False)
+class RecordSet:
+    """One embedding or posterior set as a matrix: ``rows[i]`` is the float64
+    vector of ``ids[i]``, and the ids are sorted and unique. Build one from
+    records in any order with ``RecordSet.from_records``."""
+
+    ids: tuple
+    rows: np.ndarray
+
+    @classmethod
+    def from_records(cls, ids, rows, source="record set") -> "RecordSet":
+        """Put the records in id order; a repeated id raises DuplicateId."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[0] != len(ids):
+            raise ValueError(f"{len(ids)} ids need an ({len(ids)}, dim) matrix, not {rows.shape}")
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        sorted_ids = tuple(ids[i] for i in order)
+        for prev, rec_id in zip(sorted_ids, sorted_ids[1:]):
+            if prev == rec_id:
+                raise DuplicateId(f"{source}: id {rec_id!r} appears twice")
+        if order != list(range(len(order))):
+            rows = rows[order]
+        return cls(sorted_ids, np.ascontiguousarray(rows))
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 # --- file transport ---------------------------------------------------------
 
-def _write_records(path, magic: bytes, records: list[tuple[str, np.ndarray]], dim: int):
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<II", dim, len(records)))
-        for rec_id, vec in records:
-            id_bytes = rec_id.encode("utf-8")
-            if len(id_bytes) > 0xFFFF:
-                raise ValueError(f"id too long: {rec_id!r}")
-            fh.write(struct.pack("<H", len(id_bytes)))
-            fh.write(id_bytes)
-            fh.write(np.asarray(vec, dtype="<f4").tobytes())
+def _write_records(path, magic: bytes, records: RecordSet) -> None:
+    if not records:
+        raise ValueError("refusing to write an empty set")
+    parts = [magic, struct.pack("<II", records.dim, len(records))]
+    for rec_id, row in zip(records.ids, records.rows.astype("<f4")):
+        id_bytes = rec_id.encode("utf-8")
+        if len(id_bytes) > 0xFFFF:
+            raise ValueError(f"id too long: {rec_id!r}")
+        parts += [struct.pack("<H", len(id_bytes)), id_bytes, row.tobytes()]
+    atomic_write(path, b"".join(parts))
 
 
-def _read_records(path, magic: bytes) -> tuple[int, list[tuple[str, np.ndarray]]]:
+def _read_records(path, magic: bytes) -> tuple[list[str], np.ndarray]:
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 12:
@@ -96,7 +121,7 @@ def _read_records(path, magic: bytes) -> tuple[int, list[tuple[str, np.ndarray]]
     if dim == 0:
         raise SchemaError(f"{path}: header declares dim 0")
     pos = 12
-    records = []
+    ids, vectors = [], []
     for _ in range(count):
         if pos + 2 > len(data):
             raise SchemaError(f"{path}: truncated record header")
@@ -106,23 +131,22 @@ def _read_records(path, magic: bytes) -> tuple[int, list[tuple[str, np.ndarray]]
             raise DimMismatch(
                 f"{path}: record for dim {dim} runs past end of file (truncated row?)"
             )
-        rec_id = data[pos : pos + id_len].decode("utf-8")
+        ids.append(data[pos : pos + id_len].decode("utf-8"))
         pos += id_len
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=pos).astype(np.float64)
+        vectors.append(np.frombuffer(data, dtype="<f4", count=dim, offset=pos))
         pos += 4 * dim
-        records.append((rec_id, vec))
     if pos != len(data):
         raise SchemaError(f"{path}: {len(data) - pos} trailing bytes after last record")
-    return dim, records
+    return ids, np.array(vectors, dtype=np.float64).reshape(count, dim)
 
 
-def _read_csv(path) -> tuple[int, list[tuple[str, np.ndarray]]]:
+def _read_csv(path) -> tuple[list[str], np.ndarray]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(enumerate(csv.reader(fh), start=1))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise SchemaError(f"{path}: neither a known binary set nor CSV ({exc})") from exc
-    records = []
+    ids, vectors = [], []
     dim = None
     for line_no, row in rows:
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -137,13 +161,18 @@ def _read_csv(path) -> tuple[int, list[tuple[str, np.ndarray]]]:
                 f"{path}:{line_no}: row has {len(vals)} values, expected {dim}"
             )
         try:
-            vec = np.array([float(v) for v in vals])
+            vectors.append([float(v) for v in vals])
         except ValueError as exc:
             raise SchemaError(f"{path}:{line_no}: non-numeric value ({exc})") from exc
-        records.append((rec_id.strip(), vec))
+        ids.append(rec_id.strip())
     if dim is None:
         raise SchemaError(f"{path}: no records")
-    return dim, records
+    return ids, np.array(vectors, dtype=np.float64)
+
+
+def _load(path, magic: bytes) -> RecordSet:
+    ids, rows = _read_csv(path) if _is_csv(path) else _read_records(path, magic)
+    return RecordSet.from_records(ids, rows, source=path)
 
 
 def _is_csv(path) -> bool:
@@ -154,51 +183,47 @@ def _is_csv(path) -> bool:
     return head not in (EMB_MAGIC, POS_MAGIC)
 
 
-def save_embedding_set(path, embeddings: dict[str, Embedding]) -> None:
-    items = sorted(embeddings.items())
-    if not items:
-        raise ValueError("refusing to write an empty embedding set")
-    dim = items[0][1].vector.size
-    for rec_id, emb in items:
-        if emb.vector.size != dim:
-            raise DimMismatch(f"embedding {rec_id!r} has dim {emb.vector.size}, set has {dim}")
-    _write_records(path, EMB_MAGIC, [(rid, e.vector) for rid, e in items], dim)
+def save_embedding_set(path, embeddings: RecordSet) -> None:
+    _write_records(path, EMB_MAGIC, embeddings)
 
 
-def load_embedding_set(path, modality: str = "audio") -> dict[str, Embedding]:
-    """Load and normalize a whole embedding set; duplicate ids are rejected."""
-    dim, records = _read_csv(path) if _is_csv(path) else _read_records(path, EMB_MAGIC)
-    out: dict[str, Embedding] = {}
-    for rec_id, vec in records:
-        if rec_id in out:
-            raise DuplicateId(f"{path}: id {rec_id!r} appears twice")
-        out[rec_id] = normalize(Embedding(vec, modality, rec_id))
-    return out
+def load_embedding_set(path) -> RecordSet:
+    """Load a whole embedding set and scale its rows to unit L2 norm;
+    duplicate ids and rows with no direction are rejected."""
+    embeddings = _load(path, EMB_MAGIC)
+    rows = embeddings.rows
+    # one dot product per row: the same bits as normalize(), which a single
+    # vectorized reduction over the matrix does not give
+    norms = np.sqrt([row @ row for row in rows])
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+    if bad.size:
+        raise ZeroNorm(f"{path}: embedding {embeddings.ids[bad[0]]!r} has no direction")
+    rows /= norms[:, None]
+    return embeddings
 
 
-def save_posterior_set(path, posteriors: dict[str, ClassPosterior]) -> None:
-    items = sorted(posteriors.items())
-    if not items:
-        raise ValueError("refusing to write an empty posterior set")
-    dim = items[0][1].probs.size
-    _write_records(path, POS_MAGIC, [(rid, p.probs) for rid, p in items], dim)
+def save_posterior_set(path, posteriors: RecordSet) -> None:
+    _write_records(path, POS_MAGIC, posteriors)
 
 
-def load_posterior_set(path) -> dict[str, ClassPosterior]:
+def load_posterior_set(path) -> RecordSet:
     """Load classifier posteriors; rows must sum to 1 within 1%, and are
     renormalized to sum exactly 1."""
-    dim, records = _read_csv(path) if _is_csv(path) else _read_records(path, POS_MAGIC)
-    out: dict[str, ClassPosterior] = {}
-    for rec_id, vec in records:
-        if rec_id in out:
-            raise DuplicateId(f"{path}: id {rec_id!r} appears twice")
-        if np.any(vec < 0) or not np.all(np.isfinite(vec)):
-            raise NotAProbability(f"{path}: row {rec_id!r} has negative or non-finite entries")
-        total = float(vec.sum())
-        if not (0.99 <= total <= 1.01):
-            raise NotAProbability(f"{path}: row {rec_id!r} sums to {total:.4f}, not ~1")
-        out[rec_id] = ClassPosterior(vec / total, rec_id)
-    return out
+    posteriors = _load(path, POS_MAGIC)
+    rows = posteriors.rows
+    bad = np.flatnonzero((rows < 0).any(axis=1) | ~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise NotAProbability(
+            f"{path}: row {posteriors.ids[bad[0]]!r} has negative or non-finite entries"
+        )
+    totals = rows.sum(axis=1)
+    bad = np.flatnonzero((totals < 0.99) | (totals > 1.01))
+    if bad.size:
+        raise NotAProbability(
+            f"{path}: row {posteriors.ids[bad[0]]!r} sums to {totals[bad[0]]:.4f}, not ~1"
+        )
+    rows /= totals[:, None]
+    return posteriors
 
 
 # --- HTTP client ------------------------------------------------------------

@@ -9,7 +9,6 @@ keyed on content hashes, never on modification times.
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 
 from .errors import InvariantViolation, SchemaError
@@ -53,13 +52,16 @@ def content_hash(path) -> str:
     return h.hexdigest()
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file + rename so readers never see a partial file."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+def atomic_write(path, data: bytes | str) -> None:
+    """Write ``data`` (a str as UTF-8) to a temp file beside ``path``, then
+    rename it over ``path``, so that neither a reader nor a crash leaves a
+    partial file. The file gets the permissions a plain ``open`` gives."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "xb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -75,7 +77,7 @@ def save_manifest(manifest: Manifest, path) -> None:
         "config": manifest.config,
         "entries": [asdict(e) for e in manifest.entries],
     }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path) -> Manifest:

@@ -6,9 +6,10 @@ Relevance/novelty side: mean text-audio cosine similarity, retrieval-max,
 and the nearest-neighbor audio similarity ratio SIM_AA@tau (the fraction of
 generated items whose closest training segment exceeds cosine tau).
 
-Every metric is pure and order-invariant: inputs are sorted by id before any
-floating-point reduction, and nearest-neighbor searches use the fixed-order
-kernel, so results are reproducible to the bit.
+Every metric is pure and order-invariant: a set arrives as one matrix with
+its rows in id order (``gateway.RecordSet``), whatever the record order in
+its file, and the nearest-neighbor search uses the fixed-order kernel, so
+results are reproducible to the bit.
 """
 
 import json
@@ -19,48 +20,28 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimMismatch, EmptySet, InconsistentK, MissingPartner
-from .gateway import ClassPosterior, Embedding
+from .gateway import RecordSet
 
 DEFAULT_THRESHOLDS = (0.90, 0.95)
 KL_EPS = 1e-10
 COV_REG = 1e-6
 
 
-def text_audio_similarity(text_emb: Embedding, audio_emb: Embedding) -> float:
-    """Cosine similarity of a text/audio pair (both must be unit-norm)."""
-    if text_emb.vector.size != audio_emb.vector.size:
-        raise DimMismatch(
-            f"text dim {text_emb.vector.size} vs audio dim {audio_emb.vector.size}"
-        )
-    return float(np.dot(text_emb.vector, audio_emb.vector))
-
-
-def mean_text_audio_similarity(pairs) -> float:
-    sims = [text_audio_similarity(t, a) for t, a in pairs]
+def mean_text_audio_similarity(text: RecordSet, audio: RecordSet) -> float:
+    """Mean cosine similarity of the text/audio pairs that share an id (rows
+    are unit-norm)."""
+    if text.dim != audio.dim:
+        raise DimMismatch(f"text dim {text.dim} vs audio dim {audio.dim}")
+    audio_row = {rec_id: i for i, rec_id in enumerate(audio.ids)}
+    # one dot product per pair keeps the bits a batched product would not
+    sims = [
+        float(text.rows[i] @ audio.rows[audio_row[rec_id]])
+        for i, rec_id in enumerate(text.ids)
+        if rec_id in audio_row
+    ]
     if not sims:
-        raise EmptySet("no text/audio pairs")
+        raise EmptySet("no ids shared between text and audio sets")
     return float(np.mean(sims))
-
-
-def _stack(embeddings: dict[str, Embedding]) -> tuple[list[str], np.ndarray]:
-    if not embeddings:
-        raise EmptySet("empty embedding set")
-    ids = sorted(embeddings)
-    mat = np.ascontiguousarray([embeddings[i].vector for i in ids], dtype=np.float64)
-    return ids, mat
-
-
-def retrieval_max(
-    text_set: dict[str, Embedding], train_audio_set: dict[str, Embedding]
-) -> float:
-    """For every text embedding, its best cosine over all training audio;
-    averaged over texts."""
-    _, texts = _stack(text_set)
-    _, train = _stack(train_audio_set)
-    if texts.shape[1] != train.shape[1]:
-        raise DimMismatch(f"text dim {texts.shape[1]} vs audio dim {train.shape[1]}")
-    best, _ = _kernels.nn_max_dot(texts, train)
-    return float(np.mean(best))
 
 
 @dataclass(frozen=True)
@@ -68,39 +49,6 @@ class NearestNeighbor:
     gen_id: str
     segment_id: str
     similarity: float
-
-
-def nn_similarity_ratio(
-    gen_set: dict[str, Embedding],
-    train_segment_set: dict[str, Embedding],
-    threshold: float,
-) -> tuple[float, list[NearestNeighbor]]:
-    """SIM_AA@threshold plus the per-item nearest-neighbor audit records."""
-    _check_threshold(threshold)
-    best, records = _nearest_segments(gen_set, train_segment_set)
-    return float(np.mean(best >= threshold)), records
-
-
-def _check_threshold(threshold: float) -> None:
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError("threshold must lie in [0, 1]")
-
-
-def _nearest_segments(
-    gen_set: dict[str, Embedding], train_segment_set: dict[str, Embedding]
-) -> tuple[np.ndarray, list[NearestNeighbor]]:
-    """Each generated item's best cosine over the training segments (in id
-    order), plus the audit records; independent of any threshold."""
-    gen_ids, gen = _stack(gen_set)
-    seg_ids, segs = _stack(train_segment_set)
-    if gen.shape[1] != segs.shape[1]:
-        raise DimMismatch(f"gen dim {gen.shape[1]} vs segment dim {segs.shape[1]}")
-    best, idx = _kernels.nn_max_dot(gen, segs)
-    records = [
-        NearestNeighbor(gen_ids[i], seg_ids[int(idx[i])], float(best[i]))
-        for i in range(len(gen_ids))
-    ]
-    return best, records
 
 
 def frechet_distance(set_a: np.ndarray, set_b: np.ndarray) -> float:
@@ -150,21 +98,7 @@ def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
     return (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.T
 
 
-def _posterior_matrix(posteriors) -> tuple[list[str], np.ndarray]:
-    if isinstance(posteriors, dict):
-        items = sorted(posteriors.items())
-    else:
-        items = sorted((p.id, p) for p in posteriors)
-    if not items:
-        raise EmptySet("empty posterior set")
-    k = items[0][1].probs.size
-    for rec_id, post in items:
-        if post.probs.size != k:
-            raise InconsistentK(f"posterior {rec_id!r} has {post.probs.size} classes, not {k}")
-    return [rec_id for rec_id, _ in items], np.array([p.probs for _, p in items])
-
-
-def inception_score(posteriors) -> float:
+def inception_score(posteriors: RecordSet) -> float:
     """exp of the mean KL between each posterior and the sample marginal.
 
     ``0 * log(0/q)`` counts as zero, so a uniform set scores exactly 1 and a
@@ -172,7 +106,9 @@ def inception_score(posteriors) -> float:
     marginal and the KL average use exact summation (fsum), so identical
     posteriors yield a bitwise-zero KL.
     """
-    _, probs = _posterior_matrix(posteriors)
+    if not posteriors:
+        raise EmptySet("empty posterior set")
+    probs = posteriors.rows
     n, k = probs.shape
     marginal = np.array([fsum(probs[:, j]) for j in range(k)]) / n
     kls = []
@@ -182,25 +118,22 @@ def inception_score(posteriors) -> float:
     return float(np.exp(fsum(kls) / n))
 
 
-def paired_kl(
-    gen_posteriors: dict[str, ClassPosterior],
-    gt_posteriors: dict[str, ClassPosterior],
-) -> float:
+def paired_kl(gen_posteriors: RecordSet, gt_posteriors: RecordSet) -> float:
     """Mean KL(groundtruth || generated) over id-paired posteriors, with an
     epsilon floor so exact zeros stay finite."""
-    gen_ids, gen = _posterior_matrix(gen_posteriors)
-    gt_map = dict(gt_posteriors) if isinstance(gt_posteriors, dict) else {
-        p.id: p for p in gt_posteriors
-    }
-    missing = [i for i in gen_ids if i not in gt_map]
+    if not gen_posteriors:
+        raise EmptySet("empty posterior set")
+    if gen_posteriors.dim != gt_posteriors.dim:
+        raise InconsistentK(
+            f"generated K={gen_posteriors.dim} vs groundtruth K={gt_posteriors.dim}"
+        )
+    gt_row = {rec_id: i for i, rec_id in enumerate(gt_posteriors.ids)}
+    missing = [i for i in gen_posteriors.ids if i not in gt_row]
     if missing:
         raise MissingPartner(f"no groundtruth posterior for ids {missing[:5]}")
     kls = []
-    for i, gen_id in enumerate(gen_ids):
-        q = gen[i]
-        p = gt_map[gen_id].probs
-        if p.size != q.size:
-            raise InconsistentK(f"pair {gen_id!r} has K={p.size} vs K={q.size}")
+    for q, gen_id in zip(gen_posteriors.rows, gen_posteriors.ids):
+        p = gt_posteriors.rows[gt_row[gen_id]]
         p = (p + KL_EPS) / (p + KL_EPS).sum()
         q = (q + KL_EPS) / (q + KL_EPS).sum()
         kls.append(float(np.sum(p * (np.log(p) - np.log(q)))))
@@ -241,21 +174,26 @@ class MetricsReport:
 
 def build_report(
     *,
-    fd_sets: dict[str, tuple[dict, dict]] | None = None,
-    gen_emb: dict[str, Embedding] | None = None,
-    train_seg_emb: dict[str, Embedding] | None = None,
-    text_emb: dict[str, Embedding] | None = None,
-    gt_emb: dict[str, Embedding] | None = None,
-    gen_post: dict[str, ClassPosterior] | None = None,
-    gt_post: dict[str, ClassPosterior] | None = None,
+    fd_sets: dict[str, tuple[RecordSet, RecordSet]] | None = None,
+    gen_emb: RecordSet | None = None,
+    train_seg_emb: RecordSet | None = None,
+    text_emb: RecordSet | None = None,
+    gt_emb: RecordSet | None = None,
+    gen_post: RecordSet | None = None,
+    gt_post: RecordSet | None = None,
     thresholds=DEFAULT_THRESHOLDS,
 ) -> MetricsReport:
     """Assemble whatever metrics the supplied inputs allow.
 
     ``fd_sets`` maps a provider name to (generated, groundtruth) embedding
     sets. Text-audio pairing matches ids between ``text_emb`` and
-    ``gen_emb`` / ``gt_emb``. Missing inputs simply leave their fields None.
+    ``gen_emb`` / ``gt_emb``. Retrieval-max (each text's best cosine over
+    the training segments, averaged) and SIM_AA@tau (the fraction of
+    generated items whose best cosine reaches tau) share one nearest-neighbor
+    search. Missing inputs simply leave their fields None.
     """
+    if not all(0.0 <= tau <= 1.0 for tau in thresholds):
+        raise ValueError("thresholds must lie in [0, 1]")
     report = MetricsReport()
     report.provenance = {
         "kl_direction": "KL(groundtruth || generated)",
@@ -266,10 +204,8 @@ def build_report(
     if fd_sets:
         for provider in sorted(fd_sets):
             gen_set, gt_set = fd_sets[provider]
-            _, gen_mat = _stack(gen_set)
-            _, gt_mat = _stack(gt_set)
-            report.fd[provider] = frechet_distance(gen_mat, gt_mat)
-            report.provenance[f"fd_{provider}_sizes"] = [gen_mat.shape[0], gt_mat.shape[0]]
+            report.fd[provider] = frechet_distance(gen_set.rows, gt_set.rows)
+            report.provenance[f"fd_{provider}_sizes"] = [len(gen_set), len(gt_set)]
 
     if gen_post is not None:
         report.inception_score = inception_score(gen_post)
@@ -277,29 +213,33 @@ def build_report(
             report.paired_kl = paired_kl(gen_post, gt_post)
 
     if text_emb and gen_emb:
-        pairs = _paired(text_emb, gen_emb)
-        report.mean_text_audio_sim = mean_text_audio_similarity(pairs)
-        report.provenance["text_gen_pairs"] = len(pairs)
+        report.mean_text_audio_sim = mean_text_audio_similarity(text_emb, gen_emb)
+        report.provenance["text_gen_pairs"] = len(set(text_emb.ids) & set(gen_emb.ids))
     if text_emb and gt_emb:
-        pairs = _paired(text_emb, gt_emb)
-        report.test_set_text_audio_sim = mean_text_audio_similarity(pairs)
-    if text_emb and train_seg_emb:
-        report.retrieval_max = retrieval_max(text_emb, train_seg_emb)
+        report.test_set_text_audio_sim = mean_text_audio_similarity(text_emb, gt_emb)
 
-    if gen_emb and train_seg_emb:
-        best, report.nn_audit = _nearest_segments(gen_emb, train_seg_emb)
-        for tau in sorted(thresholds):
-            _check_threshold(tau)
-            report.sim_aa[float(tau)] = float(np.mean(best >= tau))
-        report.provenance["sim_sizes"] = [len(gen_emb), len(train_seg_emb)]
+    queries = {name: q for name, q in (("text", text_emb), ("gen", gen_emb)) if q}
+    if train_seg_emb and queries:
+        for name, query in queries.items():
+            if query.dim != train_seg_emb.dim:
+                raise DimMismatch(f"{name} dim {query.dim} vs segment dim {train_seg_emb.dim}")
+        # one search for all queries: the kernel's result for a query does
+        # not depend on which other queries it is searched with
+        best, idx = _kernels.nn_max_dot(
+            np.concatenate([q.rows for q in queries.values()]), train_seg_emb.rows
+        )
+        n_text = len(text_emb) if "text" in queries else 0
+        if "text" in queries:
+            report.retrieval_max = float(np.mean(best[:n_text]))
+        if "gen" in queries:
+            report.nn_audit = [
+                NearestNeighbor(gen_id, train_seg_emb.ids[j], float(b))
+                for gen_id, j, b in zip(gen_emb.ids, idx[n_text:], best[n_text:])
+            ]
+            for tau in sorted(thresholds):
+                report.sim_aa[float(tau)] = float(np.mean(best[n_text:] >= tau))
+            report.provenance["sim_sizes"] = [len(gen_emb), len(train_seg_emb)]
     return report
-
-
-def _paired(text_emb, audio_emb):
-    common = sorted(set(text_emb) & set(audio_emb))
-    if not common:
-        raise EmptySet("no ids shared between text and audio sets")
-    return [(text_emb[i], audio_emb[i]) for i in common]
 
 
 def _fmt(value) -> str:

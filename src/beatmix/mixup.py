@@ -99,25 +99,6 @@ def eligible_downbeat_offsets(
     return offsets[(offsets >= 0) & (offsets + clip_samples <= n_samples)]
 
 
-def align_downbeats(
-    grid_a: BeatGrid,
-    grid_b: BeatGrid,
-    len_a: int,
-    len_b: int,
-    clip_samples: int,
-    rng: np.random.Generator,
-    sample_rate: int = 16000,
-) -> tuple[int, int]:
-    """Pick one eligible downbeat per track, uniformly; return sample offsets."""
-    off_a = eligible_downbeat_offsets(grid_a, len_a, clip_samples, sample_rate)
-    off_b = eligible_downbeat_offsets(grid_b, len_b, clip_samples, sample_rate)
-    if off_a.size == 0 or off_b.size == 0:
-        raise NoEligibleDownbeat(
-            "a track has no downbeat with a full clip of audio after it"
-        )
-    return int(off_a[rng.integers(off_a.size)]), int(off_b[rng.integers(off_b.size)])
-
-
 def bam_mix(x1: Waveform, x2: Waveform, lam: float) -> Waveform:
     """Convex combination of two aligned clips: lam*x1 + (1-lam)*x2."""
     if x1.samples.size != x2.samples.size:
@@ -276,28 +257,3 @@ def render_spec(
     mixed = blm_mix(lat_a, lat_b, spec.lam)
     _, wave = blm_render(mixed, codec, config, iterations)
     return wave
-
-
-def apply_mixup_pass(
-    tracks: dict[str, TrackView],
-    groups: list[TempoGroup],
-    strategy: str,
-    p: float,
-    count: int,
-    rng: np.random.Generator,
-    load_clip,
-    codec: codec_mod.PcaCodec | None = None,
-    config: SignalConfig | None = None,
-    clip_samples: int = DEFAULT_CLIP_SAMPLES,
-    iterations: int = 32,
-    seed: int | None = None,
-):
-    """Plan and render a whole pass; yields (spec, waveform) pairs."""
-    if config is None:
-        config = SignalConfig()
-    specs = plan_mixup_pass(
-        tracks, groups, strategy, p, count, rng,
-        clip_samples=clip_samples, sample_rate=config.sample_rate, seed=seed,
-    )
-    for spec in specs:
-        yield spec, render_spec(spec, load_clip, codec, config, iterations)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .dsp import Waveform
 from .errors import CorruptFile, UnsupportedFormat
+from .manifest import atomic_write
 
 TARGET_RATE = 16000
 
@@ -150,8 +151,7 @@ def wav_bytes(wave: Waveform) -> bytes:
 
 
 def save_wav(path, wave: Waveform) -> None:
-    with open(path, "wb") as fh:
-        fh.write(wav_bytes(wave))
+    atomic_write(path, wav_bytes(wave))
 
 
 # --- resampling -----------------------------------------------------------

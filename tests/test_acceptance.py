@@ -24,9 +24,8 @@ from beatmix.beats import BeatGrid
 from beatmix.cli import main
 from beatmix.dsp import MelSpectrogram, SignalConfig, Waveform, mel_spectrogram
 from beatmix.gateway import (
-    ClassPosterior,
-    Embedding,
     EmbeddingClient,
+    RecordSet,
     load_embedding_set,
     load_posterior_set,
     save_embedding_set,
@@ -200,9 +199,9 @@ def test_criterion_06_frechet_distance_oracle():
 # -- 7 -------------------------------------------------------------------------
 
 def test_criterion_07_inception_score_oracle():
-    uniform = {f"u{i}": ClassPosterior(np.full(10, 0.1), f"u{i}") for i in range(50)}
+    uniform = RecordSet.from_records([f"u{i}" for i in range(50)], np.full((50, 10), 0.1))
     is_uniform = MT.inception_score(uniform)
-    onehot = {f"o{i}": ClassPosterior(np.eye(10)[i], f"o{i}") for i in range(10)}
+    onehot = RecordSet.from_records([f"o{i}" for i in range(10)], np.eye(10))
     is_onehot = MT.inception_score(onehot)
     ok = is_uniform == 1.0 and abs(is_onehot - 10.0) <= 1e-6
     report(7, "IS: uniform -> exactly 1.0, K=10 one-hot -> 10.0 +/- 1e-6",
@@ -217,23 +216,17 @@ def test_criterion_08_sim_aa_contract():
     def unit_set(n, d, prefix):
         mat = rng.normal(size=(n, d))
         mat /= np.linalg.norm(mat, axis=1, keepdims=True)
-        return {
-            f"{prefix}{i:05d}": Embedding(mat[i], "audio", f"{prefix}{i:05d}")
-            for i in range(n)
-        }
+        return RecordSet.from_records([f"{prefix}{i:05d}" for i in range(n)], mat)
 
     segs = unit_set(40, 16, "s")
-    r90, _ = MT.nn_similarity_ratio(segs, segs, 0.90)
-    r95, _ = MT.nn_similarity_ratio(segs, segs, 0.95)
-    self_ok = r90 == 1.0 and r95 == 1.0
+    self_ok = MT.build_report(gen_emb=segs, train_seg_emb=segs).sim_aa == {0.90: 1.0, 0.95: 1.0}
 
     monotone_ok = True
     for _ in range(100):
         gen = unit_set(6, 8, "g")
         train = unit_set(25, 8, "t")
-        a, _ = MT.nn_similarity_ratio(gen, train, 0.90)
-        b, _ = MT.nn_similarity_ratio(gen, train, 0.95)
-        monotone_ok &= b <= a
+        ratios = MT.build_report(gen_emb=gen, train_seg_emb=train).sim_aa
+        monotone_ok &= ratios[0.95] <= ratios[0.90]
 
     def brute_force(q, r):
         """Every (i, j) dot product summed over k in order, 8 queries at a
@@ -366,13 +359,13 @@ def _run_pipeline(work, corpus_dir, seed=7):
     gen = {}
     for name in sorted(os.listdir(mixes)):
         if name.endswith(".wav"):
-            wave = load_wav(os.path.join(mixes, name))
-            rec = name[:-4]
-            gen[rec] = Embedding(_toy_audio_embedding(wave), "audio", rec)
-    segments = json.loads(open(segfile).read())["segments"]
+            gen[name[:-4]] = _toy_audio_embedding(load_wav(os.path.join(mixes, name)))
+    with open(segfile, encoding="utf-8") as fh:
+        segments = json.load(fh)["segments"]
     seg_embs = {}
     track_cache = {}
-    man = json.loads(open(manifest).read())
+    with open(manifest, encoding="utf-8") as fh:
+        man = json.load(fh)
     paths = {e["id"]: os.path.join(man["root"], e["path"]) for e in man["entries"]}
     captions = {e["id"]: e["caption"] for e in man["entries"]}
     for seg in segments:
@@ -380,21 +373,15 @@ def _run_pipeline(work, corpus_dir, seed=7):
         if tid not in track_cache:
             track_cache[tid] = load_wav(paths[tid]).samples
         clip = track_cache[tid][seg["start_sample"]: seg["end_sample"]]
-        seg_embs[seg["segment_id"]] = Embedding(
-            _toy_audio_embedding(Waveform(clip, SR)), "audio", seg["segment_id"]
-        )
-    texts = {
-        rec: Embedding(_toy_text_embedding(captions.get(rec.split("_seg")[0], rec)), "text", rec)
-        for rec in list(gen)
-    }
+        seg_embs[seg["segment_id"]] = _toy_audio_embedding(Waveform(clip, SR))
+    texts = {rec: _toy_text_embedding(captions.get(rec.split("_seg")[0], rec)) for rec in gen}
     emb_dir = os.path.join(work, "emb")
     os.makedirs(emb_dir, exist_ok=True)
     gen_path = os.path.join(emb_dir, "gen.emb")
     seg_path = os.path.join(emb_dir, "train_seg.emb")
     text_path = os.path.join(emb_dir, "text.emb")
-    save_embedding_set(gen_path, gen)
-    save_embedding_set(seg_path, seg_embs)
-    save_embedding_set(text_path, texts)
+    for path, vectors in ((gen_path, gen), (seg_path, seg_embs), (text_path, texts)):
+        save_embedding_set(path, RecordSet.from_records(list(vectors), list(vectors.values())))
     report_dir = os.path.join(work, "report")
     assert main(["eval", "--gen-emb", f"toy={gen_path}", "--train-seg-emb", seg_path,
                  "--text-emb", text_path, "--out", report_dir]) == 0
@@ -442,20 +429,20 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
 
 def test_criterion_11_gateway_round_trips(tmp_path):
     rng = np.random.default_rng(6)
-    embs = {}
-    for i in range(16):
-        v = rng.normal(size=64)
-        embs[f"e{i:02d}"] = Embedding(v / np.linalg.norm(v), "audio", f"e{i:02d}")
+    rows = rng.normal(size=(16, 64))
+    embs = RecordSet.from_records(
+        [f"e{i:02d}" for i in range(16)], rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    )
     p1 = tmp_path / "a.emb"
     p2 = tmp_path / "b.emb"
     save_embedding_set(p1, embs)
     save_embedding_set(p2, load_embedding_set(p1))
     emb_exact = p1.read_bytes() == p2.read_bytes()
 
-    posts = {
-        f"p{i:02d}": ClassPosterior(np.random.default_rng(i).dirichlet(np.ones(8)), f"p{i:02d}")
-        for i in range(10)
-    }
+    posts = RecordSet.from_records(
+        [f"p{i:02d}" for i in range(10)],
+        [np.random.default_rng(i).dirichlet(np.ones(8)) for i in range(10)],
+    )
     q1 = tmp_path / "a.post"
     q2 = tmp_path / "b.post"
     save_posterior_set(q1, posts)

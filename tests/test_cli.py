@@ -4,16 +4,21 @@ import os
 import numpy as np
 import pytest
 
+from beatmix import codec as codec_mod
+from beatmix.beats import BeatGrid, save_beat_annotation
 from beatmix.cli import main
 from beatmix.dsp import Waveform
+from beatmix.manifest import Manifest, save_manifest
 from beatmix.gateway import (
-    ClassPosterior,
-    Embedding,
+    EMB_MAGIC,
+    POS_MAGIC,
+    RecordSet,
     save_embedding_set,
     save_posterior_set,
 )
 from beatmix.wavio import save_wav
 from synth import click_track
+from test_gateway import write_raw
 
 
 def write_corpus(root, bpms, duration_s=16.0, captions=True, bass_phase=0):
@@ -231,36 +236,28 @@ def test_segment_counting(tmp_path, capsys):
 
 def make_embedding_files(tmp_path, rng):
     def mkset(n, d, prefix):
-        out = {}
-        for i in range(n):
-            v = rng.normal(size=d)
-            v /= np.linalg.norm(v)
-            out[f"{prefix}{i:03d}"] = Embedding(v, "audio", f"{prefix}{i:03d}")
-        return out
+        rows = rng.normal(size=(n, d))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        return RecordSet.from_records([f"{prefix}{i:03d}" for i in range(n)], rows)
 
-    gen = mkset(20, 32, "g")
-    files = {
-        "gen": tmp_path / "gen.emb",
-        "gt": tmp_path / "gt.emb",
-        "train": tmp_path / "train.emb",
-        "text": tmp_path / "text.emb",
-        "gen_post": tmp_path / "gen.post",
-        "gt_post": tmp_path / "gt.post",
+    sets = {
+        "gen": mkset(20, 32, "g"),
+        "gt": mkset(20, 32, "g"),
+        "train": mkset(50, 32, "s"),
+        "text": mkset(20, 32, "g"),
+        "gen_post": RecordSet.from_records([f"g{i:03d}" for i in range(20)], np.full((20, 6), 1 / 6)),
     }
-    save_embedding_set(files["gen"], gen)
-    save_embedding_set(files["gt"], mkset(20, 32, "g"))
-    save_embedding_set(files["train"], mkset(50, 32, "s"))
-    save_embedding_set(files["text"], mkset(20, 32, "g"))
-    posts = {f"g{i:03d}": ClassPosterior(np.full(6, 1 / 6), f"g{i:03d}") for i in range(20)}
-    save_posterior_set(files["gen_post"], posts)
-    save_posterior_set(files["gt_post"], posts)
-    return files, gen
+    sets["gt_post"] = sets["gen_post"]
+    files = {key: tmp_path / f"{key}.emb" for key in ("gen", "gt", "train", "text")}
+    files.update(gen_post=tmp_path / "gen.post", gt_post=tmp_path / "gt.post")
+    for key, records in sets.items():
+        save = save_posterior_set if key.endswith("_post") else save_embedding_set
+        save(files[key], records)
+    return files, sets
 
 
-def test_eval_full_report(tmp_path, rng):
-    files, gen = make_embedding_files(tmp_path, rng)
-    out = tmp_path / "report"
-    code = run([
+def full_eval(files, out):
+    return run([
         "eval",
         "--gen-emb", f"pann={files['gen']}",
         "--gt-emb", f"pann={files['gt']}",
@@ -270,7 +267,12 @@ def test_eval_full_report(tmp_path, rng):
         "--gt-post", files["gt_post"],
         "--out", out,
     ])
-    assert code == 0
+
+
+def test_eval_full_report(tmp_path, rng):
+    files, _ = make_embedding_files(tmp_path, rng)
+    out = tmp_path / "report"
+    assert full_eval(files, out) == 0
     report = json.loads((out / "report.json").read_text())
     assert "pann" in report["fd"]
     assert report["inception_score"] == pytest.approx(1.0)
@@ -279,6 +281,23 @@ def test_eval_full_report(tmp_path, rng):
     audit = json.loads((out / "nn_audit.json").read_text())
     assert len(audit) == 20
     assert (out / "report.txt").exists()
+
+
+def test_eval_report_does_not_depend_on_record_order(tmp_path, rng):
+    files, sets = make_embedding_files(tmp_path, rng)
+    reversed_files = {}
+    for key, records in sets.items():
+        reversed_files[key] = tmp_path / f"reversed_{files[key].name}"
+        magic = POS_MAGIC if key.endswith("_post") else EMB_MAGIC
+        write_raw(reversed_files[key], magic, records.ids[::-1], records.rows[::-1])
+    outputs = []
+    for name, inputs in (("forward", files), ("reversed", reversed_files)):
+        assert full_eval(inputs, tmp_path / name) == 0
+        outputs.append({
+            report: (tmp_path / name / report).read_bytes()
+            for report in ("report.json", "report.txt", "nn_audit.json")
+        })
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_self_similarity_is_one(tmp_path, rng):
@@ -315,6 +334,37 @@ def test_usage_error_exits_one():
     assert main(["mix", "--strategy", "nonsense"]) == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["eval", "--gen-emb", "gen.emb", "--thresholds", "1.5"], "--thresholds"),
+    (["eval", "--gen-emb", "gen.emb", "--thresholds", "0.9,abc"], "--thresholds"),
+    (["mix", "--manifest", "m.json", "--strategy", "bam", "--count", "1", "--p", "1.5"], "--p"),
+    (["segment", "--manifest", "m.json", "--seconds", "0"], "--seconds"),
+    (["fit-codec", "--manifest", "m.json", "-C", "0"], "--components"),
+    (["fit-codec", "--manifest", "m.json", "-P", "0"], "--patch"),
+    (["fit-codec", "--manifest", "m.json", "-C", "65"], "--components 65 exceeds"),
+])
+def test_out_of_range_argument_exits_one_before_any_io(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)  # no file the arguments name exists
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "not found" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_segment_length_out_of_range_exits_one(corpus, capsys):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    cfg = corpus / "beatmix.cfg"
+    cfg.write_text("segment_seconds = 0\n")
+    out = corpus / "segments.json"
+    assert run(["segment", "--manifest", manifest, "--config", cfg, "--out", out]) == 1
+    assert "bad value for segment_seconds" in capsys.readouterr().err
+    # positive, but rounds to zero samples at 16 kHz
+    assert run(["segment", "--manifest", manifest, "--seconds", "1e-5", "--out", out]) == 1
+    assert "shorter than one sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_overrides(tmp_path, capsys):
     root = tmp_path / "corpus"
     write_corpus(root, [120, 121], duration_s=14.0)
@@ -328,3 +378,42 @@ def test_config_file_overrides(tmp_path, capsys):
     run(["segment", "--manifest", manifest, "--out", seg_path])
     segs = json.loads(seg_path.read_text())
     assert segs["seconds"] == 5
+
+
+# --- crash safety ------------------------------------------------------------------
+
+def _codec(rng):
+    return codec_mod.fit([rng.normal(size=(64, 64))], n_components=4, patch_size=8)
+
+
+ARTIFACT_WRITERS = {
+    "wav": lambda path, rng: save_wav(path, Waveform(rng.uniform(-0.5, 0.5, 1600), 16000)),
+    "codec": lambda path, rng: codec_mod.save(_codec(rng), path),
+    "beats": lambda path, rng: save_beat_annotation(
+        BeatGrid(120.0, np.arange(0.0, 8.0, 0.5), np.arange(0.0, 8.0, 2.0)), path
+    ),
+    "manifest": lambda path, rng: save_manifest(Manifest(root="."), path),
+    "embeddings": lambda path, rng: save_embedding_set(
+        path, RecordSet.from_records(["a"], rng.normal(size=(1, 4)))
+    ),
+}
+
+
+def _failing_rename(src, dst):
+    raise OSError("rename failed")
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACT_WRITERS))
+def test_failed_rename_leaves_no_file(tmp_path, rng, monkeypatch, kind):
+    monkeypatch.setattr(os, "replace", _failing_rename)
+    with pytest.raises(OSError, match="rename failed"):
+        ARTIFACT_WRITERS[kind](tmp_path / "artifact", rng)
+    assert os.listdir(tmp_path) == []
+
+
+def test_eval_failed_rename_leaves_no_report(tmp_path, rng, monkeypatch):
+    files, _ = make_embedding_files(tmp_path, rng)
+    monkeypatch.setattr(os, "replace", _failing_rename)
+    with pytest.raises(OSError, match="rename failed"):
+        full_eval(files, tmp_path / "report")
+    assert os.listdir(tmp_path / "report") == []

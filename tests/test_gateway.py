@@ -41,13 +41,18 @@ def test_normalize_zero_raises():
 # --- binary files ----------------------------------------------------------------
 
 def unit_vectors(rng, n, d, prefix):
-    out = {}
-    for i in range(n):
-        v = rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        rec_id = f"{prefix}{i:03d}"
-        out[rec_id] = G.Embedding(v, "audio", rec_id)
-    return out
+    rows = rng.normal(size=(n, d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return G.RecordSet.from_records([f"{prefix}{i:03d}" for i in range(n)], rows)
+
+
+def write_raw(path, magic, ids, rows):
+    """A binary set with its records in exactly the given order."""
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<II", rows.shape[1], len(ids)))
+        for rec_id, row in zip(ids, rows):
+            fh.write(struct.pack("<H", len(rec_id)) + rec_id.encode())
+            fh.write(np.asarray(row, dtype="<f4").tobytes())
 
 
 def test_embedding_round_trip(tmp_path, rng):
@@ -55,9 +60,10 @@ def test_embedding_round_trip(tmp_path, rng):
     path = tmp_path / "e.emb"
     G.save_embedding_set(path, embs)
     back = G.load_embedding_set(path)
-    assert set(back) == set(embs)
-    for rec_id in embs:
-        assert np.abs(back[rec_id].vector - embs[rec_id].vector).max() < 1e-7
+    assert back.ids == embs.ids == ("t000", "t001", "t002")
+    assert back.rows.shape == (3, 16) and back.rows.dtype == np.float64
+    assert np.abs(back.rows - embs.rows).max() < 1e-7
+    assert len(back) == 3
 
 
 def test_embedding_round_trip_bit_exact_after_reload(tmp_path, rng):
@@ -67,6 +73,16 @@ def test_embedding_round_trip_bit_exact_after_reload(tmp_path, rng):
     G.save_embedding_set(p1, embs)
     G.save_embedding_set(p2, G.load_embedding_set(p1))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_loaded_rows_match_normalize_bit_for_bit(tmp_path, rng):
+    rows = rng.normal(size=(200, 512)).astype("<f4")
+    ids = [f"r{i:03d}" for i in range(200)]
+    path = tmp_path / "raw.emb"
+    write_raw(path, G.EMB_MAGIC, ids, rows)
+    back = G.load_embedding_set(path)
+    for i, rec_id in enumerate(ids):
+        assert np.array_equal(back.rows[i], G.normalize(G.Embedding(rows[i], "audio", rec_id)).vector)
 
 
 def test_embedding_truncated_row(tmp_path):
@@ -81,12 +97,17 @@ def test_embedding_truncated_row(tmp_path):
 
 def test_embedding_duplicate_id(tmp_path):
     path = tmp_path / "dup.emb"
-    vec = np.ones(4, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(G.EMB_MAGIC + struct.pack("<II", 4, 2))
-        for _ in range(2):
-            fh.write(struct.pack("<H", 1) + b"a" + vec)
-    with pytest.raises(DuplicateId):
+    write_raw(path, G.EMB_MAGIC, ["a", "b", "a"], np.ones((3, 4)))
+    with pytest.raises(DuplicateId, match="dup.emb.*'a'"):
+        G.load_embedding_set(path)
+
+
+def test_embedding_zero_row_names_id_and_file(tmp_path):
+    path = tmp_path / "zero.emb"
+    rows = np.ones((3, 4))
+    rows[1] = 0.0
+    write_raw(path, G.EMB_MAGIC, ["a", "b", "c"], rows)
+    with pytest.raises(ZeroNorm, match="zero.emb.*'b'"):
         G.load_embedding_set(path)
 
 
@@ -106,12 +127,19 @@ def test_embedding_trailing_garbage(tmp_path, rng):
         G.load_embedding_set(path)
 
 
+def test_empty_binary_set_loads_as_empty_matrix(tmp_path):
+    path = tmp_path / "empty.emb"
+    write_raw(path, G.EMB_MAGIC, [], np.zeros((0, 6)))
+    back = G.load_embedding_set(path)
+    assert len(back) == 0 and back.rows.shape == (0, 6) and not back
+
+
 def test_csv_fallback(tmp_path):
     path = tmp_path / "e.csv"
-    path.write_text("a,3,4,0\nb,0,5,0\n")
+    path.write_text("b,0,5,0\na,3,4,0\n")
     back = G.load_embedding_set(path)
-    assert np.allclose(back["a"].vector, [0.6, 0.8, 0.0])
-    assert np.allclose(back["b"].vector, [0.0, 1.0, 0.0])
+    assert back.ids == ("a", "b")
+    assert np.allclose(back.rows, [[0.6, 0.8, 0.0], [0.0, 1.0, 0.0]])
 
 
 def test_csv_dim_mismatch(tmp_path):
@@ -123,37 +151,38 @@ def test_csv_dim_mismatch(tmp_path):
 
 # --- posteriors --------------------------------------------------------------------
 
+def posteriors(rows):
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    return G.RecordSet.from_records([f"p{i}" for i in range(len(rows))], rows)
+
+
 def test_posterior_uniform_accepted(tmp_path):
-    posts = {
-        f"p{i}": G.ClassPosterior(np.full(10, 0.1), f"p{i}") for i in range(3)
-    }
     path = tmp_path / "p.post"
-    G.save_posterior_set(path, posts)
+    G.save_posterior_set(path, posteriors(np.full((3, 10), 0.1)))
     back = G.load_posterior_set(path)
-    for rec_id in posts:
-        assert np.allclose(back[rec_id].probs, 0.1)
-        assert abs(back[rec_id].probs.sum() - 1.0) < 1e-6
+    assert back.ids == ("p0", "p1", "p2")
+    assert np.allclose(back.rows, 0.1)
+    assert np.abs(back.rows.sum(axis=1) - 1.0).max() < 1e-6
 
 
 def test_posterior_half_sum_rejected(tmp_path):
     path = tmp_path / "p.post"
-    G.save_posterior_set(path, {"x": G.ClassPosterior(np.array([0.25, 0.25]), "x")})
-    with pytest.raises(NotAProbability):
+    G.save_posterior_set(path, posteriors([[0.5, 0.5], [0.25, 0.25]]))
+    with pytest.raises(NotAProbability, match="p.post.*'p1' sums to 0.5000"):
         G.load_posterior_set(path)
 
 
 def test_posterior_near_one_renormalized(tmp_path):
     path = tmp_path / "p.post"
-    probs = np.array([0.502, 0.502])  # sums to 1.004
-    G.save_posterior_set(path, {"x": G.ClassPosterior(probs, "x")})
+    G.save_posterior_set(path, posteriors([0.502, 0.502]))  # sums to 1.004
     back = G.load_posterior_set(path)
-    assert abs(back["x"].probs.sum() - 1.0) < 1e-9
+    assert abs(back.rows[0].sum() - 1.0) < 1e-9
 
 
 def test_posterior_negative_rejected(tmp_path):
     path = tmp_path / "p.post"
-    G.save_posterior_set(path, {"x": G.ClassPosterior(np.array([1.2, -0.2]), "x")})
-    with pytest.raises(NotAProbability):
+    G.save_posterior_set(path, posteriors([[0.5, 0.5], [1.2, -0.2]]))
+    with pytest.raises(NotAProbability, match="p.post.*'p1' has negative"):
         G.load_posterior_set(path)
 
 

@@ -12,58 +12,59 @@ from beatmix.errors import (
     InconsistentK,
     MissingPartner,
 )
-from beatmix.gateway import ClassPosterior, Embedding
+from beatmix.gateway import RecordSet
 
 
 def unit_set(rng, n, d, prefix):
-    out = {}
-    for i in range(n):
-        v = rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        rec_id = f"{prefix}{i:04d}"
-        out[rec_id] = Embedding(v, "audio", rec_id)
-    return out
+    rows = rng.normal(size=(n, d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return RecordSet.from_records([f"{prefix}{i:04d}" for i in range(n)], rows)
 
 
-def unit(v, rec_id="x", modality="text"):
-    v = np.asarray(v, dtype=float)
-    return Embedding(v / np.linalg.norm(v), modality, rec_id)
+def unit_rows(rows, prefix="x"):
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    return RecordSet.from_records([f"{prefix}{i:04d}" for i in range(len(rows))], rows)
+
+
+def posterior_set(rows, prefix="p"):
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    return RecordSet.from_records([f"{prefix}{i:04d}" for i in range(len(rows))], rows)
+
+
+def similarity(a, b):
+    return MT.mean_text_audio_similarity(unit_rows(a), unit_rows(b))
 
 
 # --- similarities ------------------------------------------------------------
 
 def test_similarity_identical_is_one():
-    e = unit([1.0, 2.0, 3.0])
-    assert MT.text_audio_similarity(e, e) == pytest.approx(1.0)
+    assert similarity([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
 
 
 def test_similarity_orthogonal_is_zero():
-    assert MT.text_audio_similarity(unit([1, 0]), unit([0, 1])) == pytest.approx(0.0)
+    assert similarity([1, 0], [0, 1]) == pytest.approx(0.0)
 
 
 def test_similarity_opposite_is_minus_one():
-    e = unit([0.3, -0.4, 0.5])
-    neg = Embedding(-e.vector, "audio", "neg")
-    assert MT.text_audio_similarity(e, neg) == pytest.approx(-1.0)
+    assert similarity([0.3, -0.4, 0.5], [-0.3, 0.4, -0.5]) == pytest.approx(-1.0)
 
 
 def test_similarity_dim_mismatch():
     with pytest.raises(DimMismatch):
-        MT.text_audio_similarity(unit([1, 0]), unit([1, 0, 0]))
+        similarity([1, 0], [1, 0, 0])
 
 
 def test_mean_similarity_arithmetic():
-    a = unit([1, 0])
-    sims = [
-        (a, unit([np.cos(np.arccos(0.2)), np.sin(np.arccos(0.2))])),
-        (a, unit([np.cos(np.arccos(0.4)), np.sin(np.arccos(0.4))])),
-    ]
-    assert MT.mean_text_audio_similarity(sims) == pytest.approx(0.3)
+    text = unit_rows([[1, 0], [1, 0]])
+    audio = unit_rows([[0.2, np.sqrt(1 - 0.04)], [0.4, np.sqrt(1 - 0.16)], [0.9, 0.1]])
+    # the third audio row has no text partner
+    assert MT.mean_text_audio_similarity(text, audio) == pytest.approx(0.3)
 
 
 def test_mean_similarity_empty():
     with pytest.raises(EmptySet):
-        MT.mean_text_audio_similarity([])
+        MT.mean_text_audio_similarity(unit_rows([1, 0], "t"), unit_rows([1, 0], "a"))
 
 
 def test_reference_value_formatting():
@@ -73,67 +74,62 @@ def test_reference_value_formatting():
 
 # --- retrieval max --------------------------------------------------------------
 
+def retrieval_max(text, audio):
+    return MT.build_report(text_emb=text, train_seg_emb=audio).retrieval_max
+
+
 def test_retrieval_max_verbatim_texts(rng):
     audio = unit_set(rng, 30, 16, "a")
-    texts = {k: Embedding(v.vector.copy(), "text", k) for k, v in audio.items()}
-    assert MT.retrieval_max(texts, audio) == pytest.approx(1.0)
+    texts = RecordSet.from_records([f"t{i:04d}" for i in range(30)], audio.rows)
+    assert retrieval_max(texts, audio) == pytest.approx(1.0)
 
 
 def test_retrieval_max_single_text_takes_max():
-    text = {"t": unit([1, 0, 0])}
-    audio = {
-        "a": unit([0.1, 1, 0], "a", "audio"),
-        "b": unit([0.9, 0.2, 0], "b", "audio"),
-        "c": unit([0.5, 0.5, 0.7], "c", "audio"),
-    }
-    sims = [float(np.dot(text["t"].vector, a.vector)) for a in audio.values()]
-    assert MT.retrieval_max(text, audio) == pytest.approx(max(sims))
+    text = unit_rows([1, 0, 0], "t")
+    audio = unit_rows([[0.1, 1, 0], [0.9, 0.2, 0], [0.5, 0.5, 0.7]], "a")
+    assert retrieval_max(text, audio) == pytest.approx(float((audio.rows @ text.rows[0]).max()))
 
 
 def test_retrieval_max_matches_double_loop_oracle(rng):
     texts = unit_set(rng, 100, 32, "t")
     audio = unit_set(rng, 1000, 32, "a")
-    got = MT.retrieval_max(texts, audio)
-    tm = np.array([texts[k].vector for k in sorted(texts)])
-    am = np.array([audio[k].vector for k in sorted(audio)])
-    best = [max(float(np.dot(t, a)) for a in am) for t in tm]
-    assert got == pytest.approx(float(np.mean(best)), abs=1e-6)
+    best = [max(float(np.dot(t, a)) for a in audio.rows) for t in texts.rows]
+    assert retrieval_max(texts, audio) == pytest.approx(float(np.mean(best)), abs=1e-6)
 
 
 # --- nearest neighbor ratio -------------------------------------------------------
 
+def sim_aa(gen, train, *thresholds):
+    return MT.build_report(gen_emb=gen, train_seg_emb=train, thresholds=thresholds)
+
+
 def test_nn_ratio_self_match(rng):
     gen = unit_set(rng, 25, 12, "g")
-    ratio, records = MT.nn_similarity_ratio(gen, gen, 0.90)
-    assert ratio == 1.0
-    assert all(r.similarity >= 1.0 - 1e-12 for r in records)
-    assert all(r.gen_id == r.segment_id for r in records)
+    report = sim_aa(gen, gen, 0.90)
+    assert report.sim_aa == {0.90: 1.0}
+    assert all(r.similarity >= 1.0 - 1e-12 for r in report.nn_audit)
+    assert all(r.gen_id == r.segment_id for r in report.nn_audit)
 
 
 def test_nn_ratio_zero_when_unreachable(rng):
     gen = unit_set(rng, 10, 64, "g")
     train = unit_set(rng, 20, 64, "s")
-    ratio, _ = MT.nn_similarity_ratio(gen, train, 0.999)
-    assert ratio == 0.0
+    assert sim_aa(gen, train, 0.999).sim_aa == {0.999: 0.0}
 
 
 def test_nn_ratio_monotone_in_threshold(rng):
     for _ in range(100):
         gen = unit_set(rng, 8, 6, "g")
         train = unit_set(rng, 30, 6, "s")
-        r90, _ = MT.nn_similarity_ratio(gen, train, 0.90)
-        r95, _ = MT.nn_similarity_ratio(gen, train, 0.95)
-        assert r95 <= r90
+        ratios = sim_aa(gen, train, 0.90, 0.95).sim_aa
+        assert ratios[0.95] <= ratios[0.90]
 
 
-def test_nn_ratio_permutation_invariant(rng):
-    gen = unit_set(rng, 12, 8, "g")
-    train = unit_set(rng, 40, 8, "s")
-    r1, rec1 = MT.nn_similarity_ratio(gen, train, 0.5)
-    shuffled_gen = dict(reversed(list(gen.items())))
-    shuffled_train = dict(reversed(list(train.items())))
-    r2, rec2 = MT.nn_similarity_ratio(shuffled_gen, shuffled_train, 0.5)
-    assert r1 == r2 and rec1 == rec2
+def test_nn_dim_mismatch(rng):
+    with pytest.raises(DimMismatch):
+        sim_aa(unit_set(rng, 3, 8, "g"), unit_set(rng, 5, 6, "s"), 0.9)
+    with pytest.raises(DimMismatch):
+        retrieval_max(unit_set(rng, 3, 8, "t"), unit_set(rng, 5, 6, "s"))
 
 
 # --- frechet distance ---------------------------------------------------------------
@@ -199,62 +195,60 @@ def test_fd_dim_mismatch():
 # --- inception score -------------------------------------------------------------------
 
 def test_is_uniform_is_exactly_one():
-    posts = {f"u{i}": ClassPosterior(np.full(7, 1 / 7), f"u{i}") for i in range(9)}
-    assert MT.inception_score(posts) == 1.0
+    assert MT.inception_score(posterior_set(np.full((9, 7), 1 / 7))) == 1.0
 
 
 def test_is_one_hot_equals_k():
     k = 10
-    posts = {f"o{i}": ClassPosterior(np.eye(k)[i], f"o{i}") for i in range(k)}
-    assert MT.inception_score(posts) == pytest.approx(float(k), abs=1e-6)
+    assert MT.inception_score(posterior_set(np.eye(k))) == pytest.approx(float(k), abs=1e-6)
 
 
 def test_is_identical_posteriors_is_one(rng):
     p = rng.dirichlet(np.ones(6))
-    posts = {f"s{i}": ClassPosterior(p.copy(), f"s{i}") for i in range(11)}
-    assert MT.inception_score(posts) == pytest.approx(1.0, abs=1e-12)
+    assert MT.inception_score(posterior_set(np.tile(p, (11, 1)))) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 30), k=st.integers(2, 12))
-def test_is_bounds_and_permutation_invariance(seed, n, k):
+def test_is_bounds(seed, n, k):
     rng = np.random.default_rng(seed)
-    probs = rng.dirichlet(np.ones(k), size=n)
-    posts = {f"p{i}": ClassPosterior(probs[i], f"p{i}") for i in range(n)}
-    score = MT.inception_score(posts)
+    score = MT.inception_score(posterior_set(rng.dirichlet(np.ones(k), size=n)))
     assert 1.0 - 1e-9 <= score <= k + 1e-9
-    shuffled = dict(reversed(list(posts.items())))
-    assert MT.inception_score(shuffled) == score
 
 
-def test_is_inconsistent_k():
-    posts = {
-        "a": ClassPosterior(np.full(4, 0.25), "a"),
-        "b": ClassPosterior(np.full(5, 0.2), "b"),
-    }
-    with pytest.raises(InconsistentK):
-        MT.inception_score(posts)
+def test_is_empty_set():
+    with pytest.raises(EmptySet):
+        MT.inception_score(posterior_set(np.zeros((0, 4))))
 
 
 # --- paired KL ---------------------------------------------------------------------------
 
 def test_paired_kl_identical_is_zero(rng):
     p = rng.dirichlet(np.ones(8))
-    gen = {"a": ClassPosterior(p.copy(), "a")}
-    gt = {"a": ClassPosterior(p.copy(), "a")}
-    assert MT.paired_kl(gen, gt) == pytest.approx(0.0, abs=1e-9)
+    assert MT.paired_kl(posterior_set(p), posterior_set(p.copy())) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_paired_kl_onehot_vs_uniform_is_ln2():
-    gen = {"x": ClassPosterior(np.array([0.5, 0.5]), "x")}
-    gt = {"x": ClassPosterior(np.array([1.0, 0.0]), "x")}
+    gen = posterior_set([0.5, 0.5])
+    gt = posterior_set([1.0, 0.0])
     assert MT.paired_kl(gen, gt) == pytest.approx(np.log(2), abs=1e-6)
 
 
+def test_paired_kl_pairs_by_id(rng):
+    gen = posterior_set(rng.dirichlet(np.ones(4), size=3))
+    gt = posterior_set(rng.dirichlet(np.ones(4), size=5))
+    kls = [MT.paired_kl(posterior_set(gen.rows[i]), posterior_set(gt.rows[i])) for i in range(3)]
+    assert MT.paired_kl(gen, gt) == pytest.approx(float(np.mean(kls)), abs=1e-12)
+
+
 def test_paired_kl_missing_partner():
-    gen = {"a": ClassPosterior(np.array([0.5, 0.5]), "a")}
     with pytest.raises(MissingPartner):
-        MT.paired_kl(gen, {})
+        MT.paired_kl(posterior_set([0.5, 0.5], "a"), posterior_set([0.5, 0.5], "b"))
+
+
+def test_paired_kl_inconsistent_k():
+    with pytest.raises(InconsistentK):
+        MT.paired_kl(posterior_set(np.full(4, 0.25)), posterior_set(np.full(5, 0.2)))
 
 
 # --- report -----------------------------------------------------------------------------
@@ -262,35 +256,43 @@ def test_paired_kl_missing_partner():
 def test_report_to_json(rng):
     gen = unit_set(rng, 10, 8, "g")
     train = unit_set(rng, 30, 8, "s")
-    text = {k: Embedding(v.vector, "text", k) for k, v in gen.items()}
-    posts = {k: ClassPosterior(np.full(5, 0.2), k) for k in gen}
+    posts = posterior_set(np.full((10, 5), 0.2), "g")
     report = MT.build_report(
         fd_sets={"pann": (gen, train)},
         gen_emb=gen,
         train_seg_emb=train,
-        text_emb=text,
+        text_emb=gen,
         gen_post=posts,
         gt_post=posts,
     )
     payload = json.loads(report.to_json())
     assert payload["sim_aa"].keys() == {"0.90", "0.95"}
-    assert [r["gen_id"] for r in payload["nn_audit"]] == sorted(gen)
+    assert [r["gen_id"] for r in payload["nn_audit"]] == list(gen.ids)
+    assert payload["provenance"]["text_gen_pairs"] == 10
     assert "nn_backend" not in payload["provenance"]
 
 
 def test_report_searches_once_for_all_thresholds(rng, monkeypatch):
     gen = unit_set(rng, 40, 8, "g")
     train = unit_set(rng, 60, 8, "s")
+    text = unit_set(rng, 30, 8, "g")  # captions of the first 30 generated items
     thresholds = (0.3, 0.5, 0.7, 0.9)
-    expected = {t: MT.nn_similarity_ratio(gen, train, t) for t in thresholds}
+    gen_best, gen_idx = MT._kernels.nn_max_dot(gen.rows, train.rows)
+    text_best, _ = MT._kernels.nn_max_dot(text.rows, train.rows)
 
     calls = []
     search = MT._kernels.nn_max_dot
     monkeypatch.setattr(MT._kernels, "nn_max_dot", lambda q, r: calls.append(1) or search(q, r))
-    report = MT.build_report(gen_emb=gen, train_seg_emb=train, thresholds=thresholds)
+    report = MT.build_report(
+        gen_emb=gen, train_seg_emb=train, text_emb=text, thresholds=thresholds
+    )
     assert len(calls) == 1
-    assert report.sim_aa == {t: ratio for t, (ratio, _) in expected.items()}
-    assert all(report.nn_audit == records for _, records in expected.values())
+    assert report.sim_aa == {t: float(np.mean(gen_best >= t)) for t in thresholds}
+    assert report.retrieval_max == float(np.mean(text_best))
+    assert report.nn_audit == [
+        MT.NearestNeighbor(g, train.ids[j], float(b))
+        for g, j, b in zip(gen.ids, gen_idx, gen_best)
+    ]
     with pytest.raises(ValueError):
         MT.build_report(gen_emb=gen, train_seg_emb=train, thresholds=(0.5, 1.5))
 

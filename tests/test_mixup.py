@@ -64,26 +64,37 @@ def test_beta_stays_open_interval():
 
 # --- alignment --------------------------------------------------------------
 
-def test_align_downbeats_on_two_second_grid(rng):
+def two_track_pass(grid, n_samples, seed):
+    """A p=1 plan over two tracks that share ``grid``: every slot mixes them."""
+    tracks = {tid: M.TrackView(tid, n_samples, grid) for tid in ("a", "b")}
+    groups = M.assign_tempo_groups({tid: grid for tid in tracks}, 4.0)
+    return M.plan_mixup_pass(
+        tracks, groups, "bam", 1.0, 50, np.random.default_rng(seed), sample_rate=SR
+    )
+
+
+def test_align_downbeats_on_two_second_grid():
     grid = make_grid(120.0)  # downbeats every 2 s from 0
     n = 30 * SR
-    off_a, off_b = M.align_downbeats(grid, grid, n, n, 163840, rng, SR)
-    assert off_a % 32000 == 0 and off_b % 32000 == 0
-    assert off_a + 163840 <= n and off_b + 163840 <= n
+    offsets = M.eligible_downbeat_offsets(grid, n, 163840, SR)
+    assert offsets.size and np.all(offsets % 32000 == 0) and np.all(offsets + 163840 <= n)
+    for spec in two_track_pass(grid, n, seed=0):
+        for off in (spec.offset_a, spec.offset_b):
+            assert off % 32000 == 0 and off + 163840 <= n
 
 
-def test_align_too_short_track(rng):
+def test_align_too_short_track():
     grid = make_grid(120.0, duration_s=8.0)
+    assert M.eligible_downbeat_offsets(grid, 8 * SR, 163840, SR).size == 0
     with pytest.raises(NoEligibleDownbeat):
-        M.align_downbeats(grid, grid, 8 * SR, 8 * SR, 163840, rng, SR)
+        two_track_pass(grid, 8 * SR, seed=0)
 
 
 def test_align_single_candidate_is_deterministic():
     grid = BeatGrid(120.0, np.arange(0, 12, 0.5), np.array([0.0]))
-    n = 12 * SR
     for seed in range(5):
-        rng = np.random.default_rng(seed)
-        assert M.align_downbeats(grid, grid, n, n, 163840, rng, SR) == (0, 0)
+        specs = two_track_pass(grid, 12 * SR, seed)
+        assert all((s.offset_a, s.offset_b) == (0, 0) for s in specs)
 
 
 # --- waveform / latent mixes -------------------------------------------------
