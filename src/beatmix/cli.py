@@ -80,9 +80,9 @@ _CONFIG_KEYS = {
     "fmin": float,
     "fmax": float,
     "log_floor": float,
-    "bucket_width": float,
-    "clip_samples": int,
-    "gl_iterations": int,
+    "bucket_width": _positive_float,
+    "clip_samples": _positive_int,
+    "gl_iterations": _positive_int,
     "segment_seconds": _positive_float,
     "mix_p": _fraction,
 }
@@ -109,6 +109,10 @@ def read_config_file(path) -> dict:
                 values[key] = _CONFIG_KEYS[key](value)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise SchemaError(f"{path}:{line_no}: bad value for {key} ({exc})") from exc
+    try:
+        signal_config(values)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     return values
 
 
@@ -118,7 +122,10 @@ def signal_config(settings: dict) -> SignalConfig:
         for k in ("sample_rate", "hop", "window", "fft_size", "n_mels", "fmin", "fmax", "log_floor")
         if k in settings
     }
-    return SignalConfig(**kwargs)
+    try:
+        return SignalConfig(**kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"bad signal settings ({exc})") from exc
 
 
 def merged_settings(args) -> dict:
@@ -126,6 +133,12 @@ def merged_settings(args) -> dict:
     if getattr(args, "config", None):
         settings.update(read_config_file(args.config))
     return settings
+
+
+def _beside_manifest(args, name) -> str:
+    """Path of ``name`` in the manifest's directory, where derived artifacts
+    go by default; the corpus may be read-only or shared."""
+    return os.path.join(os.path.dirname(os.path.abspath(args.manifest)), name)
 
 
 # --- ingest -----------------------------------------------------------------
@@ -193,7 +206,7 @@ def cmd_ingest(args) -> int:
 
 # --- analyze ----------------------------------------------------------------
 
-def _analyze_one(manifest, entry, config, external):
+def _analyze_one(manifest, entry, config, external, cache_dir):
     path = manifest.track_path(entry)
     sidecar_rel = os.path.splitext(entry.path)[0] + ".beats.json"
     sidecar = os.path.join(manifest.root, sidecar_rel)
@@ -210,7 +223,7 @@ def _analyze_one(manifest, entry, config, external):
             raise InputError(f"{sidecar}: external annotation missing")
         grid = beats_mod.load_beat_annotation(sidecar)
     else:
-        wave = wavio.load_wav(path)
+        wave = wavio.load_normalized(path, cache_dir, current_hash)
         grid = beats_mod.analyze_waveform(wave, config)
         beats_mod.save_beat_annotation(grid, sidecar)
     entry.content_hash = current_hash
@@ -225,12 +238,13 @@ def cmd_analyze(args) -> int:
     validate_manifest(manifest)
     settings = {**manifest.config, **merged_settings(args)}
     config = signal_config(settings)
+    cache_dir = _beside_manifest(args, wavio.NORMALIZED_CACHE)
 
     outcomes = {"cached": 0, "analyzed": 0, "failed": 0}
 
     def work(entry):
         try:
-            return _analyze_one(manifest, entry, config, args.external_beats)
+            return _analyze_one(manifest, entry, config, args.external_beats, cache_dir)
         except BeatmixError as exc:
             entry.analysis_error = f"{type(exc).__name__}: {exc}"
             entry.tempo_bpm = None
@@ -296,17 +310,18 @@ def cmd_fit_codec(args) -> int:
     usable = [e for e in manifest.entries if e.analysis_error is None]
     if not usable:
         raise MissingPrerequisite("no usable tracks to fit the codec on")
+    cache_dir = _beside_manifest(args, wavio.NORMALIZED_CACHE)
 
     def corpus_mels():
         for entry in usable:
-            wave = wavio.load_wav(manifest.track_path(entry))
+            wave = wavio.load_normalized(manifest.track_path(entry), cache_dir)
             frames = mel_spectrogram(wave, config).frames
             t = (frames.shape[0] // patch) * patch  # crop to whole patches
             if t:
                 yield frames[:t]
 
     codec = codec_mod.fit(corpus_mels(), n_components=args.components, patch_size=patch)
-    out = args.out or os.path.join(os.path.dirname(os.path.abspath(args.manifest)), "codec.bin")
+    out = args.out or _beside_manifest(args, "codec.bin")
     codec_mod.save(codec, out)
     manifest.config["codec_path"] = os.path.abspath(out)
     manifest.config["codec_components"] = args.components
@@ -360,18 +375,20 @@ def cmd_mix(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(args.seed)
 
-    cache: dict[str, np.ndarray] = {}
+    cache_dir = _beside_manifest(args, wavio.NORMALIZED_CACHE)
     by_id = manifest.by_id()
+    digests: dict[str, str] = {}
 
     def load_clip(track_id, offset, n):
-        if track_id not in cache:
-            if len(cache) > 8:
-                cache.clear()
-            cache[track_id] = wavio.load_wav(manifest.track_path(by_id[track_id])).samples
-        clip = cache[track_id][offset : offset + n]
+        path = manifest.track_path(by_id[track_id])
+        if track_id not in digests:
+            digests[track_id] = content_hash(path)
+        samples = wavio.load_normalized(path, cache_dir, digests[track_id]).samples
+        clip = samples[offset : offset + n]
         if clip.size != n:
             raise InputError(f"{track_id}: clip at {offset} runs past end of track")
-        return clip
+        # a copy, so that the mapping of the whole track closes after each clip
+        return np.array(clip)
 
     specs = mixup.plan_mixup_pass(
         tracks, groups, args.strategy, p, args.count, rng,
@@ -421,9 +438,7 @@ def cmd_segment(args) -> int:
                     "end_sample": (k + 1) * seg_len,
                 }
             )
-    out = args.out or os.path.join(
-        os.path.dirname(os.path.abspath(args.manifest)), "segments.json"
-    )
+    out = args.out or _beside_manifest(args, "segments.json")
     payload = {
         "schema_version": 1,
         "seconds": seconds,

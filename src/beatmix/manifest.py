@@ -6,6 +6,7 @@ stage on unchanged inputs reproduces the file byte for byte. Caching is
 keyed on content hashes, never on modification times.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -52,21 +53,29 @@ def content_hash(path) -> str:
     return h.hexdigest()
 
 
-def atomic_write(path, data: bytes | str) -> None:
-    """Write ``data`` (a str as UTF-8) to a temp file beside ``path``, then
-    rename it over ``path``, so that neither a reader nor a crash leaves a
-    partial file. The file gets the permissions a plain ``open`` gives."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+@contextlib.contextmanager
+def atomic_open(path):
+    """Yield a new binary file beside ``path`` and rename it over ``path``
+    when the block ends, so that neither a reader nor a crash sees a partial
+    file; on any failure the temp file is removed. The file gets the
+    permissions a plain ``open`` gives."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write(path, data: bytes | str) -> None:
+    """Write ``data`` (a str as UTF-8) to ``path`` through ``atomic_open``."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    with atomic_open(path) as fh:
+        fh.write(data)
 
 
 def save_manifest(manifest: Manifest, path) -> None:

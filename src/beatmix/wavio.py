@@ -3,10 +3,13 @@
 Reading accepts PCM 16/24/32-bit and 32-bit float, any channel count;
 everything is downmixed to mono by arithmetic mean and resampled to the
 target rate (default 16 kHz) with a Kaiser-windowed polyphase sinc
-interpolator. Writing always emits mono 16-bit PCM.
+interpolator. ``load_normalized`` keeps that result in a cache keyed by the
+file's content hash, so each distinct file is decoded once. Writing always
+emits mono 16-bit PCM.
 """
 
 import io
+import os
 import struct
 from math import gcd
 
@@ -14,9 +17,12 @@ import numpy as np
 
 from .dsp import Waveform
 from .errors import CorruptFile, UnsupportedFormat
-from .manifest import atomic_write
+from .manifest import atomic_open, atomic_write, content_hash
 
 TARGET_RATE = 16000
+# Name of the directory of cached ``load_wav`` output. Rename it whenever a
+# change alters the samples ``load_wav`` returns, so no stale cache is read.
+NORMALIZED_CACHE = "audio-16k"
 
 _FMT_PCM = 0x0001
 _FMT_FLOAT = 0x0003
@@ -99,6 +105,30 @@ def load_wav(path, target_rate: int = TARGET_RATE) -> Waveform:
     mono = frames.mean(axis=1)
     mono = resample(mono, rate, target_rate)
     return Waveform(np.clip(mono, -1.0, 1.0), target_rate)
+
+
+def load_normalized(path, cache_dir, digest=None) -> Waveform:
+    """``load_wav(path)``, through ``cache_dir/<sha256 of the file>.npy``.
+
+    ``digest`` is the file's current content hash, if the caller has it. A
+    cache hit is memory-mapped read-only; a miss, or a cache file that does
+    not load as a 1-D float64 array, is decoded by ``load_wav`` and written
+    atomically, so concurrent callers never see a partial file.
+    """
+    if digest is None:
+        digest = content_hash(path)
+    cached = os.path.join(cache_dir, f"{digest}.npy")
+    try:
+        samples = np.load(cached, mmap_mode="r", allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        samples = None
+    if isinstance(samples, np.ndarray) and samples.ndim == 1 and samples.dtype == np.float64:
+        return Waveform(samples, TARGET_RATE)
+    wave = load_wav(path)
+    os.makedirs(cache_dir, exist_ok=True)
+    with atomic_open(cached) as fh:
+        np.save(fh, wave.samples, allow_pickle=False)
+    return wave
 
 
 def probe_wav(path, target_rate: int = TARGET_RATE) -> int:

@@ -408,7 +408,7 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     # wipe every derived artifact, keep only the source corpus
     for name in ("manifest.json", "segments.json", "codec.bin"):
         os.unlink(os.path.join(work, name))
-    for sub in ("mixes", "mixes_blm", "report", "emb"):
+    for sub in ("mixes", "mixes_blm", "report", "emb", "audio-16k"):
         shutil.rmtree(os.path.join(work, sub))
     for name in list(os.listdir(corpus_dir)):
         if name.endswith(".beats.json"):

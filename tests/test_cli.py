@@ -1,14 +1,18 @@
 import json
 import os
+import shutil
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from beatmix import codec as codec_mod
+from beatmix import wavio
 from beatmix.beats import BeatGrid, save_beat_annotation
 from beatmix.cli import main
 from beatmix.dsp import Waveform
-from beatmix.manifest import Manifest, save_manifest
+from beatmix.manifest import Manifest, content_hash, save_manifest
 from beatmix.gateway import (
     EMB_MAGIC,
     POS_MAGIC,
@@ -16,7 +20,7 @@ from beatmix.gateway import (
     save_embedding_set,
     save_posterior_set,
 )
-from beatmix.wavio import save_wav
+from beatmix.wavio import load_normalized, load_wav, save_wav, wav_bytes
 from synth import click_track
 from test_gateway import write_raw
 
@@ -132,6 +136,32 @@ def test_analyze_external_sidecars(corpus):
     assert all(e["tempo_bpm"] == 120.0 for e in payload["entries"])
 
 
+def test_analyze_workers_share_the_sample_cache(tmp_path):
+    root = tmp_path / "corpus"
+    write_corpus(root, [100 + 4 * i for i in range((os.cpu_count() or 1) + 3)], duration_s=12.0)
+    shutil.copy(root / "track00.wav", root / "twin.wav")
+    manifest = tmp_path / "manifest.json"
+    assert run(["ingest", root, "--manifest", manifest]) == 0
+    codes = []
+    worker = threading.Thread(
+        target=lambda: codes.append(run(["analyze", "--manifest", manifest, "--workers", "4"]))
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and codes == [0]
+    entries = json.loads(manifest.read_text())["entries"]
+    assert all(e["analysis_error"] is None and e["tempo_bpm"] for e in entries)
+    hashes = {e["content_hash"] for e in entries}
+    assert len(hashes) == len(entries) - 1
+    assert sorted(os.listdir(tmp_path / "audio-16k")) == sorted(f"{h}.npy" for h in hashes)
+    assert not [name for name in os.listdir(root) if name.startswith(".tmp-")]
+
+
 def test_group_requires_analyze(corpus):
     manifest = corpus / "manifest.json"
     run(["ingest", corpus / "corpus", "--manifest", manifest])
@@ -162,19 +192,52 @@ def test_mix_blm_without_codec_fails(corpus):
     assert code == 1
 
 
-def test_mix_seed_reproducibility(corpus):
+def _no_decoding(path, target_rate=wavio.TARGET_RATE):
+    raise AssertionError(f"{path} decoded although its samples are cached")
+
+
+def test_mix_seed_reproducibility(corpus, monkeypatch):
     manifest = corpus / "manifest.json"
     run(["ingest", corpus / "corpus", "--manifest", manifest])
     run(["analyze", "--manifest", manifest])
     run(["group", "--manifest", manifest])
+    shutil.rmtree(corpus / "audio-16k")  # the first mix fills the cache, the second reads it
     out1, out2 = corpus / "m1", corpus / "m2"
-    for out in (out1, out2):
-        assert run([
+
+    def mix(out):
+        return run([
             "mix", "--manifest", manifest, "--strategy", "bam",
             "--count", "5", "--seed", "7", "--p", "1.0", "--out", out,
-        ]) == 0
+        ])
+
+    assert mix(out1) == 0
+    monkeypatch.setattr(wavio, "load_wav", _no_decoding)
+    assert mix(out2) == 0
+    assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
     for name in sorted(os.listdir(out1)):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_fit_codec_cold_warm_and_rewritten_track(corpus):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    run(["analyze", "--manifest", manifest])
+    cache = corpus / "audio-16k"
+
+    def fit(name, cold):
+        if cold:
+            shutil.rmtree(cache)
+        assert run(["fit-codec", "--manifest", manifest, "-C", "4", "--out", corpus / name]) == 0
+        return (corpus / name).read_bytes()
+
+    assert fit("cold.bin", cold=True) == fit("warm.bin", cold=False)
+    track = corpus / "corpus" / "track00.wav"
+    x, _ = click_track(140, 14.0, seed=99)
+    save_wav(track, Waveform(x, 16000))  # rewritten after analyze
+    fresh = fit("fresh.bin", cold=False)
+    assert fresh != (corpus / "warm.bin").read_bytes()
+    assert np.load(cache / f"{content_hash(track)}.npy").tobytes() == load_wav(track).samples.tobytes()
+    assert fresh == fit("fresh_cold.bin", cold=True)
 
 
 def test_mix_p_zero_all_unmixed(corpus):
@@ -365,6 +428,29 @@ def test_segment_length_out_of_range_exits_one(corpus, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", [
+    "hop = 0", "window = 0", "fft_size = 512", "n_mels = 0", "sample_rate = 0", "fmin = -1",
+    "clip_samples = 0", "gl_iterations = 0", "bucket_width = -1",
+])
+def test_out_of_range_config_value_exits_one_at_ingest(corpus, capsys, line):
+    cfg = corpus / "beatmix.cfg"
+    cfg.write_text(line + "\n")
+    manifest = corpus / "manifest.json"
+    assert run(["ingest", corpus / "corpus", "--manifest", manifest, "--config", cfg]) == 1
+    assert str(cfg) in capsys.readouterr().err
+    assert not manifest.exists()
+
+
+def test_hand_edited_signal_setting_exits_one(corpus, capsys):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    payload = json.loads(manifest.read_text())
+    payload["config"]["hop"] = 0
+    manifest.write_text(json.dumps(payload))
+    assert run(["analyze", "--manifest", manifest]) == 1
+    assert "need 0 < hop" in capsys.readouterr().err
+
+
 def test_config_file_overrides(tmp_path, capsys):
     root = tmp_path / "corpus"
     write_corpus(root, [120, 121], duration_s=14.0)
@@ -393,10 +479,18 @@ ARTIFACT_WRITERS = {
         BeatGrid(120.0, np.arange(0.0, 8.0, 0.5), np.arange(0.0, 8.0, 2.0)), path
     ),
     "manifest": lambda path, rng: save_manifest(Manifest(root="."), path),
+    # a cache miss writes the normalized samples into the artifact's directory
+    "normalized": lambda path, rng: load_normalized(_source_wav(path.parent.parent, rng), path.parent),
     "embeddings": lambda path, rng: save_embedding_set(
         path, RecordSet.from_records(["a"], rng.normal(size=(1, 4)))
     ),
 }
+
+
+def _source_wav(directory, rng):
+    path = directory / "source.wav"
+    path.write_bytes(wav_bytes(Waveform(rng.uniform(-0.5, 0.5, 1600), 16000)))
+    return path
 
 
 def _failing_rename(src, dst):
@@ -405,10 +499,12 @@ def _failing_rename(src, dst):
 
 @pytest.mark.parametrize("kind", sorted(ARTIFACT_WRITERS))
 def test_failed_rename_leaves_no_file(tmp_path, rng, monkeypatch, kind):
+    out = tmp_path / "out"
+    out.mkdir()
     monkeypatch.setattr(os, "replace", _failing_rename)
     with pytest.raises(OSError, match="rename failed"):
-        ARTIFACT_WRITERS[kind](tmp_path / "artifact", rng)
-    assert os.listdir(tmp_path) == []
+        ARTIFACT_WRITERS[kind](out / "artifact", rng)
+    assert os.listdir(out) == []
 
 
 def test_eval_failed_rename_leaves_no_report(tmp_path, rng, monkeypatch):

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from beatmix.dsp import Waveform
 from beatmix.errors import CorruptFile, UnsupportedFormat
-from beatmix.wavio import load_wav, probe_wav, resample, save_wav, wav_bytes
+from beatmix.manifest import content_hash
+from beatmix.wavio import load_normalized, load_wav, probe_wav, resample, save_wav, wav_bytes
 
 
 def write_raw_wav(path, frames: np.ndarray, rate: int, fmt: str):
@@ -146,3 +148,50 @@ def test_probe_matches_load(tmp_path):
     path = tmp_path / "probe.wav"
     write_raw_wav(path, x[:, None], 22050, "pcm16")
     assert probe_wav(path) == load_wav(path).samples.size
+
+
+def _stereo_44k(path):
+    t = np.arange(22050) / 44100
+    x = 0.3 * np.sin(2 * np.pi * 330 * t)
+    write_raw_wav(path, np.stack([x, 0.5 * x], axis=1), 44100, "pcm24")
+
+
+def test_normalized_cache_matches_load_wav_bit_for_bit(tmp_path):
+    path = tmp_path / "in.wav"
+    _stereo_44k(path)
+    cache = tmp_path / "cache"
+    expect = load_wav(path).samples
+    cold = load_normalized(path, cache)
+    cached = cache / f"{content_hash(path)}.npy"
+    assert os.listdir(cache) == [cached.name]
+    warm = load_normalized(path, cache)
+    for samples in (cold.samples, np.load(cached), warm.samples):
+        assert samples.dtype == np.float64 and samples.tobytes() == expect.tobytes()
+    assert isinstance(warm.samples.base, np.memmap)
+    assert warm.sample_rate == 16000
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+@pytest.mark.parametrize("damage", [
+    _truncate,
+    lambda path: path.write_bytes(b""),
+    lambda path: path.write_bytes(b"not an npy file"),
+    lambda path: np.save(path, np.load(path).astype(np.float32)),
+    lambda path: np.save(path, np.load(path).astype(">f8")),
+    lambda path: np.save(path, np.load(path).reshape(-1, 2)),
+], ids=["truncated", "empty", "not-npy", "float32", "big-endian", "2-d"])
+def test_damaged_cache_file_is_rebuilt(tmp_path, damage):
+    path = tmp_path / "in.wav"
+    _stereo_44k(path)
+    cache = tmp_path / "cache"
+    load_normalized(path, cache)
+    cached = cache / f"{content_hash(path)}.npy"
+    damage(cached)
+    expect = load_wav(path).samples.tobytes()
+    assert load_normalized(path, cache).samples.tobytes() == expect
+    assert np.load(cached).tobytes() == expect
+    assert os.listdir(cache) == [cached.name]
