@@ -65,14 +65,15 @@ def _checked(convert, ok, expect):
 _fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a positive number")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _thresholds = _checked(
     lambda text: tuple(float(t) for t in text.split(",")),
     lambda values: all(0.0 <= t <= 1.0 for t in values),
     "a comma-separated list of numbers in [0, 1]",
 )
 
+# Corpus settings, fixed at ingest: later stages read them from the manifest.
 _CONFIG_KEYS = {
-    "sample_rate": int,
     "hop": int,
     "window": int,
     "fft_size": int,
@@ -119,20 +120,13 @@ def read_config_file(path) -> dict:
 def signal_config(settings: dict) -> SignalConfig:
     kwargs = {
         k: settings[k]
-        for k in ("sample_rate", "hop", "window", "fft_size", "n_mels", "fmin", "fmax", "log_floor")
+        for k in ("hop", "window", "fft_size", "n_mels", "fmin", "fmax", "log_floor")
         if k in settings
     }
     try:
         return SignalConfig(**kwargs)
     except ValueError as exc:
         raise SchemaError(f"bad signal settings ({exc})") from exc
-
-
-def merged_settings(args) -> dict:
-    settings = {}
-    if getattr(args, "config", None):
-        settings.update(read_config_file(args.config))
-    return settings
 
 
 def _beside_manifest(args, name) -> str:
@@ -166,7 +160,7 @@ def cmd_ingest(args) -> int:
         if not isinstance(caption_map, dict):
             raise SchemaError(f"{args.captions}: expected an object of id -> caption")
 
-    settings = merged_settings(args)
+    settings = read_config_file(args.config) if args.config else {}
     entries = []
     seen = {}
     missing_captions = 0
@@ -176,7 +170,10 @@ def cmd_ingest(args) -> int:
             raise DuplicateBasename(f"{rel} and {seen[track_id]} both map to id {track_id!r}")
         seen[track_id] = rel
         full = os.path.join(root, rel)
-        n_samples = wavio.probe_wav(full)
+        try:
+            n_samples = wavio.probe_wav(full)
+        except InputError as exc:
+            raise type(exc)(f"{rel}: {exc}") from exc
         caption = caption_map.get(track_id, "")
         if not caption:
             txt = os.path.splitext(full)[0] + ".txt"
@@ -196,7 +193,7 @@ def cmd_ingest(args) -> int:
             )
         )
 
-    manifest = Manifest(root=root, entries=entries, config=dict(settings))
+    manifest = Manifest(root=root, entries=entries, config=settings)
     save_manifest(manifest, args.manifest)
     log(f"ingested {len(entries)} tracks -> {args.manifest}")
     if missing_captions:
@@ -236,8 +233,7 @@ def _analyze_one(manifest, entry, config, external, cache_dir):
 def cmd_analyze(args) -> int:
     manifest = load_manifest(args.manifest)
     validate_manifest(manifest)
-    settings = {**manifest.config, **merged_settings(args)}
-    config = signal_config(settings)
+    config = signal_config(manifest.config)
     cache_dir = _beside_manifest(args, wavio.NORMALIZED_CACHE)
 
     outcomes = {"cached": 0, "analyzed": 0, "failed": 0}
@@ -275,11 +271,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_group(args) -> int:
     manifest = load_manifest(args.manifest)
-    settings = {**manifest.config, **merged_settings(args)}
     width = args.bucket_width if args.bucket_width is not None else float(
-        settings.get("bucket_width", mixup.DEFAULT_BUCKET_WIDTH)
+        manifest.config.get("bucket_width", mixup.DEFAULT_BUCKET_WIDTH)
     )
-    if width <= 0:
+    if width <= 0:  # a hand-edited manifest; the flag is checked when parsed
         raise InputError("bucket width must be positive")
     grouped = 0
     for entry in manifest.entries:
@@ -304,8 +299,7 @@ def cmd_fit_codec(args) -> int:
         raise InputError(f"--components {args.components} exceeds --patch squared")
     manifest = load_manifest(args.manifest)
     validate_manifest(manifest)
-    settings = {**manifest.config, **merged_settings(args)}
-    config = signal_config(settings)
+    config = signal_config(manifest.config)
     patch = args.patch
     usable = [e for e in manifest.entries if e.analysis_error is None]
     if not usable:
@@ -339,11 +333,10 @@ def cmd_fit_codec(args) -> int:
 def cmd_mix(args) -> int:
     manifest = load_manifest(args.manifest)
     validate_manifest(manifest)
-    settings = {**manifest.config, **merged_settings(args)}
-    config = signal_config(settings)
-    clip_samples = int(settings.get("clip_samples", mixup.DEFAULT_CLIP_SAMPLES))
-    iterations = int(settings.get("gl_iterations", 32))
-    p = args.p if args.p is not None else float(settings.get("mix_p", 0.5))
+    config = signal_config(manifest.config)
+    clip_samples = int(manifest.config.get("clip_samples", mixup.DEFAULT_CLIP_SAMPLES))
+    iterations = int(manifest.config.get("gl_iterations", 32))
+    p = args.p if args.p is not None else float(manifest.config.get("mix_p", 0.5))
 
     analyzed = [e for e in manifest.entries if e.tempo_bpm is not None and e.beats_path]
     if not analyzed:
@@ -353,7 +346,7 @@ def cmd_mix(args) -> int:
 
     codec = None
     if args.strategy == "blm":
-        codec_path = args.codec or settings.get("codec_path")
+        codec_path = args.codec or manifest.config.get("codec_path")
         if not codec_path or not os.path.exists(codec_path):
             raise MissingPrerequisite(
                 "blm mixing needs a fitted codec; run `beatmix fit-codec` first"
@@ -366,11 +359,8 @@ def cmd_mix(args) -> int:
         grid = beats_mod.load_beat_annotation(
             os.path.join(manifest.root, entry.beats_path)
         )
-        tracks[entry.id] = mixup.TrackView(entry.id, entry.n_samples, grid)
+        tracks[entry.id] = mixup.TrackView(entry.id, entry.n_samples, grid, entry.group_id)
         captions[entry.id] = entry.caption
-    grids = {tid: view.grid for tid, view in tracks.items()}
-    width = float(settings.get("bucket_width", mixup.DEFAULT_BUCKET_WIDTH))
-    groups = mixup.assign_tempo_groups(grids, width)
 
     os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(args.seed)
@@ -391,8 +381,8 @@ def cmd_mix(args) -> int:
         return np.array(clip)
 
     specs = mixup.plan_mixup_pass(
-        tracks, groups, args.strategy, p, args.count, rng,
-        clip_samples=clip_samples, sample_rate=config.sample_rate, seed=args.seed,
+        tracks, args.strategy, p, args.count, rng,
+        clip_samples=clip_samples, seed=args.seed,
     )
     for spec in specs:
         wave = mixup.render_spec(spec, load_clip, codec, config, iterations)
@@ -413,12 +403,10 @@ def cmd_mix(args) -> int:
 
 def cmd_segment(args) -> int:
     manifest = load_manifest(args.manifest)
-    settings = {**manifest.config, **merged_settings(args)}
     seconds = args.seconds if args.seconds is not None else float(
-        settings.get("segment_seconds", 10.0)
+        manifest.config.get("segment_seconds", 10.0)
     )
-    config = signal_config(settings)
-    seg_len = int(round(seconds * config.sample_rate))
+    seg_len = int(round(seconds * wavio.TARGET_RATE))
     if seg_len < 1:
         raise InputError(f"segments of {seconds:g} s are shorter than one sample")
     segments = []
@@ -442,7 +430,7 @@ def cmd_segment(args) -> int:
     payload = {
         "schema_version": 1,
         "seconds": seconds,
-        "sample_rate": config.sample_rate,
+        "sample_rate": wavio.TARGET_RATE,
         "segments": segments,
     }
     atomic_write(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -540,21 +528,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus_dir")
     p.add_argument("--manifest", default="manifest.json")
     p.add_argument("--captions", help="JSON file mapping track id -> caption")
-    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--config", help="key=value settings file, stored in the manifest")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("analyze", help="compute or ingest beat annotations")
     p.add_argument("--manifest", required=True)
     p.add_argument("--external-beats", action="store_true",
                    help="ingest existing .beats.json sidecars instead of analyzing")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--config")
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("group", help="assign tempo groups")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--bucket-width", type=float, default=None)
-    p.add_argument("--config")
+    p.add_argument("--bucket-width", type=_positive_float, default=None)
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("fit-codec", help="fit the patch-PCA latent codec")
@@ -562,25 +548,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", "-C", type=_positive_int, default=16)
     p.add_argument("--patch", "-P", type=_positive_int, default=8)
     p.add_argument("--out")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_fit_codec)
 
     p = sub.add_parser("mix", help="render mixed clips")
     p.add_argument("--manifest", required=True)
     p.add_argument("--strategy", choices=mixup.STRATEGIES, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--p", type=_fraction, default=None, help="mixup rate (default 0.5)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default="mixes")
     p.add_argument("--codec", help="codec file (default: the one in the manifest)")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("segment", help="index non-overlapping segments per track")
     p.add_argument("--manifest", required=True)
     p.add_argument("--seconds", type=_positive_float, default=None)
     p.add_argument("--out")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("eval", help="build a metrics report from embedding files")

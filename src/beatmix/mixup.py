@@ -32,14 +32,6 @@ STRATEGIES = ("bam", "blm")
 
 
 @dataclass(frozen=True)
-class TempoGroup:
-    group_id: int
-    bpm_low: float
-    bpm_high: float
-    members: tuple
-
-
-@dataclass(frozen=True)
 class MixupSpec:
     """Everything needed to re-render one output clip."""
 
@@ -56,33 +48,13 @@ class MixupSpec:
 
 
 def group_id_for(bpm: float, bucket_width: float = DEFAULT_BUCKET_WIDTH) -> int:
+    """Deterministic fixed-width BPM bucket over [60, 180); tempos outside
+    the range fall into the first or the last bucket."""
     lo, hi = BUCKET_RANGE
     n_buckets = int(np.ceil((hi - lo) / bucket_width))
     clamped = min(max(bpm, lo), np.nextafter(hi, lo))
     gid = int((clamped - lo) // bucket_width)
     return min(gid, n_buckets - 1)
-
-
-def assign_tempo_groups(
-    grids: dict[str, BeatGrid], bucket_width: float = DEFAULT_BUCKET_WIDTH
-) -> list[TempoGroup]:
-    """Deterministic fixed-width BPM bucketing over [60, 180)."""
-    if bucket_width <= 0:
-        raise ValueError("bucket_width must be positive")
-    buckets: dict[int, list[str]] = {}
-    for track_id in sorted(grids):
-        gid = group_id_for(grids[track_id].tempo_bpm, bucket_width)
-        buckets.setdefault(gid, []).append(track_id)
-    lo = BUCKET_RANGE[0]
-    return [
-        TempoGroup(
-            group_id=gid,
-            bpm_low=lo + gid * bucket_width,
-            bpm_high=lo + (gid + 1) * bucket_width,
-            members=tuple(members),
-        )
-        for gid, members in sorted(buckets.items())
-    ]
 
 
 def sample_mix_ratio(rng: np.random.Generator) -> float:
@@ -145,11 +117,11 @@ class TrackView:
     track_id: str
     n_samples: int
     grid: BeatGrid
+    group_id: int  # tempo group; partners share it
 
 
 def plan_mixup_pass(
     tracks: dict[str, TrackView],
-    groups: list[TempoGroup],
     strategy: str,
     p: float,
     count: int,
@@ -160,8 +132,8 @@ def plan_mixup_pass(
 ) -> list[MixupSpec]:
     """Plan ``count`` output clips without touching any audio.
 
-    Each slot mixes with probability ``p`` when its base track's tempo group
-    offers an eligible partner; otherwise the slot is an unmixed clip. Only
+    Each slot mixes with probability ``p`` when another usable track shares
+    its base track's ``group_id``; otherwise the slot is an unmixed clip. Only
     tracks with at least one eligible downbeat participate at all, so every
     planned clip starts on a downbeat and is exactly ``clip_samples`` long.
     """
@@ -177,12 +149,11 @@ def plan_mixup_pass(
     usable = sorted(tid for tid, offs in eligible.items() if offs.size > 0)
     if not usable:
         raise NoEligibleDownbeat("no track offers a downbeat with a full clip after it")
-    group_of = {tid: g.group_id for g in groups for tid in g.members}
     partners = {
         tid: [
             other
             for other in usable
-            if other != tid and group_of.get(other) == group_of.get(tid)
+            if other != tid and tracks[other].group_id == tracks[tid].group_id
         ]
         for tid in usable
     }

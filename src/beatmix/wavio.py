@@ -1,11 +1,10 @@
 """WAV (RIFF) reading/writing and sample-rate conversion.
 
 Reading accepts PCM 16/24/32-bit and 32-bit float, any channel count;
-everything is downmixed to mono by arithmetic mean and resampled to the
-target rate (default 16 kHz) with a Kaiser-windowed polyphase sinc
-interpolator. ``load_normalized`` keeps that result in a cache keyed by the
-file's content hash, so each distinct file is decoded once. Writing always
-emits mono 16-bit PCM.
+everything is downmixed to mono by arithmetic mean and resampled to 16 kHz
+with a Kaiser-windowed polyphase sinc interpolator. ``load_normalized``
+keeps that result in a cache keyed by the file's content hash, so each
+distinct file is decoded once. Writing always emits mono 16-bit PCM.
 """
 
 import io
@@ -75,15 +74,9 @@ def _decode_samples(body: bytes, fmt: int, bits: int, n_channels: int) -> np.nda
     return x.reshape(-1, n_channels)
 
 
-def load_wav(path, target_rate: int = TARGET_RATE) -> Waveform:
-    """Read a WAV file as mono float64 at target_rate.
-
-    Raises UnsupportedFormat for non-WAV containers or codecs we do not
-    decode, CorruptFile for truncated or inconsistent chunk structure.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    chunks = _parse_chunks(data)
+def _wav_format(chunks):
+    """Check the fmt and data chunks of a parsed WAV file and return its
+    format tag, channel count, sample rate and bits per sample."""
     if b"fmt " not in chunks:
         raise CorruptFile("missing fmt chunk")
     if b"data" not in chunks:
@@ -100,11 +93,23 @@ def load_wav(path, target_rate: int = TARGET_RATE) -> Waveform:
         raise CorruptFile("channel count of zero")
     if rate <= 0:
         raise CorruptFile("non-positive sample rate")
+    return fmt, n_channels, rate, bits
 
+
+def load_wav(path) -> Waveform:
+    """Read a WAV file as mono float64 at 16 kHz.
+
+    Raises UnsupportedFormat for non-WAV containers or codecs we do not
+    decode, CorruptFile for truncated or inconsistent chunk structure.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    chunks = _parse_chunks(data)
+    fmt, n_channels, rate, bits = _wav_format(chunks)
     frames = _decode_samples(chunks[b"data"], fmt, bits, n_channels)
     mono = frames.mean(axis=1)
-    mono = resample(mono, rate, target_rate)
-    return Waveform(np.clip(mono, -1.0, 1.0), target_rate)
+    mono = resample(mono, rate, TARGET_RATE)
+    return Waveform(np.clip(mono, -1.0, 1.0), TARGET_RATE)
 
 
 def load_normalized(path, cache_dir, digest=None) -> Waveform:
@@ -131,25 +136,16 @@ def load_normalized(path, cache_dir, digest=None) -> Waveform:
     return wave
 
 
-def probe_wav(path, target_rate: int = TARGET_RATE) -> int:
+def probe_wav(path) -> int:
     """Sample count the file will have after ingest normalization, without
     decoding the audio."""
     with open(path, "rb") as fh:
         data = fh.read()
     chunks = _parse_chunks(data)
-    if b"fmt " not in chunks or b"data" not in chunks:
-        raise CorruptFile(f"{path}: missing fmt or data chunk")
-    fmt, n_channels, rate, _, block_align, bits = struct.unpack_from(
-        "<HHIIHH", chunks[b"fmt "], 0
-    )
-    if n_channels < 1 or rate <= 0:
-        raise CorruptFile(f"{path}: nonsense fmt chunk")
-    bytes_per_frame = block_align or n_channels * max(bits // 8, 1)
-    n_frames = len(chunks[b"data"]) // bytes_per_frame
-    if rate == target_rate:
-        return n_frames
-    g = gcd(rate, target_rate)
-    return (n_frames * (target_rate // g)) // (rate // g)
+    _, n_channels, rate, bits = _wav_format(chunks)
+    n_frames = len(chunks[b"data"]) // (n_channels * max(bits // 8, 1))
+    g = gcd(rate, TARGET_RATE)
+    return (n_frames * (TARGET_RATE // g)) // (rate // g)
 
 
 def wav_bytes(wave: Waveform) -> bytes:

@@ -116,12 +116,10 @@ def test_criterion_03_mixup_algebra_and_batch_alignment():
         return BeatGrid(bpm, beats, beats[::4])
 
     tracks = {
-        f"t{i}": M.TrackView(f"t{i}", 30 * SR, make_grid(bpm))
+        f"t{i}": M.TrackView(f"t{i}", 30 * SR, make_grid(bpm), M.group_id_for(bpm, 4.0))
         for i, bpm in enumerate([118, 119, 90, 91, 150, 151, 120, 121])
     }
-    groups = M.assign_tempo_groups({t: v.grid for t, v in tracks.items()}, 4.0)
-    group_of = {tid: g.group_id for g in groups for tid in g.members}
-    specs = M.plan_mixup_pass(tracks, groups, "bam", 1.0, 500, np.random.default_rng(5))
+    specs = M.plan_mixup_pass(tracks, "bam", 1.0, 500, np.random.default_rng(5))
     aligned = crossings = 0
     for spec in specs:
         if not spec.mixed:
@@ -130,7 +128,7 @@ def test_criterion_03_mixup_algebra_and_batch_alignment():
         db = np.round(tracks[spec.track_b].grid.downbeat_times * SR)
         if np.abs(da - spec.offset_a).min() <= 1 and np.abs(db - spec.offset_b).min() <= 1:
             aligned += 1
-        if group_of[spec.track_a] != group_of[spec.track_b]:
+        if tracks[spec.track_a].group_id != tracks[spec.track_b].group_id:
             crossings += 1
     mixed_count = sum(s.mixed for s in specs)
     ok = worst < 1e-6 and mixed_count == 500 and aligned == mixed_count and crossings == 0
@@ -159,11 +157,10 @@ def test_criterion_05_mixup_rate():
         return BeatGrid(bpm, beats, beats[::4])
 
     tracks = {
-        f"t{i}": M.TrackView(f"t{i}", 30 * SR, make_grid(bpm))
+        f"t{i}": M.TrackView(f"t{i}", 30 * SR, make_grid(bpm), M.group_id_for(bpm, 4.0))
         for i, bpm in enumerate([118, 119, 90, 91, 150, 151])
     }
-    groups = M.assign_tempo_groups({t: v.grid for t, v in tracks.items()}, 4.0)
-    specs = M.plan_mixup_pass(tracks, groups, "bam", 0.5, 10000, np.random.default_rng(9))
+    specs = M.plan_mixup_pass(tracks, "bam", 0.5, 10000, np.random.default_rng(9))
     frac = float(np.mean([s.mixed for s in specs]))
     ok = 0.48 <= frac <= 0.52
     report(5, "mixed fraction at p=0.5 over 10,000 slots in [0.48, 0.52]",

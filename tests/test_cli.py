@@ -23,6 +23,7 @@ from beatmix.gateway import (
 from beatmix.wavio import load_normalized, load_wav, save_wav, wav_bytes
 from synth import click_track
 from test_gateway import write_raw
+from test_wavio import write_short_fmt_wav
 
 
 def write_corpus(root, bpms, duration_s=16.0, captions=True, bass_phase=0):
@@ -80,6 +81,14 @@ def test_ingest_empty_corpus(tmp_path):
     empty = tmp_path / "nothing"
     empty.mkdir()
     assert run(["ingest", empty, "--manifest", tmp_path / "m.json"]) == 1
+
+
+def test_ingest_short_fmt_chunk_exits_one(corpus, capsys):
+    write_short_fmt_wav(corpus / "corpus" / "short_fmt.wav")
+    manifest = corpus / "manifest.json"
+    assert run(["ingest", corpus / "corpus", "--manifest", manifest]) == 1
+    assert "error: short_fmt.wav: fmt chunk too small" in capsys.readouterr().err
+    assert not manifest.exists()
 
 
 def test_ingest_duplicate_basename(tmp_path):
@@ -192,7 +201,7 @@ def test_mix_blm_without_codec_fails(corpus):
     assert code == 1
 
 
-def _no_decoding(path, target_rate=wavio.TARGET_RATE):
+def _no_decoding(path):
     raise AssertionError(f"{path} decoded although its samples are cached")
 
 
@@ -238,6 +247,24 @@ def test_fit_codec_cold_warm_and_rewritten_track(corpus):
     assert fresh != (corpus / "warm.bin").read_bytes()
     assert np.load(cache / f"{content_hash(track)}.npy").tobytes() == load_wav(track).samples.tobytes()
     assert fresh == fit("fresh_cold.bin", cold=True)
+
+
+def test_mix_pairs_only_equal_manifest_groups(corpus):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    run(["analyze", "--manifest", manifest])
+    assert run(["group", "--manifest", manifest]) == 0
+    group_of = {e["id"]: e["group_id"] for e in json.loads(manifest.read_text())["entries"]}
+    assert len(set(group_of.values())) == 2
+    out = corpus / "mixes"
+    assert run([
+        "mix", "--manifest", manifest, "--strategy", "bam",
+        "--count", "20", "--p", "1", "--seed", "3", "--out", out,
+    ]) == 0
+    specs = [json.loads(path.read_text()) for path in sorted(out.glob("*.mixspec.json"))]
+    assert len(specs) == 20 and all(s["mixed"] for s in specs)
+    assert all(group_of[s["track_a"]] == group_of[s["track_b"]] for s in specs)
+    assert {group_of[s["track_a"]] for s in specs} == set(group_of.values())
 
 
 def test_mix_p_zero_all_unmixed(corpus):
@@ -405,6 +432,19 @@ def test_usage_error_exits_one():
     (["fit-codec", "--manifest", "m.json", "-C", "0"], "--components"),
     (["fit-codec", "--manifest", "m.json", "-P", "0"], "--patch"),
     (["fit-codec", "--manifest", "m.json", "-C", "65"], "--components 65 exceeds"),
+    (["group", "--manifest", "m.json", "--bucket-width", "nan"], "--bucket-width"),
+    (["group", "--manifest", "m.json", "--bucket-width", "inf"], "--bucket-width"),
+    (["mix", "--manifest", "m.json", "--strategy", "bam", "--count", "-3"], "--count"),
+    (["mix", "--manifest", "m.json", "--strategy", "bam", "--count", "1", "--seed", "-1"],
+     "--seed"),
+    (["analyze", "--manifest", "m.json", "--workers", "0"], "--workers"),
+    # settings are fixed at ingest; the later stages take no --config
+    *[
+        (stage + ["--manifest", "m.json", "--config", "beatmix.cfg"],
+         "unrecognized arguments: --config")
+        for stage in (["analyze"], ["group"], ["fit-codec"], ["segment"],
+                      ["mix", "--strategy", "bam", "--count", "1"])
+    ],
 ])
 def test_out_of_range_argument_exits_one_before_any_io(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)  # no file the arguments name exists
@@ -417,11 +457,7 @@ def test_out_of_range_argument_exits_one_before_any_io(tmp_path, monkeypatch, ca
 def test_segment_length_out_of_range_exits_one(corpus, capsys):
     manifest = corpus / "manifest.json"
     run(["ingest", corpus / "corpus", "--manifest", manifest])
-    cfg = corpus / "beatmix.cfg"
-    cfg.write_text("segment_seconds = 0\n")
     out = corpus / "segments.json"
-    assert run(["segment", "--manifest", manifest, "--config", cfg, "--out", out]) == 1
-    assert "bad value for segment_seconds" in capsys.readouterr().err
     # positive, but rounds to zero samples at 16 kHz
     assert run(["segment", "--manifest", manifest, "--seconds", "1e-5", "--out", out]) == 1
     assert "shorter than one sample" in capsys.readouterr().err
@@ -430,7 +466,8 @@ def test_segment_length_out_of_range_exits_one(corpus, capsys):
 
 @pytest.mark.parametrize("line", [
     "hop = 0", "window = 0", "fft_size = 512", "n_mels = 0", "sample_rate = 0", "fmin = -1",
-    "clip_samples = 0", "gl_iterations = 0", "bucket_width = -1",
+    "clip_samples = 0", "gl_iterations = 0", "bucket_width = -1", "segment_seconds = 0",
+    "mix_p = 2", "sample_rate = 22050",
 ])
 def test_out_of_range_config_value_exits_one_at_ingest(corpus, capsys, line):
     cfg = corpus / "beatmix.cfg"
@@ -449,6 +486,30 @@ def test_hand_edited_signal_setting_exits_one(corpus, capsys):
     manifest.write_text(json.dumps(payload))
     assert run(["analyze", "--manifest", manifest]) == 1
     assert "need 0 < hop" in capsys.readouterr().err
+
+
+def test_hand_edited_bucket_width_exits_one(corpus, capsys):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    payload = json.loads(manifest.read_text())
+    payload["config"]["bucket_width"] = 0
+    manifest.write_text(json.dumps(payload))
+    assert run(["group", "--manifest", manifest]) == 1
+    assert "bucket width must be positive" in capsys.readouterr().err
+
+
+def test_manifest_with_stored_sample_rate_still_runs(corpus):
+    # manifests from before the key was dropped store the only rate that works
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    payload = json.loads(manifest.read_text())
+    payload["config"]["sample_rate"] = 16000
+    manifest.write_text(json.dumps(payload))
+    for stage in (
+        ["analyze"], ["group"], ["mix", "--strategy", "bam", "--count", "2", "--out", corpus / "m"],
+        ["segment", "--out", corpus / "segments.json"],
+    ):
+        assert run(stage + ["--manifest", manifest]) == 0
 
 
 def test_config_file_overrides(tmp_path, capsys):

@@ -21,17 +21,13 @@ def make_grid(bpm, duration_s=30.0, t0=0.0):
 # --- tempo groups -----------------------------------------------------------
 
 def test_same_bucket():
-    groups = M.assign_tempo_groups({"a": make_grid(120), "b": make_grid(121)}, 4.0)
-    assert len(groups) == 1 and groups[0].members == ("a", "b")
+    assert M.group_id_for(120, 4.0) == M.group_id_for(121, 4.0) == 15
 
 
 def test_bucket_boundary():
-    groups = M.assign_tempo_groups({"a": make_grid(120), "b": make_grid(125)}, 4.0)
-    assert len(groups) == 2
-
-
-def test_empty_corpus():
-    assert M.assign_tempo_groups({}, 4.0) == []
+    assert M.group_id_for(120, 4.0) != M.group_id_for(125, 4.0)
+    assert M.group_id_for(np.nextafter(124.0, 0.0), 4.0) == 15
+    assert M.group_id_for(124.0, 4.0) == 16
 
 
 def test_group_clamping():
@@ -66,10 +62,10 @@ def test_beta_stays_open_interval():
 
 def two_track_pass(grid, n_samples, seed):
     """A p=1 plan over two tracks that share ``grid``: every slot mixes them."""
-    tracks = {tid: M.TrackView(tid, n_samples, grid) for tid in ("a", "b")}
-    groups = M.assign_tempo_groups({tid: grid for tid in tracks}, 4.0)
+    gid = M.group_id_for(grid.tempo_bpm, 4.0)
+    tracks = {tid: M.TrackView(tid, n_samples, grid, gid) for tid in ("a", "b")}
     return M.plan_mixup_pass(
-        tracks, groups, "bam", 1.0, 50, np.random.default_rng(seed), sample_rate=SR
+        tracks, "bam", 1.0, 50, np.random.default_rng(seed), sample_rate=SR
     )
 
 
@@ -208,60 +204,59 @@ def test_blm_mixed_latent_stays_in_reconstruction_envelope(fitted):
 # --- pass planning --------------------------------------------------------------
 
 def corpus_views(bpms, duration_s=30.0):
-    tracks = {
-        f"t{i}": M.TrackView(f"t{i}", int(duration_s * SR), make_grid(b, duration_s))
+    return {
+        f"t{i}": M.TrackView(
+            f"t{i}", int(duration_s * SR), make_grid(b, duration_s), M.group_id_for(b, 4.0)
+        )
         for i, b in enumerate(bpms)
     }
-    grids = {tid: v.grid for tid, v in tracks.items()}
-    return tracks, M.assign_tempo_groups(grids, 4.0)
 
 
 def test_plan_p_zero_yields_no_mixes():
-    tracks, groups = corpus_views([120, 121, 90, 91])
-    specs = M.plan_mixup_pass(tracks, groups, "bam", 0.0, 300, np.random.default_rng(0))
+    tracks = corpus_views([120, 121, 90, 91])
+    specs = M.plan_mixup_pass(tracks, "bam", 0.0, 300, np.random.default_rng(0))
     assert len(specs) == 300
     assert not any(s.mixed for s in specs)
 
 
 def test_plan_p_one_mixes_everything():
-    tracks, groups = corpus_views([120, 121])
-    specs = M.plan_mixup_pass(tracks, groups, "bam", 1.0, 300, np.random.default_rng(0))
+    tracks = corpus_views([120, 121])
+    specs = M.plan_mixup_pass(tracks, "bam", 1.0, 300, np.random.default_rng(0))
     assert all(s.mixed for s in specs)
 
 
 def test_plan_mixed_fraction_near_p():
-    tracks, groups = corpus_views([120, 121, 90, 91, 150, 151])
-    specs = M.plan_mixup_pass(tracks, groups, "bam", 0.5, 10000, np.random.default_rng(2))
+    tracks = corpus_views([120, 121, 90, 91, 150, 151])
+    specs = M.plan_mixup_pass(tracks, "bam", 0.5, 10000, np.random.default_rng(2))
     frac = np.mean([s.mixed for s in specs])
     assert 0.48 <= frac <= 0.52
 
 
 def test_plan_never_crosses_groups():
-    tracks, groups = corpus_views([120, 121, 122, 90, 91, 150])
-    group_of = {tid: g.group_id for g in groups for tid in g.members}
-    specs = M.plan_mixup_pass(tracks, groups, "bam", 1.0, 500, np.random.default_rng(3))
+    tracks = corpus_views([120, 121, 122, 90, 91, 150])
+    specs = M.plan_mixup_pass(tracks, "bam", 1.0, 500, np.random.default_rng(3))
     for spec in specs:
         if spec.mixed:
-            assert group_of[spec.track_a] == group_of[spec.track_b]
+            assert tracks[spec.track_a].group_id == tracks[spec.track_b].group_id
             assert spec.track_a != spec.track_b
 
 
 def test_plan_loner_track_never_mixes():
-    tracks, groups = corpus_views([120, 150])  # two groups of one
-    specs = M.plan_mixup_pass(tracks, groups, "bam", 1.0, 100, np.random.default_rng(0))
+    tracks = corpus_views([120, 150])  # two groups of one
+    specs = M.plan_mixup_pass(tracks, "bam", 1.0, 100, np.random.default_rng(0))
     assert not any(s.mixed for s in specs)
 
 
 def test_plan_reproducible():
-    tracks, groups = corpus_views([120, 121, 90, 91])
-    a = M.plan_mixup_pass(tracks, groups, "blm", 0.5, 400, np.random.default_rng(42))
-    b = M.plan_mixup_pass(tracks, groups, "blm", 0.5, 400, np.random.default_rng(42))
+    tracks = corpus_views([120, 121, 90, 91])
+    a = M.plan_mixup_pass(tracks, "blm", 0.5, 400, np.random.default_rng(42))
+    b = M.plan_mixup_pass(tracks, "blm", 0.5, 400, np.random.default_rng(42))
     assert a == b
 
 
 def test_plan_offsets_are_downbeats():
-    tracks, groups = corpus_views([120, 121, 90, 91])
-    specs = M.plan_mixup_pass(tracks, groups, "bam", 1.0, 300, np.random.default_rng(7))
+    tracks = corpus_views([120, 121, 90, 91])
+    specs = M.plan_mixup_pass(tracks, "bam", 1.0, 300, np.random.default_rng(7))
     for spec in specs:
         grid_a = tracks[spec.track_a].grid
         assert np.abs(np.round(grid_a.downbeat_times * SR) - spec.offset_a).min() <= 1
@@ -273,13 +268,13 @@ def test_plan_offsets_are_downbeats():
 # --- rendering -------------------------------------------------------------------
 
 def test_render_bam_spec_mixes_clips(rng):
-    tracks, groups = corpus_views([120, 121], duration_s=25.0)
+    tracks = corpus_views([120, 121], duration_s=25.0)
     audio = {tid: rng.uniform(-0.5, 0.5, 25 * SR) for tid in tracks}
 
     def load_clip(tid, off, n):
         return audio[tid][off : off + n]
 
-    specs = M.plan_mixup_pass(tracks, groups, "bam", 1.0, 5, np.random.default_rng(1))
+    specs = M.plan_mixup_pass(tracks, "bam", 1.0, 5, np.random.default_rng(1))
     for spec in specs:
         wave = M.render_spec(spec, load_clip)
         assert wave.samples.size == spec.clip_samples
@@ -291,9 +286,9 @@ def test_render_bam_spec_mixes_clips(rng):
 
 
 def test_render_unmixed_spec_is_source_clip(rng):
-    tracks, groups = corpus_views([120, 150], duration_s=25.0)
+    tracks = corpus_views([120, 150], duration_s=25.0)
     audio = {tid: rng.uniform(-0.5, 0.5, 25 * SR) for tid in tracks}
-    specs = M.plan_mixup_pass(tracks, groups, "bam", 1.0, 3, np.random.default_rng(1))
+    specs = M.plan_mixup_pass(tracks, "bam", 1.0, 3, np.random.default_rng(1))
     for spec in specs:
         assert not spec.mixed
         wave = M.render_spec(spec, lambda t, o, n: audio[t][o : o + n])
@@ -304,7 +299,7 @@ def test_render_unmixed_spec_is_source_clip(rng):
 
 def test_render_blm_spec_end_to_end():
     cfg = SignalConfig()
-    tracks, groups = corpus_views([120, 121], duration_s=14.0)
+    tracks = corpus_views([120, 121], duration_s=14.0)
     audio = {}
     for i, tid in enumerate(sorted(tracks)):
         x, _ = click_track(120 + i, 14.0, seed=i)
@@ -314,7 +309,7 @@ def test_render_blm_spec_end_to_end():
     ]
     codec = C.fit(mels, n_components=8, patch_size=8)
     specs = M.plan_mixup_pass(
-        tracks, groups, "blm", 1.0, 2, np.random.default_rng(0), clip_samples=163840
+        tracks, "blm", 1.0, 2, np.random.default_rng(0), clip_samples=163840
     )
     for spec in specs:
         wave = M.render_spec(

@@ -128,6 +128,23 @@ def test_unsupported_bit_depth(tmp_path):
         load_wav(path)
 
 
+def write_short_fmt_wav(path):
+    """A WAV whose fmt chunk is 14 bytes, two short of the PCM minimum."""
+    body = bytes(100)
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 30 + len(body)) + b"WAVE")
+        fh.write(b"fmt " + struct.pack("<IHHIIH", 14, 1, 1, 16000, 32000, 2))
+        fh.write(b"data" + struct.pack("<I", len(body)) + body)
+
+
+@pytest.mark.parametrize("reader", [load_wav, probe_wav])
+def test_short_fmt_chunk_is_corrupt(tmp_path, reader):
+    path = tmp_path / "short_fmt.wav"
+    write_short_fmt_wav(path)
+    with pytest.raises(CorruptFile, match="fmt chunk too small"):
+        reader(path)
+
+
 def test_save_load_round_trip(tmp_path, rng):
     x = rng.uniform(-0.9, 0.9, 12345)
     path = tmp_path / "rt.wav"
