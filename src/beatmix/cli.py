@@ -33,6 +33,7 @@ from .errors import (
     DuplicateBasename,
     EmptyCorpus,
     InputError,
+    InvariantViolation,
     MissingPrerequisite,
     SchemaError,
 )
@@ -48,22 +49,24 @@ from .manifest import (
 
 
 def _checked(convert, ok, expect):
-    """An argparse type: ``convert`` the text, then require ``ok(value)``."""
+    """An argparse type and a setting converter: ``convert``, then require ``ok``."""
 
-    def parse(text):
+    def parse(value):
         try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"{text!r} is not {expect}")
-        return value
+            converted = convert(value)
+        except (TypeError, ValueError, OverflowError):
+            converted = None
+        if converted is None or not ok(converted):
+            raise argparse.ArgumentTypeError(f"{value!r} is not {expect}")
+        return converted
 
     return parse
 
 
 _fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_finite_float = _checked(float, math.isfinite, "a finite number")
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a positive number")
+_integer = _checked(int, lambda v: True, "an integer")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _thresholds = _checked(
@@ -72,25 +75,35 @@ _thresholds = _checked(
     "a comma-separated list of numbers in [0, 1]",
 )
 
-# Corpus settings, fixed at ingest: later stages read them from the manifest.
-_CONFIG_KEYS = {
-    "hop": int,
-    "window": int,
-    "fft_size": int,
-    "n_mels": int,
-    "fmin": float,
-    "fmax": float,
-    "log_floor": float,
-    "bucket_width": _positive_float,
-    "clip_samples": _positive_int,
-    "gl_iterations": _positive_int,
-    "segment_seconds": _positive_float,
-    "mix_p": _fraction,
+# Corpus settings, key -> (converter, default): ingest's --config file and every
+# stage's read of the stored values go through these. SignalConfig checks the
+# ranges of the signal keys, which depend on each other.
+_SETTINGS = {
+    "hop": (_integer, SignalConfig.hop),
+    "window": (_integer, SignalConfig.window),
+    "fft_size": (_integer, SignalConfig.fft_size),
+    "n_mels": (_integer, SignalConfig.n_mels),
+    "fmin": (_finite_float, SignalConfig.fmin),
+    "fmax": (_finite_float, SignalConfig.fmax),
+    "log_floor": (_finite_float, SignalConfig.log_floor),
+    "bucket_width": (_positive_float, 4.0),
+    "clip_samples": (_positive_int, mixup.DEFAULT_CLIP_SAMPLES),
+    "gl_iterations": (_positive_int, 32),
+    "segment_seconds": (_positive_float, 10.0),
+    "mix_p": (_fraction, 0.5),
 }
 
 
 def log(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _setting(key, value, source):
+    """``value`` through ``key``'s converter, or a SchemaError naming ``source``."""
+    try:
+        return _SETTINGS[key][0](value)
+    except argparse.ArgumentTypeError as exc:
+        raise SchemaError(f"{source}: bad value for {key} ({exc})") from exc
 
 
 def read_config_file(path) -> dict:
@@ -104,29 +117,42 @@ def read_config_file(path) -> dict:
             if "=" not in line:
                 raise SchemaError(f"{path}:{line_no}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise SchemaError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](value)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise SchemaError(f"{path}:{line_no}: bad value for {key} ({exc})") from exc
-    try:
-        signal_config(values)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+            values[key] = _setting(key, value, f"{path}:{line_no}")
+    _settings(values, path)  # the signal keys' ranges depend on each other
     return values
 
 
-def signal_config(settings: dict) -> SignalConfig:
-    kwargs = {
-        k: settings[k]
-        for k in ("hop", "window", "fft_size", "n_mels", "fmin", "fmax", "log_floor")
-        if k in settings
+def _settings(stored: dict, source) -> tuple[dict, SignalConfig]:
+    """Each ``_SETTINGS`` value in ``stored``, or its default, and the SignalConfig
+    they give; other stored keys are ignored."""
+    settings = {
+        key: _setting(key, stored[key], source) if key in stored else default
+        for key, (_, default) in _SETTINGS.items()
     }
+    signal = {k: v for k, v in settings.items() if k in SignalConfig.__dataclass_fields__}
     try:
-        return SignalConfig(**kwargs)
+        return settings, SignalConfig(**signal)
     except ValueError as exc:
-        raise SchemaError(f"bad signal settings ({exc})") from exc
+        raise SchemaError(f"{source}: bad signal settings ({exc})") from exc
+
+
+def _load_checked(args):
+    """The manifest, its stored settings and SignalConfig, for the stages that read
+    audio and tempo groups: ids unique, files present, groups matching the width."""
+    manifest = load_manifest(args.manifest)
+    settings, config = _settings(manifest.config, args.manifest)
+    validate_manifest(manifest)
+    width = settings["bucket_width"]
+    for entry in manifest.entries:
+        if entry.group_id is not None and entry.tempo_bpm is not None:
+            if entry.group_id != mixup.group_id_for(entry.tempo_bpm, width):
+                raise InvariantViolation(
+                    f"track {entry.id}: group {entry.group_id} inconsistent with "
+                    f"tempo {entry.tempo_bpm} at bucket width {width}"
+                )
+    return manifest, settings, config
 
 
 def _beside_manifest(args, name) -> str:
@@ -231,9 +257,7 @@ def _analyze_one(manifest, entry, config, external, cache_dir):
 
 
 def cmd_analyze(args) -> int:
-    manifest = load_manifest(args.manifest)
-    validate_manifest(manifest)
-    config = signal_config(manifest.config)
+    manifest, _, config = _load_checked(args)
     cache_dir = _beside_manifest(args, wavio.NORMALIZED_CACHE)
 
     outcomes = {"cached": 0, "analyzed": 0, "failed": 0}
@@ -271,11 +295,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_group(args) -> int:
     manifest = load_manifest(args.manifest)
-    width = args.bucket_width if args.bucket_width is not None else float(
-        manifest.config.get("bucket_width", mixup.DEFAULT_BUCKET_WIDTH)
-    )
-    if width <= 0:  # a hand-edited manifest; the flag is checked when parsed
-        raise InputError("bucket width must be positive")
+    settings, _ = _settings(manifest.config, args.manifest)
+    width = args.bucket_width if args.bucket_width is not None else settings["bucket_width"]
     grouped = 0
     for entry in manifest.entries:
         if entry.tempo_bpm is None:
@@ -297,9 +318,7 @@ def cmd_group(args) -> int:
 def cmd_fit_codec(args) -> int:
     if args.components > args.patch**2:
         raise InputError(f"--components {args.components} exceeds --patch squared")
-    manifest = load_manifest(args.manifest)
-    validate_manifest(manifest)
-    config = signal_config(manifest.config)
+    manifest, _, config = _load_checked(args)
     patch = args.patch
     usable = [e for e in manifest.entries if e.analysis_error is None]
     if not usable:
@@ -318,8 +337,6 @@ def cmd_fit_codec(args) -> int:
     out = args.out or _beside_manifest(args, "codec.bin")
     codec_mod.save(codec, out)
     manifest.config["codec_path"] = os.path.abspath(out)
-    manifest.config["codec_components"] = args.components
-    manifest.config["codec_patch"] = patch
     save_manifest(manifest, args.manifest)
     log(
         f"fit-codec: {codec.fit_stats['n_patches']} patches, C={args.components}, "
@@ -331,12 +348,8 @@ def cmd_fit_codec(args) -> int:
 # --- mix ---------------------------------------------------------------------
 
 def cmd_mix(args) -> int:
-    manifest = load_manifest(args.manifest)
-    validate_manifest(manifest)
-    config = signal_config(manifest.config)
-    clip_samples = int(manifest.config.get("clip_samples", mixup.DEFAULT_CLIP_SAMPLES))
-    iterations = int(manifest.config.get("gl_iterations", 32))
-    p = args.p if args.p is not None else float(manifest.config.get("mix_p", 0.5))
+    manifest, settings, config = _load_checked(args)
+    p = args.p if args.p is not None else settings["mix_p"]
 
     analyzed = [e for e in manifest.entries if e.tempo_bpm is not None and e.beats_path]
     if not analyzed:
@@ -362,8 +375,11 @@ def cmd_mix(args) -> int:
         tracks[entry.id] = mixup.TrackView(entry.id, entry.n_samples, grid, entry.group_id)
         captions[entry.id] = entry.caption
 
+    specs = mixup.plan_mixup_pass(
+        tracks, args.strategy, p, args.count, np.random.default_rng(args.seed),
+        clip_samples=settings["clip_samples"], seed=args.seed,
+    )
     os.makedirs(args.out, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
 
     cache_dir = _beside_manifest(args, wavio.NORMALIZED_CACHE)
     by_id = manifest.by_id()
@@ -380,12 +396,8 @@ def cmd_mix(args) -> int:
         # a copy, so that the mapping of the whole track closes after each clip
         return np.array(clip)
 
-    specs = mixup.plan_mixup_pass(
-        tracks, args.strategy, p, args.count, rng,
-        clip_samples=clip_samples, seed=args.seed,
-    )
     for spec in specs:
-        wave = mixup.render_spec(spec, load_clip, codec, config, iterations)
+        wave = mixup.render_spec(spec, load_clip, codec, config, settings["gl_iterations"])
         wavio.save_wav(os.path.join(args.out, f"{spec.out_id}.wav"), wave)
         payload = asdict(spec)
         payload["caption_a"] = captions.get(spec.track_a, "")
@@ -403,9 +415,8 @@ def cmd_mix(args) -> int:
 
 def cmd_segment(args) -> int:
     manifest = load_manifest(args.manifest)
-    seconds = args.seconds if args.seconds is not None else float(
-        manifest.config.get("segment_seconds", 10.0)
-    )
+    settings, _ = _settings(manifest.config, args.manifest)
+    seconds = args.seconds if args.seconds is not None else settings["segment_seconds"]
     seg_len = int(round(seconds * wavio.TARGET_RATE))
     if seg_len < 1:
         raise InputError(f"segments of {seconds:g} s are shorter than one sample")
@@ -554,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--strategy", choices=mixup.STRATEGIES, required=True)
     p.add_argument("--count", type=_positive_int, required=True)
-    p.add_argument("--p", type=_fraction, default=None, help="mixup rate (default 0.5)")
+    p.add_argument("--p", type=_fraction, default=None, help="mixup rate (default: stored mix_p)")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default="mixes")
     p.add_argument("--codec", help="codec file (default: the one in the manifest)")

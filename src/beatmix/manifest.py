@@ -115,23 +115,11 @@ def load_manifest(path) -> Manifest:
     )
 
 
-def validate_manifest(manifest: Manifest, check_files: bool = True) -> None:
+def validate_manifest(manifest: Manifest) -> None:
     seen = set()
     for entry in manifest.entries:
         if entry.id in seen:
             raise InvariantViolation(f"duplicate track id {entry.id!r}")
         seen.add(entry.id)
-        if check_files and not os.path.exists(manifest.track_path(entry)):
+        if not os.path.exists(manifest.track_path(entry)):
             raise InvariantViolation(f"missing audio file {manifest.track_path(entry)}")
-    width = manifest.config.get("bucket_width")
-    if width:
-        from .mixup import group_id_for
-
-        for entry in manifest.entries:
-            if entry.group_id is not None and entry.tempo_bpm is not None:
-                expect = group_id_for(entry.tempo_bpm, float(width))
-                if entry.group_id != expect:
-                    raise InvariantViolation(
-                        f"track {entry.id}: group {entry.group_id} inconsistent with "
-                        f"tempo {entry.tempo_bpm} at bucket width {width}"
-                    )

@@ -21,7 +21,6 @@ from .beats import BeatGrid
 from .dsp import MelSpectrogram, SignalConfig, Waveform, invert_mel, mel_spectrogram
 from .errors import LengthMismatch, NoEligibleDownbeat, ShapeMismatch
 
-DEFAULT_BUCKET_WIDTH = 4.0
 BUCKET_RANGE = (60.0, 180.0)
 DEFAULT_CLIP_SAMPLES = 163840  # 10.24 s at 16 kHz
 LAMBDA_EPS = 1e-9
@@ -47,7 +46,7 @@ class MixupSpec:
     seed: int | None = None
 
 
-def group_id_for(bpm: float, bucket_width: float = DEFAULT_BUCKET_WIDTH) -> int:
+def group_id_for(bpm: float, bucket_width: float) -> int:
     """Deterministic fixed-width BPM bucket over [60, 180); tempos outside
     the range fall into the first or the last bucket."""
     lo, hi = BUCKET_RANGE

@@ -10,7 +10,7 @@ import pytest
 from beatmix import codec as codec_mod
 from beatmix import wavio
 from beatmix.beats import BeatGrid, save_beat_annotation
-from beatmix.cli import main
+from beatmix.cli import _SETTINGS, main
 from beatmix.dsp import Waveform
 from beatmix.manifest import Manifest, content_hash, save_manifest
 from beatmix.gateway import (
@@ -240,6 +240,7 @@ def test_fit_codec_cold_warm_and_rewritten_track(corpus):
         return (corpus / name).read_bytes()
 
     assert fit("cold.bin", cold=True) == fit("warm.bin", cold=False)
+    assert set(json.loads(manifest.read_text())["config"]) == {"codec_path"}
     track = corpus / "corpus" / "track00.wav"
     x, _ = click_track(140, 14.0, seed=99)
     save_wav(track, Waveform(x, 16000))  # rewritten after analyze
@@ -467,7 +468,7 @@ def test_segment_length_out_of_range_exits_one(corpus, capsys):
 @pytest.mark.parametrize("line", [
     "hop = 0", "window = 0", "fft_size = 512", "n_mels = 0", "sample_rate = 0", "fmin = -1",
     "clip_samples = 0", "gl_iterations = 0", "bucket_width = -1", "segment_seconds = 0",
-    "mix_p = 2", "sample_rate = 22050",
+    "mix_p = 2", "sample_rate = 22050", "log_floor = nan", "log_floor = inf",
 ])
 def test_out_of_range_config_value_exits_one_at_ingest(corpus, capsys, line):
     cfg = corpus / "beatmix.cfg"
@@ -495,15 +496,94 @@ def test_hand_edited_bucket_width_exits_one(corpus, capsys):
     payload["config"]["bucket_width"] = 0
     manifest.write_text(json.dumps(payload))
     assert run(["group", "--manifest", manifest]) == 1
-    assert "bucket width must be positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "bad value for bucket_width" in err
+
+
+@pytest.fixture(scope="module")
+def grouped_manifest(tmp_path_factory):
+    """The manifest text of an ingested, analyzed and grouped corpus."""
+    tmp = tmp_path_factory.mktemp("grouped")
+    write_corpus(tmp / "corpus", [117, 118, 90, 91], duration_s=14.0)
+    manifest = tmp / "manifest.json"
+    for stage in (["ingest", tmp / "corpus"], ["analyze"], ["group"]):
+        assert run(stage + ["--manifest", manifest]) == 0
+    return manifest.read_text()
+
+
+def write_edited(manifest_text, key, value):
+    """Write the manifest with ``config[key] = value`` to ./manifest.json."""
+    payload = json.loads(manifest_text)
+    payload["config"][key] = value
+    with open("manifest.json", "w") as fh:
+        json.dump(payload, fh)
+
+
+MIX = ["mix", "--strategy", "bam", "--count", "2"]
+# every stored setting: a stage that reads it and a value out of its range
+HAND_EDITS = {
+    "hop": (["analyze"], 0),
+    "window": (["analyze"], 0),
+    "fft_size": (["analyze"], 512),
+    "n_mels": (["analyze"], 0),
+    "fmin": (["analyze"], -1),
+    "fmax": (["analyze"], 9000),
+    "log_floor": (["analyze"], float("nan")),
+    "bucket_width": (["group"], 0),
+    "clip_samples": (MIX, 0),
+    "gl_iterations": (MIX, 0),
+    "segment_seconds": (["segment"], 0),
+    "mix_p": (MIX, 2),
+}
+
+
+@pytest.mark.parametrize("key, value", [
+    *[(key, value) for key, (_, bad) in HAND_EDITS.items() for value in (bad, "abc")],
+    ("hop", None), pytest.param("mix_p", 10**400, id="mix_p-1e400"),
+])
+def test_hand_edited_setting_exits_one_naming_manifest_and_key(
+    grouped_manifest, tmp_path, monkeypatch, capsys, key, value
+):
+    assert set(HAND_EDITS) == set(_SETTINGS)
+    monkeypatch.chdir(tmp_path)  # where mix's default --out would go
+    write_edited(grouped_manifest, key, value)
+    assert run(HAND_EDITS[key][0] + ["--manifest", "manifest.json"]) == 1
+    err = capsys.readouterr().err
+    assert "manifest.json: bad" in err and key in err
+    assert os.listdir() == ["manifest.json"]
+
+
+@pytest.mark.parametrize("stage", [["analyze"], ["fit-codec"], MIX])
+def test_stored_groups_must_match_stored_width(
+    grouped_manifest, tmp_path, monkeypatch, capsys, stage
+):
+    monkeypatch.chdir(tmp_path)
+    # 117 BPM is in group 14 at the stored width 4, and in group 7 at width 8
+    write_edited(grouped_manifest, "bucket_width", 8.0)
+    assert run(stage + ["--manifest", "manifest.json"]) == 1
+    assert "inconsistent with tempo" in capsys.readouterr().err
+    assert os.listdir() == ["manifest.json"]
+
+
+def test_mix_without_eligible_downbeat_creates_no_out(corpus, capsys):
+    cfg = corpus / "beatmix.cfg"
+    cfg.write_text("clip_samples = 10000000\n")  # 625 s clips from 14 s tracks
+    manifest, out = corpus / "manifest.json", corpus / "mixes"
+    run(["ingest", corpus / "corpus", "--manifest", manifest, "--config", cfg])
+    run(["analyze", "--manifest", manifest])
+    run(["group", "--manifest", manifest])
+    assert run(MIX + ["--manifest", manifest, "--out", out]) == 1
+    assert "no track offers a downbeat" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_manifest_with_stored_sample_rate_still_runs(corpus):
-    # manifests from before the key was dropped store the only rate that works
+    # manifests from older versions store keys nothing reads any more: the only
+    # sample rate that works, and fit-codec's C and P (codec.bin's header has them)
     manifest = corpus / "manifest.json"
     run(["ingest", corpus / "corpus", "--manifest", manifest])
     payload = json.loads(manifest.read_text())
-    payload["config"]["sample_rate"] = 16000
+    payload["config"].update(sample_rate=16000, codec_components=16, codec_patch=8)
     manifest.write_text(json.dumps(payload))
     for stage in (
         ["analyze"], ["group"], ["mix", "--strategy", "bam", "--count", "2", "--out", corpus / "m"],
