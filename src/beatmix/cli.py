@@ -49,11 +49,12 @@ from .manifest import (
 
 
 def _checked(convert, ok, expect):
-    """An argparse type and a setting converter: ``convert``, then require ``ok``."""
+    """An argparse type and a setting converter: ``convert``, then require ``ok``.
+    A boolean is never a setting, though Python counts it as a number."""
 
     def parse(value):
         try:
-            converted = convert(value)
+            converted = None if isinstance(value, bool) else convert(value)
         except (TypeError, ValueError, OverflowError):
             converted = None
         if converted is None or not ok(converted):
@@ -63,12 +64,17 @@ def _checked(convert, ok, expect):
     return parse
 
 
+def _int(value):
+    """``int``, except that a float, which it would truncate, gives None."""
+    return None if isinstance(value, float) else int(value)
+
+
 _fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 _finite_float = _checked(float, math.isfinite, "a finite number")
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a positive number")
-_integer = _checked(int, lambda v: True, "an integer")
-_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
-_nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_integer = _checked(_int, lambda v: True, "an integer")
+_positive_int = _checked(_int, lambda v: v > 0, "a positive integer")
+_nonnegative_int = _checked(_int, lambda v: v >= 0, "a non-negative integer")
 _thresholds = _checked(
     lambda text: tuple(float(t) for t in text.split(",")),
     lambda values: all(0.0 <= t <= 1.0 for t in values),
@@ -502,22 +508,8 @@ def cmd_eval(args) -> int:
     atomic_write(report_json, report.to_json())
     atomic_write(os.path.join(args.out, "report.txt"), metrics.render_table(report))
     if report.nn_audit:
-        atomic_write(
-            os.path.join(args.out, "nn_audit.json"),
-            json.dumps(
-                [
-                    {
-                        "gen_id": r.gen_id,
-                        "segment_id": r.segment_id,
-                        "similarity": r.similarity,
-                    }
-                    for r in report.nn_audit
-                ],
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-        )
+        audit = json.dumps([asdict(r) for r in report.nn_audit], indent=2, sort_keys=True)
+        atomic_write(os.path.join(args.out, "nn_audit.json"), audit + "\n")
     log(f"eval: report -> {report_json}")
     return 0
 

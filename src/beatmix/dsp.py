@@ -197,20 +197,27 @@ def _filterbank_pinv(config: SignalConfig) -> np.ndarray:
     return pinv
 
 
-def _istft(spec: np.ndarray, config: SignalConfig) -> np.ndarray:
-    """Overlap-add synthesis back to the padded-domain signal."""
-    n_frames = spec.shape[0]
+def _window_sum(n_frames: int, config: SignalConfig) -> np.ndarray:
+    """The overlap-added squared synthesis window ``_istft`` divides by, kept
+    away from zero; it depends only on the frame count, so build it once."""
     win = _hann(config.window)
-    frames = np.fft.irfft(spec, n=config.fft_size, axis=1)[:, : config.window] * win
-    length = (n_frames - 1) * config.hop + config.window
-    out = np.zeros(length)
-    norm = np.zeros(length)
+    norm = np.zeros((n_frames - 1) * config.hop + config.window)
     win_sq = win * win
     for k in range(n_frames):
         lo = k * config.hop
-        out[lo : lo + config.window] += frames[k]
         norm[lo : lo + config.window] += win_sq
-    return out / np.maximum(norm, 1e-10)
+    return np.maximum(norm, 1e-10)
+
+
+def _istft(spec: np.ndarray, config: SignalConfig, window_sum: np.ndarray) -> np.ndarray:
+    """Overlap-add synthesis back to the padded-domain signal."""
+    win = _hann(config.window)
+    frames = np.fft.irfft(spec, n=config.fft_size, axis=1)[:, : config.window] * win
+    out = np.zeros(window_sum.size)
+    for k in range(spec.shape[0]):
+        lo = k * config.hop
+        out[lo : lo + config.window] += frames[k]
+    return out / window_sum
 
 
 def invert_mel(mel: MelSpectrogram, iterations: int = 32, callback=None) -> Waveform:
@@ -231,15 +238,16 @@ def invert_mel(mel: MelSpectrogram, iterations: int = 32, callback=None) -> Wave
 
     n_frames = target.shape[0]
     angles = np.ones_like(target, dtype=np.complex128)
+    window_sum = _window_sum(n_frames, config)
     for it in range(iterations):
-        y = _istft(target * angles, config)
+        y = _istft(target * angles, config, window_sum)
         spec = np.fft.rfft(
             _frame(y, n_frames, config) * _hann(config.window), n=config.fft_size, axis=1
         )
         if callback is not None:
             callback(it, np.linalg.norm(np.abs(spec) - target) / max(target_norm, 1e-16))
         angles = spec / np.maximum(np.abs(spec), 1e-16)
-    y = _istft(target * angles, config)
+    y = _istft(target * angles, config, window_sum)
 
     pad = config.window // 2
     out = y[pad : pad + n_frames * config.hop]

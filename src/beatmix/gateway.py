@@ -1,10 +1,10 @@
-"""Embedding and classifier-posterior transport.
+"""Embedding and classifier-posterior file transport.
 
-This is the only module that talks to embedding providers; everything in
-``metrics`` is pure given its outputs. A set read from a file is one
-``RecordSet``, a matrix with its rows in id order. Vectors are
-L2-normalized at the boundary, so a dot product downstream is always a
-cosine similarity.
+Everything in ``metrics`` is pure given this module's outputs. A set read
+from a file is one ``RecordSet``, a matrix with its rows in id order.
+Embedding rows are L2-normalized at the boundary, by the same helper that
+``client`` uses for vectors from a live service, so a dot product
+downstream is always a cosine similarity.
 
 Two on-disk formats are supported:
 
@@ -12,56 +12,19 @@ Two on-disk formats are supported:
   per record ``u16 id_len, id bytes (UTF-8), dim x f32 little-endian``.
   Magic is ``EMB1`` for embeddings, ``POS1`` for posteriors.
 * CSV fallback: one record per line, ``id, v1, ..., vD``.
-
-A small HTTP client covers live providers: POST ``<endpoint>/embed/audio``
-with WAV bytes, or ``<endpoint>/embed/text`` with UTF-8 text; the response
-is JSON ``{"dim": D, "vector": [...]}``.
 """
 
 import csv
 import struct
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
-from .dsp import Waveform
-from .errors import (
-    BadStatus,
-    DimMismatch,
-    DuplicateId,
-    NotAProbability,
-    SchemaError,
-    Timeout,
-    ZeroNorm,
-)
+from .errors import DimMismatch, DuplicateId, NotAProbability, SchemaError, ZeroNorm
 from .manifest import atomic_write
-from .wavio import wav_bytes
 
 EMB_MAGIC = b"EMB1"
 POS_MAGIC = b"POS1"
-
-
-@dataclass
-class Embedding:
-    vector: np.ndarray
-    modality: str = "audio"  # "audio" | "text"
-    id: str = ""
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim != 1:
-            raise ValueError("embedding vector must be 1-D")
-
-
-def normalize(emb: Embedding) -> Embedding:
-    """Scale to unit L2 norm. Raises ZeroNorm on a zero vector."""
-    norm = float(np.linalg.norm(emb.vector))
-    if norm <= 0.0 or not np.isfinite(norm):
-        raise ZeroNorm(f"embedding {emb.id!r} has no direction")
-    return Embedding(emb.vector / norm, emb.modality, emb.id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,18 +150,24 @@ def save_embedding_set(path, embeddings: RecordSet) -> None:
     _write_records(path, EMB_MAGIC, embeddings)
 
 
+def _unit_rows(ids, rows: np.ndarray, source) -> np.ndarray:
+    """Scale each row of ``rows`` to unit L2 norm, in place; a row with no
+    direction raises ZeroNorm naming ``source`` and its id."""
+    # one dot product per row: the same bits as v / np.sqrt(v @ v), which a
+    # single vectorized reduction over the matrix does not give
+    norms = np.sqrt([row @ row for row in rows])
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+    if bad.size:
+        raise ZeroNorm(f"{source}: embedding {ids[bad[0]]!r} has no direction")
+    rows /= norms[:, None]
+    return rows
+
+
 def load_embedding_set(path) -> RecordSet:
     """Load a whole embedding set and scale its rows to unit L2 norm;
     duplicate ids and rows with no direction are rejected."""
     embeddings = _load(path, EMB_MAGIC)
-    rows = embeddings.rows
-    # one dot product per row: the same bits as normalize(), which a single
-    # vectorized reduction over the matrix does not give
-    norms = np.sqrt([row @ row for row in rows])
-    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
-    if bad.size:
-        raise ZeroNorm(f"{path}: embedding {embeddings.ids[bad[0]]!r} has no direction")
-    rows /= norms[:, None]
+    _unit_rows(embeddings.ids, embeddings.rows, path)
     return embeddings
 
 
@@ -224,103 +193,3 @@ def load_posterior_set(path) -> RecordSet:
         )
     rows /= totals[:, None]
     return posteriors
-
-
-# --- HTTP client ------------------------------------------------------------
-
-class EmbeddingClient:
-    """Client for a remote embedding service with bounded retries.
-
-    Retries cover timeouts, connection errors, and 5xx responses, with
-    exponential backoff; 4xx responses fail immediately. ``last_attempts``
-    reports how many requests the most recent call used.
-    """
-
-    def __init__(
-        self,
-        endpoint: str,
-        expected_dim: int | None = None,
-        timeout: float = 10.0,
-        retries: int = 3,
-        backoff: float = 0.25,
-        session=None,
-        sleep=time.sleep,
-    ):
-        self.endpoint = endpoint.rstrip("/")
-        self.expected_dim = expected_dim
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.session = session or requests.Session()
-        self.last_attempts = 0
-        self._sleep = sleep
-
-    def embed_audio(self, wave: Waveform, rec_id: str = "") -> Embedding:
-        body = wav_bytes(wave)
-        return self._post("/embed/audio", body, "audio/wav", "audio", rec_id)
-
-    def embed_text(self, text: str, rec_id: str = "") -> Embedding:
-        return self._post(
-            "/embed/text", text.encode("utf-8"), "text/plain; charset=utf-8", "text", rec_id
-        )
-
-    def embed_many(self, items, max_inflight: int = 8) -> dict[str, Embedding]:
-        """Fetch embeddings for ``{id: Waveform | str}`` with bounded
-        parallelism. No ordering guarantees between requests; the result is
-        keyed by id. ``last_attempts`` is only meaningful for sequential
-        calls, not across a parallel batch."""
-
-        def one(pair):
-            rec_id, payload = pair
-            if isinstance(payload, Waveform):
-                return rec_id, self.embed_audio(payload, rec_id)
-            return rec_id, self.embed_text(str(payload), rec_id)
-
-        with ThreadPoolExecutor(max_workers=max(1, max_inflight)) as pool:
-            return dict(pool.map(one, sorted(items.items())))
-
-    def _post(self, route, body, content_type, modality, rec_id) -> Embedding:
-        url = self.endpoint + route
-        self.last_attempts = 0
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                self._sleep(self.backoff * 2 ** (attempt - 1))
-            self.last_attempts += 1
-            try:
-                resp = self.session.post(
-                    url, data=body, headers={"Content-Type": content_type},
-                    timeout=self.timeout,
-                )
-            except requests.Timeout as exc:
-                last_error = Timeout(f"{url}: no answer within {self.timeout}s")
-                last_error.__cause__ = exc
-                continue
-            except requests.ConnectionError as exc:
-                last_error = Timeout(f"{url}: connection failed ({exc})")
-                continue
-            if 500 <= resp.status_code < 600:
-                last_error = BadStatus(f"{url}: HTTP {resp.status_code}")
-                continue
-            if resp.status_code != 200:
-                raise BadStatus(f"{url}: HTTP {resp.status_code}")
-            return self._parse(resp, modality, rec_id, url)
-        raise last_error if last_error is not None else Timeout(f"{url}: no attempts made")
-
-    def _parse(self, resp, modality, rec_id, url) -> Embedding:
-        try:
-            payload = resp.json()
-        except ValueError as exc:
-            raise SchemaError(f"{url}: response is not JSON") from exc
-        if not isinstance(payload, dict) or "dim" not in payload or "vector" not in payload:
-            raise SchemaError(f"{url}: response must be an object with 'dim' and 'vector'")
-        vector = np.asarray(payload["vector"], dtype=np.float64)
-        if vector.ndim != 1 or vector.size != payload["dim"]:
-            raise SchemaError(
-                f"{url}: vector length {vector.size} disagrees with dim {payload['dim']}"
-            )
-        if self.expected_dim is not None and vector.size != self.expected_dim:
-            raise DimMismatch(
-                f"{url}: provider returned dim {vector.size}, expected {self.expected_dim}"
-            )
-        return normalize(Embedding(vector, modality, rec_id))

@@ -13,7 +13,7 @@ results are reproducible to the bit.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import fsum
 
 import numpy as np
@@ -163,10 +163,7 @@ class MetricsReport:
             "test_set_text_audio_sim": self.test_set_text_audio_sim,
             "retrieval_max": self.retrieval_max,
             "sim_aa": {f"{t:.2f}": self.sim_aa[t] for t in sorted(self.sim_aa)},
-            "nn_audit": [
-                {"gen_id": r.gen_id, "segment_id": r.segment_id, "similarity": r.similarity}
-                for r in self.nn_audit
-            ],
+            "nn_audit": [asdict(r) for r in self.nn_audit],
             "provenance": self.provenance,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beatmix.dsp import SignalConfig
+from beatmix.dsp import SignalConfig, Waveform
 
 
 @pytest.fixture
@@ -12,3 +12,9 @@ def rng():
 @pytest.fixture(scope="session")
 def config():
     return SignalConfig()
+
+
+@pytest.fixture
+def wave(rng):
+    """A short noise clip for the embedding client's audio route."""
+    return Waveform(rng.uniform(-0.5, 0.5, 1600), 16000)

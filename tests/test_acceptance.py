@@ -22,9 +22,9 @@ from beatmix import metrics as MT
 from beatmix import mixup as M
 from beatmix.beats import BeatGrid
 from beatmix.cli import main
+from beatmix.client import EmbeddingClient
 from beatmix.dsp import MelSpectrogram, SignalConfig, Waveform, mel_spectrogram
 from beatmix.gateway import (
-    EmbeddingClient,
     RecordSet,
     load_embedding_set,
     load_posterior_set,
@@ -33,7 +33,7 @@ from beatmix.gateway import (
 )
 from beatmix.wavio import load_wav, save_wav
 from synth import click_track
-from test_gateway import MockEmbedServer
+from test_client import MockEmbedServer
 
 SR = 16000
 
@@ -451,22 +451,22 @@ def test_criterion_11_gateway_round_trips(tmp_path):
     server = MockEmbedServer(dim=8)
     try:
         client = EmbeddingClient(server.endpoint, sleep=lambda s: None)
-        emb = client.embed_audio(wave)
-        scenarios_ok &= abs(np.linalg.norm(emb.vector) - 1.0) < 1e-9
+        records, _ = client.embed({"w": wave})
+        scenarios_ok &= abs(np.linalg.norm(records.rows[0]) - 1.0) < 1e-9
     finally:
         server.close()
     server = MockEmbedServer(dim=8, fail_first=2)
     try:
         client = EmbeddingClient(server.endpoint, retries=3, sleep=lambda s: None)
-        client.embed_audio(wave)
-        scenarios_ok &= client.last_attempts == 3
+        _, attempts = client.embed({"w": wave})
+        scenarios_ok &= attempts == {"w": 3}
     finally:
         server.close()
     server = MockEmbedServer(dim=8, hang=True)
     try:
         client = EmbeddingClient(server.endpoint, timeout=0.2, retries=1, sleep=lambda s: None)
         try:
-            client.embed_audio(wave)
+            client.embed({"w": wave})
             scenarios_ok = False
         except Exception as exc:
             scenarios_ok &= type(exc).__name__ == "Timeout"
@@ -476,7 +476,7 @@ def test_criterion_11_gateway_round_trips(tmp_path):
     try:
         client = EmbeddingClient(server.endpoint, expected_dim=512, sleep=lambda s: None)
         try:
-            client.embed_audio(wave)
+            client.embed({"w": wave})
             scenarios_ok = False
         except Exception as exc:
             scenarios_ok &= type(exc).__name__ == "DimMismatch"

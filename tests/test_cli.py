@@ -540,6 +540,8 @@ HAND_EDITS = {
 @pytest.mark.parametrize("key, value", [
     *[(key, value) for key, (_, bad) in HAND_EDITS.items() for value in (bad, "abc")],
     ("hop", None), pytest.param("mix_p", 10**400, id="mix_p-1e400"),
+    # a JSON float is no integer setting, and a JSON boolean no setting at all
+    ("hop", 160.5), ("clip_samples", 163840.9), ("hop", True), ("mix_p", True),
 ])
 def test_hand_edited_setting_exits_one_naming_manifest_and_key(
     grouped_manifest, tmp_path, monkeypatch, capsys, key, value

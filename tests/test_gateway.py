@@ -1,13 +1,10 @@
-import json
 import struct
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 
 from beatmix import gateway as G
-from beatmix.dsp import Waveform
+from beatmix.client import EmbeddingClient
 from beatmix.errors import (
     BadStatus,
     DimMismatch,
@@ -17,25 +14,26 @@ from beatmix.errors import (
     Timeout,
     ZeroNorm,
 )
+from test_client import MockEmbedServer
 
 
 # --- normalize ----------------------------------------------------------------
 
 def test_normalize_three_four():
-    emb = G.normalize(G.Embedding(np.array([3.0, 4.0, 0.0]), "text", "a"))
-    assert np.allclose(emb.vector, [0.6, 0.8, 0.0])
+    rows = G._unit_rows(["a"], np.array([[3.0, 4.0, 0.0]]), "src")
+    assert np.allclose(rows, [[0.6, 0.8, 0.0]])
 
 
 def test_normalize_unit_unchanged(rng):
     v = rng.normal(size=32)
     v /= np.linalg.norm(v)
-    out = G.normalize(G.Embedding(v.copy(), "audio", "x"))
-    assert np.abs(out.vector - v).max() < 1e-7
+    out = G._unit_rows(["x"], v[None, :].copy(), "src")
+    assert np.abs(out[0] - v).max() < 1e-7
 
 
 def test_normalize_zero_raises():
-    with pytest.raises(ZeroNorm):
-        G.normalize(G.Embedding(np.zeros(8), "audio", "z"))
+    with pytest.raises(ZeroNorm, match="src: embedding 'z' has no direction"):
+        G._unit_rows(["z"], np.zeros((1, 8)), "src")
 
 
 # --- binary files ----------------------------------------------------------------
@@ -81,8 +79,8 @@ def test_loaded_rows_match_normalize_bit_for_bit(tmp_path, rng):
     path = tmp_path / "raw.emb"
     write_raw(path, G.EMB_MAGIC, ids, rows)
     back = G.load_embedding_set(path)
-    for i, rec_id in enumerate(ids):
-        assert np.array_equal(back.rows[i], G.normalize(G.Embedding(rows[i], "audio", rec_id)).vector)
+    for i, row in enumerate(rows.astype(np.float64)):
+        assert np.array_equal(back.rows[i], row / np.sqrt(row @ row))
 
 
 def test_embedding_truncated_row(tmp_path):
@@ -186,72 +184,18 @@ def test_posterior_negative_rejected(tmp_path):
         G.load_posterior_set(path)
 
 
-# --- HTTP client ---------------------------------------------------------------------
-
-class MockEmbedServer:
-    """Tiny in-process embedding service with scriptable failures."""
-
-    def __init__(self, dim=8, fail_first=0, hang=False):
-        self.dim = dim
-        self.fail_first = fail_first
-        self.hang = hang
-        self.requests_seen = 0
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                outer.requests_seen += 1
-                try:
-                    self.rfile.read(int(self.headers.get("Content-Length", 0)))
-                    if outer.hang:
-                        import time
-
-                        time.sleep(2)
-                    if outer.requests_seen <= outer.fail_first:
-                        self.send_response(503)
-                        self.end_headers()
-                        return
-                    vec = [float(i + 1) for i in range(outer.dim)]
-                    body = json.dumps({"dim": outer.dim, "vector": vec}).encode()
-                    self.send_response(200)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                except (BrokenPipeError, ConnectionResetError):
-                    pass  # client gave up (timeout scenarios)
-
-            def log_message(self, *args):
-                pass
-
-        self.server = HTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-        self.thread.start()
-
-    @property
-    def endpoint(self):
-        return f"http://127.0.0.1:{self.server.server_port}"
-
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
-
-
-@pytest.fixture
-def wave(rng):
-    return Waveform(rng.uniform(-0.5, 0.5, 1600), 16000)
-
+# --- HTTP client (beatmix.client) -------------------------------------------------------
 
 def test_fetch_success_normalized(wave):
     server = MockEmbedServer(dim=8)
     try:
-        client = G.EmbeddingClient(server.endpoint, sleep=lambda s: None)
-        emb = client.embed_audio(wave, "clip1")
+        client = EmbeddingClient(server.endpoint, sleep=lambda s: None)
+        records, attempts = client.embed({"clip1": wave})
         expect = np.arange(1.0, 9.0)
         expect /= np.linalg.norm(expect)
-        assert np.abs(emb.vector - expect).max() < 1e-7
-        assert emb.id == "clip1" and emb.modality == "audio"
-        assert client.last_attempts == 1
+        assert np.abs(records.rows[0] - expect).max() < 1e-7
+        assert records.ids == ("clip1",) and server.paths == ["/embed/audio"]
+        assert attempts == {"clip1": 1}
     finally:
         server.close()
 
@@ -259,10 +203,10 @@ def test_fetch_success_normalized(wave):
 def test_fetch_text_route(wave):
     server = MockEmbedServer(dim=4)
     try:
-        client = G.EmbeddingClient(server.endpoint, sleep=lambda s: None)
-        emb = client.embed_text("a calm piano piece")
-        assert emb.modality == "text"
-        assert abs(np.linalg.norm(emb.vector) - 1.0) < 1e-9
+        client = EmbeddingClient(server.endpoint, sleep=lambda s: None)
+        records, _ = client.embed({"t": "a calm piano piece"})
+        assert server.paths == ["/embed/text"]
+        assert abs(np.linalg.norm(records.rows[0]) - 1.0) < 1e-9
     finally:
         server.close()
 
@@ -270,10 +214,10 @@ def test_fetch_text_route(wave):
 def test_fetch_retries_then_succeeds(wave):
     server = MockEmbedServer(dim=8, fail_first=2)
     try:
-        client = G.EmbeddingClient(server.endpoint, retries=3, sleep=lambda s: None)
-        emb = client.embed_audio(wave)
-        assert client.last_attempts == 3  # two failures, then success
-        assert abs(np.linalg.norm(emb.vector) - 1.0) < 1e-9
+        client = EmbeddingClient(server.endpoint, retries=3, sleep=lambda s: None)
+        records, attempts = client.embed({"w": wave})
+        assert attempts == {"w": 3}  # two failures, then success
+        assert abs(np.linalg.norm(records.rows[0]) - 1.0) < 1e-9
     finally:
         server.close()
 
@@ -281,10 +225,11 @@ def test_fetch_retries_then_succeeds(wave):
 def test_fetch_exhausted_retries_raise(wave):
     server = MockEmbedServer(dim=8, fail_first=99)
     try:
-        client = G.EmbeddingClient(server.endpoint, retries=2, sleep=lambda s: None)
+        sleeps = []
+        client = EmbeddingClient(server.endpoint, retries=2, sleep=sleeps.append)
         with pytest.raises(BadStatus):
-            client.embed_audio(wave)
-        assert client.last_attempts == 3
+            client.embed({"w": wave})
+        assert server.requests_seen == 3 and sleeps == [0.25, 0.5]
     finally:
         server.close()
 
@@ -292,9 +237,9 @@ def test_fetch_exhausted_retries_raise(wave):
 def test_fetch_dim_mismatch(wave):
     server = MockEmbedServer(dim=256)
     try:
-        client = G.EmbeddingClient(server.endpoint, expected_dim=512, sleep=lambda s: None)
+        client = EmbeddingClient(server.endpoint, expected_dim=512, sleep=lambda s: None)
         with pytest.raises(DimMismatch):
-            client.embed_audio(wave)
+            client.embed({"w": wave})
     finally:
         server.close()
 
@@ -302,32 +247,31 @@ def test_fetch_dim_mismatch(wave):
 def test_fetch_timeout(wave):
     server = MockEmbedServer(dim=8, hang=True)
     try:
-        client = G.EmbeddingClient(
-            server.endpoint, timeout=0.2, retries=1, sleep=lambda s: None
-        )
+        sleeps = []
+        client = EmbeddingClient(server.endpoint, timeout=0.2, retries=1, sleep=sleeps.append)
         with pytest.raises(Timeout):
-            client.embed_audio(wave)
-        assert client.last_attempts == 2
+            client.embed({"w": wave})
+        assert len(sleeps) == 1  # two attempts
     finally:
         server.close()
 
 
 def test_fetch_unreachable_endpoint(wave):
-    client = G.EmbeddingClient(
+    client = EmbeddingClient(
         "http://127.0.0.1:9", timeout=0.2, retries=1, sleep=lambda s: None
     )
     with pytest.raises(Timeout):
-        client.embed_audio(wave)
+        client.embed({"w": wave})
 
 
-def test_embed_many_bounded_parallel(wave):
+def test_embed_mixed_items_bounded_parallel(wave):
     server = MockEmbedServer(dim=8)
     try:
-        client = G.EmbeddingClient(server.endpoint, sleep=lambda s: None)
+        client = EmbeddingClient(server.endpoint, sleep=lambda s: None)
         items = {"a": wave, "b": "some caption", "c": wave}
-        out = client.embed_many(items, max_inflight=2)
-        assert set(out) == {"a", "b", "c"}
-        assert out["b"].modality == "text" and out["a"].modality == "audio"
-        assert server.requests_seen == 3
+        records, attempts = client.embed(items, max_inflight=2)
+        assert records.ids == ("a", "b", "c") and records.rows.shape == (3, 8)
+        assert attempts == {"a": 1, "b": 1, "c": 1}
+        assert sorted(server.paths) == ["/embed/audio", "/embed/audio", "/embed/text"]
     finally:
         server.close()
