@@ -203,7 +203,7 @@ def cmd_ingest(args) -> int:
         seen[track_id] = rel
         full = os.path.join(root, rel)
         try:
-            n_samples = wavio.probe_wav(full)
+            n_samples, digest = wavio.probe_wav(full)
         except InputError as exc:
             raise type(exc)(f"{rel}: {exc}") from exc
         caption = caption_map.get(track_id, "")
@@ -221,7 +221,7 @@ def cmd_ingest(args) -> int:
                 n_samples=n_samples,
                 duration_s=n_samples / wavio.TARGET_RATE,
                 caption=caption,
-                content_hash=content_hash(full),
+                content_hash=digest,
             )
         )
 

@@ -112,6 +112,8 @@ class EmbeddingClient:
             vector = np.asarray(payload["vector"], dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{url}: vector is not a list of numbers ({exc})") from exc
+        if not np.isfinite(vector).all():  # JSON null converts to NaN
+            raise SchemaError(f"{url}: vector holds a null or non-finite entry")
         if vector.ndim != 1 or vector.size != payload["dim"]:
             raise SchemaError(
                 f"{url}: vector length {vector.size} disagrees with dim {payload['dim']}"

@@ -31,7 +31,7 @@ from beatmix.gateway import (
     save_embedding_set,
     save_posterior_set,
 )
-from beatmix.wavio import load_wav, save_wav
+from beatmix.wavio import NORMALIZED_CACHE, load_wav, save_wav
 from synth import click_track
 from test_client import MockEmbedServer
 
@@ -405,7 +405,7 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     # wipe every derived artifact, keep only the source corpus
     for name in ("manifest.json", "segments.json", "codec.bin"):
         os.unlink(os.path.join(work, name))
-    for sub in ("mixes", "mixes_blm", "report", "emb", "audio-16k"):
+    for sub in ("mixes", "mixes_blm", "report", "emb", NORMALIZED_CACHE):
         shutil.rmtree(os.path.join(work, sub))
     for name in list(os.listdir(corpus_dir)):
         if name.endswith(".beats.json"):

@@ -23,7 +23,7 @@ from beatmix.gateway import (
 from beatmix.wavio import load_normalized, load_wav, save_wav, wav_bytes
 from synth import click_track
 from test_gateway import write_raw
-from test_wavio import write_short_fmt_wav
+from test_wavio import write_raw_wav, write_short_fmt_wav
 
 
 def write_corpus(root, bpms, duration_s=16.0, captions=True, bass_phase=0):
@@ -75,6 +75,30 @@ def test_ingest_rerun_is_byte_identical(corpus):
     first = manifest.read_bytes()
     run(["ingest", corpus / "corpus", "--manifest", manifest])
     assert manifest.read_bytes() == first
+
+
+def test_ingest_reads_each_wav_once_and_stores_its_content_hash(corpus, monkeypatch):
+    root = corpus / "corpus"
+    x, _ = click_track(120, 7.0, seed=5)  # 44.1 kHz stereo 24-bit: 1.85 MB, over one hash block
+    write_raw_wav(root / "wide.wav", np.stack([x, x], axis=1) * 0.5, 44100, "pcm24")
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file).endswith(".wav"):
+            opened.append(os.path.relpath(file, root))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    manifest = corpus / "manifest.json"
+    assert run(["ingest", root, "--manifest", manifest]) == 0
+    monkeypatch.undo()
+    entries = json.loads(manifest.read_text())["entries"]
+    assert sorted(opened) == sorted(e["path"] for e in entries) and len(entries) == 5
+    for e in entries:
+        path = root / e["path"]
+        assert e["content_hash"] == content_hash(path)
+        assert e["n_samples"] == load_wav(path).samples.size
 
 
 def test_ingest_empty_corpus(tmp_path):
@@ -167,7 +191,7 @@ def test_analyze_workers_share_the_sample_cache(tmp_path):
     assert all(e["analysis_error"] is None and e["tempo_bpm"] for e in entries)
     hashes = {e["content_hash"] for e in entries}
     assert len(hashes) == len(entries) - 1
-    assert sorted(os.listdir(tmp_path / "audio-16k")) == sorted(f"{h}.npy" for h in hashes)
+    assert sorted(os.listdir(tmp_path / wavio.NORMALIZED_CACHE)) == sorted(f"{h}.npy" for h in hashes)
     assert not [name for name in os.listdir(root) if name.startswith(".tmp-")]
 
 
@@ -210,7 +234,7 @@ def test_mix_seed_reproducibility(corpus, monkeypatch):
     run(["ingest", corpus / "corpus", "--manifest", manifest])
     run(["analyze", "--manifest", manifest])
     run(["group", "--manifest", manifest])
-    shutil.rmtree(corpus / "audio-16k")  # the first mix fills the cache, the second reads it
+    shutil.rmtree(corpus / wavio.NORMALIZED_CACHE)  # the first mix fills the cache, the second reads it
     out1, out2 = corpus / "m1", corpus / "m2"
 
     def mix(out):
@@ -231,7 +255,7 @@ def test_fit_codec_cold_warm_and_rewritten_track(corpus):
     manifest = corpus / "manifest.json"
     run(["ingest", corpus / "corpus", "--manifest", manifest])
     run(["analyze", "--manifest", manifest])
-    cache = corpus / "audio-16k"
+    cache = corpus / wavio.NORMALIZED_CACHE
 
     def fit(name, cold):
         if cold:

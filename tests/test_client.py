@@ -153,3 +153,12 @@ def test_embed_malformed_vector_is_schema_error(vector):
     client = EmbeddingClient("http://127.0.0.1:9", session=session)
     with pytest.raises(SchemaError, match="127.0.0.1:9/embed/text: vector is not a list of numbers"):
         client.embed({"a": "text"})
+
+
+@pytest.mark.parametrize("text", ["[null, 1.0]", "[NaN, 1.0]", "[1.0, Infinity]"])
+def test_embed_non_finite_vector_is_schema_error(text):
+    # json.loads is how the response body is decoded: null -> None, NaN -> nan
+    session = _FakeSession(lambda body: {"dim": 2, "vector": json.loads(text)})
+    client = EmbeddingClient("http://127.0.0.1:9", session=session)
+    with pytest.raises(SchemaError, match="127.0.0.1:9/embed/text: vector holds a null"):
+        client.embed({"a": "text"})

@@ -7,7 +7,15 @@ import pytest
 from beatmix.dsp import Waveform
 from beatmix.errors import CorruptFile, UnsupportedFormat
 from beatmix.manifest import content_hash
-from beatmix.wavio import load_normalized, load_wav, probe_wav, resample, save_wav, wav_bytes
+from beatmix.wavio import (
+    _polyphase_table,
+    load_normalized,
+    load_wav,
+    probe_wav,
+    resample,
+    save_wav,
+    wav_bytes,
+)
 
 
 def write_raw_wav(path, frames: np.ndarray, rate: int, fmt: str):
@@ -101,6 +109,45 @@ def test_resample_identity():
     assert np.array_equal(resample(x, 16000, 16000), x)
 
 
+def _resample_oracle(x, up, down):
+    """Output n sits at input position n*down/up; its branch
+    ``_polyphase_table(up, down)[(n*down) % up]`` puts tap j at offset
+    ``j - (taps/2 - 1)`` input samples from that position's floor. Summed
+    tap by tap, left to right, in Python floats."""
+    table = _polyphase_table(up, down).tolist()
+    taps = len(table[0])
+    samples = x.tolist()
+    out = []
+    for n in range(len(samples) * up // down):
+        coeffs = table[(n * down) % up]
+        first = (n * down) // up - (taps // 2 - 1)
+        acc = 0.0
+        for j in range(taps):
+            i = first + j
+            if 0 <= i < len(samples):
+                acc += coeffs[j] * samples[i]
+        out.append(acc)
+    return np.array(out, dtype=np.float64)
+
+
+@pytest.mark.parametrize("rate", [8000, 11025, 22050, 32000, 44100, 48000, 96000])
+def test_resample_matches_tap_by_tap_oracle(tmp_path, rate):
+    g = np.gcd(rate, 16000)
+    up, down = 16000 // g, rate // g
+    rng = np.random.default_rng(rate)
+    # empty, one sample, the longest input with fewer outputs than `up`
+    # (down - 1 samples), and about 1 s with a partial last branch
+    for n in sorted({0, 1, down - 1, rate + 7}):
+        x = rng.uniform(-1.0, 1.0, n)
+        path = tmp_path / f"{n}.wav"
+        write_raw_wav(path, x[:, None], rate, "float32")
+        y = resample(x, rate, 16000)
+        assert y.dtype == np.float64
+        assert y.size == (n * up) // down == probe_wav(path)[0]
+        assert np.abs(y - _resample_oracle(x, up, down)).max(initial=0.0) <= 1e-12
+        assert resample(x, rate, 16000).tobytes() == y.tobytes()
+
+
 def test_not_a_wav(tmp_path):
     path = tmp_path / "nope.wav"
     path.write_bytes(b"OggS" + b"\x00" * 64)
@@ -164,7 +211,7 @@ def test_probe_matches_load(tmp_path):
     x = 0.1 * np.sin(2 * np.pi * 100 * t)
     path = tmp_path / "probe.wav"
     write_raw_wav(path, x[:, None], 22050, "pcm16")
-    assert probe_wav(path) == load_wav(path).samples.size
+    assert probe_wav(path) == (load_wav(path).samples.size, content_hash(path))
 
 
 def _stereo_44k(path):
