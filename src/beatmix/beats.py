@@ -54,6 +54,9 @@ def validate_grid(grid: BeatGrid) -> None:
     """Raise InvariantViolation unless the grid satisfies its contract."""
     if not (30.0 <= grid.tempo_bpm <= 300.0):
         raise InvariantViolation(f"tempo {grid.tempo_bpm} outside [30, 300] BPM")
+    for name, times in (("beat", grid.beat_times), ("downbeat", grid.downbeat_times)):
+        if times.ndim != 1 or not np.all(np.isfinite(times)):
+            raise InvariantViolation(f"{name} times must be a flat list of finite numbers")
     beats = grid.beat_times
     if beats.size and np.any(np.diff(beats) <= 0):
         raise InvariantViolation("beat times are not strictly ascending")
@@ -94,15 +97,13 @@ def _tempo_lag_range(config: SignalConfig) -> tuple[int, int]:
     return lag_min, lag_max
 
 
-def estimate_tempo(env: np.ndarray, config: SignalConfig | None = None) -> float:
+def estimate_tempo(env: np.ndarray, config: SignalConfig = SignalConfig()) -> float:
     """Tempo in BPM from the onset envelope.
 
     Autocorrelation over lags spanning 60-180 BPM, weighted by a log-Gaussian
     prior centered at 120 BPM with a one-octave spread; the winning lag is
     refined by parabolic interpolation.
     """
-    if config is None:
-        config = SignalConfig()
     env = np.asarray(env, dtype=np.float64)
     fps = config.frames_per_second
     if env.size < 4 * fps:
@@ -139,7 +140,7 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
 
 
 def track_beats(
-    env: np.ndarray, tempo_bpm: float, config: SignalConfig | None = None
+    env: np.ndarray, tempo_bpm: float, config: SignalConfig = SignalConfig()
 ) -> np.ndarray:
     """Beat times (seconds) by dynamic programming against the onset envelope.
 
@@ -147,8 +148,6 @@ def track_beats(
     ``DP_TIGHTNESS * log(gap / period)**2`` for each inter-beat gap, then the
     best chain is backtraced and weak leading/trailing beats are trimmed.
     """
-    if config is None:
-        config = SignalConfig()
     if not (30.0 <= tempo_bpm <= 300.0):
         raise ValueError(f"tempo {tempo_bpm} outside the supported [30, 300] BPM")
     env = np.asarray(env, dtype=np.float64)
@@ -209,10 +208,8 @@ def infer_downbeats(beat_times: np.ndarray, mel: MelSpectrogram) -> np.ndarray:
     return beat_times[best::METER]
 
 
-def analyze_waveform(wave: Waveform, config: SignalConfig | None = None) -> BeatGrid:
+def analyze_waveform(wave: Waveform, config: SignalConfig = SignalConfig()) -> BeatGrid:
     """Full builtin analysis of one track: tempo, beats, and downbeats."""
-    if config is None:
-        config = SignalConfig()
     mel = mel_spectrogram(wave, config)
     env = onset_envelope(mel)
     tempo = estimate_tempo(env, config)

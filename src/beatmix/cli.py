@@ -191,6 +191,9 @@ def cmd_ingest(args) -> int:
                 raise SchemaError(f"{args.captions}: not valid JSON ({exc})") from exc
         if not isinstance(caption_map, dict):
             raise SchemaError(f"{args.captions}: expected an object of id -> caption")
+        for track_id, caption in caption_map.items():
+            if not isinstance(caption, str):
+                raise SchemaError(f"{args.captions}: caption of {track_id!r} is not a string")
 
     settings = read_config_file(args.config) if args.config else {}
     entries = []

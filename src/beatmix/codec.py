@@ -152,11 +152,9 @@ def encode(codec: PcaCodec, mel: MelSpectrogram) -> LatentTensor:
 
 
 def decode(
-    codec: PcaCodec, latent: LatentTensor, config: SignalConfig | None = None
+    codec: PcaCodec, latent: LatentTensor, config: SignalConfig = SignalConfig()
 ) -> MelSpectrogram:
     """Reconstruct a mel from a latent tensor (clamped at the log floor)."""
-    if config is None:
-        config = SignalConfig()
     if latent.codec_id != codec.codec_id:
         raise CodecMismatch(
             f"latent was encoded by codec {latent.codec_id[:12]}..., "

@@ -10,6 +10,7 @@ Mel magnitudes are stored in dB, ``20 * log10(amplitude)``, clamped at
 ``log_floor`` (default -80 dB, i.e. amplitudes below 1e-4 of full scale).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,16 +123,9 @@ def mel_band_edges(config: SignalConfig) -> np.ndarray:
     return mel_to_hz(np.linspace(hz_to_mel(config.fmin), hz_to_mel(config.fmax), config.n_mels + 2))
 
 
-_fb_cache: dict = {}
-_pinv_cache: dict = {}
-_win_cache: dict = {}
-
-
+@functools.cache
 def mel_filterbank(config: SignalConfig) -> np.ndarray:
     """Triangular, area-normalized filterbank, shape (n_mels, fft_size//2 + 1)."""
-    fb = _fb_cache.get(config)
-    if fb is not None:
-        return fb
     n_bins = config.fft_size // 2 + 1
     freqs = np.linspace(0.0, config.sample_rate / 2.0, n_bins)
     edges = mel_band_edges(config)
@@ -141,38 +135,28 @@ def mel_filterbank(config: SignalConfig) -> np.ndarray:
         rising = (freqs - lo) / max(ctr - lo, 1e-12)
         falling = (hi - freqs) / max(hi - ctr, 1e-12)
         fb[m] = np.maximum(0.0, np.minimum(rising, falling)) * (2.0 / (hi - lo))
-    _fb_cache[config] = fb
     return fb
 
 
+@functools.cache
 def _hann(window: int) -> np.ndarray:
-    win = _win_cache.get(window)
-    if win is None:
-        # periodic Hann, so analysis/synthesis overlap-add stays flat
-        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
-        _win_cache[window] = win
-    return win
+    # periodic Hann, so analysis/synthesis overlap-add stays flat
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
 
 
-def _frame(padded: np.ndarray, n_frames: int, config: SignalConfig) -> np.ndarray:
-    starts = np.arange(n_frames) * config.hop
+def _stft(padded: np.ndarray, n_frames: int, config: SignalConfig) -> np.ndarray:
+    """Complex spectra of the Hann-windowed frames ``padded[k*hop : k*hop + window]``."""
     view = np.lib.stride_tricks.sliding_window_view(padded, config.window)
-    return view[starts]
+    frames = view[: (n_frames - 1) * config.hop + 1 : config.hop] * _hann(config.window)
+    return np.fft.rfft(frames, n=config.fft_size, axis=1)
 
 
-def _stft_magnitude(padded: np.ndarray, n_frames: int, config: SignalConfig) -> np.ndarray:
-    frames = _frame(padded, n_frames, config) * _hann(config.window)
-    return np.abs(np.fft.rfft(frames, n=config.fft_size, axis=1))
-
-
-def mel_spectrogram(wave: Waveform, config: SignalConfig | None = None) -> MelSpectrogram:
+def mel_spectrogram(wave: Waveform, config: SignalConfig = SignalConfig()) -> MelSpectrogram:
     """Log-mel magnitudes of a waveform.
 
     Raises RateMismatch if the waveform rate disagrees with the config and
     TooShort if the signal does not cover one analysis window.
     """
-    if config is None:
-        config = SignalConfig()
     if wave.sample_rate != config.sample_rate:
         raise RateMismatch(
             f"waveform at {wave.sample_rate} Hz, config expects {config.sample_rate} Hz"
@@ -183,41 +167,39 @@ def mel_spectrogram(wave: Waveform, config: SignalConfig | None = None) -> MelSp
     pad = config.window // 2
     padded = np.pad(x, pad, mode="reflect")
     n_frames = config.frame_count(x.size)
-    mag = _stft_magnitude(padded, n_frames, config)
+    mag = np.abs(_stft(padded, n_frames, config))
     mel_amp = mag @ mel_filterbank(config).T
     db = 20.0 * np.log10(np.maximum(mel_amp, config.amp_floor))
     return MelSpectrogram(frames=db, config=config)
 
 
+@functools.cache
 def _filterbank_pinv(config: SignalConfig) -> np.ndarray:
-    pinv = _pinv_cache.get(config)
-    if pinv is None:
-        pinv = np.linalg.pinv(mel_filterbank(config))
-        _pinv_cache[config] = pinv
-    return pinv
+    return np.linalg.pinv(mel_filterbank(config))
+
+
+def _overlap_add(frames: np.ndarray, config: SignalConfig) -> np.ndarray:
+    """Sum frame k into samples ``[k*hop, k*hop + window)``, in frame order."""
+    out = np.zeros((frames.shape[0] - 1) * config.hop + config.window)
+    for k, frame in enumerate(frames):
+        lo = k * config.hop
+        out[lo : lo + config.window] += frame
+    return out
 
 
 def _window_sum(n_frames: int, config: SignalConfig) -> np.ndarray:
     """The overlap-added squared synthesis window ``_istft`` divides by, kept
     away from zero; it depends only on the frame count, so build it once."""
     win = _hann(config.window)
-    norm = np.zeros((n_frames - 1) * config.hop + config.window)
-    win_sq = win * win
-    for k in range(n_frames):
-        lo = k * config.hop
-        norm[lo : lo + config.window] += win_sq
-    return np.maximum(norm, 1e-10)
+    win_sq = np.broadcast_to(win * win, (n_frames, config.window))
+    return np.maximum(_overlap_add(win_sq, config), 1e-10)
 
 
 def _istft(spec: np.ndarray, config: SignalConfig, window_sum: np.ndarray) -> np.ndarray:
     """Overlap-add synthesis back to the padded-domain signal."""
     win = _hann(config.window)
     frames = np.fft.irfft(spec, n=config.fft_size, axis=1)[:, : config.window] * win
-    out = np.zeros(window_sum.size)
-    for k in range(spec.shape[0]):
-        lo = k * config.hop
-        out[lo : lo + config.window] += frames[k]
-    return out / window_sum
+    return _overlap_add(frames, config) / window_sum
 
 
 def invert_mel(mel: MelSpectrogram, iterations: int = 32, callback=None) -> Waveform:
@@ -241,9 +223,7 @@ def invert_mel(mel: MelSpectrogram, iterations: int = 32, callback=None) -> Wave
     window_sum = _window_sum(n_frames, config)
     for it in range(iterations):
         y = _istft(target * angles, config, window_sum)
-        spec = np.fft.rfft(
-            _frame(y, n_frames, config) * _hann(config.window), n=config.fft_size, axis=1
-        )
+        spec = _stft(y, n_frames, config)
         if callback is not None:
             callback(it, np.linalg.norm(np.abs(spec) - target) / max(target_norm, 1e-16))
         angles = spec / np.maximum(np.abs(spec), 1e-16)

@@ -94,7 +94,12 @@ def _read_records(path, magic: bytes) -> tuple[list[str], np.ndarray]:
             raise DimMismatch(
                 f"{path}: record for dim {dim} runs past end of file (truncated row?)"
             )
-        ids.append(data[pos : pos + id_len].decode("utf-8"))
+        try:
+            ids.append(data[pos : pos + id_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise SchemaError(
+                f"{path}: the id of record {len(ids)} is not UTF-8 ({exc})"
+            ) from exc
         pos += id_len
         vectors.append(np.frombuffer(data, dtype="<f4", count=dim, offset=pos))
         pos += 4 * dim

@@ -10,7 +10,8 @@ import contextlib
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import InvariantViolation, SchemaError
 
@@ -89,6 +90,16 @@ def save_manifest(manifest: Manifest, path) -> None:
     atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _has_type(value, kind) -> bool:
+    """JSON typing of a manifest field: a float field also takes an integer,
+    and no numeric field takes a boolean."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
 def load_manifest(path) -> Manifest:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -103,14 +114,26 @@ def load_manifest(path) -> Manifest:
         raise SchemaError(
             f"{path}: schema version {payload.get('schema_version')} unsupported"
         )
+    root, config = payload.get("root", "."), payload.get("config", {})
+    if not isinstance(root, str) or not isinstance(config, dict):
+        raise SchemaError(f"{path}: root must be a string and config an object")
     try:
         entries = [TrackEntry(**e) for e in payload["entries"]]
     except TypeError as exc:
         raise SchemaError(f"{path}: malformed entry ({exc})") from exc
+    for entry in entries:
+        for f in fields(TrackEntry):
+            kinds = typing.get_args(f.type) or (f.type,)
+            value = getattr(entry, f.name)
+            if not any(_has_type(value, kind) for kind in kinds):
+                expected = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+                raise SchemaError(
+                    f"{path}: track {entry.id!r}: field {f.name} is {value!r}, expected {expected}"
+                )
     return Manifest(
-        root=payload.get("root", "."),
+        root=root,
         entries=entries,
-        config=dict(payload.get("config", {})),
+        config=dict(config),
         schema_version=payload["schema_version"],
     )
 

@@ -99,12 +99,10 @@ def blm_mix(
 def blm_render(
     latent: codec_mod.LatentTensor,
     codec: codec_mod.PcaCodec,
-    config: SignalConfig | None = None,
+    config: SignalConfig = SignalConfig(),
     iterations: int = 32,
 ) -> tuple[MelSpectrogram, Waveform]:
     """Decode a (possibly mixed) latent back to a mel and a waveform."""
-    if config is None:
-        config = SignalConfig()
     mel = codec_mod.decode(codec, latent, config)
     return mel, invert_mel(mel, iterations)
 
@@ -162,38 +160,25 @@ def plan_mixup_pass(
         base = usable[int(rng.integers(len(usable)))]
         mix_roll = float(rng.random())
         mates = partners[base]
-        if mix_roll < p and mates:
-            partner = mates[int(rng.integers(len(mates)))]
-            off_a = int(eligible[base][rng.integers(eligible[base].size)])
-            off_b = int(eligible[partner][rng.integers(eligible[partner].size)])
-            lam = sample_mix_ratio(rng)
-            specs.append(
-                MixupSpec(
-                    out_id=f"mix_{slot:05d}",
-                    strategy=strategy,
-                    mixed=True,
-                    track_a=base,
-                    offset_a=off_a,
-                    track_b=partner,
-                    offset_b=off_b,
-                    lam=lam,
-                    clip_samples=clip_samples,
-                    seed=seed,
-                )
+        mixed = mix_roll < p and bool(mates)
+        partner = mates[int(rng.integers(len(mates)))] if mixed else None
+        off_a = int(eligible[base][rng.integers(eligible[base].size)])
+        off_b = int(eligible[partner][rng.integers(eligible[partner].size)]) if mixed else None
+        lam = sample_mix_ratio(rng) if mixed else None
+        specs.append(
+            MixupSpec(
+                out_id=f"mix_{slot:05d}",
+                strategy=strategy,
+                mixed=mixed,
+                track_a=base,
+                offset_a=off_a,
+                track_b=partner,
+                offset_b=off_b,
+                lam=lam,
+                clip_samples=clip_samples,
+                seed=seed,
             )
-        else:
-            off_a = int(eligible[base][rng.integers(eligible[base].size)])
-            specs.append(
-                MixupSpec(
-                    out_id=f"mix_{slot:05d}",
-                    strategy=strategy,
-                    mixed=False,
-                    track_a=base,
-                    offset_a=off_a,
-                    clip_samples=clip_samples,
-                    seed=seed,
-                )
-            )
+        )
     return specs
 
 
@@ -201,7 +186,7 @@ def render_spec(
     spec: MixupSpec,
     load_clip,
     codec: codec_mod.PcaCodec | None = None,
-    config: SignalConfig | None = None,
+    config: SignalConfig = SignalConfig(),
     iterations: int = 32,
 ) -> Waveform:
     """Produce the audio for one spec.
@@ -210,8 +195,6 @@ def render_spec(
     exactly ``n_samples`` samples. Rendering depends only on the spec, so any
     scheduling across specs yields identical output.
     """
-    if config is None:
-        config = SignalConfig()
     a = np.asarray(load_clip(spec.track_a, spec.offset_a, spec.clip_samples), dtype=np.float64)
     wave_a = Waveform(a, config.sample_rate)
     if not spec.mixed:

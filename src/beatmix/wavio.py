@@ -10,6 +10,7 @@ cache keyed by the file's content hash, so each distinct file is decoded
 once. Writing always emits mono 16-bit PCM.
 """
 
+import functools
 import hashlib
 import io
 import os
@@ -191,15 +192,9 @@ _KAISER_BETA = 8.6
 _ROLLOFF = 0.9475
 _TAPS = 64  # taps per polyphase branch
 
-_table_cache: dict = {}
-
-
+@functools.cache
 def _polyphase_table(up: int, down: int) -> np.ndarray:
     """Kaiser-windowed sinc filter table, shape (up, _TAPS)."""
-    key = (up, down)
-    table = _table_cache.get(key)
-    if table is not None:
-        return table
     half = _TAPS // 2
     cutoff = _ROLLOFF * min(1.0, up / down)  # fraction of the input Nyquist
     j = np.arange(_TAPS)
@@ -212,7 +207,6 @@ def _polyphase_table(up: int, down: int) -> np.ndarray:
         win /= np.i0(_KAISER_BETA)
         h = cutoff * np.sinc(cutoff * offsets) * win
         table[phase] = h / h.sum()  # unity DC gain per branch
-    _table_cache[key] = table
     return table
 
 

@@ -189,3 +189,18 @@ def test_annotation_inconsistent_median_ibi(tmp_path):
     )
     with pytest.raises(InvariantViolation):
         B.load_beat_annotation(path)
+
+
+@pytest.mark.parametrize("beat_times, downbeat_times", [
+    ("[NaN, NaN, NaN, NaN]", "[]"),
+    ("[0.0, 0.5, 1.0, 1.5]", "[NaN]"),
+    ("[[0.0, 0.5], [1.0, 1.5]]", "[]"),
+], ids=["nan-beats", "nan-downbeat", "nested-beats"])
+def test_annotation_times_must_be_flat_and_finite(tmp_path, beat_times, downbeat_times):
+    path = tmp_path / "odd.beats.json"
+    path.write_text(
+        f'{{"tempo_bpm": 120, "beat_times": {beat_times},'
+        f' "downbeat_times": {downbeat_times}, "source": "external"}}'
+    )
+    with pytest.raises(InvariantViolation, match="finite"):
+        B.load_beat_annotation(path)

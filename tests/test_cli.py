@@ -101,6 +101,17 @@ def test_ingest_reads_each_wav_once_and_stores_its_content_hash(corpus, monkeypa
         assert e["n_samples"] == load_wav(path).samples.size
 
 
+@pytest.mark.parametrize("caption", [5, ["a"], None])
+def test_ingest_non_string_caption_exits_one(corpus, capsys, caption):
+    captions = corpus / "captions.json"
+    captions.write_text(json.dumps({"track00": "fine", "track01": caption}))
+    manifest = corpus / "manifest.json"
+    code = run(["ingest", corpus / "corpus", "--manifest", manifest, "--captions", captions])
+    assert code == 1
+    assert "captions.json: caption of 'track01' is not a string" in capsys.readouterr().err
+    assert not manifest.exists()
+
+
 def test_ingest_empty_corpus(tmp_path):
     empty = tmp_path / "nothing"
     empty.mkdir()
@@ -167,6 +178,27 @@ def test_analyze_external_sidecars(corpus):
     assert run(["analyze", "--manifest", manifest, "--external-beats"]) == 0
     payload = json.loads(manifest.read_text())
     assert all(e["tempo_bpm"] == 120.0 for e in payload["entries"])
+
+
+def test_analyze_external_sidecar_with_nan_fails_that_track(corpus, capsys):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    beats = [round(0.25 + k * 0.5, 3) for k in range(20)]
+    for i in range(4):
+        sidecar = {
+            "tempo_bpm": 120.0,
+            "beat_times": beats,
+            "downbeat_times": [float("nan")] if i == 2 else beats[::4],
+            "source": "external",
+        }
+        with open(corpus / "corpus" / f"track{i:02d}.beats.json", "w") as fh:
+            json.dump(sidecar, fh)
+    assert run(["analyze", "--manifest", manifest, "--external-beats"]) == 0
+    assert "3 analyzed, 0 cached, 1 failed" in capsys.readouterr().err
+    by_id = {e["id"]: e for e in json.loads(manifest.read_text())["entries"]}
+    assert by_id["track02"]["analysis_error"].startswith("InvariantViolation")
+    assert by_id["track02"]["tempo_bpm"] is None
+    assert by_id["track00"]["tempo_bpm"] == 120.0
 
 
 def test_analyze_workers_share_the_sample_cache(tmp_path):
@@ -445,6 +477,14 @@ def test_eval_malformed_file_names_it(tmp_path, capsys):
     assert "bad.emb" in capsys.readouterr().err
 
 
+def test_eval_non_utf8_id_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.emb"
+    write_raw(bad, EMB_MAGIC, ["ok", "x"], np.eye(2))
+    bad.write_bytes(bad.read_bytes().replace(b"\x01\x00x", b"\x01\x00\xff"))
+    assert run(["eval", "--gen-emb", bad, "--out", tmp_path / "r"]) == 1
+    assert "bad.emb: the id of record 1 is not UTF-8" in capsys.readouterr().err
+
+
 def test_usage_error_exits_one():
     assert main(["mix", "--strategy", "nonsense"]) == 1
 
@@ -577,6 +617,39 @@ def test_hand_edited_setting_exits_one_naming_manifest_and_key(
     err = capsys.readouterr().err
     assert "manifest.json: bad" in err and key in err
     assert os.listdir() == ["manifest.json"]
+
+
+@pytest.mark.parametrize("stage, field, value", [
+    (["segment"], "n_samples", "lots"),
+    (["group"], "tempo_bpm", "fast"),
+    (MIX, "beats_path", 7),
+    (["segment"], "n_samples", 10.5),
+])
+def test_hand_edited_entry_field_exits_one_naming_manifest_track_and_field(
+    grouped_manifest, tmp_path, monkeypatch, capsys, stage, field, value
+):
+    monkeypatch.chdir(tmp_path)
+    payload = json.loads(grouped_manifest)
+    payload["entries"][1][field] = value
+    with open("manifest.json", "w") as fh:
+        json.dump(payload, fh)
+    assert run(stage + ["--manifest", "manifest.json"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: manifest.json: track 'track01': field {field} is {value!r}, expected" in err
+    assert os.listdir() == ["manifest.json"]
+
+
+@pytest.mark.parametrize("key, value", [("root", 7), ("config", 5), ("config", ["a"])])
+def test_hand_edited_manifest_root_or_config_type_exits_one(
+    grouped_manifest, tmp_path, monkeypatch, capsys, key, value
+):
+    monkeypatch.chdir(tmp_path)
+    payload = json.loads(grouped_manifest)
+    payload[key] = value
+    with open("manifest.json", "w") as fh:
+        json.dump(payload, fh)
+    assert run(["analyze", "--manifest", "manifest.json"]) == 1
+    assert "manifest.json: root must be a string and config an object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("stage", [["analyze"], ["fit-codec"], MIX])

@@ -7,6 +7,10 @@ from beatmix.dsp import (
     MelSpectrogram,
     SignalConfig,
     Waveform,
+    _hann,
+    _overlap_add,
+    _stft,
+    _window_sum,
     invert_mel,
     mel_band_edges,
     mel_spectrogram,
@@ -103,3 +107,36 @@ def test_invert_validates_iterations(config):
     mel = mel_spectrogram(Waveform(sine(440, 1.0), 16000), config)
     with pytest.raises(ValueError):
         invert_mel(mel, 0)
+
+
+# --- framing and overlap-add oracles: each step against a plain per-frame loop
+
+WIDE = SignalConfig(sample_rate=22050, hop=256, window=1500, fft_size=2048, n_mels=80, fmax=11025.0)
+
+
+@pytest.mark.parametrize("config", [SignalConfig(), WIDE], ids=["default", "wide"])
+def test_stft_equals_per_frame_rfft(config, rng):
+    n_frames = 37
+    padded = rng.normal(size=(n_frames - 1) * config.hop + config.window + 5)
+    win = _hann(config.window)
+    want = np.array([
+        np.fft.rfft(padded[k * config.hop : k * config.hop + config.window] * win, n=config.fft_size)
+        for k in range(n_frames)
+    ])
+    got = _stft(padded, n_frames, config)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("config", [SignalConfig(), WIDE], ids=["default", "wide"])
+def test_overlap_add_and_window_sum_equal_plain_loops(config, rng):
+    n_frames = 23
+    frames = rng.normal(size=(n_frames, config.window))
+    size = (n_frames - 1) * config.hop + config.window
+    want = np.zeros(size)
+    norm = np.zeros(size)
+    win_sq = _hann(config.window) ** 2
+    for k in range(n_frames):
+        want[k * config.hop : k * config.hop + config.window] += frames[k]
+        norm[k * config.hop : k * config.hop + config.window] += win_sq
+    assert np.array_equal(_overlap_add(frames, config), want)
+    assert np.array_equal(_window_sum(n_frames, config), np.maximum(norm, 1e-10))

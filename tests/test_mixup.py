@@ -265,6 +265,48 @@ def test_plan_offsets_are_downbeats():
             assert np.abs(np.round(grid_b.downbeat_times * SR) - spec.offset_b).min() <= 1
 
 
+def two_branch_plan(tracks, strategy, p, count, rng, clip_samples=M.DEFAULT_CLIP_SAMPLES):
+    """Reference planner: a mixed and an unmixed branch, each drawing its
+    offsets and ratio in the order the planner's contract fixes."""
+    eligible = {
+        tid: M.eligible_downbeat_offsets(v.grid, v.n_samples, clip_samples, SR)
+        for tid, v in tracks.items()
+    }
+    usable = sorted(tid for tid, offs in eligible.items() if offs.size > 0)
+    specs = []
+    for slot in range(count):
+        base = usable[int(rng.integers(len(usable)))]
+        mix_roll = float(rng.random())
+        mates = [o for o in usable if o != base and tracks[o].group_id == tracks[base].group_id]
+        if mix_roll < p and mates:
+            partner = mates[int(rng.integers(len(mates)))]
+            off_a = int(eligible[base][rng.integers(eligible[base].size)])
+            off_b = int(eligible[partner][rng.integers(eligible[partner].size)])
+            lam = M.sample_mix_ratio(rng)
+            specs.append(M.MixupSpec(
+                f"mix_{slot:05d}", strategy, True, base, off_a, partner, off_b, lam, clip_samples
+            ))
+        else:
+            off_a = int(eligible[base][rng.integers(eligible[base].size)])
+            specs.append(M.MixupSpec(
+                f"mix_{slot:05d}", strategy, False, base, off_a, clip_samples=clip_samples
+            ))
+    return specs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_plan_equals_two_branch_reference(p, seed):
+    # a loner group, and tracks with one, two and ten eligible downbeats
+    tracks = corpus_views([120, 121, 122, 90, 91, 150])
+    tracks["t1"] = M.TrackView("t1", 11 * SR, make_grid(121, 11.0), tracks["t1"].group_id)
+    tracks["t3"] = M.TrackView("t3", 15 * SR, make_grid(90, 15.0), tracks["t3"].group_id)
+    want = two_branch_plan(tracks, "blm", p, 200, np.random.default_rng(seed))
+    got = M.plan_mixup_pass(tracks, "blm", p, 200, np.random.default_rng(seed), sample_rate=SR)
+    assert got == want
+    assert {s.mixed for s in got} == ({False} if p == 0 else {True, False})
+
+
 # --- rendering -------------------------------------------------------------------
 
 def test_render_bam_spec_mixes_clips(rng):
