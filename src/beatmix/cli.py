@@ -27,7 +27,7 @@ import numpy as np
 from . import beats as beats_mod
 from . import codec as codec_mod
 from . import gateway, metrics, mixup, wavio
-from .dsp import SignalConfig, mel_spectrogram
+from .dsp import GL_ITERATIONS, SignalConfig, mel_spectrogram
 from .errors import (
     BeatmixError,
     DuplicateBasename,
@@ -94,7 +94,7 @@ _SETTINGS = {
     "log_floor": (_finite_float, SignalConfig.log_floor),
     "bucket_width": (_positive_float, 4.0),
     "clip_samples": (_positive_int, mixup.DEFAULT_CLIP_SAMPLES),
-    "gl_iterations": (_positive_int, 32),
+    "gl_iterations": (_positive_int, GL_ITERATIONS),
     "segment_seconds": (_positive_float, 10.0),
     "mix_p": (_fraction, 0.5),
 }

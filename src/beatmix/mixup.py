@@ -5,7 +5,7 @@ on a downbeat of its source, so the combined material stays rhythmically
 coherent. The mixing ratio is drawn from Beta(5, 5), which concentrates
 around an even blend. "bam" mixes the aligned waveforms directly;
 "blm" mixes the latent-codec representations and renders the result back to
-audio through the codec decoder and Griffin-Lim.
+audio through the codec decoder and Fast Griffin-Lim.
 
 Spec planning is a deterministic stream from one seeded generator: a run is
 fully reproducible from (seed, corpus, config), and rendering a spec is a
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import codec as codec_mod
 from .beats import BeatGrid
-from .dsp import MelSpectrogram, SignalConfig, Waveform, invert_mel, mel_spectrogram
+from .dsp import GL_ITERATIONS, MelSpectrogram, SignalConfig, Waveform, invert_mel, mel_spectrogram
 from .errors import LengthMismatch, NoEligibleDownbeat, ShapeMismatch
 
 BUCKET_RANGE = (60.0, 180.0)
@@ -100,7 +100,7 @@ def blm_render(
     latent: codec_mod.LatentTensor,
     codec: codec_mod.PcaCodec,
     config: SignalConfig = SignalConfig(),
-    iterations: int = 32,
+    iterations: int = GL_ITERATIONS,
 ) -> tuple[MelSpectrogram, Waveform]:
     """Decode a (possibly mixed) latent back to a mel and a waveform."""
     mel = codec_mod.decode(codec, latent, config)
@@ -187,7 +187,7 @@ def render_spec(
     load_clip,
     codec: codec_mod.PcaCodec | None = None,
     config: SignalConfig = SignalConfig(),
-    iterations: int = 32,
+    iterations: int = GL_ITERATIONS,
 ) -> Waveform:
     """Produce the audio for one spec.
 

@@ -10,7 +10,7 @@ import pytest
 
 import beatmix
 from beatmix.client import EmbeddingClient
-from beatmix.errors import DimMismatch, SchemaError, ZeroNorm
+from beatmix.errors import BadStatus, DimMismatch, SchemaError, Timeout, ZeroNorm
 
 
 class MockEmbedServer:
@@ -162,3 +162,96 @@ def test_embed_non_finite_vector_is_schema_error(text):
     client = EmbeddingClient("http://127.0.0.1:9", session=session)
     with pytest.raises(SchemaError, match="127.0.0.1:9/embed/text: vector holds a null"):
         client.embed({"a": "text"})
+
+
+# --- routes, retries and timeouts ------------------------------------------------
+
+def test_fetch_success_normalized(wave):
+    server = MockEmbedServer(dim=8)
+    try:
+        client = EmbeddingClient(server.endpoint, sleep=lambda s: None)
+        records, attempts = client.embed({"clip1": wave})
+        expect = np.arange(1.0, 9.0)
+        expect /= np.linalg.norm(expect)
+        assert np.abs(records.rows[0] - expect).max() < 1e-7
+        assert records.ids == ("clip1",) and server.paths == ["/embed/audio"]
+        assert attempts == {"clip1": 1}
+    finally:
+        server.close()
+
+
+def test_fetch_text_route(wave):
+    server = MockEmbedServer(dim=4)
+    try:
+        client = EmbeddingClient(server.endpoint, sleep=lambda s: None)
+        records, _ = client.embed({"t": "a calm piano piece"})
+        assert server.paths == ["/embed/text"]
+        assert abs(np.linalg.norm(records.rows[0]) - 1.0) < 1e-9
+    finally:
+        server.close()
+
+
+def test_fetch_retries_then_succeeds(wave):
+    server = MockEmbedServer(dim=8, fail_first=2)
+    try:
+        client = EmbeddingClient(server.endpoint, retries=3, sleep=lambda s: None)
+        records, attempts = client.embed({"w": wave})
+        assert attempts == {"w": 3}  # two failures, then success
+        assert abs(np.linalg.norm(records.rows[0]) - 1.0) < 1e-9
+    finally:
+        server.close()
+
+
+def test_fetch_exhausted_retries_raise(wave):
+    server = MockEmbedServer(dim=8, fail_first=99)
+    try:
+        sleeps = []
+        client = EmbeddingClient(server.endpoint, retries=2, sleep=sleeps.append)
+        with pytest.raises(BadStatus):
+            client.embed({"w": wave})
+        assert server.requests_seen == 3 and sleeps == [0.25, 0.5]
+    finally:
+        server.close()
+
+
+def test_fetch_dim_mismatch(wave):
+    server = MockEmbedServer(dim=256)
+    try:
+        client = EmbeddingClient(server.endpoint, expected_dim=512, sleep=lambda s: None)
+        with pytest.raises(DimMismatch):
+            client.embed({"w": wave})
+    finally:
+        server.close()
+
+
+def test_fetch_timeout(wave):
+    server = MockEmbedServer(dim=8, hang=True)
+    try:
+        sleeps = []
+        client = EmbeddingClient(server.endpoint, timeout=0.2, retries=1, sleep=sleeps.append)
+        with pytest.raises(Timeout):
+            client.embed({"w": wave})
+        assert len(sleeps) == 1  # two attempts
+    finally:
+        server.close()
+
+
+def test_fetch_unreachable_endpoint(wave):
+    client = EmbeddingClient(
+        "http://127.0.0.1:9", timeout=0.2, retries=1, sleep=lambda s: None
+    )
+    with pytest.raises(Timeout):
+        client.embed({"w": wave})
+
+
+def test_embed_mixed_items_bounded_parallel(wave):
+    server = MockEmbedServer(dim=8)
+    try:
+        client = EmbeddingClient(server.endpoint, sleep=lambda s: None)
+        items = {"a": wave, "b": "some caption", "c": wave}
+        records, attempts = client.embed(items, max_inflight=2)
+        assert records.ids == ("a", "b", "c") and records.rows.shape == (3, 8)
+        assert attempts == {"a": 1, "b": 1, "c": 1}
+        assert sorted(server.paths) == ["/embed/audio", "/embed/audio", "/embed/text"]
+    finally:
+        server.close()

@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beatmix import codec as C
+from beatmix import mixup as M
 from beatmix.dsp import (
     MelSpectrogram,
     SignalConfig,
     Waveform,
+    _filterbank_pinv,
     _hann,
+    _istft,
     _overlap_add,
     _stft,
     _window_sum,
@@ -16,7 +20,7 @@ from beatmix.dsp import (
     mel_spectrogram,
 )
 from beatmix.errors import RateMismatch, TooShort
-from synth import sine
+from synth import click_track, sine
 
 
 def test_shape_contract_10s24_clip(config):
@@ -107,6 +111,69 @@ def test_invert_validates_iterations(config):
     mel = mel_spectrogram(Waveform(sine(440, 1.0), 16000), config)
     with pytest.raises(ValueError):
         invert_mel(mel, 0)
+
+
+# --- Fast Griffin-Lim against plain Griffin-Lim ------------------------------
+
+def plain_griffin_lim_errors(mel, iterations):
+    """The consistency error of each iteration of plain Griffin-Lim from zero
+    phase: the reference the default iteration count must match."""
+    config = mel.config
+    target = np.maximum(10.0 ** (mel.frames / 20.0) @ _filterbank_pinv(config).T, 0.0)
+    n_frames = target.shape[0]
+    window_sum = _window_sum(n_frames, config)
+    angles = np.ones_like(target, dtype=np.complex128)
+    errors = []
+    for _ in range(iterations):
+        spec = _stft(_istft(target * angles, config, window_sum), n_frames, config)
+        errors.append(np.linalg.norm(np.abs(spec) - target) / np.linalg.norm(target))
+        angles = spec / np.maximum(np.abs(spec), 1e-16)
+    return errors
+
+
+def blm_clip_mel(config):
+    """A 10.24 s blm mix at lambda 0.5 of two click-plus-tone tracks 2 BPM
+    apart, through the patch-PCA codec fitted on the pair."""
+    seconds = 10.24
+    mels = []
+    for bpm, tone_hz, seed in ((120, 220.0, 0), (122, 330.0, 1)):
+        clicks, _ = click_track(bpm, seconds, bass_phase=0, seed=seed)
+        wave = Waveform(np.clip(clicks + sine(tone_hz, seconds, amp=0.2), -1.0, 1.0), 16000)
+        mels.append(mel_spectrogram(wave, config))
+    codec = C.fit(mels, n_components=16, patch_size=8)
+    mixed = M.blm_mix(C.encode(codec, mels[0]), C.encode(codec, mels[1]), 0.5)
+    return C.decode(codec, mixed, config)
+
+
+@pytest.mark.parametrize("sine_s", [2.0, 3.0, None], ids=["sine-2s", "sine-3s", "blm-clip"])
+def test_default_iterations_match_plain_griffin_lim_at_32(config, sine_s):
+    if sine_s is None:
+        mel = blm_clip_mel(config)
+    else:
+        mel = mel_spectrogram(Waveform(sine(440, sine_s), 16000), config)
+    errors = []
+    invert_mel(mel, callback=lambda it, err: errors.append(err))
+    assert errors[-1] <= plain_griffin_lim_errors(mel, 32)[-1]
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+def test_invert_fft_count(config, monkeypatch, iterations):
+    counts = {"rfft": 0, "irfft": 0}
+
+    def counted(name):
+        fn = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    mel = mel_spectrogram(Waveform(sine(440, 1.0), 16000), config)
+    for name in counts:
+        monkeypatch.setattr(np.fft, name, counted(name))
+    invert_mel(mel, iterations)
+    assert counts == {"rfft": iterations, "irfft": iterations + 1}
 
 
 # --- framing and overlap-add oracles: each step against a plain per-frame loop
