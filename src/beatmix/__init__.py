@@ -8,17 +8,3 @@ nearest-neighbor similarity ratios).
 """
 
 __version__ = "0.1.0"
-
-from .dsp import MelSpectrogram, SignalConfig, Waveform, invert_mel, mel_spectrogram
-from .wavio import load_wav, save_wav
-
-__all__ = [
-    "MelSpectrogram",
-    "SignalConfig",
-    "Waveform",
-    "invert_mel",
-    "load_wav",
-    "mel_spectrogram",
-    "save_wav",
-    "__version__",
-]

@@ -488,7 +488,8 @@ def cmd_eval(args) -> int:
     }
     primary = next(iter(gen_sets.values()))
 
-    train_seg = gateway.load_embedding_set(args.train_seg_emb) if args.train_seg_emb else None
+    # read once, block by block, while the report is built
+    train_seg = gateway.read_embedding_blocks(args.train_seg_emb) if args.train_seg_emb else None
     text = gateway.load_embedding_set(args.text_emb) if args.text_emb else None
     gen_post = gateway.load_posterior_set(args.gen_post) if args.gen_post else None
     gt_post = gateway.load_posterior_set(args.gt_post) if args.gt_post else None

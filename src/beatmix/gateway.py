@@ -1,10 +1,12 @@
 """Embedding and classifier-posterior file transport.
 
 Everything in ``metrics`` is pure given this module's outputs. A set read
-from a file is one ``RecordSet``, a matrix with its rows in id order.
-Embedding rows are L2-normalized at the boundary, by the same helper that
-``client`` uses for vectors from a live service, so a dot product
-downstream is always a cosine similarity.
+from a file is one ``RecordSet``, a matrix with its rows in id order; a set
+too large to hold, such as the training segments, can instead be read once
+as a sequence of ``RecordSet`` blocks of at most ``BLOCK_ROWS`` records
+(``read_embedding_blocks``). Embedding rows are L2-normalized at the
+boundary, by the same helper that ``client`` uses for vectors from a live
+service, so a dot product downstream is always a cosine similarity.
 
 Two on-disk formats are supported:
 
@@ -15,6 +17,7 @@ Two on-disk formats are supported:
 """
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
 
@@ -25,6 +28,7 @@ from .manifest import atomic_write
 
 EMB_MAGIC = b"EMB1"
 POS_MAGIC = b"POS1"
+BLOCK_ROWS = 4096  # records per block of a binary set read from a file
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,17 +43,15 @@ class RecordSet:
     @classmethod
     def from_records(cls, ids, rows, source="record set") -> "RecordSet":
         """Put the records in id order; a repeated id raises DuplicateId."""
-        rows = np.asarray(rows, dtype=np.float64)
+        rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[0] != len(ids):
             raise ValueError(f"{len(ids)} ids need an ({len(ids)}, dim) matrix, not {rows.shape}")
         order = sorted(range(len(ids)), key=ids.__getitem__)
         sorted_ids = tuple(ids[i] for i in order)
-        for prev, rec_id in zip(sorted_ids, sorted_ids[1:]):
-            if prev == rec_id:
-                raise DuplicateId(f"{source}: id {rec_id!r} appears twice")
+        _check_unique(sorted_ids, source)
         if order != list(range(len(order))):
             rows = rows[order]
-        return cls(sorted_ids, np.ascontiguousarray(rows))
+        return cls(sorted_ids, np.ascontiguousarray(rows, dtype=np.float64))
 
     @property
     def dim(self) -> int:
@@ -57,6 +59,12 @@ class RecordSet:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def _check_unique(sorted_ids, source) -> None:
+    for prev, rec_id in zip(sorted_ids, sorted_ids[1:]):
+        if prev == rec_id:
+            raise DuplicateId(f"{source}: id {rec_id!r} appears twice")
 
 
 # --- file transport ---------------------------------------------------------
@@ -73,42 +81,50 @@ def _write_records(path, magic: bytes, records: RecordSet) -> None:
     atomic_write(path, b"".join(parts))
 
 
-def _read_records(path, magic: bytes) -> tuple[list[str], np.ndarray]:
+def _read_blocks(path, magic: bytes):
+    """Yield the records of a binary set file, in file order, as RecordSets
+    of at most ``BLOCK_ROWS`` records; the file is read once, straight into
+    a float32 block buffer. A set with no records is one empty block."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 12:
-        raise SchemaError(f"{path}: too small for a header")
-    if data[:4] != magic:
-        raise SchemaError(f"{path}: bad magic {data[:4]!r}, expected {magic!r}")
-    dim, count = struct.unpack_from("<II", data, 4)
-    if dim == 0:
-        raise SchemaError(f"{path}: header declares dim 0")
-    pos = 12
-    ids, vectors = [], []
-    for _ in range(count):
-        if pos + 2 > len(data):
-            raise SchemaError(f"{path}: truncated record header")
-        (id_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        if pos + id_len + 4 * dim > len(data):
-            raise DimMismatch(
-                f"{path}: record for dim {dim} runs past end of file (truncated row?)"
-            )
-        try:
-            ids.append(data[pos : pos + id_len].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise SchemaError(
-                f"{path}: the id of record {len(ids)} is not UTF-8 ({exc})"
-            ) from exc
-        pos += id_len
-        vectors.append(np.frombuffer(data, dtype="<f4", count=dim, offset=pos))
-        pos += 4 * dim
-    if pos != len(data):
-        raise SchemaError(f"{path}: {len(data) - pos} trailing bytes after last record")
-    return ids, np.array(vectors, dtype=np.float64).reshape(count, dim)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12:
+            raise SchemaError(f"{path}: too small for a header")
+        if head[:4] != magic:
+            raise SchemaError(f"{path}: bad magic {head[:4]!r}, expected {magic!r}")
+        dim, count = struct.unpack_from("<II", head, 4)
+        if dim == 0:
+            raise SchemaError(f"{path}: header declares dim 0")
+        # no more rows than the file can hold, so a bad header allocates nothing large
+        fit = (size - 12) // (2 + 4 * dim)
+        ids, rows = [], np.empty((min(count, BLOCK_ROWS, fit), dim), dtype="<f4")
+        for record in range(count):
+            id_len = fh.read(2)
+            if len(id_len) < 2:
+                raise SchemaError(f"{path}: truncated record header")
+            id_len = int.from_bytes(id_len, "little")
+            if fh.tell() + id_len + 4 * dim > size:
+                raise DimMismatch(
+                    f"{path}: record for dim {dim} runs past end of file (truncated row?)"
+                )
+            try:
+                ids.append(fh.read(id_len).decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise SchemaError(
+                    f"{path}: the id of record {record} is not UTF-8 ({exc})"
+                ) from exc
+            fh.readinto(rows[len(ids) - 1])
+            if len(ids) == len(rows):
+                # the block is converted to float64, a copy, so the buffer is free again
+                yield RecordSet.from_records(ids, rows, source=path)
+                ids = []
+        if fh.tell() != size:
+            raise SchemaError(f"{path}: {size - fh.tell()} trailing bytes after last record")
+        if ids or not count:
+            yield RecordSet.from_records(ids, rows[: len(ids)], source=path)
 
 
-def _read_csv(path) -> tuple[list[str], np.ndarray]:
+def _read_csv(path) -> RecordSet:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(enumerate(csv.reader(fh), start=1))
@@ -135,12 +151,26 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
         ids.append(rec_id.strip())
     if dim is None:
         raise SchemaError(f"{path}: no records")
-    return ids, np.array(vectors, dtype=np.float64)
+    return RecordSet.from_records(ids, np.array(vectors, dtype=np.float64), source=path)
 
 
-def _load(path, magic: bytes) -> RecordSet:
-    ids, rows = _read_csv(path) if _is_csv(path) else _read_records(path, magic)
-    return RecordSet.from_records(ids, rows, source=path)
+def _blocks(path, magic: bytes):
+    """The records of a set file as RecordSet blocks; a CSV file is one block."""
+    if _is_csv(path):
+        yield _read_csv(path)
+    else:
+        yield from _read_blocks(path, magic)
+
+
+def _joined(blocks, source) -> RecordSet:
+    blocks = list(blocks)
+    if len(blocks) == 1:
+        return blocks[0]
+    return RecordSet.from_records(
+        [rec_id for block in blocks for rec_id in block.ids],
+        np.concatenate([block.rows for block in blocks]),
+        source=source,
+    )
 
 
 def _is_csv(path) -> bool:
@@ -158,9 +188,9 @@ def save_embedding_set(path, embeddings: RecordSet) -> None:
 def _unit_rows(ids, rows: np.ndarray, source) -> np.ndarray:
     """Scale each row of ``rows`` to unit L2 norm, in place; a row with no
     direction raises ZeroNorm naming ``source`` and its id."""
-    # one dot product per row: the same bits as v / np.sqrt(v @ v), which a
-    # single vectorized reduction over the matrix does not give
-    norms = np.sqrt([row @ row for row in rows])
+    # vecdot computes each row's norm as the dot product row @ row does, so
+    # every row gets the same bits as v / np.sqrt(v @ v); einsum does not
+    norms = np.sqrt(np.vecdot(rows, rows))
     bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
     if bad.size:
         raise ZeroNorm(f"{source}: embedding {ids[bad[0]]!r} has no direction")
@@ -168,12 +198,25 @@ def _unit_rows(ids, rows: np.ndarray, source) -> np.ndarray:
     return rows
 
 
+def read_embedding_blocks(path):
+    """Read an embedding set once, as RecordSet blocks of at most
+    ``BLOCK_ROWS`` records in file order, each with its rows in id order and
+    scaled to unit L2 norm. A row with no direction is rejected in its
+    block; an id repeated in two blocks raises DuplicateId after the last
+    block, so a caller that consumes every block has seen every fault."""
+    ids = []
+    for block in _blocks(path, EMB_MAGIC):
+        _unit_rows(block.ids, block.rows, path)
+        ids += block.ids
+        yield block
+    ids.sort()
+    _check_unique(ids, path)
+
+
 def load_embedding_set(path) -> RecordSet:
     """Load a whole embedding set and scale its rows to unit L2 norm;
     duplicate ids and rows with no direction are rejected."""
-    embeddings = _load(path, EMB_MAGIC)
-    _unit_rows(embeddings.ids, embeddings.rows, path)
-    return embeddings
+    return _joined(read_embedding_blocks(path), path)
 
 
 def save_posterior_set(path, posteriors: RecordSet) -> None:
@@ -183,7 +226,7 @@ def save_posterior_set(path, posteriors: RecordSet) -> None:
 def load_posterior_set(path) -> RecordSet:
     """Load classifier posteriors; rows must sum to 1 within 1%, and are
     renormalized to sum exactly 1."""
-    posteriors = _load(path, POS_MAGIC)
+    posteriors = _joined(_blocks(path, POS_MAGIC), path)
     rows = posteriors.rows
     bad = np.flatnonzero((rows < 0).any(axis=1) | ~np.isfinite(rows).all(axis=1))
     if bad.size:

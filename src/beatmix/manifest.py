@@ -80,6 +80,8 @@ def atomic_write(path, data: bytes | str) -> None:
 
 
 def save_manifest(manifest: Manifest, path) -> None:
+    """Write ``manifest`` canonically; a file that already holds exactly
+    these bytes is not rewritten."""
     manifest.entries.sort(key=lambda e: e.id)
     payload = {
         "schema_version": manifest.schema_version,
@@ -87,7 +89,15 @@ def save_manifest(manifest: Manifest, path) -> None:
         "config": manifest.config,
         "entries": [asdict(e) for e in manifest.entries],
     }
-    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    # a stage that changed nothing leaves the file, and its inode, alone
+    try:
+        with open(path, "rb") as fh:
+            if fh.read() == data:
+                return
+    except FileNotFoundError:
+        pass
+    atomic_write(path, data)
 
 
 def _has_type(value, kind) -> bool:

@@ -13,6 +13,7 @@ results are reproducible to the bit.
 """
 
 import json
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from math import fsum
 
@@ -173,7 +174,7 @@ def build_report(
     *,
     fd_sets: dict[str, tuple[RecordSet, RecordSet]] | None = None,
     gen_emb: RecordSet | None = None,
-    train_seg_emb: RecordSet | None = None,
+    train_seg_emb: RecordSet | Iterable[RecordSet] | None = None,
     text_emb: RecordSet | None = None,
     gt_emb: RecordSet | None = None,
     gen_post: RecordSet | None = None,
@@ -187,7 +188,10 @@ def build_report(
     ``gen_emb`` / ``gt_emb``. Retrieval-max (each text's best cosine over
     the training segments, averaged) and SIM_AA@tau (the fraction of
     generated items whose best cosine reaches tau) share one nearest-neighbor
-    search. Missing inputs simply leave their fields None.
+    search. ``train_seg_emb`` is one RecordSet, or an iterable of RecordSet
+    blocks (``gateway.read_embedding_blocks``) that is searched block by
+    block and read once, with the same result as the blocks joined. Missing
+    inputs simply leave their fields None.
     """
     if not all(0.0 <= tau <= 1.0 for tau in thresholds):
         raise ValueError("thresholds must lie in [0, 1]")
@@ -216,27 +220,54 @@ def build_report(
         report.test_set_text_audio_sim = mean_text_audio_similarity(text_emb, gt_emb)
 
     queries = {name: q for name, q in (("text", text_emb), ("gen", gen_emb)) if q}
-    if train_seg_emb and queries:
-        for name, query in queries.items():
-            if query.dim != train_seg_emb.dim:
-                raise DimMismatch(f"{name} dim {query.dim} vs segment dim {train_seg_emb.dim}")
-        # one search for all queries: the kernel's result for a query does
-        # not depend on which other queries it is searched with
-        best, idx = _kernels.nn_max_dot(
-            np.concatenate([q.rows for q in queries.values()]), train_seg_emb.rows
-        )
+    if train_seg_emb is not None:
+        if isinstance(train_seg_emb, RecordSet):
+            train_seg_emb = (train_seg_emb,)
+        best, nearest, n_segments = _nearest_segments(queries, train_seg_emb)
         n_text = len(text_emb) if "text" in queries else 0
-        if "text" in queries:
+        if n_segments and "text" in queries:
             report.retrieval_max = float(np.mean(best[:n_text]))
-        if "gen" in queries:
+        if n_segments and "gen" in queries:
             report.nn_audit = [
-                NearestNeighbor(gen_id, train_seg_emb.ids[j], float(b))
-                for gen_id, j, b in zip(gen_emb.ids, idx[n_text:], best[n_text:])
+                NearestNeighbor(gen_id, seg_id, float(b))
+                for gen_id, seg_id, b in zip(gen_emb.ids, nearest[n_text:], best[n_text:])
             ]
             for tau in sorted(thresholds):
                 report.sim_aa[float(tau)] = float(np.mean(best[n_text:] >= tau))
-            report.provenance["sim_sizes"] = [len(gen_emb), len(train_seg_emb)]
+            report.provenance["sim_sizes"] = [len(gen_emb), n_segments]
     return report
+
+
+def _nearest_segments(queries, blocks):
+    """Each query row's best cosine over every block of training segments,
+    and the id of the segment that reaches it, for the rows of ``queries``
+    stacked in order; also the number of segments. Every block is read,
+    even with no queries, so that a fault anywhere in the set is raised.
+
+    One search covers all queries per block: the kernel's result for a
+    query does not depend on which other queries it is searched with.
+    Within a block ties go to the lowest index, the smallest id; a later
+    block wins on a greater value, or an equal one at a smaller id. So the
+    result is that of one search over the whole set in id order.
+    """
+    rows = np.concatenate([q.rows for q in queries.values()]) if queries else None
+    best = nearest = None
+    n_segments = 0
+    for block in blocks:
+        n_segments += len(block)
+        if not (block and queries):
+            continue
+        for name, query in queries.items():
+            if query.dim != block.dim:
+                raise DimMismatch(f"{name} dim {query.dim} vs segment dim {block.dim}")
+        value, index = _kernels.nn_max_dot(rows, block.rows)
+        seg_ids = np.array(block.ids, dtype=object)[index]
+        if best is None:
+            best, nearest = value, seg_ids
+        else:
+            won = (value > best) | ((value == best) & (seg_ids < nearest))
+            best[won], nearest[won] = value[won], seg_ids[won]
+    return best, nearest, n_segments
 
 
 def _fmt(value) -> str:

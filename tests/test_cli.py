@@ -3,16 +3,19 @@ import os
 import shutil
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from beatmix import codec as codec_mod
-from beatmix import wavio
+from beatmix import gateway as G
+from beatmix import metrics, wavio
 from beatmix.beats import BeatGrid, save_beat_annotation
 from beatmix.cli import _SETTINGS, main
 from beatmix.dsp import Waveform
-from beatmix.manifest import Manifest, content_hash, save_manifest
+from beatmix.errors import DimMismatch, DuplicateId, SchemaError, ZeroNorm
+from beatmix.manifest import Manifest, content_hash, load_manifest, save_manifest
 from beatmix.gateway import (
     EMB_MAGIC,
     POS_MAGIC,
@@ -485,6 +488,107 @@ def test_eval_non_utf8_id_names_the_file(tmp_path, capsys):
     assert "bad.emb: the id of record 1 is not UTF-8" in capsys.readouterr().err
 
 
+SEGMENT_DIM = 32
+SEGMENT_RECORD = 2 + 4 + 4 * SEGMENT_DIM  # bytes per record: every id is 4 bytes long
+
+
+def write_shuffled_segments(path, rng, n=40, d=SEGMENT_DIM):
+    """A training-segment file with its records out of id order, in which
+    two pairs of ids share a row across a 7-row block boundary: in one pair
+    the later block holds the smaller id, in the other the earlier block."""
+    ids = [f"s{i:03d}" for i in rng.permutation(n)]
+    rows = rng.normal(size=(n, d))
+    for first, second in ((3, 12), (20, 30)):
+        rows[second] = rows[first]
+    # the smaller id of the first pair is in the later block
+    lo, hi = sorted([ids[3], ids[12]])
+    ids[3], ids[12] = hi, lo
+    lo, hi = sorted([ids[20], ids[30]])
+    ids[20], ids[30] = lo, hi
+    write_raw(path, EMB_MAGIC, ids, rows)
+    return ids, rows
+
+
+def test_eval_streamed_blocks_match_the_whole_set(tmp_path, rng, monkeypatch):
+    seg_path = tmp_path / "segments.emb"
+    ids, rows = write_shuffled_segments(seg_path, rng)
+    gen_rows = np.vstack([rows[[3, 20]], rng.normal(size=(10, SEGMENT_DIM))])
+    gen = RecordSet.from_records([f"g{i:02d}" for i in range(12)], gen_rows)
+    G._unit_rows(gen.ids, gen.rows, "gen")
+    text = RecordSet.from_records([f"g{i:02d}" for i in range(5)], gen.rows[:5])
+    whole = G.load_embedding_set(seg_path)
+    monkeypatch.setattr(G, "BLOCK_ROWS", 7)
+    calls = []
+    search = metrics._kernels.nn_max_dot
+    monkeypatch.setattr(metrics._kernels, "nn_max_dot",
+                        lambda q, r: calls.append(len(r)) or search(q, r))
+    streamed = metrics.build_report(
+        gen_emb=gen, text_emb=text, train_seg_emb=G.read_embedding_blocks(seg_path)
+    )
+    assert calls == [7, 7, 7, 7, 7, 5]
+    assert streamed == metrics.build_report(gen_emb=gen, text_emb=text, train_seg_emb=whole)
+    assert streamed.nn_audit[0].segment_id == min(ids[3], ids[12])
+    assert streamed.nn_audit[1].segment_id == min(ids[20], ids[30])
+    assert streamed.provenance["sim_sizes"] == [12, 40]
+
+
+def _repeat_id_across_blocks(path):
+    raw = bytearray(path.read_bytes())
+    first, later = (12 + 2 + k * SEGMENT_RECORD for k in (1, 12))
+    raw[later : later + 4] = raw[first : first + 4]
+    path.write_bytes(bytes(raw))
+
+
+def _zero_row_in_a_later_block(path):
+    raw = bytearray(path.read_bytes())
+    start = 12 + 15 * SEGMENT_RECORD + 6
+    raw[start : start + 4 * SEGMENT_DIM] = bytes(4 * SEGMENT_DIM)
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    (_repeat_id_across_blocks, DuplicateId, "appears twice"),
+    (_zero_row_in_a_later_block, ZeroNorm, "has no direction"),
+    (lambda path: path.write_bytes(path.read_bytes()[:-4]), DimMismatch, "runs past end of file"),
+    (lambda path: path.write_bytes(path.read_bytes() + b"xx"), SchemaError, "2 trailing bytes"),
+])
+def test_eval_streamed_fault_exits_one_and_writes_nothing(
+    tmp_path, rng, monkeypatch, capsys, fault, error, message
+):
+    files, _ = make_embedding_files(tmp_path, rng)
+    seg_path = tmp_path / "segments.emb"
+    write_shuffled_segments(seg_path, rng)
+    fault(seg_path)
+    monkeypatch.setattr(G, "BLOCK_ROWS", 7)
+    files["train"] = seg_path
+    out = tmp_path / "report"
+    assert full_eval(files, out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(error, match=message):
+        list(G.read_embedding_blocks(seg_path))
+
+
+def test_eval_holds_one_block_of_the_training_segments(tmp_path, rng, monkeypatch):
+    n, d = 2048, 256
+    seg_path = tmp_path / "segments.emb"
+    ids = [f"s{i:05d}" for i in rng.permutation(n)]
+    write_raw(seg_path, EMB_MAGIC, ids, rng.normal(size=(n, d)))
+    gen = RecordSet.from_records([f"g{i:03d}" for i in range(50)], rng.normal(size=(50, d)))
+    gen_path = tmp_path / "gen.emb"
+    save_embedding_set(gen_path, gen)
+    monkeypatch.setattr(G, "BLOCK_ROWS", 128)  # 16 blocks
+    tracemalloc.start()
+    try:
+        code = run(["eval", "--gen-emb", gen_path, "--train-seg-emb", seg_path,
+                    "--out", tmp_path / "report"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < (n * d * 8) / 2 + gen.rows.nbytes
+
+
 def test_usage_error_exits_one():
     assert main(["mix", "--strategy", "nonsense"]) == 1
 
@@ -674,6 +778,20 @@ def test_mix_without_eligible_downbeat_creates_no_out(corpus, capsys):
     assert run(MIX + ["--manifest", manifest, "--out", out]) == 1
     assert "no track offers a downbeat" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unchanged_manifest_is_not_rewritten(tmp_path):
+    path = tmp_path / "manifest.json"
+    manifest = Manifest(root="corpus", config={"clip_seconds": 10.24})
+    save_manifest(manifest, path)
+    before = os.stat(path)
+    save_manifest(manifest, path)
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    manifest.config["clip_seconds"] = 5.0
+    save_manifest(manifest, path)
+    assert os.stat(path).st_ino != before.st_ino
+    assert load_manifest(path).config == {"clip_seconds": 5.0}
 
 
 def test_manifest_with_stored_sample_rate_still_runs(corpus):

@@ -32,6 +32,14 @@ def test_normalize_zero_raises():
         G._unit_rows(["z"], np.zeros((1, 8)), "src")
 
 
+@pytest.mark.parametrize("d", [3, 128, 512, 527, 1000])
+def test_normalize_matches_per_row_dot_bit_for_bit(d, rng):
+    rows = rng.normal(size=(5000, d))
+    expected = np.array([row / np.sqrt(row @ row) for row in rows])
+    out = G._unit_rows([f"r{i}" for i in range(5000)], rows, "src")
+    assert np.array_equal(out, expected)
+
+
 # --- binary files ----------------------------------------------------------------
 
 def unit_vectors(rng, n, d, prefix):
@@ -77,6 +85,27 @@ def test_loaded_rows_match_normalize_bit_for_bit(tmp_path, rng):
     back = G.load_embedding_set(path)
     for i, row in enumerate(rows.astype(np.float64)):
         assert np.array_equal(back.rows[i], row / np.sqrt(row @ row))
+
+
+def test_blocks_join_to_the_whole_set(tmp_path, rng, monkeypatch):
+    path = tmp_path / "shuffled.emb"
+    ids = [f"r{i:03d}" for i in rng.permutation(30)]
+    write_raw(path, G.EMB_MAGIC, ids, rng.normal(size=(30, 8)))
+    whole = G.load_embedding_set(path)
+    monkeypatch.setattr(G, "BLOCK_ROWS", 7)
+    blocks = list(G.read_embedding_blocks(path))
+    assert [len(b) for b in blocks] == [7, 7, 7, 7, 2]
+    assert [list(b.ids) for b in blocks] == [sorted(ids[k : k + 7]) for k in range(0, 30, 7)]
+    joined = G.load_embedding_set(path)
+    assert joined.ids == whole.ids == tuple(sorted(ids))
+    assert np.array_equal(joined.rows, whole.rows)
+
+
+def test_header_larger_than_file_allocates_no_buffer(tmp_path):
+    path = tmp_path / "huge.emb"
+    path.write_bytes(G.EMB_MAGIC + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF) + b"\x01\x00a")
+    with pytest.raises(DimMismatch):
+        G.load_embedding_set(path)
 
 
 def test_embedding_truncated_row(tmp_path):

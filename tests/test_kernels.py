@@ -141,6 +141,30 @@ def test_nn_near_ties_a_few_ulps_apart(rng):
     assert np.array_equal(best, obest)
 
 
+def test_nn_extreme_scales_match_python_oracle(rng):
+    # rows at 2**100 and 2**-100 in one matrix: products that overflow and
+    # underflow float32 unless the shortlist scales by powers of two; the
+    # last eight queries are near the smallest scaled row, subnormal in
+    # float32, against near-tied references that only the underflow term
+    # of the margin keeps on the shortlist
+    d = 16
+    base = _unit_rows(rng, 1, d)
+    r = np.vstack([
+        (base + 1e-5 * rng.normal(size=(30, d))) * 2.0**100,
+        _unit_rows(rng, 10, d) * 2.0**100,
+        _unit_rows(rng, 10, d) * 2.0**-100,
+    ])
+    q = np.vstack([
+        _unit_rows(rng, 3, d) * 2.0**100,
+        _unit_rows(rng, 3, d) * 2.0**-100,
+        (base + 1e-5 * rng.normal(size=(8, d))) * 2.0**-34,
+    ])
+    best, idx = _kernels.nn_max_dot(q, r)
+    obest, oidx = python_nn_oracle(q, r)
+    assert np.array_equal(idx, oidx)
+    assert np.array_equal(best, obest)
+
+
 def test_nn_independent_of_query_tiling(rng):
     q = _unit_rows(rng, 600, 32)
     r = _unit_rows(rng, 700, 32)
