@@ -64,32 +64,13 @@ def nn_max_dot(queries, refs):
 
     The result is that of the left-to-right float64 sum for every pair,
     with ties going to the lowest reference index, so it does not depend on
-    the BLAS or on how callers tile the queries. Inputs must be finite,
+    the BLAS or on how callers tile the queries. Inputs must be finite and
     their dot products must not overflow (the gateway rejects non-finite
-    vectors) and the dimension must be below 2**24. Returns (best, index);
-    with no reference rows every best is -inf and every index -1.
+    vectors). Returns (best, index); with no reference rows every best is
+    -inf and every index -1.
 
-    A float32 BLAS product shortlists, per query, every reference within a
+    A BLAS product shortlists, per query, every reference within a rounding
     margin of the row maximum; only the shortlist is summed in fixed order.
-    The queries and the references are each scaled by a power of two so
-    that their largest magnitude is at most 1; that is exact, and keeps the
-    float32 product from overflowing. In the scaled units, with u32 and u64
-    the unit roundoffs and gamma_d(u) = d u / (1 - d u), the float32 value
-    of a pair (q, r) differs from the exact dot product by at most
-    (2 u32 + u32**2) |q| |r| for rounding q and r to float32, plus
-    gamma_d(u32) (1 + u32)**2 |q| |r| for summing the rounded products in
-    any order, with or without fused multiply-adds; the fixed-order float64
-    sum differs from it by at most gamma_d(u64) |q| |r| (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., section 3.1). The
-    fixed-order winner and its ties therefore lie within twice the sum of
-    these three, taken at |q| max|r|, of the float32 row maximum. Doubling
-    that covers the rounding of the norms, of the margin and of the
-    threshold, each far smaller. Underflow adds an absolute error the
-    relative terms miss: below float32 ``tiny`` each of the d products
-    loses at most 4 tiny (the two factors, the product and the sum, even
-    where the BLAS flushes subnormals to zero), so 16 d tiny covers both
-    pairs, doubled; the float64 sum loses at most d/2 of the smallest
-    subnormal at the unscaled magnitude, 4 d of it covers the same.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     refs = np.ascontiguousarray(refs, dtype=np.float64)
@@ -98,22 +79,22 @@ def nn_max_dot(queries, refs):
     n, d = queries.shape
     best = np.full(n, -np.inf)
     idx = np.full(n, -1, dtype=np.int64)
-    if n == 0 or refs.shape[0] == 0:
+    if refs.shape[0] == 0:
         return best, idx
-    q32, query_norm, q_exp = _scaled_float32(queries)
-    r32, ref_norm, r_exp = _scaled_float32(refs)
-    u32, u64 = np.finfo(np.float32).eps / 2, np.finfo(np.float64).eps / 2
-    gamma32, gamma64 = d * u32 / (1 - d * u32), d * u64 / (1 - d * u64)
-    relative = (2 * u32 + u32**2) + gamma32 * (1 + u32) ** 2 + gamma64
-    # the float64 underflow bound, 2**-1074 at the unscaled magnitude; an
-    # exponent past float64's range only widens the margin to everything
-    underflow64 = 2.0 ** min(-1074 - q_exp - r_exp, 1023)
-    margin = (4 * relative * ref_norm.max()) * query_norm + d * (
-        16 * float(np.finfo(np.float32).tiny) + 4 * underflow64
-    )
+    # Any summation order of d products is within gamma_d * |q| * |r| of
+    # the exact dot product (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., section 3.1), so the fixed-order winner and its
+    # ties lie within 4 * gamma_d * |q| * max|r| of the BLAS row maximum.
+    # Doubling that covers the rounding of the norms, of the margin and of
+    # the threshold, each far smaller; the last term covers underflow.
+    u = np.finfo(np.float64).eps / 2
+    gamma = d * u / (1 - d * u)
+    ref_norm = np.sqrt(np.einsum("ij,ij->i", refs, refs).max())
+    query_norm = np.sqrt(np.einsum("ij,ij->i", queries, queries))
+    margin = 8 * gamma * query_norm * ref_norm + 4 * d * np.finfo(np.float64).smallest_subnormal
     for lo in range(0, n, _NN_CHUNK):
         hi = min(n, lo + _NN_CHUNK)
-        sims = q32[lo:hi] @ r32.T
+        sims = queries[lo:hi] @ refs.T
         floor = sims.max(axis=1) - margin[lo:hi]
         rows, cols = np.divmod(np.flatnonzero(sims >= floor[:, None]), refs.shape[0])
         rows += lo
@@ -126,21 +107,6 @@ def nn_max_dot(queries, refs):
         best[rows[first]] = exact[first]
         idx[rows[first]] = cols[first]
     return best, idx
-
-
-def _scaled_float32(x):
-    """``x * 2**-e`` rounded to float32, the float64 norms of the rows of
-    ``x * 2**-e``, and ``e``: the power of two that brings the largest
-    magnitude into [1/2, 1). Works through ``_NN_CHUNK`` rows at a time, so
-    no full-size float64 copy is made."""
-    e = int(np.frexp(max(x.max(), -x.min()))[1])
-    out = np.empty(x.shape, dtype=np.float32)
-    norms = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], _NN_CHUNK):
-        part = np.ldexp(x[lo : lo + _NN_CHUNK], -e)
-        norms[lo : lo + _NN_CHUNK] = np.sqrt(np.vecdot(part, part))
-        out[lo : lo + _NN_CHUNK] = part
-    return out, norms, e
 
 
 def _fixed_order_dots(queries, refs, rows, cols):

@@ -4,9 +4,10 @@ Everything in ``metrics`` is pure given this module's outputs. A set read
 from a file is one ``RecordSet``, a matrix with its rows in id order; a set
 too large to hold, such as the training segments, can instead be read once
 as a sequence of ``RecordSet`` blocks of at most ``BLOCK_ROWS`` records
-(``read_embedding_blocks``). Embedding rows are L2-normalized at the
-boundary, by the same helper that ``client`` uses for vectors from a live
-service, so a dot product downstream is always a cosine similarity.
+(``read_embedding_blocks``), holding one block and the set's ids at a
+time. Embedding rows are L2-normalized at the boundary, by the same helper
+that ``client`` uses for vectors from a live service, so a dot product
+downstream is always a cosine similarity.
 
 Two on-disk formats are supported:
 
@@ -188,8 +189,9 @@ def save_embedding_set(path, embeddings: RecordSet) -> None:
 def _unit_rows(ids, rows: np.ndarray, source) -> np.ndarray:
     """Scale each row of ``rows`` to unit L2 norm, in place; a row with no
     direction raises ZeroNorm naming ``source`` and its id."""
-    # vecdot computes each row's norm as the dot product row @ row does, so
-    # every row gets the same bits as v / np.sqrt(v @ v); einsum does not
+    # vecdot (NumPy 2.0) computes each row's norm as the dot product
+    # row @ row does, so every row gets the same bits as v / np.sqrt(v @ v);
+    # einsum does not
     norms = np.sqrt(np.vecdot(rows, rows))
     bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
     if bad.size:
@@ -203,7 +205,9 @@ def read_embedding_blocks(path):
     ``BLOCK_ROWS`` records in file order, each with its rows in id order and
     scaled to unit L2 norm. A row with no direction is rejected in its
     block; an id repeated in two blocks raises DuplicateId after the last
-    block, so a caller that consumes every block has seen every fault."""
+    block, so a caller that consumes every block has seen every fault. The
+    reader holds one block at a time, plus every id read so far for that
+    check: the ids are the one part that grows with the number of records."""
     ids = []
     for block in _blocks(path, EMB_MAGIC):
         _unit_rows(block.ids, block.rows, path)

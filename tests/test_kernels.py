@@ -142,23 +142,16 @@ def test_nn_near_ties_a_few_ulps_apart(rng):
 
 
 def test_nn_extreme_scales_match_python_oracle(rng):
-    # rows at 2**100 and 2**-100 in one matrix: products that overflow and
-    # underflow float32 unless the shortlist scales by powers of two; the
-    # last eight queries are near the smallest scaled row, subnormal in
-    # float32, against near-tied references that only the underflow term
-    # of the margin keeps on the shortlist
-    d = 16
-    base = _unit_rows(rng, 1, d)
-    r = np.vstack([
-        (base + 1e-5 * rng.normal(size=(30, d))) * 2.0**100,
-        _unit_rows(rng, 10, d) * 2.0**100,
-        _unit_rows(rng, 10, d) * 2.0**-100,
-    ])
-    q = np.vstack([
-        _unit_rows(rng, 3, d) * 2.0**100,
-        _unit_rows(rng, 3, d) * 2.0**-100,
-        (base + 1e-5 * rng.normal(size=(8, d))) * 2.0**-34,
-    ])
+    # the few-ulps near ties above at 2**100, in one matrix with rows at
+    # 2**-100 and against queries at both scales: the shortlist margin must
+    # be taken at the largest reference norm, not at a typical one
+    d = 64
+    near = np.tile(_unit_rows(rng, 1, d), (40, 1))
+    for row in near:
+        k = rng.integers(d, size=4)
+        row[k] += rng.integers(-4, 5, size=4) * np.spacing(row[k])
+    r = np.vstack([_unit_rows(rng, 10, d) * 2.0**-100, near * 2.0**100])
+    q = np.vstack([_unit_rows(rng, 10, d) * 2.0**100, _unit_rows(rng, 10, d) * 2.0**-100])
     best, idx = _kernels.nn_max_dot(q, r)
     obest, oidx = python_nn_oracle(q, r)
     assert np.array_equal(idx, oidx)
