@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .dsp import MelSpectrogram, SignalConfig, Waveform, mel_spectrogram
+from .dsp import MelSpectrogram, SignalConfig, Waveform
 from .errors import InvariantViolation, NoOnsets, SchemaError, TooFewBeats, TooShort
 from .manifest import atomic_write
 
@@ -208,12 +208,12 @@ def infer_downbeats(beat_times: np.ndarray, mel: MelSpectrogram) -> np.ndarray:
     return beat_times[best::METER]
 
 
-def analyze_waveform(wave: Waveform, config: SignalConfig = SignalConfig()) -> BeatGrid:
-    """Full builtin analysis of one track: tempo, beats, and downbeats."""
-    mel = mel_spectrogram(wave, config)
+def analyze_waveform(wave: Waveform, mel: MelSpectrogram) -> BeatGrid:
+    """Full builtin analysis of one track: tempo, beats, and downbeats, from
+    ``mel``, the track's ``mel_spectrogram`` (whose config is used)."""
     env = onset_envelope(mel)
-    tempo = estimate_tempo(env, config)
-    beats = track_beats(env, tempo, config)
+    tempo = estimate_tempo(env, mel.config)
+    beats = track_beats(env, tempo, mel.config)
     beats = beats[beats < wave.duration_s]
     if beats.size < 2:
         raise NoOnsets("too few beats to form a grid")

@@ -7,12 +7,15 @@ branch as one matrix-vector product. NumPy passes that product to BLAS when
 the input stride allows (from 44.1 kHz it does), so the last bit of a sample
 may depend on the BLAS build. ``load_normalized`` keeps that result in a
 cache keyed by the file's content hash, so each distinct file is decoded
-once. Writing always emits mono 16-bit PCM.
+once, and ``load_mel`` keeps each track's log-mel the same way, so each is
+computed once. Writing always emits mono 16-bit PCM.
 """
 
+import dataclasses
 import functools
 import hashlib
 import io
+import json
 import os
 import struct
 from math import gcd
@@ -20,14 +23,17 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import Waveform
+from .dsp import MelSpectrogram, SignalConfig, Waveform, mel_spectrogram
 from .errors import CorruptFile, UnsupportedFormat
 from .manifest import atomic_open, atomic_write, content_hash
 
 TARGET_RATE = 16000
 # Name of the directory of cached ``load_wav`` output. Rename it whenever a
 # change alters the samples ``load_wav`` returns, so no stale cache is read.
-NORMALIZED_CACHE = "audio-16k-v2"
+NORMALIZED_CACHE = "audio-16k-v3"
+# Version of the mels ``dsp.mel_spectrogram`` returns, part of the name of
+# every mel cache directory. Bump it whenever a change alters those mels.
+MEL_VERSION = 1
 
 _FMT_PCM = 0x0001
 _FMT_FLOAT = 0x0003
@@ -102,56 +108,109 @@ def _wav_format(chunks):
     return fmt, n_channels, rate, bits
 
 
-def load_wav(path) -> Waveform:
-    """Read a WAV file as mono float64 at 16 kHz.
+def load_wav(path, data=None) -> Waveform:
+    """Read a WAV file as mono float64 at 16 kHz. ``data`` is the file's
+    bytes, if the caller has already read them.
 
     Raises UnsupportedFormat for non-WAV containers or codecs we do not
     decode, CorruptFile for truncated or inconsistent chunk structure.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
     chunks = _parse_chunks(data)
     fmt, n_channels, rate, bits = _wav_format(chunks)
     frames = _decode_samples(chunks[b"data"], fmt, bits, n_channels)
-    mono = frames.mean(axis=1)
+    # The channels' mean, summed a column at a time, left to right, from 0.0
+    # (which turns -0.0 into 0.0). Below 8 channels these are the bits of
+    # frames.mean(axis=1), whose per-row reduction is an order of magnitude
+    # slower; from 8 float channels on, NumPy sums pairwise and rounds
+    # differently.
+    mono = 0.0 + frames[:, 0]
+    for channel in range(1, n_channels):
+        mono += frames[:, channel]
+    mono /= n_channels
     mono = resample(mono, rate, TARGET_RATE)
     return Waveform(np.clip(mono, -1.0, 1.0), TARGET_RATE)
 
 
-def load_normalized(path, cache_dir, digest=None) -> Waveform:
+def _cached_array(path, valid, compute) -> np.ndarray:
+    """The float64 array stored in ``path``, memory-mapped read-only, if the
+    file loads as one and ``valid(array)`` holds; otherwise ``compute()``,
+    written to ``path`` atomically, so concurrent callers never see a
+    partial file."""
+    try:
+        array = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        array = None
+    if isinstance(array, np.ndarray) and array.dtype == np.float64 and valid(array):
+        return array
+    array = compute()
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with atomic_open(path) as fh:
+        np.save(fh, array, allow_pickle=False)
+    return array
+
+
+def load_normalized(path, cache_dir, digest=None, data=None) -> Waveform:
     """``load_wav(path)``, through ``cache_dir/<sha256 of the file>.npy``.
 
-    ``digest`` is the file's current content hash, if the caller has it. A
-    cache hit is memory-mapped read-only; a miss, or a cache file that does
-    not load as a 1-D float64 array, is decoded by ``load_wav`` and written
-    atomically, so concurrent callers never see a partial file.
+    ``digest`` is the file's current content hash and ``data`` its bytes,
+    if the caller has them. A cache hit is memory-mapped read-only; a miss,
+    or a cache file that does not load as a 1-D float64 array, is decoded by
+    ``load_wav`` and written atomically.
     """
     if digest is None:
         digest = content_hash(path)
-    cached = os.path.join(cache_dir, f"{digest}.npy")
-    try:
-        samples = np.load(cached, mmap_mode="r", allow_pickle=False)
-    except (OSError, ValueError, EOFError):
-        samples = None
-    if isinstance(samples, np.ndarray) and samples.ndim == 1 and samples.dtype == np.float64:
-        return Waveform(samples, TARGET_RATE)
-    wave = load_wav(path)
-    os.makedirs(cache_dir, exist_ok=True)
-    with atomic_open(cached) as fh:
-        np.save(fh, wave.samples, allow_pickle=False)
-    return wave
+    samples = _cached_array(
+        os.path.join(cache_dir, f"{digest}.npy"),
+        lambda array: array.ndim == 1,
+        lambda: load_wav(path, data).samples,
+    )
+    return Waveform(samples, TARGET_RATE)
 
 
-def probe_wav(path) -> tuple[int, str]:
-    """Sample count the file will have after ingest normalization, without
-    decoding the audio, and the file's ``content_hash``, from one read."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def mel_cache_name(config: SignalConfig) -> str:
+    """Name of the directory of the mels ``load_mel`` keeps for ``config``:
+    ``mel-`` and a digest of the settings, MEL_VERSION and NORMALIZED_CACHE,
+    so that other settings, other mel code or other samples never read it."""
+    key = json.dumps([NORMALIZED_CACHE, MEL_VERSION, dataclasses.asdict(config)], sort_keys=True)
+    return "mel-" + hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
+
+
+def load_mel(cache_dir, digest, config: SignalConfig, decode) -> MelSpectrogram:
+    """``mel_spectrogram(decode(), config)``, through ``cache_dir/<digest>.npy``.
+
+    ``digest`` is the track's content hash, ``cache_dir`` a directory named
+    by ``mel_cache_name(config)``, and ``decode`` a function that gives the
+    track's normalized Waveform; it is called only on a miss. A hit is
+    memory-mapped read-only; a miss, or a cache file that does not load as a
+    2-D float64 array of ``config.n_mels`` columns, is computed and written
+    atomically.
+    """
+    frames = _cached_array(
+        os.path.join(cache_dir, f"{digest}.npy"),
+        lambda array: array.ndim == 2 and array.shape[1] == config.n_mels,
+        lambda: mel_spectrogram(decode(), config).frames,
+    )
+    return MelSpectrogram(frames, config)
+
+
+def normalized_length(data: bytes) -> int:
+    """Sample count a WAV file's bytes give after normalization, from the
+    header alone, without decoding the audio."""
     chunks = _parse_chunks(data)
     _, n_channels, rate, bits = _wav_format(chunks)
     n_frames = len(chunks[b"data"]) // (n_channels * max(bits // 8, 1))
     g = gcd(rate, TARGET_RATE)
-    return (n_frames * (TARGET_RATE // g)) // (rate // g), hashlib.sha256(data).hexdigest()
+    return (n_frames * (TARGET_RATE // g)) // (rate // g)
+
+
+def probe_wav(path) -> tuple[int, str]:
+    """``normalized_length`` of the file and its ``content_hash``, from one read."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return normalized_length(data), hashlib.sha256(data).hexdigest()
 
 
 def wav_bytes(wave: Waveform) -> bytes:

@@ -79,7 +79,8 @@ def test_criterion_02_beat_tracker_calibration():
     for bpm in (70, 90, 120, 150):
         for noise_db in (None, -20):
             x, clicks = click_track(bpm, 30.0, noise_db=noise_db, seed=3)
-            grid = B.analyze_waveform(Waveform(x, SR), cfg)
+            wave = Waveform(x, SR)
+            grid = B.analyze_waveform(wave, mel_spectrogram(wave, cfg))
             worst_tempo_err = max(worst_tempo_err, abs(grid.tempo_bpm - bpm))
             core = grid.beat_times[1:-1]
             errs = np.array([np.abs(clicks - b).min() for b in core])

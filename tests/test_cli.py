@@ -13,7 +13,7 @@ from beatmix import gateway as G
 from beatmix import metrics, wavio
 from beatmix.beats import BeatGrid, save_beat_annotation
 from beatmix.cli import _SETTINGS, main
-from beatmix.dsp import Waveform
+from beatmix.dsp import SignalConfig, Waveform, mel_spectrogram
 from beatmix.errors import DimMismatch, DuplicateId, SchemaError, ZeroNorm
 from beatmix.manifest import Manifest, content_hash, load_manifest, save_manifest
 from beatmix.gateway import (
@@ -307,6 +307,184 @@ def test_fit_codec_cold_warm_and_rewritten_track(corpus):
     assert fresh != (corpus / "warm.bin").read_bytes()
     assert np.load(cache / f"{content_hash(track)}.npy").tobytes() == load_wav(track).samples.tobytes()
     assert fresh == fit("fresh_cold.bin", cold=True)
+
+
+# --- the mel cache: analyze writes each track's mel, fit-codec reads it ----------
+
+def _mels_dir(tmp_path, config=SignalConfig()):
+    return tmp_path / wavio.mel_cache_name(config)
+
+
+def _count_mels(monkeypatch):
+    """Count every ``mel_spectrogram`` call, through each module that binds it."""
+    calls = []
+
+    def counting(wave, config=SignalConfig()):
+        calls.append(wave.samples.size)
+        return mel_spectrogram(wave, config)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("beatmix") and getattr(module, "mel_spectrogram", None) is mel_spectrogram:
+            monkeypatch.setattr(module, "mel_spectrogram", counting)
+    return calls
+
+
+def test_one_read_and_one_mel_per_track_across_analyze_and_fit_codec(corpus, monkeypatch):
+    root, manifest = corpus / "corpus", corpus / "manifest.json"
+    assert run(["ingest", root, "--manifest", manifest]) == 0
+    mels = _count_mels(monkeypatch)
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file).endswith(".wav"):
+            opened.append(os.path.relpath(file, root))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert run(["analyze", "--manifest", manifest]) == 0
+    monkeypatch.setattr("builtins.open", real_open)
+    wavs = sorted(e["path"] for e in json.loads(manifest.read_text())["entries"])
+    assert sorted(opened) == wavs and len(wavs) == 4
+    assert len(mels) == 4
+    assert run(["fit-codec", "--manifest", manifest, "-C", "4"]) == 0
+    assert len(mels) == 4
+    shutil.rmtree(_mels_dir(corpus))
+    assert run(["fit-codec", "--manifest", manifest, "-C", "4"]) == 0
+    assert len(mels) == 8
+
+
+def test_fit_codec_without_either_cache_writes_the_same_codec(corpus):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    run(["analyze", "--manifest", manifest])
+
+    def fit(name):
+        assert run(["fit-codec", "--manifest", manifest, "-C", "4", "--out", corpus / name]) == 0
+        return (corpus / name).read_bytes()
+
+    warm = fit("warm.bin")
+    shutil.rmtree(corpus / wavio.NORMALIZED_CACHE)
+    shutil.rmtree(_mels_dir(corpus))
+    assert fit("cold.bin") == warm
+    assert len(os.listdir(_mels_dir(corpus))) == len(os.listdir(corpus / wavio.NORMALIZED_CACHE)) == 4
+
+
+def test_analyze_workers_write_one_mel_per_distinct_track(tmp_path):
+    root = tmp_path / "corpus"
+    write_corpus(root, [100 + 4 * i for i in range(5)], duration_s=12.0)
+    shutil.copy(root / "track00.wav", root / "twin.wav")
+    manifest = tmp_path / "manifest.json"
+    assert run(["ingest", root, "--manifest", manifest]) == 0
+    assert run(["analyze", "--manifest", manifest, "--workers", "2"]) == 0
+    hashes = {e["content_hash"] for e in json.loads(manifest.read_text())["entries"]}
+    assert len(hashes) == 5
+    mels = _mels_dir(tmp_path)
+    assert sorted(os.listdir(mels)) == sorted(f"{h}.npy" for h in hashes)
+    for h in hashes:
+        frames = np.load(mels / f"{h}.npy")
+        samples = np.load(tmp_path / wavio.NORMALIZED_CACHE / f"{h}.npy")
+        assert frames.tobytes() == mel_spectrogram(Waveform(samples, 16000)).frames.tobytes()
+
+
+def test_an_edited_wav_gets_a_new_mel(corpus):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    assert run(["analyze", "--manifest", manifest]) == 0
+    mels = _mels_dir(corpus)
+    before = set(os.listdir(mels))
+    track = corpus / "corpus" / "track00.wav"
+    x, _ = click_track(140, 14.0, seed=99)
+    save_wav(track, Waveform(x, 16000))
+    assert run(["analyze", "--manifest", manifest]) == 0
+    assert set(os.listdir(mels)) - before == {f"{content_hash(track)}.npy"}
+    expect = mel_spectrogram(load_wav(track)).frames
+    assert np.load(mels / f"{content_hash(track)}.npy").tobytes() == expect.tobytes()
+
+
+def test_other_mel_settings_never_read_the_default_mels(corpus):
+    config = corpus / "mels64.cfg"
+    config.write_text("n_mels = 64\n")
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    assert run(["analyze", "--manifest", manifest]) == 0
+    default = _mels_dir(corpus)
+    small = _mels_dir(corpus, SignalConfig(n_mels=64))
+    assert small != default and not small.exists()
+    shutil.copytree(default, small)  # default-config mels where the 64-mel ones belong
+    for sidecar in (corpus / "corpus").glob("*.beats.json"):
+        sidecar.unlink()
+    assert run(["ingest", corpus / "corpus", "--manifest", manifest, "--config", config]) == 0
+    assert run(["analyze", "--manifest", manifest]) == 0
+    assert sorted(os.listdir(small)) == sorted(os.listdir(default))
+    for name in os.listdir(small):
+        assert np.load(small / name).shape[1] == 64
+        assert np.load(default / name).shape[1] == 128
+
+
+# --- analyze re-reads an edited WAV ----------------------------------------------
+
+def test_reanalyzing_a_shortened_track_updates_its_length(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    write_corpus(root, [120, 121, 122], duration_s=30.0)
+    manifest = tmp_path / "manifest.json"
+    assert run(["ingest", root, "--manifest", manifest]) == 0
+    assert run(["analyze", "--manifest", manifest]) == 0
+    x, _ = click_track(120, 12.0, seed=0)
+    save_wav(root / "track00.wav", Waveform(x, 16000))
+    assert run(["analyze", "--manifest", manifest]) == 0
+    entry = load_manifest(manifest).by_id()["track00"]
+    assert (entry.n_samples, entry.duration_s) == (192000, 12.0)
+    assert run(["group", "--manifest", manifest]) == 0
+    out = tmp_path / "mixes"
+    assert run([
+        "mix", "--manifest", manifest, "--strategy", "bam",
+        "--count", "20", "--p", "1", "--seed", "0", "--out", out,
+    ]) == 0
+    specs = [json.loads(path.read_text()) for path in sorted(out.glob("*.mixspec.json"))]
+    assert any(s["track_a"] == "track00" or s["track_b"] == "track00" for s in specs)
+    seg_path = tmp_path / "segments.json"
+    assert run(["segment", "--manifest", manifest, "--out", seg_path]) == 0
+    ends = [s["end_sample"] for s in json.loads(seg_path.read_text())["segments"]
+            if s["track_id"] == "track00"]
+    assert ends == [160000]
+
+
+def test_reingesting_the_sidecar_of_a_shortened_track_updates_its_length(corpus):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    beats = [round(0.25 + k * 0.5, 3) for k in range(20)]
+    sidecar = {"tempo_bpm": 120.0, "beat_times": beats, "downbeat_times": beats[::4],
+               "source": "external"}
+    for i in range(4):
+        (corpus / "corpus" / f"track{i:02d}.beats.json").write_text(json.dumps(sidecar))
+    assert run(["analyze", "--manifest", manifest, "--external-beats"]) == 0
+    x, _ = click_track(120, 12.0, seed=0)
+    save_wav(corpus / "corpus" / "track00.wav", Waveform(x, 16000))
+    assert run(["analyze", "--manifest", manifest, "--external-beats"]) == 0
+    entry = load_manifest(manifest).by_id()["track00"]
+    assert (entry.n_samples, entry.duration_s) == (192000, 12.0)
+
+
+def test_reanalyzing_a_retimed_track_clears_its_group(corpus, capsys):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    run(["analyze", "--manifest", manifest])
+    assert run(["group", "--manifest", manifest]) == 0
+    x, _ = click_track(90, 14.0, seed=7)
+    save_wav(corpus / "corpus" / "track00.wav", Waveform(x, 16000))
+    assert run(["analyze", "--manifest", manifest]) == 0
+    entry = load_manifest(manifest).by_id()["track00"]
+    assert abs(entry.tempo_bpm - 90) <= 2.0 and entry.group_id is None
+    assert run(["analyze", "--manifest", manifest]) == 0
+    assert run(["fit-codec", "--manifest", manifest, "-C", "4"]) == 0
+    mix = ["mix", "--manifest", manifest, "--strategy", "bam", "--count", "4",
+           "--out", corpus / "mixes"]
+    capsys.readouterr()
+    assert run(mix) == 1
+    assert "run `beatmix group` first" in capsys.readouterr().err
+    assert run(["group", "--manifest", manifest]) == 0
+    assert run(mix) == 0
 
 
 def test_mix_pairs_only_equal_manifest_groups(corpus):

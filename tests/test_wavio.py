@@ -4,13 +4,16 @@ import struct
 import numpy as np
 import pytest
 
-from beatmix.dsp import Waveform
+from beatmix import wavio
+from beatmix.dsp import SignalConfig, Waveform, mel_spectrogram
 from beatmix.errors import CorruptFile, UnsupportedFormat
 from beatmix.manifest import content_hash
 from beatmix.wavio import (
     _polyphase_table,
+    load_mel,
     load_normalized,
     load_wav,
+    mel_cache_name,
     probe_wav,
     resample,
     save_wav,
@@ -259,3 +262,108 @@ def test_damaged_cache_file_is_rebuilt(tmp_path, damage):
     assert load_normalized(path, cache).samples.tobytes() == expect
     assert np.load(cached).tobytes() == expect
     assert os.listdir(cache) == [cached.name]
+
+
+def _wav_from_raw(raw: np.ndarray, tag: int, bits: int) -> bytes:
+    """16 kHz WAV bytes holding ``raw`` (frames x channels), given in the
+    file's own sample type (24-bit samples as int32 values)."""
+    n_channels = raw.shape[1]
+    if bits == 24:
+        body = raw.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    else:
+        body = raw.tobytes()
+    block = n_channels * bits // 8
+    return (
+        b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
+        + b"fmt " + struct.pack("<IHHIIHH", 16, tag, n_channels, 16000, 16000 * block, block, bits)
+        + b"data" + struct.pack("<I", len(body)) + body
+    )
+
+
+def _raw_frames(fmt, n_channels, rng, n_frames=20000):
+    """Random frames in ``fmt`` and their values as the loader scales them."""
+    if fmt == "float32":
+        # magnitudes over +-30 decades, each frame scaled so that its largest
+        # magnitude is full scale and no mean is clipped; the first frames
+        # are all -0.0, whose mean is 0.0
+        x = rng.choice([-1.0, 1.0], (n_frames, n_channels)) * 10.0 ** rng.uniform(-30, 30, (n_frames, n_channels))
+        x /= np.abs(x).max(axis=1, keepdims=True)
+        x[rng.random(x.shape) < 0.05] = -0.0
+        x[:100] = -0.0
+        raw = x.astype("<f4")
+        return raw, 3, 32, raw.astype(np.float64)
+    bits = int(fmt[3:])
+    raw = rng.integers(-(2 ** (bits - 1)), 2 ** (bits - 1), (n_frames, n_channels))
+    raw = raw.astype("<i2" if bits == 16 else "<i4")
+    return raw, 1, bits, raw.astype(np.float64) / float(2 ** (bits - 1))
+
+
+@pytest.mark.parametrize("fmt, n_channels", [
+    *((fmt, c) for fmt in ("pcm16", "pcm24", "pcm32") for c in range(1, 9)),
+    *(("float32", c) for c in range(1, 8)),
+])
+def test_downmix_is_the_channel_mean_bit_for_bit(fmt, n_channels):
+    rng = np.random.default_rng(n_channels)
+    raw, tag, bits, values = _raw_frames(fmt, n_channels, rng)
+    wave = load_wav("in-memory.wav", _wav_from_raw(raw, tag, bits))
+    expect = np.clip(values.mean(axis=1), -1.0, 1.0)
+    assert wave.samples.tobytes() == expect.tobytes()
+
+
+def _mel_setup(tmp_path, config=SignalConfig()):
+    path = tmp_path / "in.wav"
+    _stereo_44k(path)
+    return path, tmp_path / mel_cache_name(config), content_hash(path)
+
+
+def test_mel_cache_hit_equals_a_fresh_mel_bit_for_bit(tmp_path):
+    config = SignalConfig()
+    path, mels, digest = _mel_setup(tmp_path, config)
+    expect = mel_spectrogram(load_wav(path), config).frames
+    decoded = []
+
+    def decode():
+        decoded.append(path)
+        return load_wav(path)
+
+    cold = load_mel(mels, digest, config, decode)
+    warm = load_mel(mels, digest, config, decode)
+    assert decoded == [path]  # the hit decodes nothing
+    assert os.listdir(mels) == [f"{digest}.npy"]
+    for frames in (cold.frames, np.load(mels / f"{digest}.npy"), warm.frames):
+        assert frames.dtype == np.float64 and frames.shape == expect.shape
+        assert frames.tobytes() == expect.tobytes()
+    assert isinstance(warm.frames.base, np.memmap)
+    assert warm.config == config
+
+
+@pytest.mark.parametrize("damage", [
+    _truncate,
+    lambda path: path.write_bytes(b"not an npy file"),
+    lambda path: np.save(path, np.load(path).astype(np.float32)),
+    lambda path: np.save(path, np.load(path).ravel()),
+    lambda path: np.save(path, np.load(path)[:, :64]),
+], ids=["truncated", "not-npy", "float32", "1-d", "64-columns"])
+def test_damaged_mel_cache_file_is_rebuilt(tmp_path, damage):
+    config = SignalConfig()
+    path, mels, digest = _mel_setup(tmp_path, config)
+    load_mel(mels, digest, config, lambda: load_wav(path))
+    cached = mels / f"{digest}.npy"
+    damage(cached)
+    expect = mel_spectrogram(load_wav(path), config).frames.tobytes()
+    assert load_mel(mels, digest, config, lambda: load_wav(path)).frames.tobytes() == expect
+    assert np.load(cached).tobytes() == expect
+    assert os.listdir(mels) == [cached.name]
+
+
+def test_mel_cache_name_follows_settings_mel_code_and_sample_cache(monkeypatch):
+    default = mel_cache_name(SignalConfig())
+    assert default.startswith("mel-") and default == mel_cache_name(SignalConfig())
+    others = {mel_cache_name(SignalConfig(n_mels=64)), mel_cache_name(SignalConfig(hop=80)),
+              mel_cache_name(SignalConfig(log_floor=-60.0))}
+    assert len(others) == 3 and default not in others
+    monkeypatch.setattr(wavio, "MEL_VERSION", wavio.MEL_VERSION + 1)
+    assert mel_cache_name(SignalConfig()) != default
+    monkeypatch.undo()
+    monkeypatch.setattr(wavio, "NORMALIZED_CACHE", "audio-16k-other")
+    assert mel_cache_name(SignalConfig()) != default
