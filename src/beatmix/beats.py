@@ -10,7 +10,6 @@ the sidecar JSON written next to each track, so a stronger neural tracker
 can be dropped in without touching anything downstream.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .dsp import MelSpectrogram, SignalConfig, Waveform
 from .errors import InvariantViolation, NoOnsets, SchemaError, TooFewBeats, TooShort
-from .manifest import atomic_write
+from .manifest import atomic_write, canonical_json, read_json
 
 TEMPO_MIN = 60.0
 TEMPO_MAX = 180.0
@@ -232,16 +231,12 @@ def save_beat_annotation(grid: BeatGrid, path) -> None:
         "downbeat_times": [float(t) for t in grid.downbeat_times],
         "source": grid.source,
     }
-    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, canonical_json(payload))
 
 
 def load_beat_annotation(path) -> BeatGrid:
     """Read a sidecar annotation and validate every BeatGrid invariant."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    payload = read_json(path, "beat annotation")
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     missing = {"tempo_bpm", "beat_times", "downbeat_times", "source"} - payload.keys()

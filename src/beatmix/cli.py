@@ -15,8 +15,6 @@ files. Exit codes: 0 success, 1 input error, 2 internal error.
 """
 
 import argparse
-import hashlib
-import json
 import math
 import os
 import sys
@@ -42,8 +40,10 @@ from .manifest import (
     Manifest,
     TrackEntry,
     atomic_write,
+    canonical_json,
     content_hash,
     load_manifest,
+    read_json,
     save_manifest,
     validate_manifest,
 )
@@ -113,20 +113,28 @@ def _setting(key, value, source):
         raise SchemaError(f"{source}: bad value for {key} ({exc})") from exc
 
 
+def _read_text(path) -> str:
+    """The text of ``path``; a file that is not UTF-8 raises a SchemaError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def read_config_file(path) -> dict:
     """Plain key=value configuration; '#' starts a comment."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SchemaError(f"{path}:{line_no}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _SETTINGS:
-                raise SchemaError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = _setting(key, value, f"{path}:{line_no}")
+    for line_no, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise SchemaError(f"{path}:{line_no}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _SETTINGS:
+            raise SchemaError(f"{path}:{line_no}: unknown key {key!r}")
+        values[key] = _setting(key, value, f"{path}:{line_no}")
     _settings(values, path)  # the signal keys' ranges depend on each other
     return values
 
@@ -193,11 +201,7 @@ def cmd_ingest(args) -> int:
 
     caption_map = {}
     if args.captions:
-        with open(args.captions, "r", encoding="utf-8") as fh:
-            try:
-                caption_map = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{args.captions}: not valid JSON ({exc})") from exc
+        caption_map = read_json(args.captions, "captions")
         if not isinstance(caption_map, dict):
             raise SchemaError(f"{args.captions}: expected an object of id -> caption")
         for track_id, caption in caption_map.items():
@@ -215,15 +219,14 @@ def cmd_ingest(args) -> int:
         seen[track_id] = rel
         full = os.path.join(root, rel)
         try:
-            n_samples, digest = wavio.probe_wav(full)
+            n_samples, digest, _ = wavio.probe_wav(full)
         except InputError as exc:
             raise type(exc)(f"{rel}: {exc}") from exc
         caption = caption_map.get(track_id, "")
         if not caption:
             txt = os.path.splitext(full)[0] + ".txt"
             if os.path.exists(txt):
-                with open(txt, "r", encoding="utf-8") as fh:
-                    caption = fh.read().strip()
+                caption = _read_text(txt).strip()
         if not caption:
             missing_captions += 1
         entries.append(
@@ -251,11 +254,11 @@ def _analyze_one(manifest, entry, config, external, caches):
     path = manifest.track_path(entry)
     sidecar_rel = os.path.splitext(entry.path)[0] + ".beats.json"
     sidecar = os.path.join(manifest.root, sidecar_rel)
-    with open(path, "rb") as fh:
-        data = fh.read()  # the one read: hash, length and, on a miss, samples
-    current_hash = hashlib.sha256(data).hexdigest()
+    # the one read: hash, length and, on a miss, samples
+    n_samples, current_hash, data = wavio.probe_wav(path)
     if (
-        entry.tempo_bpm is not None
+        not external  # an external sidecar may have been replaced: always read it
+        and entry.tempo_bpm is not None
         and entry.content_hash == current_hash
         and entry.beats_path == sidecar_rel
         and os.path.exists(sidecar)
@@ -263,7 +266,7 @@ def _analyze_one(manifest, entry, config, external, caches):
         return entry, "cached"
     # The file may have changed since ingest and group: take its length as
     # ingest does, and leave the new tempo to `group`.
-    entry.n_samples = wavio.normalized_length(data)
+    entry.n_samples = n_samples
     entry.duration_s = entry.n_samples / wavio.TARGET_RATE
     entry.group_id = None
     if external:
@@ -409,12 +412,11 @@ def cmd_mix(args) -> int:
         captions[entry.id] = entry.caption
 
     specs = mixup.plan_mixup_pass(
-        tracks, args.strategy, p, args.count, np.random.default_rng(args.seed),
-        clip_samples=settings["clip_samples"], seed=args.seed,
+        tracks, args.strategy, p, args.count, args.seed, settings["clip_samples"]
     )
     os.makedirs(args.out, exist_ok=True)
 
-    cache_dir = _beside_manifest(args, wavio.NORMALIZED_CACHE)
+    samples_dir, _ = _caches(args, config)
     by_id = manifest.by_id()
     digests: dict[str, str] = {}
 
@@ -422,7 +424,7 @@ def cmd_mix(args) -> int:
         path = manifest.track_path(by_id[track_id])
         if track_id not in digests:
             digests[track_id] = content_hash(path)
-        samples = wavio.load_normalized(path, cache_dir, digests[track_id]).samples
+        samples = wavio.load_normalized(path, samples_dir, digests[track_id]).samples
         clip = samples[offset : offset + n]
         if clip.size != n:
             raise InputError(f"{track_id}: clip at {offset} runs past end of track")
@@ -435,10 +437,8 @@ def cmd_mix(args) -> int:
         payload = asdict(spec)
         payload["caption_a"] = captions.get(spec.track_a, "")
         payload["caption_b"] = captions.get(spec.track_b, "") if spec.track_b else None
-        atomic_write(
-            os.path.join(args.out, f"{spec.out_id}.mixspec.json"),
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        )
+        spec_path = os.path.join(args.out, f"{spec.out_id}.mixspec.json")
+        atomic_write(spec_path, canonical_json(payload))
     n_mixed = sum(spec.mixed for spec in specs)
     log(f"mix: wrote {args.count} clips ({n_mixed} mixed) -> {args.out}")
     return 0
@@ -477,7 +477,7 @@ def cmd_segment(args) -> int:
         "sample_rate": wavio.TARGET_RATE,
         "segments": segments,
     }
-    atomic_write(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(out, canonical_json(payload))
     log(f"segment: {len(segments)} segments from {len(manifest.entries) - empty} tracks -> {out}")
     return 0
 
@@ -536,8 +536,8 @@ def cmd_eval(args) -> int:
     atomic_write(report_json, report.to_json())
     atomic_write(os.path.join(args.out, "report.txt"), metrics.render_table(report))
     if report.nn_audit:
-        audit = json.dumps([asdict(r) for r in report.nn_audit], indent=2, sort_keys=True)
-        atomic_write(os.path.join(args.out, "nn_audit.json"), audit + "\n")
+        audit = canonical_json([asdict(r) for r in report.nn_audit])
+        atomic_write(os.path.join(args.out, "nn_audit.json"), audit)
     log(f"eval: report -> {report_json}")
     return 0
 
@@ -606,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text-emb", help="caption text embeddings")
     p.add_argument("--gen-post", help="generated-audio classifier posteriors")
     p.add_argument("--gt-post", help="groundtruth classifier posteriors")
-    p.add_argument("--thresholds", type=_thresholds, default="0.90,0.95")
+    p.add_argument("--thresholds", type=_thresholds, default=metrics.DEFAULT_THRESHOLDS)
     p.add_argument("--out", default="report")
     p.set_defaults(func=cmd_eval)
 

@@ -88,7 +88,7 @@ def _from_patches(patches: np.ndarray, t: int, f: int, patch: int) -> np.ndarray
     return tiles.transpose(0, 2, 1, 3).reshape(t, f)
 
 
-def fit(mels, n_components: int = 16, patch_size: int = 8) -> PcaCodec:
+def fit(mels, n_components: int, patch_size: int) -> PcaCodec:
     """Fit the patch-PCA codec on an iterable of mels (or raw T x F arrays).
 
     Covariance is accumulated in one streaming pass, so the corpus never has

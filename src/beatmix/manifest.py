@@ -79,6 +79,24 @@ def atomic_write(path, data: bytes | str) -> None:
         fh.write(data)
 
 
+def canonical_json(payload) -> str:
+    """The text of every JSON artifact: sorted keys, a two-space indent and a
+    final newline, so that equal payloads give equal bytes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def read_json(path, what: str):
+    """The JSON value in the file ``path``. A file that is not UTF-8 JSON
+    raises a SchemaError naming it and ``what`` it should hold; a missing
+    file raises FileNotFoundError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"{path}: {what} is not valid JSON ({exc})") from exc
+
+
 def save_manifest(manifest: Manifest, path) -> None:
     """Write ``manifest`` canonically; a file that already holds exactly
     these bytes is not rewritten."""
@@ -89,7 +107,7 @@ def save_manifest(manifest: Manifest, path) -> None:
         "config": manifest.config,
         "entries": [asdict(e) for e in manifest.entries],
     }
-    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    data = canonical_json(payload).encode("utf-8")
     # a stage that changed nothing leaves the file, and its inode, alone
     try:
         with open(path, "rb") as fh:
@@ -111,13 +129,7 @@ def _has_type(value, kind) -> bool:
 
 
 def load_manifest(path) -> Manifest:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: manifest is not valid JSON ({exc})") from exc
+    payload = read_json(path, "manifest")
     if not isinstance(payload, dict) or "entries" not in payload:
         raise SchemaError(f"{path}: not a manifest")
     if payload.get("schema_version") != SCHEMA_VERSION:

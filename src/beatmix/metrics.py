@@ -12,7 +12,6 @@ its file, and the nearest-neighbor search uses the fixed-order kernel, so
 results are reproducible to the bit.
 """
 
-import json
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from math import fsum
@@ -22,6 +21,7 @@ import numpy as np
 from . import _kernels
 from .errors import DimMismatch, EmptySet, InconsistentK, MissingPartner
 from .gateway import RecordSet
+from .manifest import canonical_json
 
 DEFAULT_THRESHOLDS = (0.90, 0.95)
 KL_EPS = 1e-10
@@ -167,14 +167,14 @@ class MetricsReport:
             "nn_audit": [asdict(r) for r in self.nn_audit],
             "provenance": self.provenance,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return canonical_json(payload)
 
 
 def build_report(
     *,
     fd_sets: dict[str, tuple[RecordSet, RecordSet]] | None = None,
     gen_emb: RecordSet | None = None,
-    train_seg_emb: RecordSet | Iterable[RecordSet] | None = None,
+    train_seg_emb: Iterable[RecordSet] | None = None,
     text_emb: RecordSet | None = None,
     gt_emb: RecordSet | None = None,
     gen_post: RecordSet | None = None,
@@ -188,9 +188,9 @@ def build_report(
     ``gen_emb`` / ``gt_emb``. Retrieval-max (each text's best cosine over
     the training segments, averaged) and SIM_AA@tau (the fraction of
     generated items whose best cosine reaches tau) share one nearest-neighbor
-    search. ``train_seg_emb`` is one RecordSet, or an iterable of RecordSet
-    blocks (``gateway.read_embedding_blocks``) that is searched block by
-    block and read once, with the same result as the blocks joined. Missing
+    search. ``train_seg_emb`` is an iterable of RecordSet blocks (such as
+    ``gateway.read_embedding_blocks``) that is searched block by block and
+    read once, with the same result as the blocks joined. Missing
     inputs simply leave their fields None.
     """
     if not all(0.0 <= tau <= 1.0 for tau in thresholds):
@@ -221,8 +221,6 @@ def build_report(
 
     queries = {name: q for name, q in (("text", text_emb), ("gen", gen_emb)) if q}
     if train_seg_emb is not None:
-        if isinstance(train_seg_emb, RecordSet):
-            train_seg_emb = (train_seg_emb,)
         best, nearest, n_segments = _nearest_segments(queries, train_seg_emb)
         n_text = len(text_emb) if "text" in queries else 0
         if n_segments and "text" in queries:

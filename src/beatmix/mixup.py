@@ -18,8 +18,9 @@ import numpy as np
 
 from . import codec as codec_mod
 from .beats import BeatGrid
-from .dsp import GL_ITERATIONS, MelSpectrogram, SignalConfig, Waveform, invert_mel, mel_spectrogram
+from .dsp import GL_ITERATIONS, SignalConfig, Waveform, invert_mel, mel_spectrogram
 from .errors import LengthMismatch, NoEligibleDownbeat, ShapeMismatch
+from .wavio import TARGET_RATE
 
 BUCKET_RANGE = (60.0, 180.0)
 DEFAULT_CLIP_SAMPLES = 163840  # 10.24 s at 16 kHz
@@ -96,17 +97,6 @@ def blm_mix(
     )
 
 
-def blm_render(
-    latent: codec_mod.LatentTensor,
-    codec: codec_mod.PcaCodec,
-    config: SignalConfig = SignalConfig(),
-    iterations: int = GL_ITERATIONS,
-) -> tuple[MelSpectrogram, Waveform]:
-    """Decode a (possibly mixed) latent back to a mel and a waveform."""
-    mel = codec_mod.decode(codec, latent, config)
-    return mel, invert_mel(mel, iterations)
-
-
 @dataclass
 class TrackView:
     """What the planner needs to know about one corpus track."""
@@ -122,12 +112,11 @@ def plan_mixup_pass(
     strategy: str,
     p: float,
     count: int,
-    rng: np.random.Generator,
+    seed: int,
     clip_samples: int = DEFAULT_CLIP_SAMPLES,
-    sample_rate: int = 16000,
-    seed: int | None = None,
 ) -> list[MixupSpec]:
-    """Plan ``count`` output clips without touching any audio.
+    """Plan ``count`` output clips without touching any audio, from one
+    generator seeded with ``seed``; offsets are in samples at 16 kHz.
 
     Each slot mixes with probability ``p`` when another usable track shares
     its base track's ``group_id``; otherwise the slot is an unmixed clip. Only
@@ -140,7 +129,7 @@ def plan_mixup_pass(
         raise ValueError("p must lie in [0, 1]")
 
     eligible = {
-        tid: eligible_downbeat_offsets(v.grid, v.n_samples, clip_samples, sample_rate)
+        tid: eligible_downbeat_offsets(v.grid, v.n_samples, clip_samples, TARGET_RATE)
         for tid, v in tracks.items()
     }
     usable = sorted(tid for tid, offs in eligible.items() if offs.size > 0)
@@ -155,6 +144,7 @@ def plan_mixup_pass(
         for tid in usable
     }
 
+    rng = np.random.default_rng(seed)
     specs = []
     for slot in range(count):
         base = usable[int(rng.integers(len(usable)))]
@@ -208,5 +198,4 @@ def render_spec(
     lat_a = codec_mod.encode(codec, mel_spectrogram(wave_a, config))
     lat_b = codec_mod.encode(codec, mel_spectrogram(wave_b, config))
     mixed = blm_mix(lat_a, lat_b, spec.lam)
-    _, wave = blm_render(mixed, codec, config, iterations)
-    return wave
+    return invert_mel(codec_mod.decode(codec, mixed, config), iterations)

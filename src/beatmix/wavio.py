@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import MelSpectrogram, SignalConfig, Waveform, mel_spectrogram
 from .errors import CorruptFile, UnsupportedFormat
-from .manifest import atomic_open, atomic_write, content_hash
+from .manifest import atomic_open, atomic_write
 
 TARGET_RATE = 16000
 # Name of the directory of cached ``load_wav`` output. Rename it whenever a
@@ -70,10 +70,7 @@ def _decode_samples(body: bytes, fmt: int, bits: int, n_channels: int) -> np.nda
         elif bits == 32:
             x = np.frombuffer(body, dtype="<i4").astype(np.float64) / 2147483648.0
         elif bits == 24:
-            raw = np.frombuffer(body, dtype=np.uint8)
-            if raw.size % 3:
-                raise CorruptFile("24-bit data chunk is not a whole number of samples")
-            triples = raw.reshape(-1, 3).astype(np.int32)
+            triples = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
             vals = triples[:, 0] | (triples[:, 1] << 8) | (triples[:, 2] << 16)
             vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
             x = vals.astype(np.float64) / float(1 << 23)
@@ -81,14 +78,12 @@ def _decode_samples(body: bytes, fmt: int, bits: int, n_channels: int) -> np.nda
             raise UnsupportedFormat(f"{bits}-bit PCM not supported")
     else:
         raise UnsupportedFormat(f"WAV format tag 0x{fmt:04x} not supported")
-    if x.size % n_channels:
-        raise CorruptFile("data chunk is not a whole number of frames")
     return x.reshape(-1, n_channels)
 
 
 def _wav_format(chunks):
     """Check the fmt and data chunks of a parsed WAV file and return its
-    format tag, channel count, sample rate and bits per sample."""
+    format tag, channel count, sample rate, bits per sample and frame count."""
     if b"fmt " not in chunks:
         raise CorruptFile("missing fmt chunk")
     if b"data" not in chunks:
@@ -105,7 +100,10 @@ def _wav_format(chunks):
         raise CorruptFile("channel count of zero")
     if rate <= 0:
         raise CorruptFile("non-positive sample rate")
-    return fmt, n_channels, rate, bits
+    n_frames, partial = divmod(len(chunks[b"data"]), n_channels * max(bits // 8, 1))
+    if partial:
+        raise CorruptFile("data chunk is not a whole number of frames")
+    return fmt, n_channels, rate, bits, n_frames
 
 
 def load_wav(path, data=None) -> Waveform:
@@ -119,7 +117,7 @@ def load_wav(path, data=None) -> Waveform:
         with open(path, "rb") as fh:
             data = fh.read()
     chunks = _parse_chunks(data)
-    fmt, n_channels, rate, bits = _wav_format(chunks)
+    fmt, n_channels, rate, bits, _ = _wav_format(chunks)
     frames = _decode_samples(chunks[b"data"], fmt, bits, n_channels)
     # The channels' mean, summed a column at a time, left to right, from 0.0
     # (which turns -0.0 into 0.0). Below 8 channels these are the bits of
@@ -152,16 +150,14 @@ def _cached_array(path, valid, compute) -> np.ndarray:
     return array
 
 
-def load_normalized(path, cache_dir, digest=None, data=None) -> Waveform:
-    """``load_wav(path)``, through ``cache_dir/<sha256 of the file>.npy``.
+def load_normalized(path, cache_dir, digest, data=None) -> Waveform:
+    """``load_wav(path)``, through ``cache_dir/<digest>.npy``.
 
     ``digest`` is the file's current content hash and ``data`` its bytes,
     if the caller has them. A cache hit is memory-mapped read-only; a miss,
     or a cache file that does not load as a 1-D float64 array, is decoded by
     ``load_wav`` and written atomically.
     """
-    if digest is None:
-        digest = content_hash(path)
     samples = _cached_array(
         os.path.join(cache_dir, f"{digest}.npy"),
         lambda array: array.ndim == 1,
@@ -199,18 +195,17 @@ def load_mel(cache_dir, digest, config: SignalConfig, decode) -> MelSpectrogram:
 def normalized_length(data: bytes) -> int:
     """Sample count a WAV file's bytes give after normalization, from the
     header alone, without decoding the audio."""
-    chunks = _parse_chunks(data)
-    _, n_channels, rate, bits = _wav_format(chunks)
-    n_frames = len(chunks[b"data"]) // (n_channels * max(bits // 8, 1))
+    _, _, rate, _, n_frames = _wav_format(_parse_chunks(data))
     g = gcd(rate, TARGET_RATE)
     return (n_frames * (TARGET_RATE // g)) // (rate // g)
 
 
-def probe_wav(path) -> tuple[int, str]:
-    """``normalized_length`` of the file and its ``content_hash``, from one read."""
+def probe_wav(path) -> tuple[int, str, bytes]:
+    """``normalized_length`` of the file, its ``content_hash`` and its bytes,
+    from one read."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return normalized_length(data), hashlib.sha256(data).hexdigest()
+    return normalized_length(data), hashlib.sha256(data).hexdigest(), data
 
 
 def wav_bytes(wave: Waveform) -> bytes:

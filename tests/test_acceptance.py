@@ -120,7 +120,7 @@ def test_criterion_03_mixup_algebra_and_batch_alignment():
         f"t{i}": M.TrackView(f"t{i}", 30 * SR, make_grid(bpm), M.group_id_for(bpm, 4.0))
         for i, bpm in enumerate([118, 119, 90, 91, 150, 151, 120, 121])
     }
-    specs = M.plan_mixup_pass(tracks, "bam", 1.0, 500, np.random.default_rng(5))
+    specs = M.plan_mixup_pass(tracks, "bam", 1.0, 500, 5)
     aligned = crossings = 0
     for spec in specs:
         if not spec.mixed:
@@ -161,7 +161,7 @@ def test_criterion_05_mixup_rate():
         f"t{i}": M.TrackView(f"t{i}", 30 * SR, make_grid(bpm), M.group_id_for(bpm, 4.0))
         for i, bpm in enumerate([118, 119, 90, 91, 150, 151])
     }
-    specs = M.plan_mixup_pass(tracks, "bam", 0.5, 10000, np.random.default_rng(9))
+    specs = M.plan_mixup_pass(tracks, "bam", 0.5, 10000, 9)
     frac = float(np.mean([s.mixed for s in specs]))
     ok = 0.48 <= frac <= 0.52
     report(5, "mixed fraction at p=0.5 over 10,000 slots in [0.48, 0.52]",
@@ -217,13 +217,13 @@ def test_criterion_08_sim_aa_contract():
         return RecordSet.from_records([f"{prefix}{i:05d}" for i in range(n)], mat)
 
     segs = unit_set(40, 16, "s")
-    self_ok = MT.build_report(gen_emb=segs, train_seg_emb=segs).sim_aa == {0.90: 1.0, 0.95: 1.0}
+    self_ok = MT.build_report(gen_emb=segs, train_seg_emb=[segs]).sim_aa == {0.90: 1.0, 0.95: 1.0}
 
     monotone_ok = True
     for _ in range(100):
         gen = unit_set(6, 8, "g")
         train = unit_set(25, 8, "t")
-        ratios = MT.build_report(gen_emb=gen, train_seg_emb=train).sim_aa
+        ratios = MT.build_report(gen_emb=gen, train_seg_emb=[train]).sim_aa
         monotone_ok &= ratios[0.95] <= ratios[0.90]
 
     def brute_force(q, r):

@@ -10,12 +10,12 @@ import pytest
 
 from beatmix import codec as codec_mod
 from beatmix import gateway as G
-from beatmix import metrics, wavio
+from beatmix import metrics, mixup, wavio
 from beatmix.beats import BeatGrid, save_beat_annotation
 from beatmix.cli import _SETTINGS, main
 from beatmix.dsp import SignalConfig, Waveform, mel_spectrogram
 from beatmix.errors import DimMismatch, DuplicateId, SchemaError, ZeroNorm
-from beatmix.manifest import Manifest, content_hash, load_manifest, save_manifest
+from beatmix.manifest import Manifest, canonical_json, content_hash, load_manifest, save_manifest
 from beatmix.gateway import (
     EMB_MAGIC,
     POS_MAGIC,
@@ -26,7 +26,7 @@ from beatmix.gateway import (
 from beatmix.wavio import load_normalized, load_wav, save_wav, wav_bytes
 from synth import click_track
 from test_gateway import write_raw
-from test_wavio import write_raw_wav, write_short_fmt_wav
+from test_wavio import add_stray_bytes, write_raw_wav, write_short_fmt_wav
 
 
 def write_corpus(root, bpms, duration_s=16.0, captions=True, bass_phase=0):
@@ -129,6 +129,25 @@ def test_ingest_short_fmt_chunk_exits_one(corpus, capsys):
     assert not manifest.exists()
 
 
+def test_ingest_partial_frame_wav_exits_one(corpus, capsys):
+    add_stray_bytes(corpus / "corpus" / "track01.wav", 1)
+    manifest = corpus / "manifest.json"
+    assert run(["ingest", corpus / "corpus", "--manifest", manifest]) == 1
+    assert "error: track01.wav: data chunk is not a whole number of frames" in capsys.readouterr().err
+    assert not manifest.exists()
+
+
+def test_analyze_fails_only_a_track_edited_to_a_partial_frame(corpus, capsys):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    add_stray_bytes(corpus / "corpus" / "track01.wav", 1)
+    assert run(["analyze", "--manifest", manifest]) == 0
+    assert "3 analyzed, 0 cached, 1 failed" in capsys.readouterr().err
+    by_id = load_manifest(manifest).by_id()
+    assert by_id["track01"].analysis_error.startswith("CorruptFile")
+    assert by_id["track00"].tempo_bpm is not None
+
+
 def test_ingest_duplicate_basename(tmp_path):
     root = tmp_path / "corpus"
     (root / "sub").mkdir(parents=True)
@@ -202,6 +221,47 @@ def test_analyze_external_sidecar_with_nan_fails_that_track(corpus, capsys):
     assert by_id["track02"]["analysis_error"].startswith("InvariantViolation")
     assert by_id["track02"]["tempo_bpm"] is None
     assert by_id["track00"]["tempo_bpm"] == 120.0
+
+
+def write_external_sidecars(wavs):
+    """A valid external 120 BPM beat sidecar beside each of ``wavs``."""
+    beats = [round(0.25 + k * 0.5, 3) for k in range(20)]
+    sidecar = {"tempo_bpm": 120.0, "beat_times": beats, "downbeat_times": beats[::4],
+               "source": "external"}
+    for wav in wavs:
+        wav.with_suffix(".beats.json").write_text(json.dumps(sidecar))
+
+
+def test_analyze_external_non_utf8_sidecar_fails_that_track(corpus, capsys):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    write_external_sidecars((corpus / "corpus").glob("*.wav"))
+    bad = corpus / "corpus" / "track02.beats.json"
+    _latin1(bad, bad.read_text().replace("external", "café"))
+    assert run(["analyze", "--manifest", manifest, "--external-beats"]) == 0
+    assert "3 analyzed, 0 cached, 1 failed" in capsys.readouterr().err
+    by_id = load_manifest(manifest).by_id()
+    assert by_id["track02"].analysis_error.startswith(f"SchemaError: {bad}: ")
+    assert by_id["track00"].tempo_bpm == 120.0
+
+
+def test_external_analyze_reads_sidecars_replaced_after_a_builtin_analyze(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    write_corpus(root, [100, 118], duration_s=12.0)
+    manifest = tmp_path / "manifest.json"
+    run(["ingest", root, "--manifest", manifest])
+    assert run(["analyze", "--manifest", manifest]) == 0
+    assert run(["group", "--manifest", manifest]) == 0
+    builtin = load_manifest(manifest).by_id()
+    write_external_sidecars([root / "track00.wav"])
+    capsys.readouterr()
+    assert run(["analyze", "--manifest", manifest, "--external-beats"]) == 0
+    assert "2 analyzed, 0 cached, 0 failed" in capsys.readouterr().err
+    by_id = load_manifest(manifest).by_id()
+    assert (by_id["track00"].tempo_bpm, by_id["track00"].group_id) == (120.0, None)
+    assert by_id["track01"].tempo_bpm == builtin["track01"].tempo_bpm
+    assert run(["group", "--manifest", manifest]) == 0
+    assert load_manifest(manifest).by_id()["track00"].group_id == mixup.group_id_for(120.0, 4.0)
 
 
 def test_analyze_workers_share_the_sample_cache(tmp_path):
@@ -704,7 +764,7 @@ def test_eval_streamed_blocks_match_the_whole_set(tmp_path, rng, monkeypatch):
         gen_emb=gen, text_emb=text, train_seg_emb=G.read_embedding_blocks(seg_path)
     )
     assert calls == [7, 7, 7, 7, 7, 5]
-    assert streamed == metrics.build_report(gen_emb=gen, text_emb=text, train_seg_emb=whole)
+    assert streamed == metrics.build_report(gen_emb=gen, text_emb=text, train_seg_emb=[whole])
     assert streamed.nn_audit[0].segment_id == min(ids[3], ids[12])
     assert streamed.nn_audit[1].segment_id == min(ids[20], ids[30])
     assert streamed.provenance["sim_sizes"] == [12, 40]
@@ -823,6 +883,64 @@ def test_out_of_range_config_value_exits_one_at_ingest(corpus, capsys, line):
     assert run(["ingest", corpus / "corpus", "--manifest", manifest, "--config", cfg]) == 1
     assert str(cfg) in capsys.readouterr().err
     assert not manifest.exists()
+
+
+def _latin1(path, text):
+    """Write ``text`` to ``path`` in Latin-1, which is not UTF-8 once it holds an e-acute."""
+    path.write_bytes(text.encode("latin-1"))
+
+
+def _non_utf8_captions(tmp):
+    bad = tmp / "captions.json"
+    _latin1(bad, '{"track00": "café"}')
+    return ["ingest", tmp / "corpus", "--manifest", tmp / "manifest.json", "--captions", bad], bad
+
+
+def _non_utf8_config(tmp):
+    bad = tmp / "beatmix.cfg"
+    _latin1(bad, "hop = 160  # café\n")
+    return ["ingest", tmp / "corpus", "--manifest", tmp / "manifest.json", "--config", bad], bad
+
+
+def _non_utf8_caption_txt(tmp):
+    bad = tmp / "corpus" / "track01.txt"
+    _latin1(bad, "café")
+    return ["ingest", tmp / "corpus", "--manifest", tmp / "manifest.json"], bad
+
+
+def _non_utf8_manifest(tmp):
+    bad = tmp / "manifest.json"
+    run(["ingest", tmp / "corpus", "--manifest", bad])
+    _latin1(bad, bad.read_text().replace("click track", "café"))
+    return ["analyze", "--manifest", bad], bad
+
+
+def _non_utf8_sidecar(tmp):
+    manifest = tmp / "manifest.json"
+    run(["ingest", tmp / "corpus", "--manifest", manifest])
+    write_external_sidecars((tmp / "corpus").glob("*.wav"))
+    run(["analyze", "--manifest", manifest, "--external-beats"])
+    run(["group", "--manifest", manifest])
+    bad = tmp / "corpus" / "track01.beats.json"
+    _latin1(bad, bad.read_text().replace("external", "café"))
+    return MIX + ["--manifest", manifest, "--out", tmp / "mixes"], bad
+
+
+def _tree(root):
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize("setup", [
+    _non_utf8_captions, _non_utf8_config, _non_utf8_caption_txt, _non_utf8_manifest,
+    _non_utf8_sidecar,
+], ids=["captions", "config", "caption-txt", "manifest", "sidecar"])
+def test_non_utf8_text_input_exits_one_naming_it(corpus, capsys, setup):
+    argv, bad = setup(corpus)
+    before = _tree(corpus)
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert f"error: {bad}: " in capsys.readouterr().err
+    assert _tree(corpus) == before
 
 
 def test_hand_edited_signal_setting_exits_one(corpus, capsys):
@@ -1016,7 +1134,7 @@ ARTIFACT_WRITERS = {
     ),
     "manifest": lambda path, rng: save_manifest(Manifest(root="."), path),
     # a cache miss writes the normalized samples into the artifact's directory
-    "normalized": lambda path, rng: load_normalized(_source_wav(path.parent.parent, rng), path.parent),
+    "normalized": lambda path, rng: _normalize_source(path, rng),
     "embeddings": lambda path, rng: save_embedding_set(
         path, RecordSet.from_records(["a"], rng.normal(size=(1, 4)))
     ),
@@ -1027,6 +1145,11 @@ def _source_wav(directory, rng):
     path = directory / "source.wav"
     path.write_bytes(wav_bytes(Waveform(rng.uniform(-0.5, 0.5, 1600), 16000)))
     return path
+
+
+def _normalize_source(path, rng):
+    source = _source_wav(path.parent.parent, rng)
+    return load_normalized(source, path.parent, content_hash(source))
 
 
 def _failing_rename(src, dst):
@@ -1049,3 +1172,24 @@ def test_eval_failed_rename_leaves_no_report(tmp_path, rng, monkeypatch):
     with pytest.raises(OSError, match="rename failed"):
         full_eval(files, tmp_path / "report")
     assert os.listdir(tmp_path / "report") == []
+
+
+# --- artifact form ------------------------------------------------------------------
+
+def test_every_json_artifact_is_canonical(tmp_path, rng):
+    write_corpus(tmp_path / "corpus", [117, 118], duration_s=12.0)
+    manifest = tmp_path / "manifest.json"
+    for stage in (
+        ["ingest", tmp_path / "corpus"], ["analyze"], ["group"], ["fit-codec"],
+        MIX + ["--p", "1", "--out", tmp_path / "mixes"], ["segment"],
+    ):
+        assert run(stage + ["--manifest", manifest]) == 0
+    files, _ = make_embedding_files(tmp_path, rng)
+    assert full_eval(files, tmp_path / "report") == 0
+    sidecars = sorted((tmp_path / "corpus").glob("*.beats.json"))
+    mixspecs = sorted((tmp_path / "mixes").glob("*.mixspec.json"))
+    assert len(sidecars) == len(mixspecs) == 2
+    for path in [manifest, *sidecars, *mixspecs, tmp_path / "segments.json",
+                 tmp_path / "report" / "report.json", tmp_path / "report" / "nn_audit.json"]:
+        data = path.read_bytes()
+        assert data == canonical_json(json.loads(data)).encode("utf-8"), path

@@ -75,7 +75,7 @@ def test_reference_value_formatting():
 # --- retrieval max --------------------------------------------------------------
 
 def retrieval_max(text, audio):
-    return MT.build_report(text_emb=text, train_seg_emb=audio).retrieval_max
+    return MT.build_report(text_emb=text, train_seg_emb=[audio]).retrieval_max
 
 
 def test_retrieval_max_verbatim_texts(rng):
@@ -100,7 +100,7 @@ def test_retrieval_max_matches_double_loop_oracle(rng):
 # --- nearest neighbor ratio -------------------------------------------------------
 
 def sim_aa(gen, train, *thresholds):
-    return MT.build_report(gen_emb=gen, train_seg_emb=train, thresholds=thresholds)
+    return MT.build_report(gen_emb=gen, train_seg_emb=[train], thresholds=thresholds)
 
 
 def test_nn_ratio_self_match(rng):
@@ -260,7 +260,7 @@ def test_report_to_json(rng):
     report = MT.build_report(
         fd_sets={"pann": (gen, train)},
         gen_emb=gen,
-        train_seg_emb=train,
+        train_seg_emb=[train],
         text_emb=gen,
         gen_post=posts,
         gt_post=posts,
@@ -284,7 +284,7 @@ def test_report_searches_once_for_all_thresholds(rng, monkeypatch):
     search = MT._kernels.nn_max_dot
     monkeypatch.setattr(MT._kernels, "nn_max_dot", lambda q, r: calls.append(1) or search(q, r))
     report = MT.build_report(
-        gen_emb=gen, train_seg_emb=train, text_emb=text, thresholds=thresholds
+        gen_emb=gen, train_seg_emb=[train], text_emb=text, thresholds=thresholds
     )
     assert len(calls) == 1
     assert report.sim_aa == {t: float(np.mean(gen_best >= t)) for t in thresholds}
@@ -294,19 +294,19 @@ def test_report_searches_once_for_all_thresholds(rng, monkeypatch):
         for g, j, b in zip(gen.ids, gen_idx, gen_best)
     ]
     with pytest.raises(ValueError):
-        MT.build_report(gen_emb=gen, train_seg_emb=train, thresholds=(0.5, 1.5))
+        MT.build_report(gen_emb=gen, train_seg_emb=[train], thresholds=(0.5, 1.5))
 
 
 def test_report_default_thresholds(rng):
     gen = unit_set(rng, 5, 8, "g")
-    report = MT.build_report(gen_emb=gen, train_seg_emb=gen)
+    report = MT.build_report(gen_emb=gen, train_seg_emb=[gen])
     assert set(report.sim_aa) == {0.90, 0.95}
     assert report.sim_aa[0.90] == 1.0 and report.sim_aa[0.95] == 1.0
 
 
 def test_report_without_posteriors_omits_is_kl(rng):
     gen = unit_set(rng, 5, 8, "g")
-    report = MT.build_report(gen_emb=gen, train_seg_emb=gen)
+    report = MT.build_report(gen_emb=gen, train_seg_emb=[gen])
     assert report.inception_score is None and report.paired_kl is None
     table = MT.render_table(report)
     assert "---" in table
@@ -316,7 +316,7 @@ def test_report_sim_monotone(rng):
     gen = unit_set(rng, 20, 8, "g")
     train = unit_set(rng, 60, 8, "s")
     report = MT.build_report(
-        gen_emb=gen, train_seg_emb=train, thresholds=(0.5, 0.7, 0.9)
+        gen_emb=gen, train_seg_emb=[train], thresholds=(0.5, 0.7, 0.9)
     )
     ratios = [report.sim_aa[t] for t in sorted(report.sim_aa)]
     assert all(a >= b for a, b in zip(ratios, ratios[1:]))

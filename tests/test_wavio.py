@@ -167,6 +167,27 @@ def test_truncated_data_chunk(tmp_path):
         load_wav(path)
 
 
+def add_stray_bytes(path, n):
+    """Lengthen the data chunk, the last chunk of a WAV with a 16-byte fmt
+    chunk, by ``n`` zero bytes, and both chunk sizes with it."""
+    blob = bytearray(path.read_bytes() + bytes(n))
+    struct.pack_into("<I", blob, 4, len(blob) - 8)
+    struct.pack_into("<I", blob, 40, len(blob) - 44)
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("reader", [load_wav, probe_wav])
+@pytest.mark.parametrize("fmt, n_channels, stray", [
+    ("pcm16", 1, 1), ("pcm24", 1, 2), ("pcm24", 2, 3), ("float32", 2, 4),
+])
+def test_partial_frame_data_chunk_is_corrupt(tmp_path, reader, fmt, n_channels, stray):
+    path = tmp_path / "partial.wav"
+    write_raw_wav(path, np.zeros((100, n_channels)), 16000, fmt)
+    add_stray_bytes(path, stray)
+    with pytest.raises(CorruptFile, match="not a whole number of frames"):
+        reader(path)
+
+
 def test_unsupported_bit_depth(tmp_path):
     path = tmp_path / "u8.wav"
     body = bytes(100)
@@ -214,7 +235,7 @@ def test_probe_matches_load(tmp_path):
     x = 0.1 * np.sin(2 * np.pi * 100 * t)
     path = tmp_path / "probe.wav"
     write_raw_wav(path, x[:, None], 22050, "pcm16")
-    assert probe_wav(path) == (load_wav(path).samples.size, content_hash(path))
+    assert probe_wav(path) == (load_wav(path).samples.size, content_hash(path), path.read_bytes())
 
 
 def _stereo_44k(path):
@@ -228,10 +249,10 @@ def test_normalized_cache_matches_load_wav_bit_for_bit(tmp_path):
     _stereo_44k(path)
     cache = tmp_path / "cache"
     expect = load_wav(path).samples
-    cold = load_normalized(path, cache)
+    cold = load_normalized(path, cache, content_hash(path))
     cached = cache / f"{content_hash(path)}.npy"
     assert os.listdir(cache) == [cached.name]
-    warm = load_normalized(path, cache)
+    warm = load_normalized(path, cache, content_hash(path))
     for samples in (cold.samples, np.load(cached), warm.samples):
         assert samples.dtype == np.float64 and samples.tobytes() == expect.tobytes()
     assert isinstance(warm.samples.base, np.memmap)
@@ -255,11 +276,11 @@ def test_damaged_cache_file_is_rebuilt(tmp_path, damage):
     path = tmp_path / "in.wav"
     _stereo_44k(path)
     cache = tmp_path / "cache"
-    load_normalized(path, cache)
+    load_normalized(path, cache, content_hash(path))
     cached = cache / f"{content_hash(path)}.npy"
     damage(cached)
     expect = load_wav(path).samples.tobytes()
-    assert load_normalized(path, cache).samples.tobytes() == expect
+    assert load_normalized(path, cache, content_hash(path)).samples.tobytes() == expect
     assert np.load(cached).tobytes() == expect
     assert os.listdir(cache) == [cached.name]
 
