@@ -4,7 +4,7 @@ Stages, in their natural order::
 
     beatmix ingest CORPUS_DIR          build the manifest
     beatmix analyze --manifest M       tempo/beat/downbeat annotations
-    beatmix group --manifest M         tempo bucketing
+    beatmix group --manifest M         report tempo groups, or set their width
     beatmix fit-codec --manifest M     fit the latent codec
     beatmix mix --manifest M ...       produce mixed clips
     beatmix segment --manifest M       10 s segment index for similarity audits
@@ -32,7 +32,6 @@ from .errors import (
     DuplicateBasename,
     EmptyCorpus,
     InputError,
-    InvariantViolation,
     MissingPrerequisite,
     SchemaError,
 )
@@ -155,18 +154,10 @@ def _settings(stored: dict, source) -> tuple[dict, SignalConfig]:
 
 def _load_checked(args):
     """The manifest, its stored settings and SignalConfig, for the stages that read
-    audio and tempo groups: ids unique, files present, groups matching the width."""
+    audio: ids unique, files present."""
     manifest = load_manifest(args.manifest)
     settings, config = _settings(manifest.config, args.manifest)
     validate_manifest(manifest)
-    width = settings["bucket_width"]
-    for entry in manifest.entries:
-        if entry.group_id is not None and entry.tempo_bpm is not None:
-            if entry.group_id != mixup.group_id_for(entry.tempo_bpm, width):
-                raise InvariantViolation(
-                    f"track {entry.id}: group {entry.group_id} inconsistent with "
-                    f"tempo {entry.tempo_bpm} at bucket width {width}"
-                )
     return manifest, settings, config
 
 
@@ -264,11 +255,9 @@ def _analyze_one(manifest, entry, config, external, caches):
         and os.path.exists(sidecar)
     ):
         return entry, "cached"
-    # The file may have changed since ingest and group: take its length as
-    # ingest does, and leave the new tempo to `group`.
+    # The file may have changed since ingest: take its length as ingest does.
     entry.n_samples = n_samples
     entry.duration_s = entry.n_samples / wavio.TARGET_RATE
-    entry.group_id = None
     if external:
         if not os.path.exists(sidecar):
             raise InputError(f"{sidecar}: external annotation missing")
@@ -325,22 +314,18 @@ def cmd_analyze(args) -> int:
 # --- group ------------------------------------------------------------------
 
 def cmd_group(args) -> int:
+    """Report the tempo groups that `mix` derives; store --bucket-width if given."""
     manifest = load_manifest(args.manifest)
     settings, _ = _settings(manifest.config, args.manifest)
     width = args.bucket_width if args.bucket_width is not None else settings["bucket_width"]
-    grouped = 0
-    for entry in manifest.entries:
-        if entry.tempo_bpm is None:
-            entry.group_id = None
-            continue
-        entry.group_id = mixup.group_id_for(entry.tempo_bpm, width)
-        grouped += 1
-    if grouped == 0:
+    tempos = [e.tempo_bpm for e in manifest.entries if e.tempo_bpm is not None]
+    if not tempos:
         raise MissingPrerequisite("no analyzed tracks; run `beatmix analyze` first")
-    manifest.config["bucket_width"] = width
-    save_manifest(manifest, args.manifest)
-    groups = sorted({e.group_id for e in manifest.entries if e.group_id is not None})
-    log(f"group: {grouped} tracks in {len(groups)} tempo groups (width {width} BPM)")
+    if args.bucket_width is not None:
+        manifest.config["bucket_width"] = width
+        save_manifest(manifest, args.manifest)
+    groups = {mixup.group_id_for(bpm, width) for bpm in tempos}
+    log(f"group: {len(tempos)} tracks in {len(groups)} tempo groups (width {width} BPM)")
     return 0
 
 
@@ -372,8 +357,6 @@ def cmd_fit_codec(args) -> int:
     codec = codec_mod.fit(corpus_mels(), n_components=args.components, patch_size=patch)
     out = args.out or _beside_manifest(args, "codec.bin")
     codec_mod.save(codec, out)
-    manifest.config["codec_path"] = os.path.abspath(out)
-    save_manifest(manifest, args.manifest)
     log(
         f"fit-codec: {codec.fit_stats['n_patches']} patches, C={args.components}, "
         f"P={patch} -> {out}"
@@ -390,15 +373,14 @@ def cmd_mix(args) -> int:
     analyzed = [e for e in manifest.entries if e.tempo_bpm is not None and e.beats_path]
     if not analyzed:
         raise MissingPrerequisite("no analyzed tracks; run `beatmix analyze` first")
-    if any(e.group_id is None for e in analyzed):
-        raise MissingPrerequisite("tracks lack tempo groups; run `beatmix group` first")
 
     codec = None
     if args.strategy == "blm":
-        codec_path = args.codec or manifest.config.get("codec_path")
-        if not codec_path or not os.path.exists(codec_path):
+        codec_path = args.codec or _beside_manifest(args, "codec.bin")
+        if not os.path.exists(codec_path):
             raise MissingPrerequisite(
-                "blm mixing needs a fitted codec; run `beatmix fit-codec` first"
+                f"blm mixing needs a fitted codec, and {codec_path} does not exist; "
+                "run `beatmix fit-codec` or pass --codec"
             )
         codec = codec_mod.load(codec_path)
 
@@ -408,7 +390,8 @@ def cmd_mix(args) -> int:
         grid = beats_mod.load_beat_annotation(
             os.path.join(manifest.root, entry.beats_path)
         )
-        tracks[entry.id] = mixup.TrackView(entry.id, entry.n_samples, grid, entry.group_id)
+        group = mixup.group_id_for(entry.tempo_bpm, settings["bucket_width"])
+        tracks[entry.id] = mixup.TrackView(entry.id, entry.n_samples, grid, group)
         captions[entry.id] = entry.caption
 
     specs = mixup.plan_mixup_pass(
@@ -569,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("group", help="assign tempo groups")
+    p = sub.add_parser("group", help="report tempo groups; --bucket-width stores their width")
     p.add_argument("--manifest", required=True)
     p.add_argument("--bucket-width", type=_positive_float, default=None)
     p.set_defaults(func=cmd_group)
@@ -588,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_fraction, default=None, help="mixup rate (default: stored mix_p)")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default="mixes")
-    p.add_argument("--codec", help="codec file (default: the one in the manifest)")
+    p.add_argument("--codec", help="codec file (default: codec.bin beside the manifest)")
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("segment", help="index non-overlapping segments per track")

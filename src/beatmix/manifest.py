@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .errors import InvariantViolation, SchemaError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -28,7 +28,6 @@ class TrackEntry:
     content_hash: str = ""
     beats_path: str | None = None
     tempo_bpm: float | None = None
-    group_id: int | None = None
     analysis_error: str | None = None
 
 
@@ -134,7 +133,8 @@ def load_manifest(path) -> Manifest:
         raise SchemaError(f"{path}: not a manifest")
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(
-            f"{path}: schema version {payload.get('schema_version')} unsupported"
+            f"{path}: schema version {payload.get('schema_version')} unsupported; "
+            "run `beatmix ingest` to rebuild the manifest"
         )
     root, config = payload.get("root", "."), payload.get("config", {})
     if not isinstance(root, str) or not isinstance(config, dict):

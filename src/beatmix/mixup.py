@@ -40,11 +40,11 @@ class MixupSpec:
     mixed: bool
     track_a: str
     offset_a: int  # start sample, lands on a downbeat of track_a
+    seed: int  # the planner's seed
     track_b: str | None = None
     offset_b: int | None = None
     lam: float | None = None
     clip_samples: int = DEFAULT_CLIP_SAMPLES
-    seed: int | None = None
 
 
 def group_id_for(bpm: float, bucket_width: float) -> int:
@@ -63,11 +63,10 @@ def sample_mix_ratio(rng: np.random.Generator) -> float:
     return min(max(lam, LAMBDA_EPS), 1.0 - LAMBDA_EPS)
 
 
-def eligible_downbeat_offsets(
-    grid: BeatGrid, n_samples: int, clip_samples: int, sample_rate: int
-) -> np.ndarray:
-    """Sample offsets of downbeats that leave a full clip of audio after them."""
-    offsets = np.round(grid.downbeat_times * sample_rate).astype(np.int64)
+def eligible_downbeat_offsets(grid: BeatGrid, n_samples: int, clip_samples: int) -> np.ndarray:
+    """Offsets, in samples at 16 kHz, of the downbeats that leave a full clip of
+    audio after them."""
+    offsets = np.round(grid.downbeat_times * TARGET_RATE).astype(np.int64)
     return offsets[(offsets >= 0) & (offsets + clip_samples <= n_samples)]
 
 
@@ -129,7 +128,7 @@ def plan_mixup_pass(
         raise ValueError("p must lie in [0, 1]")
 
     eligible = {
-        tid: eligible_downbeat_offsets(v.grid, v.n_samples, clip_samples, TARGET_RATE)
+        tid: eligible_downbeat_offsets(v.grid, v.n_samples, clip_samples)
         for tid, v in tracks.items()
     }
     usable = sorted(tid for tid, offs in eligible.items() if offs.size > 0)
@@ -162,11 +161,11 @@ def plan_mixup_pass(
                 mixed=mixed,
                 track_a=base,
                 offset_a=off_a,
+                seed=seed,
                 track_b=partner,
                 offset_b=off_b,
                 lam=lam,
                 clip_samples=clip_samples,
-                seed=seed,
             )
         )
     return specs

@@ -258,10 +258,11 @@ def test_external_analyze_reads_sidecars_replaced_after_a_builtin_analyze(tmp_pa
     assert run(["analyze", "--manifest", manifest, "--external-beats"]) == 0
     assert "2 analyzed, 0 cached, 0 failed" in capsys.readouterr().err
     by_id = load_manifest(manifest).by_id()
-    assert (by_id["track00"].tempo_bpm, by_id["track00"].group_id) == (120.0, None)
+    assert by_id["track00"].tempo_bpm == 120.0
     assert by_id["track01"].tempo_bpm == builtin["track01"].tempo_bpm
     assert run(["group", "--manifest", manifest]) == 0
-    assert load_manifest(manifest).by_id()["track00"].group_id == mixup.group_id_for(120.0, 4.0)
+    # 120 and 118 BPM: two tempo groups at the stored width 4
+    assert "2 tracks in 2 tempo groups (width 4.0 BPM)" in capsys.readouterr().err
 
 
 def test_analyze_workers_share_the_sample_cache(tmp_path):
@@ -296,16 +297,30 @@ def test_group_requires_analyze(corpus):
     assert run(["group", "--manifest", manifest]) == 1
 
 
-def test_group_assigns_buckets(corpus):
-    manifest = corpus / "manifest.json"
-    run(["ingest", corpus / "corpus", "--manifest", manifest])
+def mixed_pairs(out):
+    """The {track_a, track_b} pairs of the mixed specs written to ``out``."""
+    specs = [json.loads(path.read_text()) for path in sorted(out.glob("*.mixspec.json"))]
+    return [frozenset((s["track_a"], s["track_b"])) for s in specs if s["mixed"]]
+
+
+def test_group_assigns_buckets(tmp_path):
+    # 117 and 122 BPM fall in [116,120) and [120,124) at width 4, both in [116,124) at 8
+    root, manifest = tmp_path / "corpus", tmp_path / "manifest.json"
+    write_corpus(root, [117, 122, 90, 91], duration_s=14.0)
+    run(["ingest", root, "--manifest", manifest])
     run(["analyze", "--manifest", manifest])
-    assert run(["group", "--manifest", manifest, "--bucket-width", "4"]) == 0
-    payload = json.loads(manifest.read_text())
-    groups = {e["id"]: e["group_id"] for e in payload["entries"]}
-    assert groups["track00"] == groups["track01"]  # 117 and 118
-    assert groups["track02"] == groups["track03"]  # 90 and 91
-    assert groups["track00"] != groups["track02"]
+    mix = ["mix", "--manifest", manifest, "--strategy", "bam", "--count", "20", "--p", "1"]
+    assert run(mix + ["--out", tmp_path / "width4"]) == 0
+    assert set(mixed_pairs(tmp_path / "width4")) == {frozenset(("track02", "track03"))}
+    analyzed = json.loads(manifest.read_text())
+    assert run(["group", "--manifest", manifest, "--bucket-width", "8"]) == 0
+    grouped = json.loads(manifest.read_text())
+    assert grouped["config"] == {"bucket_width": 8.0}
+    assert grouped["entries"] == analyzed["entries"]  # groups are derived, not stored
+    assert run(mix + ["--out", tmp_path / "width8"]) == 0
+    assert set(mixed_pairs(tmp_path / "width8")) == {
+        frozenset(("track00", "track01")), frozenset(("track02", "track03"))
+    }
 
 
 def test_mix_blm_without_codec_fails(corpus):
@@ -318,6 +333,60 @@ def test_mix_blm_without_codec_fails(corpus):
         "--count", "2", "--out", corpus / "mixes",
     ])
     assert code == 1
+
+
+def test_mix_blm_finds_the_codec_beside_the_manifest_or_through_codec(corpus, capsys):
+    manifest, elsewhere = corpus / "manifest.json", corpus / "elsewhere.bin"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    run(["analyze", "--manifest", manifest])
+    assert run(["fit-codec", "--manifest", manifest, "-C", "4", "--out", elsewhere]) == 0
+    mix = ["mix", "--manifest", manifest, "--strategy", "blm", "--count", "1", "--p", "0",
+           "--out", corpus / "mixes"]
+    capsys.readouterr()
+    assert run(mix) == 1
+    err = capsys.readouterr().err
+    assert str(corpus / "codec.bin") in err and "`beatmix fit-codec`" in err and "--codec" in err
+    assert not (corpus / "mixes").exists()
+    assert run(mix + ["--codec", elsewhere]) == 0
+    shutil.copy(elsewhere, corpus / "codec.bin")
+    assert run(mix) == 0
+
+
+def test_manifest_is_left_alone_after_analyze(corpus):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    assert run(["analyze", "--manifest", manifest]) == 0
+    before = (manifest.read_bytes(), os.stat(manifest).st_ino)
+    mix = ["mix", "--manifest", manifest, "--count", "2", "--p", "1"]
+    for stage in (
+        ["group", "--manifest", manifest],
+        ["fit-codec", "--manifest", manifest, "-C", "4"],  # codec.bin beside the manifest
+        mix + ["--strategy", "bam", "--out", corpus / "bam"],
+        mix + ["--strategy", "blm", "--out", corpus / "blm"],
+        ["segment", "--manifest", manifest],
+    ):
+        assert run(stage) == 0
+        assert (manifest.read_bytes(), os.stat(manifest).st_ino) == before, stage[0]
+
+
+def test_version_1_manifest_exits_one_naming_ingest(
+    grouped_manifest, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    payload = json.loads(grouped_manifest)
+    payload["schema_version"] = 1
+    for entry in payload["entries"]:
+        entry["group_id"] = 0  # what version 1 stored
+    text = json.dumps(payload)
+    with open("manifest.json", "w") as fh:
+        fh.write(text)
+    for stage in (["analyze"], ["group"], ["fit-codec"], MIX, ["segment"]):
+        assert run(stage + ["--manifest", "manifest.json"]) == 1
+        err = capsys.readouterr().err
+        assert "manifest.json: schema version 1 unsupported" in err and "`beatmix ingest`" in err
+    assert os.listdir() == ["manifest.json"]
+    with open("manifest.json") as fh:
+        assert fh.read() == text
 
 
 def _no_decoding(path):
@@ -350,6 +419,7 @@ def test_fit_codec_cold_warm_and_rewritten_track(corpus):
     manifest = corpus / "manifest.json"
     run(["ingest", corpus / "corpus", "--manifest", manifest])
     run(["analyze", "--manifest", manifest])
+    analyzed = manifest.read_bytes()
     cache = corpus / wavio.NORMALIZED_CACHE
 
     def fit(name, cold):
@@ -359,7 +429,7 @@ def test_fit_codec_cold_warm_and_rewritten_track(corpus):
         return (corpus / name).read_bytes()
 
     assert fit("cold.bin", cold=True) == fit("warm.bin", cold=False)
-    assert set(json.loads(manifest.read_text())["config"]) == {"codec_path"}
+    assert manifest.read_bytes() == analyzed  # the codec is found by its path, not stored
     track = corpus / "corpus" / "track00.wav"
     x, _ = click_track(140, 14.0, seed=99)
     save_wav(track, Waveform(x, 16000))  # rewritten after analyze
@@ -526,7 +596,7 @@ def test_reingesting_the_sidecar_of_a_shortened_track_updates_its_length(corpus)
     assert (entry.n_samples, entry.duration_s) == (192000, 12.0)
 
 
-def test_reanalyzing_a_retimed_track_clears_its_group(corpus, capsys):
+def test_reanalyzing_a_retimed_track_regroups_it(corpus):
     manifest = corpus / "manifest.json"
     run(["ingest", corpus / "corpus", "--manifest", manifest])
     run(["analyze", "--manifest", manifest])
@@ -535,24 +605,26 @@ def test_reanalyzing_a_retimed_track_clears_its_group(corpus, capsys):
     save_wav(corpus / "corpus" / "track00.wav", Waveform(x, 16000))
     assert run(["analyze", "--manifest", manifest]) == 0
     entry = load_manifest(manifest).by_id()["track00"]
-    assert abs(entry.tempo_bpm - 90) <= 2.0 and entry.group_id is None
+    assert abs(entry.tempo_bpm - 90) <= 2.0
     assert run(["analyze", "--manifest", manifest]) == 0
     assert run(["fit-codec", "--manifest", manifest, "-C", "4"]) == 0
-    mix = ["mix", "--manifest", manifest, "--strategy", "bam", "--count", "4",
-           "--out", corpus / "mixes"]
-    capsys.readouterr()
-    assert run(mix) == 1
-    assert "run `beatmix group` first" in capsys.readouterr().err
-    assert run(["group", "--manifest", manifest]) == 0
-    assert run(mix) == 0
+    # no `group` since: mix groups track00 with the 90 and 91 BPM tracks, and
+    # leaves the 118 BPM track without a partner
+    out = corpus / "mixes"
+    assert run(["mix", "--manifest", manifest, "--strategy", "bam", "--count", "20",
+                "--p", "1", "--out", out]) == 0
+    pairs = set(mixed_pairs(out))
+    assert frozenset(("track00", "track02")) in pairs
+    assert set().union(*pairs) == {"track00", "track02", "track03"}
 
 
 def test_mix_pairs_only_equal_manifest_groups(corpus):
     manifest = corpus / "manifest.json"
     run(["ingest", corpus / "corpus", "--manifest", manifest])
     run(["analyze", "--manifest", manifest])
-    assert run(["group", "--manifest", manifest]) == 0
-    group_of = {e["id"]: e["group_id"] for e in json.loads(manifest.read_text())["entries"]}
+    group_of = {
+        e.id: mixup.group_id_for(e.tempo_bpm, 4.0) for e in load_manifest(manifest).entries
+    }
     assert len(set(group_of.values())) == 2
     out = corpus / "mixes"
     assert run([
@@ -1053,15 +1125,16 @@ def test_hand_edited_manifest_root_or_config_type_exits_one(
 
 
 @pytest.mark.parametrize("stage", [["analyze"], ["fit-codec"], MIX])
-def test_stored_groups_must_match_stored_width(
-    grouped_manifest, tmp_path, monkeypatch, capsys, stage
-):
+def test_hand_edited_bucket_width_is_used(grouped_manifest, tmp_path, monkeypatch, stage):
     monkeypatch.chdir(tmp_path)
-    # 117 BPM is in group 14 at the stored width 4, and in group 7 at width 8
-    write_edited(grouped_manifest, "bucket_width", 8.0)
-    assert run(stage + ["--manifest", "manifest.json"]) == 1
-    assert "inconsistent with tempo" in capsys.readouterr().err
-    assert os.listdir() == ["manifest.json"]
+    # at width 60, 117-118 and 90-91 BPM all fall in group 0; at width 4 they form two
+    write_edited(grouped_manifest, "bucket_width", 60.0)
+    mixing = stage[0] == "mix"
+    extra = ["--p", "1", "--count", "10"] if mixing else []
+    assert run(stage + ["--manifest", "manifest.json", *extra]) == 0
+    if mixing:
+        assert any(pair & {"track00", "track01"} and pair & {"track02", "track03"}
+                   for pair in mixed_pairs(tmp_path / "mixes"))
 
 
 def test_mix_without_eligible_downbeat_creates_no_out(corpus, capsys):

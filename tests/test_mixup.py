@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +6,7 @@ from hypothesis import strategies as st
 from beatmix import codec as C
 from beatmix import mixup as M
 from beatmix.beats import BeatGrid
-from beatmix.dsp import MelSpectrogram, SignalConfig, Waveform, invert_mel, mel_spectrogram
+from beatmix.dsp import MelSpectrogram, SignalConfig, Waveform, mel_spectrogram
 from beatmix.errors import LengthMismatch, NoEligibleDownbeat, ShapeMismatch
 from synth import click_track
 
@@ -72,7 +70,7 @@ def two_track_pass(grid, n_samples, seed):
 def test_align_downbeats_on_two_second_grid():
     grid = make_grid(120.0)  # downbeats every 2 s from 0
     n = 30 * SR
-    offsets = M.eligible_downbeat_offsets(grid, n, 163840, SR)
+    offsets = M.eligible_downbeat_offsets(grid, n, 163840)
     assert offsets.size and np.all(offsets % 32000 == 0) and np.all(offsets + 163840 <= n)
     for spec in two_track_pass(grid, n, seed=0):
         for off in (spec.offset_a, spec.offset_b):
@@ -81,7 +79,7 @@ def test_align_downbeats_on_two_second_grid():
 
 def test_align_too_short_track():
     grid = make_grid(120.0, duration_s=8.0)
-    assert M.eligible_downbeat_offsets(grid, 8 * SR, 163840, SR).size == 0
+    assert M.eligible_downbeat_offsets(grid, 8 * SR, 163840).size == 0
     with pytest.raises(NoEligibleDownbeat):
         two_track_pass(grid, 8 * SR, seed=0)
 
@@ -172,14 +170,44 @@ def fitted():
     return C.fit(mels, n_components=16, patch_size=8), mels, cfg
 
 
-def test_blm_render_matches_codec_reconstruction(fitted):
-    codec, mels, cfg = fitted
-    latent = C.encode(codec, mels[0])
-    mel = C.decode(codec, latent, cfg)
-    wave = invert_mel(mel, iterations=2)
-    recon = C.decode(codec, latent, cfg)
-    assert np.array_equal(mel.frames, recon.frames)
-    assert wave.samples.size == mel.n_frames * cfg.hop
+def patch_pca_reconstruction(codec, frames):
+    """``frames`` projected onto the codec's patch basis and back, unclamped."""
+    t, f = frames.shape
+    p = codec.patch_size
+    patches = frames.reshape(t // p, p, f // p, p).transpose(0, 2, 1, 3).reshape(-1, p * p)
+    mean, basis = codec.mean.astype(np.float64), codec.basis.astype(np.float64)
+    recon = (patches - mean) @ basis.T @ basis + mean
+    return recon.reshape(t // p, f // p, p, p).transpose(0, 2, 1, 3).reshape(t, f)
+
+
+def test_blm_render_matches_codec_reconstruction(fitted, monkeypatch):
+    codec, _, cfg = fitted
+    rng = np.random.default_rng(11)
+    n = 64 * cfg.hop  # 64 frames, whole patches
+    audio = {tid: rng.uniform(-0.5, 0.5, n) for tid in ("a", "b")}
+    spec = M.MixupSpec("mix_00000", "blm", True, "a", 0, seed=0, track_b="b", offset_b=0,
+                       lam=0.3, clip_samples=n)
+    handed = []
+    out = Waveform(np.zeros(n), SR)
+
+    def capture(mel, iterations):
+        handed.append((mel, iterations))
+        return out
+
+    monkeypatch.setattr(M, "invert_mel", capture)
+    assert M.render_spec(spec, lambda t, o, k: audio[t][o : o + k], codec, cfg, 3) is out
+    [(mel, iterations)] = handed
+    assert iterations == 3 and mel.config == cfg
+    # the codec is affine before decode clamps at the log floor, so mixing the
+    # latents mixes the reconstructions; the two sides differ only by the
+    # rounding of reassociated float64 sums, far below 1e-9 dB at these magnitudes
+    r_a, r_b = (
+        patch_pca_reconstruction(codec, mel_spectrogram(Waveform(audio[t], SR), cfg).frames)
+        for t in ("a", "b")
+    )
+    expect = np.maximum(0.3 * r_a + 0.7 * r_b, cfg.log_floor)
+    assert mel.frames.shape == expect.shape == (64, cfg.n_mels)
+    np.testing.assert_allclose(mel.frames, expect, rtol=0, atol=1e-9)
 
 
 def test_blm_render_zero_latent_gives_patch_mean(fitted):
@@ -266,11 +294,12 @@ def test_plan_offsets_are_downbeats():
             assert np.abs(np.round(grid_b.downbeat_times * SR) - spec.offset_b).min() <= 1
 
 
-def two_branch_plan(tracks, strategy, p, count, rng, clip_samples=M.DEFAULT_CLIP_SAMPLES):
+def two_branch_plan(tracks, strategy, p, count, seed, clip_samples=M.DEFAULT_CLIP_SAMPLES):
     """Reference planner: a mixed and an unmixed branch, each drawing its
     offsets and ratio in the order the planner's contract fixes."""
+    rng = np.random.default_rng(seed)
     eligible = {
-        tid: M.eligible_downbeat_offsets(v.grid, v.n_samples, clip_samples, SR)
+        tid: M.eligible_downbeat_offsets(v.grid, v.n_samples, clip_samples)
         for tid, v in tracks.items()
     }
     usable = sorted(tid for tid, offs in eligible.items() if offs.size > 0)
@@ -285,12 +314,13 @@ def two_branch_plan(tracks, strategy, p, count, rng, clip_samples=M.DEFAULT_CLIP
             off_b = int(eligible[partner][rng.integers(eligible[partner].size)])
             lam = M.sample_mix_ratio(rng)
             specs.append(M.MixupSpec(
-                f"mix_{slot:05d}", strategy, True, base, off_a, partner, off_b, lam, clip_samples
+                f"mix_{slot:05d}", strategy, True, base, off_a, seed, partner, off_b, lam,
+                clip_samples,
             ))
         else:
             off_a = int(eligible[base][rng.integers(eligible[base].size)])
             specs.append(M.MixupSpec(
-                f"mix_{slot:05d}", strategy, False, base, off_a, clip_samples=clip_samples
+                f"mix_{slot:05d}", strategy, False, base, off_a, seed, clip_samples=clip_samples
             ))
     return specs
 
@@ -302,10 +332,7 @@ def test_plan_equals_two_branch_reference(p, seed):
     tracks = corpus_views([120, 121, 122, 90, 91, 150])
     tracks["t1"] = M.TrackView("t1", 11 * SR, make_grid(121, 11.0), tracks["t1"].group_id)
     tracks["t3"] = M.TrackView("t3", 15 * SR, make_grid(90, 15.0), tracks["t3"].group_id)
-    want = [
-        dataclasses.replace(s, seed=seed)
-        for s in two_branch_plan(tracks, "blm", p, 200, np.random.default_rng(seed))
-    ]
+    want = two_branch_plan(tracks, "blm", p, 200, seed)
     got = M.plan_mixup_pass(tracks, "blm", p, 200, seed)
     assert got == want
     assert {s.mixed for s in got} == ({False} if p == 0 else {True, False})

@@ -331,6 +331,28 @@ def test_downmix_is_the_channel_mean_bit_for_bit(fmt, n_channels):
     assert wave.samples.tobytes() == expect.tobytes()
 
 
+# each format's scaling as the division of a second float64 array
+OUT_OF_PLACE = {
+    "pcm16": lambda raw: raw.astype(np.float64) / 32768.0,
+    "pcm24": lambda raw: raw.astype(np.float64) / 8388608.0,
+    "pcm32": lambda raw: raw.astype(np.float64) / 2147483648.0,
+    "float32": lambda raw: raw.astype(np.float64),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(OUT_OF_PLACE))
+@pytest.mark.parametrize("n_channels", [1, 2])
+def test_decode_equals_out_of_place_scaling_bit_for_bit(fmt, n_channels):
+    rng = np.random.default_rng(7 + n_channels)
+    raw, tag, bits, _ = _raw_frames(fmt, n_channels, rng)
+    if fmt != "float32":  # both ends of the integer range
+        raw[0], raw[1] = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    body = _wav_from_raw(raw, tag, bits)[44:]  # the data chunk's samples
+    frames = wavio._decode_samples(body, tag, bits, n_channels)
+    assert frames.shape == (raw.shape[0], n_channels)
+    assert frames.tobytes() == OUT_OF_PLACE[fmt](raw).tobytes()
+
+
 def _mel_setup(tmp_path, config=SignalConfig()):
     path = tmp_path / "in.wav"
     _stereo_44k(path)
