@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .dsp import MelSpectrogram, SignalConfig, Waveform
+from .dsp import SAMPLE_RATE, MelSpectrogram, SignalConfig
 from .errors import InvariantViolation, NoOnsets, SchemaError, TooFewBeats, TooShort
 from .manifest import atomic_write, canonical_json, read_json
 
@@ -188,8 +188,8 @@ def track_beats(
         return np.zeros(0)
     frames = frames[keep[0] : keep[-1] + 1]
 
-    times = (frames + ONSET_LAG_FRAMES) * config.hop / config.sample_rate
-    duration = env.size * config.hop / config.sample_rate
+    times = (frames + ONSET_LAG_FRAMES) * config.hop / SAMPLE_RATE
+    duration = env.size * config.hop / SAMPLE_RATE
     return times[(times >= 0) & (times < duration)]
 
 
@@ -207,13 +207,14 @@ def infer_downbeats(beat_times: np.ndarray, mel: MelSpectrogram) -> np.ndarray:
     return beat_times[best::METER]
 
 
-def analyze_waveform(wave: Waveform, mel: MelSpectrogram) -> BeatGrid:
+def analyze_waveform(x: np.ndarray, mel: MelSpectrogram) -> BeatGrid:
     """Full builtin analysis of one track: tempo, beats, and downbeats, from
-    ``mel``, the track's ``mel_spectrogram`` (whose config is used)."""
+    ``mel``, the ``mel_spectrogram`` of the track's samples ``x`` (whose
+    config is used); of ``x`` itself only the length is read."""
     env = onset_envelope(mel)
     tempo = estimate_tempo(env, mel.config)
     beats = track_beats(env, tempo, mel.config)
-    beats = beats[beats < wave.duration_s]
+    beats = beats[beats < x.size / SAMPLE_RATE]
     if beats.size < 2:
         raise NoOnsets("too few beats to form a grid")
     downbeats = infer_downbeats(beats, mel)

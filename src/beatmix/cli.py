@@ -15,6 +15,7 @@ files. Exit codes: 0 success, 1 input error, 2 internal error.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -26,7 +27,7 @@ import numpy as np
 from . import beats as beats_mod
 from . import codec as codec_mod
 from . import gateway, metrics, mixup, wavio
-from .dsp import GL_ITERATIONS, SignalConfig
+from .dsp import GL_ITERATIONS, SAMPLE_RATE, SignalConfig
 from .errors import (
     BeatmixError,
     DuplicateBasename,
@@ -110,6 +111,16 @@ def _setting(key, value, source):
         return _SETTINGS[key][0](value)
     except argparse.ArgumentTypeError as exc:
         raise SchemaError(f"{source}: bad value for {key} ({exc})") from exc
+
+
+@contextlib.contextmanager
+def _naming(rel):
+    """Prefix the message of an InputError raised in the block with ``rel``,
+    the relative path of the file being read."""
+    try:
+        yield
+    except InputError as exc:
+        raise type(exc)(f"{rel}: {exc}") from exc
 
 
 def _read_text(path) -> str:
@@ -209,10 +220,8 @@ def cmd_ingest(args) -> int:
             raise DuplicateBasename(f"{rel} and {seen[track_id]} both map to id {track_id!r}")
         seen[track_id] = rel
         full = os.path.join(root, rel)
-        try:
+        with _naming(rel):
             n_samples, digest, _ = wavio.probe_wav(full)
-        except InputError as exc:
-            raise type(exc)(f"{rel}: {exc}") from exc
         caption = caption_map.get(track_id, "")
         if not caption:
             txt = os.path.splitext(full)[0] + ".txt"
@@ -225,7 +234,7 @@ def cmd_ingest(args) -> int:
                 id=track_id,
                 path=rel,
                 n_samples=n_samples,
-                duration_s=n_samples / wavio.TARGET_RATE,
+                duration_s=n_samples / SAMPLE_RATE,
                 caption=caption,
                 content_hash=digest,
             )
@@ -257,7 +266,7 @@ def _analyze_one(manifest, entry, config, external, caches):
         return entry, "cached"
     # The file may have changed since ingest: take its length as ingest does.
     entry.n_samples = n_samples
-    entry.duration_s = entry.n_samples / wavio.TARGET_RATE
+    entry.duration_s = entry.n_samples / SAMPLE_RATE
     if external:
         if not os.path.exists(sidecar):
             raise InputError(f"{sidecar}: external annotation missing")
@@ -346,10 +355,11 @@ def cmd_fit_codec(args) -> int:
             # re-hashed, so that an edited WAV is decoded afresh
             path = manifest.track_path(entry)
             digest = content_hash(path)
-            frames = wavio.load_mel(
-                mels_dir, digest, config,
-                lambda: wavio.load_normalized(path, samples_dir, digest),
-            ).frames
+            with _naming(entry.path):
+                frames = wavio.load_mel(
+                    mels_dir, digest, config,
+                    lambda: wavio.load_normalized(path, samples_dir, digest),
+                ).frames
             t = (frames.shape[0] // patch) * patch  # crop to whole patches
             if t:
                 yield frames[:t]
@@ -397,17 +407,25 @@ def cmd_mix(args) -> int:
     specs = mixup.plan_mixup_pass(
         tracks, args.strategy, p, args.count, args.seed, settings["clip_samples"]
     )
+    # Offsets sit on the downbeats of each track's last analysis: a track
+    # edited since then must be analyzed again before it is cut.
+    by_id = manifest.by_id()
+    for track_id in sorted({s.track_a for s in specs} | {s.track_b for s in specs} - {None}):
+        entry = by_id[track_id]
+        if content_hash(manifest.track_path(entry)) != entry.content_hash:
+            raise MissingPrerequisite(
+                f"{entry.path} changed since it was analyzed; run `beatmix analyze`"
+            )
     os.makedirs(args.out, exist_ok=True)
 
     samples_dir, _ = _caches(args, config)
-    by_id = manifest.by_id()
-    digests: dict[str, str] = {}
 
     def load_clip(track_id, offset, n):
-        path = manifest.track_path(by_id[track_id])
-        if track_id not in digests:
-            digests[track_id] = content_hash(path)
-        samples = wavio.load_normalized(path, samples_dir, digests[track_id]).samples
+        entry = by_id[track_id]
+        with _naming(entry.path):
+            samples = wavio.load_normalized(
+                manifest.track_path(entry), samples_dir, entry.content_hash
+            )
         clip = samples[offset : offset + n]
         if clip.size != n:
             raise InputError(f"{track_id}: clip at {offset} runs past end of track")
@@ -433,7 +451,7 @@ def cmd_segment(args) -> int:
     manifest = load_manifest(args.manifest)
     settings, _ = _settings(manifest.config, args.manifest)
     seconds = args.seconds if args.seconds is not None else settings["segment_seconds"]
-    seg_len = int(round(seconds * wavio.TARGET_RATE))
+    seg_len = int(round(seconds * SAMPLE_RATE))
     if seg_len < 1:
         raise InputError(f"segments of {seconds:g} s are shorter than one sample")
     segments = []
@@ -457,7 +475,7 @@ def cmd_segment(args) -> int:
     payload = {
         "schema_version": 1,
         "seconds": seconds,
-        "sample_rate": wavio.TARGET_RATE,
+        "sample_rate": SAMPLE_RATE,
         "segments": segments,
     }
     atomic_write(out, canonical_json(payload))
@@ -604,8 +622,11 @@ def main(argv=None) -> int:
     except InputError as exc:
         log(f"error: {exc}")
         return 1
-    except FileNotFoundError as exc:
-        log(f"error: {exc.filename}: not found")
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        log(f"error: {exc.filename}: {reason}")
         return 1
     except BeatmixError as exc:
         log(f"internal error: {exc}")

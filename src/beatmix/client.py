@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import requests
 
-from .dsp import Waveform
 from .errors import BadStatus, DimMismatch, SchemaError, Timeout
 from .gateway import RecordSet, _unit_rows
 from .wavio import wav_bytes
@@ -48,20 +47,25 @@ class EmbeddingClient:
         self._sleep = sleep
 
     def embed(self, items, max_inflight: int = 8) -> tuple[RecordSet, dict[str, int]]:
-        """Embed ``{id: Waveform | str}`` with at most ``max_inflight``
-        requests at once: a Waveform goes to the audio route, a string to the
-        text route. Returns the unit rows in id order, and the number of
-        requests each id took."""
+        """Embed ``{id: samples | str}`` with at most ``max_inflight``
+        requests at once: a string goes to the text route, anything else,
+        1-D samples in [-1, 1] at ``dsp.SAMPLE_RATE``, to the audio route.
+        Returns the unit rows in id order, and the number of requests each
+        id took."""
         if not items:
             raise ValueError("nothing to embed")
+        for rec_id, payload in items.items():
+            if not isinstance(payload, str) and np.ndim(payload) != 1:
+                raise ValueError(f"{rec_id!r}: audio samples must be one-dimensional")
 
         def one(rec_id):
             payload = items[rec_id]
-            if isinstance(payload, Waveform):
-                return self._post("/embed/audio", wav_bytes(payload), "audio/wav")
-            return self._post(
-                "/embed/text", payload.encode("utf-8"), "text/plain; charset=utf-8"
-            )
+            if isinstance(payload, str):
+                return self._post(
+                    "/embed/text", payload.encode("utf-8"), "text/plain; charset=utf-8"
+                )
+            samples = np.asarray(payload, dtype=np.float64)
+            return self._post("/embed/audio", wav_bytes(samples), "audio/wav")
 
         ids = sorted(items)
         with ThreadPoolExecutor(max_workers=max(1, max_inflight)) as pool:

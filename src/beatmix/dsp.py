@@ -1,10 +1,14 @@
 """Mel-spectrogram analysis and Fast Griffin-Lim resynthesis.
 
+Audio is a 1-D float64 NumPy array of samples in [-1, 1] at ``SAMPLE_RATE``,
+the one rate the whole package works at: ``wavio`` converts every file to
+it on reading, and nothing takes another rate.
+
 All analysis uses one fixed convention: frames are centered on the sample
 grid ``k * hop`` after reflect-padding by half a window, and the frame count
 for ``n`` samples is ``1 + (n - 1) // hop`` (one frame per hop-grid point
-inside the signal). A 10.24 s clip at the default 16 kHz / hop 160 therefore
-yields exactly 1024 frames of 128 mel bins.
+inside the signal). A 10.24 s clip at hop 160 therefore yields exactly 1024
+frames of 128 mel bins.
 
 Mel magnitudes are stored in dB, ``20 * log10(amplitude)``, clamped at
 ``log_floor`` (default -80 dB, i.e. amplitudes below 1e-4 of full scale).
@@ -15,7 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RateMismatch, TooShort
+from .errors import TooShort
+
+SAMPLE_RATE = 16000  # Hz, of every audio array in the package
 
 # Phase-retrieval iterations per inverted mel, unless a manifest stores
 # another ``gl_iterations``: the fewest at which Fast Griffin-Lim matched the
@@ -27,30 +33,10 @@ GL_ITERATIONS = 14
 FGLA_MOMENTUM = 0.9
 
 
-@dataclass
-class Waveform:
-    """Mono audio: float samples in [-1, 1] plus their sample rate."""
-
-    samples: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1:
-            raise ValueError("waveform must be one-dimensional")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
-
-
 @dataclass(frozen=True)
 class SignalConfig:
     """STFT / mel analysis parameters. Defaults match the pipeline contract."""
 
-    sample_rate: int = 16000
     hop: int = 160
     window: int = 1024
     fft_size: int = 1024
@@ -64,8 +50,8 @@ class SignalConfig:
             raise ValueError("need 0 < hop <= window <= fft_size")
         if self.n_mels < 1:
             raise ValueError("n_mels must be >= 1")
-        if not (0 <= self.fmin < self.fmax <= self.sample_rate / 2):
-            raise ValueError("need 0 <= fmin < fmax <= sample_rate/2")
+        if not (0 <= self.fmin < self.fmax <= SAMPLE_RATE / 2):
+            raise ValueError(f"need 0 <= fmin < fmax <= {SAMPLE_RATE // 2}")
 
     @property
     def amp_floor(self) -> float:
@@ -74,7 +60,7 @@ class SignalConfig:
 
     @property
     def frames_per_second(self) -> float:
-        return self.sample_rate / self.hop
+        return SAMPLE_RATE / self.hop
 
     def frame_count(self, n_samples: int) -> int:
         return 1 + (n_samples - 1) // self.hop
@@ -136,7 +122,7 @@ def mel_band_edges(config: SignalConfig) -> np.ndarray:
 def mel_filterbank(config: SignalConfig) -> np.ndarray:
     """Triangular, area-normalized filterbank, shape (n_mels, fft_size//2 + 1)."""
     n_bins = config.fft_size // 2 + 1
-    freqs = np.linspace(0.0, config.sample_rate / 2.0, n_bins)
+    freqs = np.linspace(0.0, SAMPLE_RATE / 2.0, n_bins)
     edges = mel_band_edges(config)
     fb = np.zeros((config.n_mels, n_bins))
     for m in range(config.n_mels):
@@ -160,17 +146,11 @@ def _stft(padded: np.ndarray, n_frames: int, config: SignalConfig) -> np.ndarray
     return np.fft.rfft(frames, n=config.fft_size, axis=1)
 
 
-def mel_spectrogram(wave: Waveform, config: SignalConfig = SignalConfig()) -> MelSpectrogram:
-    """Log-mel magnitudes of a waveform.
+def mel_spectrogram(x: np.ndarray, config: SignalConfig = SignalConfig()) -> MelSpectrogram:
+    """Log-mel magnitudes of the samples ``x``.
 
-    Raises RateMismatch if the waveform rate disagrees with the config and
-    TooShort if the signal does not cover one analysis window.
+    Raises TooShort if the signal does not cover one analysis window.
     """
-    if wave.sample_rate != config.sample_rate:
-        raise RateMismatch(
-            f"waveform at {wave.sample_rate} Hz, config expects {config.sample_rate} Hz"
-        )
-    x = wave.samples
     if x.size < config.window:
         raise TooShort(f"{x.size} samples < one window of {config.window}")
     pad = config.window // 2
@@ -211,7 +191,7 @@ def _istft(spec: np.ndarray, config: SignalConfig, window_sum: np.ndarray) -> np
     return _overlap_add(frames, config) / window_sum
 
 
-def invert_mel(mel: MelSpectrogram, iterations: int = GL_ITERATIONS, callback=None) -> Waveform:
+def invert_mel(mel: MelSpectrogram, iterations: int = GL_ITERATIONS, callback=None) -> np.ndarray:
     """Reconstruct audio from a log-mel matrix.
 
     The mel magnitudes are mapped back to a linear spectrum through the
@@ -248,4 +228,4 @@ def invert_mel(mel: MelSpectrogram, iterations: int = GL_ITERATIONS, callback=No
 
     pad = config.window // 2
     out = y[pad : pad + n_frames * config.hop]
-    return Waveform(np.clip(out, -1.0, 1.0), config.sample_rate)
+    return np.clip(out, -1.0, 1.0)

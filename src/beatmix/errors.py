@@ -30,10 +30,6 @@ class TooShort(InputError):
     """Signal shorter than one analysis window."""
 
 
-class RateMismatch(InputError):
-    """Waveform sample rate disagrees with the signal config."""
-
-
 # --- beat analysis --------------------------------------------------------
 
 class NoOnsets(InputError):
@@ -51,7 +47,7 @@ class InvariantViolation(InputError):
 # --- mixup ----------------------------------------------------------------
 
 class LengthMismatch(InputError):
-    """Waveform clips of unequal length cannot be mixed."""
+    """Audio clips of unequal length cannot be mixed."""
 
 
 class ShapeMismatch(InputError):

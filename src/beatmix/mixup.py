@@ -18,9 +18,8 @@ import numpy as np
 
 from . import codec as codec_mod
 from .beats import BeatGrid
-from .dsp import GL_ITERATIONS, SignalConfig, Waveform, invert_mel, mel_spectrogram
+from .dsp import GL_ITERATIONS, SAMPLE_RATE, SignalConfig, invert_mel, mel_spectrogram
 from .errors import LengthMismatch, NoEligibleDownbeat, ShapeMismatch
-from .wavio import TARGET_RATE
 
 BUCKET_RANGE = (60.0, 180.0)
 DEFAULT_CLIP_SAMPLES = 163840  # 10.24 s at 16 kHz
@@ -64,21 +63,19 @@ def sample_mix_ratio(rng: np.random.Generator) -> float:
 
 
 def eligible_downbeat_offsets(grid: BeatGrid, n_samples: int, clip_samples: int) -> np.ndarray:
-    """Offsets, in samples at 16 kHz, of the downbeats that leave a full clip of
+    """Offsets, in samples, of the downbeats that leave a full clip of
     audio after them."""
-    offsets = np.round(grid.downbeat_times * TARGET_RATE).astype(np.int64)
+    offsets = np.round(grid.downbeat_times * SAMPLE_RATE).astype(np.int64)
     return offsets[(offsets >= 0) & (offsets + clip_samples <= n_samples)]
 
 
-def bam_mix(x1: Waveform, x2: Waveform, lam: float) -> Waveform:
+def bam_mix(x1: np.ndarray, x2: np.ndarray, lam: float) -> np.ndarray:
     """Convex combination of two aligned clips: lam*x1 + (1-lam)*x2."""
-    if x1.samples.size != x2.samples.size:
-        raise LengthMismatch(f"{x1.samples.size} vs {x2.samples.size} samples")
-    if x1.sample_rate != x2.sample_rate:
-        raise LengthMismatch("sample rates differ")
+    if x1.size != x2.size:
+        raise LengthMismatch(f"{x1.size} vs {x2.size} samples")
     if not (0.0 < lam < 1.0):
         raise ValueError("lam must lie in (0, 1)")
-    return Waveform(lam * x1.samples + (1.0 - lam) * x2.samples, x1.sample_rate)
+    return lam * x1 + (1.0 - lam) * x2
 
 
 def blm_mix(
@@ -115,7 +112,7 @@ def plan_mixup_pass(
     clip_samples: int = DEFAULT_CLIP_SAMPLES,
 ) -> list[MixupSpec]:
     """Plan ``count`` output clips without touching any audio, from one
-    generator seeded with ``seed``; offsets are in samples at 16 kHz.
+    generator seeded with ``seed``; offsets are in samples.
 
     Each slot mixes with probability ``p`` when another usable track shares
     its base track's ``group_id``; otherwise the slot is an unmixed clip. Only
@@ -177,7 +174,7 @@ def render_spec(
     codec: codec_mod.PcaCodec | None = None,
     config: SignalConfig = SignalConfig(),
     iterations: int = GL_ITERATIONS,
-) -> Waveform:
+) -> np.ndarray:
     """Produce the audio for one spec.
 
     ``load_clip(track_id, offset, n_samples)`` must return a float array of
@@ -185,16 +182,14 @@ def render_spec(
     scheduling across specs yields identical output.
     """
     a = np.asarray(load_clip(spec.track_a, spec.offset_a, spec.clip_samples), dtype=np.float64)
-    wave_a = Waveform(a, config.sample_rate)
     if not spec.mixed:
-        return wave_a
+        return a
     b = np.asarray(load_clip(spec.track_b, spec.offset_b, spec.clip_samples), dtype=np.float64)
-    wave_b = Waveform(b, config.sample_rate)
     if spec.strategy == "bam":
-        return bam_mix(wave_a, wave_b, spec.lam)
+        return bam_mix(a, b, spec.lam)
     if codec is None:
         raise ValueError("blm rendering needs a fitted codec")
-    lat_a = codec_mod.encode(codec, mel_spectrogram(wave_a, config))
-    lat_b = codec_mod.encode(codec, mel_spectrogram(wave_b, config))
+    lat_a = codec_mod.encode(codec, mel_spectrogram(a, config))
+    lat_b = codec_mod.encode(codec, mel_spectrogram(b, config))
     mixed = blm_mix(lat_a, lat_b, spec.lam)
     return invert_mel(codec_mod.decode(codec, mixed, config), iterations)

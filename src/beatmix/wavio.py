@@ -1,14 +1,15 @@
 """WAV (RIFF) reading/writing and sample-rate conversion.
 
-Reading accepts PCM 16/24/32-bit and 32-bit float, any channel count;
-everything is downmixed to mono by arithmetic mean and resampled to 16 kHz
-with a Kaiser-windowed polyphase sinc interpolator that applies each filter
-branch as one matrix-vector product. NumPy passes that product to BLAS when
+Reading accepts PCM 16/24/32-bit and 32-bit float, any channel count, and
+returns the package's one audio type, a 1-D float64 array at
+``dsp.SAMPLE_RATE`` (16 kHz): everything is downmixed to mono by arithmetic
+mean and resampled with a Kaiser-windowed polyphase sinc interpolator that
+applies each filter branch as one matrix-vector product. NumPy passes that product to BLAS when
 the input stride allows (from 44.1 kHz it does), so the last bit of a sample
 may depend on the BLAS build. ``load_normalized`` keeps that result in a
 cache keyed by the file's content hash, so each distinct file is decoded
 once, and ``load_mel`` keeps each track's log-mel the same way, so each is
-computed once. Writing always emits mono 16-bit PCM.
+computed once. Writing always emits mono 16-bit PCM at ``dsp.SAMPLE_RATE``.
 """
 
 import dataclasses
@@ -23,11 +24,10 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import MelSpectrogram, SignalConfig, Waveform, mel_spectrogram
+from .dsp import SAMPLE_RATE, MelSpectrogram, SignalConfig, mel_spectrogram
 from .errors import CorruptFile, UnsupportedFormat
 from .manifest import atomic_open, atomic_write
 
-TARGET_RATE = 16000
 # Name of the directory of cached ``load_wav`` output. Rename it whenever a
 # change alters the samples ``load_wav`` returns, so no stale cache is read.
 NORMALIZED_CACHE = "audio-16k-v3"
@@ -107,9 +107,9 @@ def _wav_format(chunks):
     return fmt, n_channels, rate, bits, n_frames
 
 
-def load_wav(path, data=None) -> Waveform:
-    """Read a WAV file as mono float64 at 16 kHz. ``data`` is the file's
-    bytes, if the caller has already read them.
+def load_wav(path, data=None) -> np.ndarray:
+    """Read a WAV file as mono float64 samples at ``SAMPLE_RATE``. ``data``
+    is the file's bytes, if the caller has already read them.
 
     Raises UnsupportedFormat for non-WAV containers or codecs we do not
     decode, CorruptFile for truncated or inconsistent chunk structure.
@@ -133,8 +133,8 @@ def load_wav(path, data=None) -> Waveform:
     # resampling, so that they do not raise the heap's high-water mark, which
     # stays resident after they are freed.
     del frames
-    mono = resample(mono, rate, TARGET_RATE)
-    return Waveform(np.clip(mono, -1.0, 1.0), TARGET_RATE)
+    mono = resample(mono, rate, SAMPLE_RATE)
+    return np.clip(mono, -1.0, 1.0)
 
 
 def _cached_array(path, valid, compute) -> np.ndarray:
@@ -155,20 +155,20 @@ def _cached_array(path, valid, compute) -> np.ndarray:
     return array
 
 
-def load_normalized(path, cache_dir, digest, data=None) -> Waveform:
+def load_normalized(path, cache_dir, digest, data=None) -> np.ndarray:
     """``load_wav(path)``, through ``cache_dir/<digest>.npy``.
 
     ``digest`` is the file's current content hash and ``data`` its bytes,
-    if the caller has them. A cache hit is memory-mapped read-only; a miss,
-    or a cache file that does not load as a 1-D float64 array, is decoded by
-    ``load_wav`` and written atomically.
+    if the caller has them. A cache hit is a read-only ndarray view of the
+    memory-mapped file; a miss, or a cache file that does not load as a 1-D
+    float64 array, is decoded by ``load_wav`` and written atomically.
     """
     samples = _cached_array(
         os.path.join(cache_dir, f"{digest}.npy"),
         lambda array: array.ndim == 1,
-        lambda: load_wav(path, data).samples,
+        lambda: load_wav(path, data),
     )
-    return Waveform(samples, TARGET_RATE)
+    return np.asarray(samples)  # on a hit, a plain ndarray view of the np.memmap
 
 
 def mel_cache_name(config: SignalConfig) -> str:
@@ -184,7 +184,7 @@ def load_mel(cache_dir, digest, config: SignalConfig, decode) -> MelSpectrogram:
 
     ``digest`` is the track's content hash, ``cache_dir`` a directory named
     by ``mel_cache_name(config)``, and ``decode`` a function that gives the
-    track's normalized Waveform; it is called only on a miss. A hit is
+    track's normalized samples; it is called only on a miss. A hit is
     memory-mapped read-only; a miss, or a cache file that does not load as a
     2-D float64 array of ``config.n_mels`` columns, is computed and written
     atomically.
@@ -201,8 +201,8 @@ def normalized_length(data: bytes) -> int:
     """Sample count a WAV file's bytes give after normalization, from the
     header alone, without decoding the audio."""
     _, _, rate, _, n_frames = _wav_format(_parse_chunks(data))
-    g = gcd(rate, TARGET_RATE)
-    return (n_frames * (TARGET_RATE // g)) // (rate // g)
+    g = gcd(rate, SAMPLE_RATE)
+    return (n_frames * (SAMPLE_RATE // g)) // (rate // g)
 
 
 def probe_wav(path) -> tuple[int, str, bytes]:
@@ -213,36 +213,25 @@ def probe_wav(path) -> tuple[int, str, bytes]:
     return normalized_length(data), hashlib.sha256(data).hexdigest(), data
 
 
-def wav_bytes(wave: Waveform) -> bytes:
-    """Serialize a waveform as mono 16-bit PCM WAV bytes."""
+def wav_bytes(x: np.ndarray) -> bytes:
+    """Serialize samples as mono 16-bit PCM WAV bytes at ``SAMPLE_RATE``."""
     # scale by 32768 (the loader's divisor) and clip the one overflow code
-    pcm = np.clip(np.round(wave.samples * 32768.0), -32768, 32767).astype("<i2")
+    pcm = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
     body = pcm.tobytes()
     out = io.BytesIO()
     out.write(b"RIFF")
     out.write(struct.pack("<I", 36 + len(body)))
     out.write(b"WAVE")
     out.write(b"fmt ")
-    out.write(
-        struct.pack(
-            "<IHHIIHH",
-            16,
-            _FMT_PCM,
-            1,
-            wave.sample_rate,
-            wave.sample_rate * 2,
-            2,
-            16,
-        )
-    )
+    out.write(struct.pack("<IHHIIHH", 16, _FMT_PCM, 1, SAMPLE_RATE, SAMPLE_RATE * 2, 2, 16))
     out.write(b"data")
     out.write(struct.pack("<I", len(body)))
     out.write(body)
     return out.getvalue()
 
 
-def save_wav(path, wave: Waveform) -> None:
-    atomic_write(path, wav_bytes(wave))
+def save_wav(path, x: np.ndarray) -> None:
+    atomic_write(path, wav_bytes(x))
 
 
 # --- resampling -----------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beatmix.dsp import SignalConfig, Waveform
+from beatmix.dsp import SignalConfig
 
 
 @pytest.fixture
@@ -17,4 +17,4 @@ def config():
 @pytest.fixture
 def wave(rng):
     """A short noise clip for the embedding client's audio route."""
-    return Waveform(rng.uniform(-0.5, 0.5, 1600), 16000)
+    return rng.uniform(-0.5, 0.5, 1600)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-SR = 16000
+from beatmix.dsp import SAMPLE_RATE as SR
 
 
 def sine(freq_hz, duration_s, sr=SR, amp=0.5):

@@ -23,7 +23,8 @@ from beatmix import mixup as M
 from beatmix.beats import BeatGrid
 from beatmix.cli import main
 from beatmix.client import EmbeddingClient
-from beatmix.dsp import MelSpectrogram, SignalConfig, Waveform, mel_spectrogram
+from beatmix.dsp import SAMPLE_RATE as SR
+from beatmix.dsp import MelSpectrogram, SignalConfig, mel_spectrogram
 from beatmix.gateway import (
     RecordSet,
     load_embedding_set,
@@ -34,8 +35,6 @@ from beatmix.gateway import (
 from beatmix.wavio import NORMALIZED_CACHE, load_wav, save_wav
 from synth import click_track
 from test_client import MockEmbedServer
-
-SR = 16000
 
 
 def report(criterion: int, label: str, ok: bool, extra: str = ""):
@@ -52,7 +51,7 @@ def report(criterion: int, label: str, ok: bool, extra: str = ""):
 def test_criterion_01_signal_shape_contract():
     cfg = SignalConfig()
     rng = np.random.default_rng(0)
-    clip = Waveform(rng.uniform(-0.5, 0.5, 163840), SR)
+    clip = rng.uniform(-0.5, 0.5, 163840)
     fit_mels = [
         MelSpectrogram(np.clip(rng.normal(-40, 10, (64, 128)), -70, -10), cfg)
         for _ in range(4)
@@ -79,8 +78,7 @@ def test_criterion_02_beat_tracker_calibration():
     for bpm in (70, 90, 120, 150):
         for noise_db in (None, -20):
             x, clicks = click_track(bpm, 30.0, noise_db=noise_db, seed=3)
-            wave = Waveform(x, SR)
-            grid = B.analyze_waveform(wave, mel_spectrogram(wave, cfg))
+            grid = B.analyze_waveform(x, mel_spectrogram(x, cfg))
             worst_tempo_err = max(worst_tempo_err, abs(grid.tempo_bpm - bpm))
             core = grid.beat_times[1:-1]
             errs = np.array([np.abs(clicks - b).min() for b in core])
@@ -101,16 +99,16 @@ def test_criterion_03_mixup_algebra_and_batch_alignment():
         lam = M.sample_mix_ratio(rng)
         a = rng.uniform(-1, 1, 64)
         b = rng.uniform(-1, 1, 64)
-        mixed = M.bam_mix(Waveform(a, SR), Waveform(b, SR), lam)
-        swapped = M.bam_mix(Waveform(b, SR), Waveform(a, SR), 1.0 - lam)
-        worst = max(worst, float(np.abs(mixed.samples - swapped.samples).max()))
-        assert np.abs(mixed.samples).max() <= max(np.abs(a).max(), np.abs(b).max()) + 1e-12
+        mixed = M.bam_mix(a, b, lam)
+        swapped = M.bam_mix(b, a, 1.0 - lam)
+        worst = max(worst, float(np.abs(mixed - swapped).max()))
+        assert np.abs(mixed).max() <= max(np.abs(a).max(), np.abs(b).max()) + 1e-12
         ya, yb = rng.normal(size=(4, 4, 4)), rng.normal(size=(4, 4, 4))
         lm = M.blm_mix(C.LatentTensor(ya, "x"), C.LatentTensor(yb, "x"), lam)
         ls = M.blm_mix(C.LatentTensor(yb, "x"), C.LatentTensor(ya, "x"), 1.0 - lam)
         worst = max(worst, float(np.abs(lm.values - ls.values).max()))
-    degenerate = M.bam_mix(Waveform(np.ones(8), SR), Waveform(-np.ones(8), SR), 1 - 1e-9)
-    worst = max(worst, float(np.abs(degenerate.samples - 1.0).max()))
+    degenerate = M.bam_mix(np.ones(8), -np.ones(8), 1 - 1e-9)
+    worst = max(worst, float(np.abs(degenerate - 1.0).max()))
 
     def make_grid(bpm):
         beats = np.arange(0.0, 30.0, 60.0 / bpm)
@@ -315,7 +313,7 @@ def _write_acceptance_corpus(root):
             150, 151, 165, 166, 98, 99, 122, 123, 142, 143]
     for i, bpm in enumerate(bpms):
         x, _ = click_track(bpm, 16.0, bass_phase=0, noise_db=-30, seed=100 + i)
-        save_wav(os.path.join(root, f"track{i:02d}.wav"), Waveform(x, SR))
+        save_wav(os.path.join(root, f"track{i:02d}.wav"), x)
         with open(os.path.join(root, f"track{i:02d}.txt"), "w") as fh:
             fh.write(f"synthetic percussion loop at {bpm} beats per minute")
 
@@ -369,9 +367,9 @@ def _run_pipeline(work, corpus_dir, seed=7):
     for seg in segments:
         tid = seg["track_id"]
         if tid not in track_cache:
-            track_cache[tid] = load_wav(paths[tid]).samples
+            track_cache[tid] = load_wav(paths[tid])
         clip = track_cache[tid][seg["start_sample"]: seg["end_sample"]]
-        seg_embs[seg["segment_id"]] = _toy_audio_embedding(Waveform(clip, SR))
+        seg_embs[seg["segment_id"]] = _toy_audio_embedding(clip)
     texts = {rec: _toy_text_embedding(captions.get(rec.split("_seg")[0], rec)) for rec in gen}
     emb_dir = os.path.join(work, "emb")
     os.makedirs(emb_dir, exist_ok=True)
@@ -447,7 +445,7 @@ def test_criterion_11_gateway_round_trips(tmp_path):
     save_posterior_set(q2, load_posterior_set(q1))
     post_exact = q1.read_bytes() == q2.read_bytes()
 
-    wave = Waveform(np.random.default_rng(0).uniform(-0.5, 0.5, 1600), SR)
+    wave = np.random.default_rng(0).uniform(-0.5, 0.5, 1600)
     scenarios_ok = True
     server = MockEmbedServer(dim=8)
     try:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beatmix import beats as B
-from beatmix.dsp import MelSpectrogram, Waveform, mel_spectrogram
+from beatmix.dsp import SAMPLE_RATE, MelSpectrogram, mel_spectrogram
 from beatmix.errors import InvariantViolation, NoOnsets, SchemaError, TooFewBeats
 from synth import click_track
 
@@ -26,21 +26,21 @@ def test_impulse_frame_is_envelope_argmax(config):
 
 def test_click_train_envelope_spacing(config):
     x, clicks = click_track(120, 12.0)
-    env = B.onset_envelope(mel_spectrogram(Waveform(x, 16000), config))
+    env = B.onset_envelope(mel_spectrogram(x, config))
     # peaks: local maxima above half height
     peaks = [
         i
         for i in range(1, env.size - 1)
         if env[i] >= env[i - 1] and env[i] > env[i + 1] and env[i] > 0.5
     ]
-    spacing = np.diff(peaks) * config.hop / config.sample_rate
-    assert np.abs(spacing - 0.5).max() <= config.hop / config.sample_rate + 1e-9
+    spacing = np.diff(peaks) * config.hop / SAMPLE_RATE
+    assert np.abs(spacing - 0.5).max() <= config.hop / SAMPLE_RATE + 1e-9
 
 
 @pytest.mark.parametrize("bpm", [90.0, 120.0])
 def test_estimate_tempo_on_clicks(config, bpm):
     x, _ = click_track(bpm, 20.0)
-    env = B.onset_envelope(mel_spectrogram(Waveform(x, 16000), config))
+    env = B.onset_envelope(mel_spectrogram(x, config))
     assert abs(B.estimate_tempo(env, config) - bpm) <= 2.0
 
 
@@ -51,7 +51,7 @@ def test_estimate_tempo_silence_raises(config):
 
 def test_track_beats_on_click_train(config):
     x, clicks = click_track(120, 20.0)
-    env = B.onset_envelope(mel_spectrogram(Waveform(x, 16000), config))
+    env = B.onset_envelope(mel_spectrogram(x, config))
     beats = B.track_beats(env, 120.0, config)
     core = beats[1:-1]
     errs = np.array([np.abs(clicks - b).min() for b in core])
@@ -65,7 +65,7 @@ def test_track_beats_bridges_a_missing_click(config):
     s = int(round(victim * 16000))
     x = x.copy()
     x[s - 100 : s + 500] = 0.0  # silence one click
-    env = B.onset_envelope(mel_spectrogram(Waveform(x, 16000), config))
+    env = B.onset_envelope(mel_spectrogram(x, config))
     beats = B.track_beats(env, 120.0, config)
     # a beat is still emitted near the silenced click
     assert np.abs(beats - victim).min() <= 0.1
@@ -88,8 +88,7 @@ def test_track_beats_rejects_wild_tempo(config):
 def test_downbeat_phase_detection(config):
     for phase in (0, 2):
         x, clicks = click_track(120, 20.0, bass_phase=phase)
-        wave = Waveform(x, 16000)
-        grid = B.analyze_waveform(wave, mel_spectrogram(wave, config))
+        grid = B.analyze_waveform(x, mel_spectrogram(x, config))
         idx = [int(np.argmin(np.abs(clicks - d))) for d in grid.downbeat_times]
         assert all(i % 4 == phase for i in idx)
         assert np.all(np.diff(idx) == 4)
@@ -103,7 +102,7 @@ def test_downbeats_need_four_beats(config):
 
 def test_pipeline_determinism(config):
     x, _ = click_track(97, 15.0, noise_db=-25, seed=5)
-    w1, w2 = Waveform(x, 16000), Waveform(x.copy(), 16000)
+    w1, w2 = x, x.copy()
     g1 = B.analyze_waveform(w1, mel_spectrogram(w1, config))
     g2 = B.analyze_waveform(w2, mel_spectrogram(w2, config))
     assert g1.tempo_bpm == g2.tempo_bpm
@@ -113,10 +112,9 @@ def test_pipeline_determinism(config):
 
 def test_beats_within_duration(config):
     x, _ = click_track(150, 11.0)
-    wave = Waveform(x, 16000)
-    grid = B.analyze_waveform(wave, mel_spectrogram(wave, config))
+    grid = B.analyze_waveform(x, mel_spectrogram(x, config))
     assert np.all(grid.beat_times >= 0)
-    assert np.all(grid.beat_times < wave.duration_s)
+    assert np.all(grid.beat_times < x.size / SAMPLE_RATE)
 
 
 @settings(max_examples=25, deadline=None)

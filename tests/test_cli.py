@@ -13,7 +13,7 @@ from beatmix import gateway as G
 from beatmix import metrics, mixup, wavio
 from beatmix.beats import BeatGrid, save_beat_annotation
 from beatmix.cli import _SETTINGS, main
-from beatmix.dsp import SignalConfig, Waveform, mel_spectrogram
+from beatmix.dsp import SignalConfig, mel_spectrogram
 from beatmix.errors import DimMismatch, DuplicateId, SchemaError, ZeroNorm
 from beatmix.manifest import Manifest, canonical_json, content_hash, load_manifest, save_manifest
 from beatmix.gateway import (
@@ -33,7 +33,7 @@ def write_corpus(root, bpms, duration_s=16.0, captions=True, bass_phase=0):
     os.makedirs(root, exist_ok=True)
     for i, bpm in enumerate(bpms):
         x, _ = click_track(bpm, duration_s, bass_phase=bass_phase, seed=i)
-        save_wav(os.path.join(root, f"track{i:02d}.wav"), Waveform(x, 16000))
+        save_wav(os.path.join(root, f"track{i:02d}.wav"), x)
         if captions:
             with open(os.path.join(root, f"track{i:02d}.txt"), "w") as fh:
                 fh.write(f"click track at {bpm} BPM")
@@ -101,7 +101,7 @@ def test_ingest_reads_each_wav_once_and_stores_its_content_hash(corpus, monkeypa
     for e in entries:
         path = root / e["path"]
         assert e["content_hash"] == content_hash(path)
-        assert e["n_samples"] == load_wav(path).samples.size
+        assert e["n_samples"] == load_wav(path).size
 
 
 @pytest.mark.parametrize("caption", [5, ["a"], None])
@@ -152,8 +152,8 @@ def test_ingest_duplicate_basename(tmp_path):
     root = tmp_path / "corpus"
     (root / "sub").mkdir(parents=True)
     x, _ = click_track(120, 12.0)
-    save_wav(root / "a.wav", Waveform(x, 16000))
-    save_wav(root / "sub" / "a.wav", Waveform(x, 16000))
+    save_wav(root / "a.wav", x)
+    save_wav(root / "sub" / "a.wav", x)
     assert run(["ingest", root, "--manifest", tmp_path / "m.json"]) == 1
 
 
@@ -173,7 +173,7 @@ def test_analyze_tempos_and_cache(corpus, capsys):
 def test_analyze_silent_track_flagged_not_fatal(tmp_path, capsys):
     root = tmp_path / "corpus"
     write_corpus(root, [120, 122], duration_s=14.0)
-    save_wav(root / "silence.wav", Waveform(np.zeros(14 * 16000), 16000))
+    save_wav(root / "silence.wav", np.zeros(14 * 16000))
     manifest = tmp_path / "manifest.json"
     run(["ingest", root, "--manifest", manifest])
     assert run(["analyze", "--manifest", manifest]) == 0
@@ -432,10 +432,10 @@ def test_fit_codec_cold_warm_and_rewritten_track(corpus):
     assert manifest.read_bytes() == analyzed  # the codec is found by its path, not stored
     track = corpus / "corpus" / "track00.wav"
     x, _ = click_track(140, 14.0, seed=99)
-    save_wav(track, Waveform(x, 16000))  # rewritten after analyze
+    save_wav(track, x)  # rewritten after analyze
     fresh = fit("fresh.bin", cold=False)
     assert fresh != (corpus / "warm.bin").read_bytes()
-    assert np.load(cache / f"{content_hash(track)}.npy").tobytes() == load_wav(track).samples.tobytes()
+    assert np.load(cache / f"{content_hash(track)}.npy").tobytes() == load_wav(track).tobytes()
     assert fresh == fit("fresh_cold.bin", cold=True)
 
 
@@ -450,7 +450,7 @@ def _count_mels(monkeypatch):
     calls = []
 
     def counting(wave, config=SignalConfig()):
-        calls.append(wave.samples.size)
+        calls.append(wave.size)
         return mel_spectrogram(wave, config)
 
     for name, module in list(sys.modules.items()):
@@ -514,7 +514,7 @@ def test_analyze_workers_write_one_mel_per_distinct_track(tmp_path):
     for h in hashes:
         frames = np.load(mels / f"{h}.npy")
         samples = np.load(tmp_path / wavio.NORMALIZED_CACHE / f"{h}.npy")
-        assert frames.tobytes() == mel_spectrogram(Waveform(samples, 16000)).frames.tobytes()
+        assert frames.tobytes() == mel_spectrogram(samples).frames.tobytes()
 
 
 def test_an_edited_wav_gets_a_new_mel(corpus):
@@ -525,7 +525,7 @@ def test_an_edited_wav_gets_a_new_mel(corpus):
     before = set(os.listdir(mels))
     track = corpus / "corpus" / "track00.wav"
     x, _ = click_track(140, 14.0, seed=99)
-    save_wav(track, Waveform(x, 16000))
+    save_wav(track, x)
     assert run(["analyze", "--manifest", manifest]) == 0
     assert set(os.listdir(mels)) - before == {f"{content_hash(track)}.npy"}
     expect = mel_spectrogram(load_wav(track)).frames
@@ -561,7 +561,7 @@ def test_reanalyzing_a_shortened_track_updates_its_length(tmp_path, capsys):
     assert run(["ingest", root, "--manifest", manifest]) == 0
     assert run(["analyze", "--manifest", manifest]) == 0
     x, _ = click_track(120, 12.0, seed=0)
-    save_wav(root / "track00.wav", Waveform(x, 16000))
+    save_wav(root / "track00.wav", x)
     assert run(["analyze", "--manifest", manifest]) == 0
     entry = load_manifest(manifest).by_id()["track00"]
     assert (entry.n_samples, entry.duration_s) == (192000, 12.0)
@@ -590,7 +590,7 @@ def test_reingesting_the_sidecar_of_a_shortened_track_updates_its_length(corpus)
         (corpus / "corpus" / f"track{i:02d}.beats.json").write_text(json.dumps(sidecar))
     assert run(["analyze", "--manifest", manifest, "--external-beats"]) == 0
     x, _ = click_track(120, 12.0, seed=0)
-    save_wav(corpus / "corpus" / "track00.wav", Waveform(x, 16000))
+    save_wav(corpus / "corpus" / "track00.wav", x)
     assert run(["analyze", "--manifest", manifest, "--external-beats"]) == 0
     entry = load_manifest(manifest).by_id()["track00"]
     assert (entry.n_samples, entry.duration_s) == (192000, 12.0)
@@ -602,7 +602,7 @@ def test_reanalyzing_a_retimed_track_regroups_it(corpus):
     run(["analyze", "--manifest", manifest])
     assert run(["group", "--manifest", manifest]) == 0
     x, _ = click_track(90, 14.0, seed=7)
-    save_wav(corpus / "corpus" / "track00.wav", Waveform(x, 16000))
+    save_wav(corpus / "corpus" / "track00.wav", x)
     assert run(["analyze", "--manifest", manifest]) == 0
     entry = load_manifest(manifest).by_id()["track00"]
     assert abs(entry.tempo_bpm - 90) <= 2.0
@@ -667,7 +667,7 @@ def test_mix_clip_lengths_and_wavs(corpus):
     ]) == 0
     for name in os.listdir(out):
         if name.endswith(".wav"):
-            assert load_wav(out / name).samples.size == 163840
+            assert load_wav(out / name).size == 163840
 
 
 def test_segment_counting(tmp_path, capsys):
@@ -675,7 +675,7 @@ def test_segment_counting(tmp_path, capsys):
     write_corpus(root, [120], duration_s=35.0)
     write_corpus_short = os.path.join(root, "short.wav")
     x, _ = click_track(120, 9.0)
-    save_wav(write_corpus_short, Waveform(x, 16000))
+    save_wav(write_corpus_short, x)
     manifest = tmp_path / "manifest.json"
     run(["ingest", root, "--manifest", manifest])
     seg_path = tmp_path / "segments.json"
@@ -1149,6 +1149,47 @@ def test_mix_without_eligible_downbeat_creates_no_out(corpus, capsys):
     assert not out.exists()
 
 
+def test_mix_refuses_a_track_edited_since_analyze(corpus, capsys):
+    manifest, out = corpus / "manifest.json", corpus / "mixes"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    assert run(["analyze", "--manifest", manifest]) == 0
+    track = corpus / "corpus" / "track00.wav"
+    x, _ = click_track(117, 14.0, t0=0.45, bass_phase=0, seed=0)  # same length, clicks 0.2 s later
+    save_wav(track, x)
+    mix = ["mix", "--manifest", manifest, "--strategy", "bam", "--count", "20", "--p", "1",
+           "--out", out]
+    assert run(mix) == 1
+    err = capsys.readouterr().err
+    assert "error: track00.wav changed since it was analyzed; run `beatmix analyze`" in err
+    assert not out.exists()
+    assert run(["analyze", "--manifest", manifest]) == 0
+    assert run(mix) == 0
+
+
+def test_fit_codec_decode_error_names_the_track(corpus, capsys):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    assert run(["analyze", "--manifest", manifest]) == 0
+    add_stray_bytes(corpus / "corpus" / "track01.wav", 1)
+    shutil.rmtree(corpus / wavio.NORMALIZED_CACHE)
+    shutil.rmtree(_mels_dir(corpus))
+    assert run(["fit-codec", "--manifest", manifest, "-C", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "error: track01.wav: data chunk is not a whole number of frames" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--manifest", "{dir}"],
+    ["eval", "--gen-emb", "{dir}", "--out", "{dir}/report"],
+], ids=["manifest", "gen-emb"])
+def test_unreadable_input_path_exits_one(tmp_path, capsys, argv):
+    unreadable = tmp_path / "a-directory"
+    unreadable.mkdir()
+    assert run([arg.format(dir=unreadable) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {unreadable}: " in err and "Traceback" not in err
+
+
 def test_unchanged_manifest_is_not_rewritten(tmp_path):
     path = tmp_path / "manifest.json"
     manifest = Manifest(root="corpus", config={"clip_seconds": 10.24})
@@ -1200,7 +1241,7 @@ def _codec(rng):
 
 
 ARTIFACT_WRITERS = {
-    "wav": lambda path, rng: save_wav(path, Waveform(rng.uniform(-0.5, 0.5, 1600), 16000)),
+    "wav": lambda path, rng: save_wav(path, rng.uniform(-0.5, 0.5, 1600)),
     "codec": lambda path, rng: codec_mod.save(_codec(rng), path),
     "beats": lambda path, rng: save_beat_annotation(
         BeatGrid(120.0, np.arange(0.0, 8.0, 0.5), np.arange(0.0, 8.0, 2.0)), path
@@ -1216,7 +1257,7 @@ ARTIFACT_WRITERS = {
 
 def _source_wav(directory, rng):
     path = directory / "source.wav"
-    path.write_bytes(wav_bytes(Waveform(rng.uniform(-0.5, 0.5, 1600), 16000)))
+    path.write_bytes(wav_bytes(rng.uniform(-0.5, 0.5, 1600)))
     return path
 
 

@@ -119,6 +119,17 @@ def test_embed_zero_vector_names_endpoint_and_id(wave):
         server.close()
 
 
+def test_embed_refuses_audio_that_is_not_one_dimensional(wave):
+    server = MockEmbedServer()
+    try:
+        client = EmbeddingClient(server.endpoint, sleep=lambda s: None)
+        with pytest.raises(ValueError, match="'b': audio samples must be one-dimensional"):
+            client.embed({"a": wave, "b": wave.reshape(2, -1), "c": "text"})
+        assert server.requests_seen == 0
+    finally:
+        server.close()
+
+
 class _Answer:
     status_code = 200
 

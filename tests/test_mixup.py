@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 from beatmix import codec as C
 from beatmix import mixup as M
 from beatmix.beats import BeatGrid
-from beatmix.dsp import MelSpectrogram, SignalConfig, Waveform, mel_spectrogram
+from beatmix.dsp import SAMPLE_RATE as SR
+from beatmix.dsp import MelSpectrogram, SignalConfig, mel_spectrogram
 from beatmix.errors import LengthMismatch, NoEligibleDownbeat, ShapeMismatch
 from synth import click_track
-
-SR = 16000
 
 
 def make_grid(bpm, duration_s=30.0, t0=0.0):
@@ -94,22 +93,22 @@ def test_align_single_candidate_is_deterministic():
 # --- waveform / latent mixes -------------------------------------------------
 
 def test_bam_degenerate_lambda_is_identity(rng):
-    x1 = Waveform(rng.uniform(-1, 1, 4000), SR)
-    x2 = Waveform(rng.uniform(-1, 1, 4000), SR)
+    x1 = rng.uniform(-1, 1, 4000)
+    x2 = rng.uniform(-1, 1, 4000)
     out = M.bam_mix(x1, x2, 1.0 - 1e-9)
-    assert np.abs(out.samples - x1.samples).max() < 1e-6
+    assert np.abs(out - x1).max() < 1e-6
 
 
 def test_bam_impulse_linearity():
     x1 = np.zeros(8); x1[0] = 1.0
     x2 = np.zeros(8); x2[1] = 1.0
-    out = M.bam_mix(Waveform(x1, SR), Waveform(x2, SR), 0.5)
-    assert out.samples[0] == 0.5 and out.samples[1] == 0.5
+    out = M.bam_mix(x1, x2, 0.5)
+    assert out[0] == 0.5 and out[1] == 0.5
 
 
 def test_bam_length_mismatch():
     with pytest.raises(LengthMismatch):
-        M.bam_mix(Waveform(np.zeros(10), SR), Waveform(np.zeros(11), SR), 0.5)
+        M.bam_mix(np.zeros(10), np.zeros(11), 0.5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -118,10 +117,10 @@ def test_bam_amplitude_bound_and_swap_symmetry(lam, seed):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1, 1, 256)
     b = rng.uniform(-1, 1, 256)
-    out = M.bam_mix(Waveform(a, SR), Waveform(b, SR), lam)
-    assert np.abs(out.samples).max() <= max(np.abs(a).max(), np.abs(b).max()) + 1e-12
-    swapped = M.bam_mix(Waveform(b, SR), Waveform(a, SR), 1.0 - lam)
-    assert np.abs(out.samples - swapped.samples).max() < 1e-6
+    out = M.bam_mix(a, b, lam)
+    assert np.abs(out).max() <= max(np.abs(a).max(), np.abs(b).max()) + 1e-12
+    swapped = M.bam_mix(b, a, 1.0 - lam)
+    assert np.abs(out - swapped).max() < 1e-6
 
 
 def test_blm_symmetry_zero(rng):
@@ -188,7 +187,7 @@ def test_blm_render_matches_codec_reconstruction(fitted, monkeypatch):
     spec = M.MixupSpec("mix_00000", "blm", True, "a", 0, seed=0, track_b="b", offset_b=0,
                        lam=0.3, clip_samples=n)
     handed = []
-    out = Waveform(np.zeros(n), SR)
+    out = np.zeros(n)
 
     def capture(mel, iterations):
         handed.append((mel, iterations))
@@ -202,7 +201,7 @@ def test_blm_render_matches_codec_reconstruction(fitted, monkeypatch):
     # latents mixes the reconstructions; the two sides differ only by the
     # rounding of reassociated float64 sums, far below 1e-9 dB at these magnitudes
     r_a, r_b = (
-        patch_pca_reconstruction(codec, mel_spectrogram(Waveform(audio[t], SR), cfg).frames)
+        patch_pca_reconstruction(codec, mel_spectrogram(audio[t], cfg).frames)
         for t in ("a", "b")
     )
     expect = np.maximum(0.3 * r_a + 0.7 * r_b, cfg.log_floor)
@@ -350,12 +349,12 @@ def test_render_bam_spec_mixes_clips(rng):
     specs = M.plan_mixup_pass(tracks, "bam", 1.0, 5, 1)
     for spec in specs:
         wave = M.render_spec(spec, load_clip)
-        assert wave.samples.size == spec.clip_samples
+        assert wave.size == spec.clip_samples
         expect = spec.lam * audio[spec.track_a][spec.offset_a : spec.offset_a + spec.clip_samples]
         expect = expect + (1 - spec.lam) * audio[spec.track_b][
             spec.offset_b : spec.offset_b + spec.clip_samples
         ]
-        assert np.array_equal(wave.samples, expect)
+        assert np.array_equal(wave, expect)
 
 
 def test_render_unmixed_spec_is_source_clip(rng):
@@ -366,7 +365,7 @@ def test_render_unmixed_spec_is_source_clip(rng):
         assert not spec.mixed
         wave = M.render_spec(spec, lambda t, o, n: audio[t][o : o + n])
         assert np.array_equal(
-            wave.samples, audio[spec.track_a][spec.offset_a : spec.offset_a + spec.clip_samples]
+            wave, audio[spec.track_a][spec.offset_a : spec.offset_a + spec.clip_samples]
         )
 
 
@@ -378,7 +377,7 @@ def test_render_blm_spec_end_to_end():
         x, _ = click_track(120 + i, 14.0, seed=i)
         audio[tid] = x
     mels = [
-        mel_spectrogram(Waveform(audio[t][:163840], SR), cfg) for t in sorted(tracks)
+        mel_spectrogram(audio[t][:163840], cfg) for t in sorted(tracks)
     ]
     codec = C.fit(mels, n_components=8, patch_size=8)
     specs = M.plan_mixup_pass(tracks, "blm", 1.0, 2, 0, clip_samples=163840)
@@ -386,5 +385,5 @@ def test_render_blm_spec_end_to_end():
         wave = M.render_spec(
             spec, lambda t, o, n: audio[t][o : o + n], codec=codec, config=cfg, iterations=2
         )
-        assert wave.samples.size == 163840
-        assert np.all(np.abs(wave.samples) <= 1.0)
+        assert wave.size == 163840
+        assert np.all(np.abs(wave) <= 1.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from beatmix import wavio
-from beatmix.dsp import SignalConfig, Waveform, mel_spectrogram
+from beatmix.dsp import SignalConfig, mel_spectrogram
 from beatmix.errors import CorruptFile, UnsupportedFormat
 from beatmix.manifest import content_hash
 from beatmix.wavio import (
@@ -57,8 +57,8 @@ def test_downmix_symmetry(tmp_path):
     path = tmp_path / "sym.wav"
     write_raw_wav(path, frames, 16000, "float32")
     wave = load_wav(path)
-    assert wave.sample_rate == 16000
-    assert np.abs(wave.samples).max() < 1e-7
+    assert wave.dtype == np.float64 and wave.shape == (8000,)
+    assert np.abs(wave).max() < 1e-7
 
 
 def test_pcm16_scale(tmp_path):
@@ -70,8 +70,8 @@ def test_pcm16_scale(tmp_path):
         fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16))
         fh.write(b"data" + struct.pack("<I", len(body)) + body)
     wave = load_wav(path)
-    assert np.allclose(wave.samples, ints.astype(float) / 32768.0)
-    assert wave.samples.size == 6
+    assert np.allclose(wave, ints.astype(float) / 32768.0)
+    assert wave.size == 6
 
 
 @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
@@ -81,8 +81,8 @@ def test_formats_round_trip_values(tmp_path, fmt):
     path = tmp_path / f"{fmt}.wav"
     write_raw_wav(path, x[:, None], 16000, fmt)
     wave = load_wav(path)
-    assert wave.samples.size == 16000
-    assert np.abs(wave.samples - x).max() < 1e-3
+    assert wave.size == 16000
+    assert np.abs(wave - x).max() < 1e-3
 
 
 def test_resample_sine_peak_matches_reference(tmp_path):
@@ -93,10 +93,10 @@ def test_resample_sine_peak_matches_reference(tmp_path):
     path = tmp_path / "sine44.wav"
     write_raw_wav(path, x[:, None], sr_in, "pcm16")
     wave = load_wav(path)
-    assert wave.samples.size == 16000
+    assert wave.size == 16000
 
     ref = np.interp(np.arange(16000) / 16000, t, x)
-    peak = np.argmax(np.abs(np.fft.rfft(wave.samples)))
+    peak = np.argmax(np.abs(np.fft.rfft(wave)))
     ref_peak = np.argmax(np.abs(np.fft.rfft(ref)))
     assert peak == ref_peak == round(440 * 16000 / 16000)
 
@@ -219,14 +219,14 @@ def test_short_fmt_chunk_is_corrupt(tmp_path, reader):
 def test_save_load_round_trip(tmp_path, rng):
     x = rng.uniform(-0.9, 0.9, 12345)
     path = tmp_path / "rt.wav"
-    save_wav(path, Waveform(x, 16000))
+    save_wav(path, x)
     back = load_wav(path)
-    assert back.samples.size == x.size
-    assert np.abs(back.samples - x).max() <= 0.5 / 32768 + 1e-9
+    assert back.size == x.size
+    assert np.abs(back - x).max() <= 0.5 / 32768 + 1e-9
 
 
 def test_wav_bytes_parseable(rng):
-    blob = wav_bytes(Waveform(rng.uniform(-1, 1, 100), 16000))
+    blob = wav_bytes(rng.uniform(-1, 1, 100))
     assert blob[:4] == b"RIFF" and blob[8:12] == b"WAVE"
 
 
@@ -235,7 +235,7 @@ def test_probe_matches_load(tmp_path):
     x = 0.1 * np.sin(2 * np.pi * 100 * t)
     path = tmp_path / "probe.wav"
     write_raw_wav(path, x[:, None], 22050, "pcm16")
-    assert probe_wav(path) == (load_wav(path).samples.size, content_hash(path), path.read_bytes())
+    assert probe_wav(path) == (load_wav(path).size, content_hash(path), path.read_bytes())
 
 
 def _stereo_44k(path):
@@ -248,15 +248,15 @@ def test_normalized_cache_matches_load_wav_bit_for_bit(tmp_path):
     path = tmp_path / "in.wav"
     _stereo_44k(path)
     cache = tmp_path / "cache"
-    expect = load_wav(path).samples
+    expect = load_wav(path)
     cold = load_normalized(path, cache, content_hash(path))
     cached = cache / f"{content_hash(path)}.npy"
     assert os.listdir(cache) == [cached.name]
     warm = load_normalized(path, cache, content_hash(path))
-    for samples in (cold.samples, np.load(cached), warm.samples):
+    for samples in (cold, np.load(cached), warm):
         assert samples.dtype == np.float64 and samples.tobytes() == expect.tobytes()
-    assert isinstance(warm.samples.base, np.memmap)
-    assert warm.sample_rate == 16000
+    assert isinstance(warm.base, np.memmap)
+    assert type(warm) is np.ndarray and warm.ndim == 1
 
 
 def _truncate(path):
@@ -279,8 +279,8 @@ def test_damaged_cache_file_is_rebuilt(tmp_path, damage):
     load_normalized(path, cache, content_hash(path))
     cached = cache / f"{content_hash(path)}.npy"
     damage(cached)
-    expect = load_wav(path).samples.tobytes()
-    assert load_normalized(path, cache, content_hash(path)).samples.tobytes() == expect
+    expect = load_wav(path).tobytes()
+    assert load_normalized(path, cache, content_hash(path)).tobytes() == expect
     assert np.load(cached).tobytes() == expect
     assert os.listdir(cache) == [cached.name]
 
@@ -328,7 +328,7 @@ def test_downmix_is_the_channel_mean_bit_for_bit(fmt, n_channels):
     raw, tag, bits, values = _raw_frames(fmt, n_channels, rng)
     wave = load_wav("in-memory.wav", _wav_from_raw(raw, tag, bits))
     expect = np.clip(values.mean(axis=1), -1.0, 1.0)
-    assert wave.samples.tobytes() == expect.tobytes()
+    assert wave.tobytes() == expect.tobytes()
 
 
 # each format's scaling as the division of a second float64 array
