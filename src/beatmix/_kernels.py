@@ -7,7 +7,9 @@ the same bits on every machine, BLAS and query tiling:
 * ``beat_dp`` scans predecessors nearest first and keeps the nearest on ties.
 * ``nn_max_dot`` returns the dot products as a left-to-right float64 sum
   over the feature dimension (``acc = acc + q[k] * r[k]``, no fused
-  multiply-add) and keeps the lowest reference index on ties.
+  multiply-add) and keeps the lowest reference index on ties. A float32
+  BLAS product only chooses which pairs get that sum, inside a margin
+  proven wide enough for the fixed-order winner and its ties.
 """
 
 import numpy as np
@@ -64,13 +66,35 @@ def nn_max_dot(queries, refs):
 
     The result is that of the left-to-right float64 sum for every pair,
     with ties going to the lowest reference index, so it does not depend on
-    the BLAS or on how callers tile the queries. Inputs must be finite and
+    the BLAS or on how callers tile the queries. Inputs must be finite,
     their dot products must not overflow (the gateway rejects non-finite
-    vectors). Returns (best, index); with no reference rows every best is
-    -inf and every index -1.
+    vectors) and the dimension d must be in [1, 2**24). Returns (best, index);
+    with no reference rows every best is -inf and every index -1.
 
-    A BLAS product shortlists, per query, every reference within a rounding
+    A float32 BLAS product shortlists, per query, every reference within a
     margin of the row maximum; only the shortlist is summed in fixed order.
+    The queries and the references are each scaled by a power of two so
+    that their largest magnitude is at most 1; that is exact, and keeps the
+    float32 product from overflowing. In the scaled units, with u32 and u64
+    the unit roundoffs and gamma_d(u) = d u / (1 - d u), the float32 value
+    of a pair (q, r) differs from the exact dot product by at most
+    (2 u32 + u32**2) |q| |r| for rounding q and r to float32, plus
+    gamma_d(u32) (1 + u32)**2 |q| |r| for summing the rounded products in
+    any order, with or without fused multiply-adds; the fixed-order float64
+    sum differs from the exact one by at most gamma_d(u64) |q| |r| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1).
+    So the float32 and the fixed-order values of a pair differ by at most E,
+    the sum of these three taken at |q| max|r|. The fixed-order winner and
+    its ties then lie within 2 E of the float32 row maximum: each is at
+    least the fixed-order value of the float32 argmax, which is within E of
+    that maximum. Doubling 2 E covers the rounding of the norms, of the
+    margin and of the threshold, each far smaller. Underflow adds an
+    absolute error the relative terms miss: below float32 ``tiny`` each of
+    the d products loses at most 4 tiny (the two factors, the product and
+    the sum, even where the BLAS flushes subnormals to zero), so 16 d tiny
+    covers both pairs, doubled; the float64 sum loses at most d/2 of the
+    smallest subnormal at the unscaled magnitude, and 4 d of it covers the
+    same. The bound, not a test, is what tells this margin from half of it.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     refs = np.ascontiguousarray(refs, dtype=np.float64)
@@ -79,22 +103,22 @@ def nn_max_dot(queries, refs):
     n, d = queries.shape
     best = np.full(n, -np.inf)
     idx = np.full(n, -1, dtype=np.int64)
-    if refs.shape[0] == 0:
+    if n == 0 or refs.shape[0] == 0:
         return best, idx
-    # Any summation order of d products is within gamma_d * |q| * |r| of
-    # the exact dot product (Higham, Accuracy and Stability of Numerical
-    # Algorithms, 2nd ed., section 3.1), so the fixed-order winner and its
-    # ties lie within 4 * gamma_d * |q| * max|r| of the BLAS row maximum.
-    # Doubling that covers the rounding of the norms, of the margin and of
-    # the threshold, each far smaller; the last term covers underflow.
-    u = np.finfo(np.float64).eps / 2
-    gamma = d * u / (1 - d * u)
-    ref_norm = np.sqrt(np.einsum("ij,ij->i", refs, refs).max())
-    query_norm = np.sqrt(np.einsum("ij,ij->i", queries, queries))
-    margin = 8 * gamma * query_norm * ref_norm + 4 * d * np.finfo(np.float64).smallest_subnormal
+    q32, query_norm, q_exp = _scaled_float32(queries)
+    r32, ref_norm, r_exp = _scaled_float32(refs)
+    u32, u64 = np.finfo(np.float32).eps / 2, np.finfo(np.float64).eps / 2
+    gamma32, gamma64 = d * u32 / (1 - d * u32), d * u64 / (1 - d * u64)
+    relative = (2 * u32 + u32**2) + gamma32 * (1 + u32) ** 2 + gamma64
+    # the float64 underflow bound, 2**-1074 at the unscaled magnitude; an
+    # exponent past float64's range only widens the margin to everything
+    underflow64 = 2.0 ** min(-1074 - q_exp - r_exp, 1023)
+    margin = (4 * relative * ref_norm.max()) * query_norm + d * (
+        16 * float(np.finfo(np.float32).tiny) + 4 * underflow64
+    )
     for lo in range(0, n, _NN_CHUNK):
         hi = min(n, lo + _NN_CHUNK)
-        sims = queries[lo:hi] @ refs.T
+        sims = q32[lo:hi] @ r32.T
         floor = sims.max(axis=1) - margin[lo:hi]
         rows, cols = np.divmod(np.flatnonzero(sims >= floor[:, None]), refs.shape[0])
         rows += lo
@@ -109,18 +133,34 @@ def nn_max_dot(queries, refs):
     return best, idx
 
 
+def _scaled_float32(x):
+    """``x * 2**-e`` rounded to float32, the float64 norms of the rows of
+    ``x * 2**-e``, and ``e``: the power of two that brings the largest
+    magnitude into [1/2, 1). Works through ``_NN_CHUNK`` rows at a time, so
+    no full-size float64 copy is made."""
+    e = int(np.frexp(max(x.max(), -x.min()))[1])
+    out = np.empty(x.shape, dtype=np.float32)
+    norms = np.empty(x.shape[0])
+    for lo in range(0, x.shape[0], _NN_CHUNK):
+        part = np.ldexp(x[lo : lo + _NN_CHUNK], -e)
+        norms[lo : lo + _NN_CHUNK] = np.sqrt(np.vecdot(part, part))
+        out[lo : lo + _NN_CHUNK] = part
+    return out, norms, e
+
+
 def _fixed_order_dots(queries, refs, rows, cols):
     """``queries[rows[p]] . refs[cols[p]]`` for every pair p, summed left to
-    right over the feature dimension."""
+    right over the feature dimension from 0.0, as ``acc = acc + q[k] * r[k]``.
+
+    ``np.add.accumulate`` is a running sum, left to right with no fused
+    multiply-add, so its last column is that sum; adding 0.0 to the first
+    product makes it start from 0.0, which turns a -0.0 into 0.0 as the
+    plain loop does.
+    """
     out = np.empty(rows.size)
     for lo in range(0, rows.size, _RESCORE_PAIRS):
         pairs = slice(lo, lo + _RESCORE_PAIRS)
-        q = queries[rows[pairs]].T.copy()
-        r = refs[cols[pairs]].T.copy()
-        acc = np.zeros(q.shape[1])
-        prod = np.empty_like(acc)
-        for k in range(q.shape[0]):
-            np.multiply(q[k], r[k], out=prod)
-            acc += prod
-        out[pairs] = acc
+        prod = queries[rows[pairs]] * refs[cols[pairs]]
+        prod[:, 0] += 0.0
+        out[pairs] = np.add.accumulate(prod, axis=1)[:, -1]
     return out

@@ -139,10 +139,13 @@ def _hann(window: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
 
 
-def _stft(padded: np.ndarray, n_frames: int, config: SignalConfig) -> np.ndarray:
-    """Complex spectra of the Hann-windowed frames ``padded[k*hop : k*hop + window]``."""
+def _stft(padded: np.ndarray, n_frames: int, config: SignalConfig, frames=None) -> np.ndarray:
+    """Complex spectra of the Hann-windowed frames ``padded[k*hop : k*hop + window]``;
+    ``frames``, an (n_frames, window) float64 array, is filled with the
+    windowed frames instead of a new one."""
     view = np.lib.stride_tricks.sliding_window_view(padded, config.window)
-    frames = view[: (n_frames - 1) * config.hop + 1 : config.hop] * _hann(config.window)
+    view = view[: (n_frames - 1) * config.hop + 1 : config.hop]
+    frames = np.multiply(view, _hann(config.window), out=frames)
     return np.fft.rfft(frames, n=config.fft_size, axis=1)
 
 
@@ -168,12 +171,21 @@ def _filterbank_pinv(config: SignalConfig) -> np.ndarray:
 
 
 def _overlap_add(frames: np.ndarray, config: SignalConfig) -> np.ndarray:
-    """Sum frame k into samples ``[k*hop, k*hop + window)``, in frame order."""
-    out = np.zeros((frames.shape[0] - 1) * config.hop + config.window)
-    for k, frame in enumerate(frames):
-        lo = k * config.hop
-        out[lo : lo + config.window] += frame
-    return out
+    """Sum frame k into samples ``[k*hop, k*hop + window)``, in frame order.
+
+    The output is laid out as a grid of hop-long rows. Piece t of every
+    frame, its samples ``[t*hop, (t+1)*hop)``, lands on the rows shifted by
+    t, so each piece is one strided add over all frames. Pieces go from the
+    last to the first, so each sample adds its frames in frame order, as a
+    loop over the frames does.
+    """
+    n_frames, hop = frames.shape[0], config.hop
+    pieces = -(-config.window // hop)
+    grid = np.zeros((n_frames - 1 + pieces, hop))
+    for t in reversed(range(pieces)):
+        piece = frames[:, t * hop : (t + 1) * hop]
+        grid[t : t + n_frames, : piece.shape[1]] += piece
+    return grid.ravel()[: (n_frames - 1) * hop + config.window]
 
 
 def _window_sum(n_frames: int, config: SignalConfig) -> np.ndarray:
@@ -186,9 +198,11 @@ def _window_sum(n_frames: int, config: SignalConfig) -> np.ndarray:
 
 def _istft(spec: np.ndarray, config: SignalConfig, window_sum: np.ndarray) -> np.ndarray:
     """Overlap-add synthesis back to the padded-domain signal."""
-    win = _hann(config.window)
-    frames = np.fft.irfft(spec, n=config.fft_size, axis=1)[:, : config.window] * win
-    return _overlap_add(frames, config) / window_sum
+    frames = np.fft.irfft(spec, n=config.fft_size, axis=1)[:, : config.window]
+    frames *= _hann(config.window)
+    out = _overlap_add(frames, config)
+    out /= window_sum
+    return out
 
 
 def invert_mel(mel: MelSpectrogram, iterations: int = GL_ITERATIONS, callback=None) -> np.ndarray:
@@ -204,6 +218,12 @@ def invert_mel(mel: MelSpectrogram, iterations: int = GL_ITERATIONS, callback=No
     ISTFT of the last magnitude-restored spectrum. When given,
     ``callback(iteration, error)`` is invoked each iteration with the
     relative spectral consistency error of that iteration's STFT(ISTFT(.)).
+
+    The loop works in place where it can: one frame buffer for every STFT,
+    one magnitude buffer, and the magnitude restore and the momentum step
+    written over arrays that are no longer needed. It does the same
+    operations in the same order as the plain formulas, so the output is the
+    same bits.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -214,16 +234,27 @@ def invert_mel(mel: MelSpectrogram, iterations: int = GL_ITERATIONS, callback=No
 
     n_frames = target.shape[0]
     window_sum = _window_sum(n_frames, config)
+    frames = np.empty((n_frames, config.window))
+    mag = np.empty_like(target)
     coeffs = target.astype(np.complex128)
     prev = None
     for it in range(iterations):
-        spec = _stft(_istft(coeffs, config, window_sum), n_frames, config)
-        mag = np.abs(spec)
+        spec = _stft(_istft(coeffs, config, window_sum), n_frames, config, frames)
+        np.abs(spec, out=mag)
         if callback is not None:
             callback(it, np.linalg.norm(mag - target) / max(target_norm, 1e-16))
-        proj = spec * (target / np.maximum(mag, 1e-16))
-        coeffs = proj if prev is None else proj + FGLA_MOMENTUM * (proj - prev)
-        prev = proj
+        # spec becomes the projection, spec * (target / max(|spec|, 1e-16))
+        np.maximum(mag, 1e-16, out=mag)
+        np.divide(target, mag, out=mag)
+        spec *= mag
+        if prev is None:
+            coeffs = spec
+        else:
+            # proj + momentum * (proj - prev), the step written over prev
+            step = np.subtract(spec, prev, out=prev)
+            step *= FGLA_MOMENTUM
+            coeffs = np.add(spec, step, out=step)
+        prev = spec
     y = _istft(prev, config, window_sum)
 
     pad = config.window // 2

@@ -71,9 +71,19 @@ def atomic_open(path):
 
 
 def atomic_write(path, data: bytes | str) -> None:
-    """Write ``data`` (a str as UTF-8) to ``path`` through ``atomic_open``."""
+    """Write ``data`` (a str as UTF-8) to ``path`` through ``atomic_open``.
+    A file that already holds exactly these bytes is left alone, inode and
+    modification time included: a re-run that changes nothing replaces
+    nothing."""
     if isinstance(data, str):
         data = data.encode("utf-8")
+    try:
+        if os.path.getsize(path) == len(data):
+            with open(path, "rb") as fh:
+                if fh.read() == data:
+                    return
+    except OSError:
+        pass  # no such file, or not one to compare: write as usual
     with atomic_open(path) as fh:
         fh.write(data)
 
@@ -97,8 +107,7 @@ def read_json(path, what: str):
 
 
 def save_manifest(manifest: Manifest, path) -> None:
-    """Write ``manifest`` canonically; a file that already holds exactly
-    these bytes is not rewritten."""
+    """Write ``manifest`` canonically, through ``atomic_write``."""
     manifest.entries.sort(key=lambda e: e.id)
     payload = {
         "schema_version": manifest.schema_version,
@@ -106,15 +115,7 @@ def save_manifest(manifest: Manifest, path) -> None:
         "config": manifest.config,
         "entries": [asdict(e) for e in manifest.entries],
     }
-    data = canonical_json(payload).encode("utf-8")
-    # a stage that changed nothing leaves the file, and its inode, alone
-    try:
-        with open(path, "rb") as fh:
-            if fh.read() == data:
-                return
-    except FileNotFoundError:
-        pass
-    atomic_write(path, data)
+    atomic_write(path, canonical_json(payload))
 
 
 def _has_type(value, kind) -> bool:

@@ -1204,6 +1204,43 @@ def test_unchanged_manifest_is_not_rewritten(tmp_path):
     assert load_manifest(path).config == {"clip_seconds": 5.0}
 
 
+def _inodes_and_mtimes(directory):
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.iterdir()}
+
+
+def test_rerun_with_the_same_bytes_replaces_no_output(corpus, rng):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    assert run(["analyze", "--manifest", manifest]) == 0
+    mixes = corpus / "mixes"
+    mix = ["mix", "--manifest", manifest, "--strategy", "bam", "--count", "4", "--p", "1",
+           "--out", mixes]
+    assert run(mix) == 0
+    first = _inodes_and_mtimes(mixes)
+    assert len(first) == 8  # a WAV and a mixspec per clip
+    for _ in range(2):
+        assert run(mix) == 0
+        assert _inodes_and_mtimes(mixes) == first
+
+    files, _ = make_embedding_files(corpus, rng)
+    report = corpus / "report"
+    assert full_eval(files, report) == 0
+    reports = _inodes_and_mtimes(report)
+    assert full_eval(files, report) == 0
+    assert _inodes_and_mtimes(report) == reports
+
+    # changed bytes are still replaced
+    old = {name: (mixes / name).read_bytes() for name in first}
+    assert run(mix + ["--seed", "1"]) == 0
+    changed = [name for name in first if (mixes / name).read_bytes() != old[name]]
+    assert changed
+    for name in changed:
+        assert (mixes / name).stat().st_ino != first[name][0]
+    assert run(["eval", "--gen-emb", files["gen"], "--train-seg-emb", files["gen"],
+                "--out", report]) == 0
+    assert (report / "report.json").stat().st_ino != reports["report.json"][0]
+
+
 def test_manifest_with_stored_sample_rate_still_runs(corpus):
     # manifests from older versions store keys nothing reads any more: the only
     # sample rate that works, and fit-codec's C and P (codec.bin's header has them)

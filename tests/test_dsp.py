@@ -201,3 +201,57 @@ def test_overlap_add_and_window_sum_equal_plain_loops(config, rng):
         norm[k * config.hop : k * config.hop + config.window] += win_sq
     assert np.array_equal(_overlap_add(frames, config), want)
     assert np.array_equal(_window_sum(n_frames, config), np.maximum(norm, 1e-10))
+
+
+def plain_invert_mel(mel, iterations, callback):
+    """``invert_mel`` written out with a new array for every step and a loop
+    over the frames for each overlap-add: the arithmetic the in-place loop
+    must reproduce bit for bit."""
+    config = mel.config
+    win = _hann(config.window)
+    target = np.maximum(10.0 ** (mel.frames / 20.0) @ _filterbank_pinv(config).T, 0.0)
+    target_norm = np.linalg.norm(target)
+    n_frames = target.shape[0]
+    size = (n_frames - 1) * config.hop + config.window
+
+    def overlap_add(frames):
+        out = np.zeros(size)
+        for k, frame in enumerate(frames):
+            out[k * config.hop : k * config.hop + config.window] += frame
+        return out
+
+    window_sum = np.maximum(overlap_add(np.broadcast_to(win * win, (n_frames, config.window))), 1e-10)
+
+    def istft(spec):
+        frames = np.fft.irfft(spec, n=config.fft_size, axis=1)[:, : config.window] * win
+        return overlap_add(frames) / window_sum
+
+    def stft(padded):
+        view = np.lib.stride_tricks.sliding_window_view(padded, config.window)
+        frames = view[: (n_frames - 1) * config.hop + 1 : config.hop] * win
+        return np.fft.rfft(frames, n=config.fft_size, axis=1)
+
+    coeffs = target.astype(np.complex128)
+    prev = None
+    for it in range(iterations):
+        spec = stft(istft(coeffs))
+        mag = np.abs(spec)
+        callback(it, np.linalg.norm(mag - target) / max(target_norm, 1e-16))
+        proj = spec * (target / np.maximum(mag, 1e-16))
+        coeffs = proj if prev is None else proj + 0.9 * (proj - prev)
+        prev = proj
+    y = istft(prev)
+    pad = config.window // 2
+    return np.clip(y[pad : pad + n_frames * config.hop], -1.0, 1.0)
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 14])
+@pytest.mark.parametrize("config", [SignalConfig(), WIDE], ids=["default", "wide"])
+def test_invert_mel_equals_the_plain_loop_bitwise(config, iterations):
+    clicks, _ = click_track(120, 2.0, bass_phase=0, seed=3)
+    mel = mel_spectrogram(np.clip(clicks + sine(330.0, 2.0, amp=0.2), -1.0, 1.0), config)
+    errors, plain_errors = [], []
+    got = invert_mel(mel, iterations, callback=lambda it, err: errors.append((it, err)))
+    want = plain_invert_mel(mel, iterations, lambda it, err: plain_errors.append((it, err)))
+    assert got.tobytes() == want.tobytes()
+    assert errors == plain_errors and len(errors) == iterations

@@ -178,3 +178,83 @@ def test_nn_without_references():
 def test_nn_dim_mismatch_raises():
     with pytest.raises(ValueError):
         _kernels.nn_max_dot(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["low-first", "high-first"])
+def test_nn_references_equal_in_float32_match_python_oracle(order, rng):
+    # two references that round to the same float32 row but differ in their
+    # float64 low bits: the float32 shortlist cannot tell them apart, only
+    # the fixed-order rescore can
+    d = 64
+    low = _unit_rows(rng, 1, d)[0]
+    high = low + 8 * np.spacing(low)
+    assert np.array_equal(low.astype(np.float32), high.astype(np.float32))
+    assert not np.array_equal(low, high)
+    pair = np.stack([low, high])[list(order)]
+    r = np.vstack([_unit_rows(rng, 6, d), pair, _unit_rows(rng, 6, d)])
+    q = np.vstack([np.abs(low), -np.abs(low), _unit_rows(rng, 8, d)])
+    best, idx = _kernels.nn_max_dot(q, r)
+    obest, oidx = python_nn_oracle(q, r)
+    assert np.array_equal(idx, oidx)
+    assert np.array_equal(best, obest)
+
+
+def test_nn_float32_ranking_differs_from_the_fixed_order_one(rng):
+    # copies of one row nudged by about one float32 ulp per component: the
+    # float32 product ranks them otherwise than the fixed-order float64 sum
+    # for most queries, so the shortlist must reach past its own maximum
+    d = 64
+    base = _unit_rows(rng, 1, d)
+    r = base + rng.normal(size=(30, d)) * 2.0**-24 * np.abs(base)
+    q = _unit_rows(rng, 20, d)
+    obest, oidx = python_nn_oracle(q, r)
+    float32_idx = (q.astype(np.float32) @ r.astype(np.float32).T).argmax(axis=1)
+    assert (float32_idx != oidx).sum() >= 10
+    best, idx = _kernels.nn_max_dot(q, r)
+    assert np.array_equal(idx, oidx)
+    assert np.array_equal(best, obest)
+
+
+def test_nn_without_queries():
+    best, idx = _kernels.nn_max_dot(np.zeros((0, 3)), np.ones((4, 3)))
+    assert best.shape == idx.shape == (0,)
+
+
+def test_nn_shortlist_stays_small(rng, monkeypatch):
+    # a guard on speed, not on correctness: with random unit rows the float32
+    # margin lets through about one reference per query; a margin far wider
+    # than the bound needs would rescore many
+    rescored = []
+    rescore = _kernels._fixed_order_dots
+    monkeypatch.setattr(
+        _kernels, "_fixed_order_dots",
+        lambda q, r, rows, cols: rescored.append(rows.size) or rescore(q, r, rows, cols),
+    )
+    n = 2000
+    _kernels.nn_max_dot(_unit_rows(rng, n, 512), _unit_rows(rng, 4096, 512))
+    assert n <= sum(rescored) <= 1.05 * n
+
+
+def python_dot(q, r):
+    acc = 0.0
+    for qk, rk in zip(q, r):
+        acc += qk * rk
+    return acc
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2047, 2048, 2049, 4097])
+def test_fixed_order_dots_match_a_plain_loop_bitwise(n_pairs, rng):
+    # every pair's sum against acc = 0.0; acc += q[k] * r[k], compared as
+    # bytes, since array_equal counts -0.0 equal to 0.0; the first pair's
+    # products all underflow to -0.0, and a sum from 0.0 makes them 0.0
+    queries = rng.normal(size=(40, 3)) * 2.0 ** rng.integers(-30, 30, size=(40, 1))
+    refs = rng.normal(size=(50, 3))
+    queries[0] = [-1e-200, 1e-200, -1e-200]
+    refs[0] = [1e-200, -1e-200, 1e-200]
+    rows = np.r_[0, rng.integers(40, size=n_pairs - 1)]
+    cols = np.r_[0, rng.integers(50, size=n_pairs - 1)]
+    got = _kernels._fixed_order_dots(queries, refs, rows, cols)
+    want = np.array([python_dot(queries[i].tolist(), refs[j].tolist()) for i, j in zip(rows, cols)])
+    assert got.tobytes() == want.tobytes()
+    products = queries[0] * refs[0]
+    assert not products.any() and np.signbit(products).all() and not np.signbit(want[0])
