@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .dsp import SAMPLE_RATE, MelSpectrogram, SignalConfig
+from .dsp import FRAMES_PER_SECOND, HOP, SAMPLE_RATE
 from .errors import InvariantViolation, NoOnsets, SchemaError, TooFewBeats, TooShort
 from .manifest import atomic_write, canonical_json, read_json
 
@@ -28,7 +28,7 @@ DP_TIGHTNESS = 100.0
 # The dB flux of a sharp attack peaks while the event is still entering the
 # analysis window, a couple of frames before the event itself; beat times are
 # shifted late by this fixed amount to compensate (calibrated on synthetic
-# click tracks at the default 1024/160 framing).
+# click tracks at the 1024/160 framing).
 ONSET_LAG_FRAMES = 2
 
 DOWNBEAT_LOW_BINS = 16
@@ -76,12 +76,12 @@ def validate_grid(grid: BeatGrid) -> None:
         raise InvariantViolation(f"unknown source {grid.source!r}")
 
 
-def onset_envelope(mel: MelSpectrogram) -> np.ndarray:
+def onset_envelope(mel: np.ndarray) -> np.ndarray:
     """Half-wave-rectified spectral flux of the log-mel, one value per frame,
     normalized so the strongest onset is 1."""
-    if mel.n_frames < 2:
+    if mel.shape[0] < 2:
         raise TooShort("need at least 2 frames for a flux envelope")
-    flux = np.maximum(np.diff(mel.frames, axis=0), 0.0).sum(axis=1)
+    flux = np.maximum(np.diff(mel, axis=0), 0.0).sum(axis=1)
     env = np.concatenate([[0.0], flux])
     peak = env.max()
     if peak > 0:
@@ -89,14 +89,13 @@ def onset_envelope(mel: MelSpectrogram) -> np.ndarray:
     return env
 
 
-def _tempo_lag_range(config: SignalConfig) -> tuple[int, int]:
-    fps = config.frames_per_second
-    lag_min = max(1, int(round(60.0 * fps / TEMPO_MAX)))
-    lag_max = int(round(60.0 * fps / TEMPO_MIN))
+def _tempo_lag_range() -> tuple[int, int]:
+    lag_min = max(1, int(round(60.0 * FRAMES_PER_SECOND / TEMPO_MAX)))
+    lag_max = int(round(60.0 * FRAMES_PER_SECOND / TEMPO_MIN))
     return lag_min, lag_max
 
 
-def estimate_tempo(env: np.ndarray, config: SignalConfig = SignalConfig()) -> float:
+def estimate_tempo(env: np.ndarray) -> float:
     """Tempo in BPM from the onset envelope.
 
     Autocorrelation over lags spanning 60-180 BPM, weighted by a log-Gaussian
@@ -104,8 +103,7 @@ def estimate_tempo(env: np.ndarray, config: SignalConfig = SignalConfig()) -> fl
     refined by parabolic interpolation.
     """
     env = np.asarray(env, dtype=np.float64)
-    fps = config.frames_per_second
-    if env.size < 4 * fps:
+    if env.size < 4 * FRAMES_PER_SECOND:
         raise TooShort("tempo estimation needs at least 4 seconds of frames")
     if env.max() <= 1e-12:
         raise NoOnsets("onset envelope is empty")
@@ -116,9 +114,9 @@ def estimate_tempo(env: np.ndarray, config: SignalConfig = SignalConfig()) -> fl
     spec = np.fft.rfft(centered, size)
     acorr = np.fft.irfft(spec * np.conj(spec), size)[:n].real
 
-    lag_min, lag_max = _tempo_lag_range(config)
+    lag_min, lag_max = _tempo_lag_range()
     lags = np.arange(lag_min, lag_max + 1)
-    bpms = 60.0 * fps / lags
+    bpms = 60.0 * FRAMES_PER_SECOND / lags
     prior = np.exp(-0.5 * (np.log2(bpms / TEMPO_PRIOR_BPM) / TEMPO_PRIOR_OCTAVES) ** 2)
     weighted = acorr[lag_min : lag_max + 1] * prior
 
@@ -129,7 +127,7 @@ def estimate_tempo(env: np.ndarray, config: SignalConfig = SignalConfig()) -> fl
         denom = a - 2 * b + c
         if denom < 0:
             lag += float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
-    return float(np.clip(60.0 * fps / lag, TEMPO_MIN, TEMPO_MAX))
+    return float(np.clip(60.0 * FRAMES_PER_SECOND / lag, TEMPO_MIN, TEMPO_MAX))
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -138,9 +136,7 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (x > left) & (x >= right)
 
 
-def track_beats(
-    env: np.ndarray, tempo_bpm: float, config: SignalConfig = SignalConfig()
-) -> np.ndarray:
+def track_beats(env: np.ndarray, tempo_bpm: float) -> np.ndarray:
     """Beat times (seconds) by dynamic programming against the onset envelope.
 
     The DP maximizes total onset strength at the beats minus
@@ -153,8 +149,7 @@ def track_beats(
     if env.max() <= 1e-12:
         raise NoOnsets("onset envelope is empty")
 
-    fps = config.frames_per_second
-    period = 60.0 * fps / tempo_bpm
+    period = 60.0 * FRAMES_PER_SECOND / tempo_bpm
     gap_min = max(1, int(round(period / 2)))
     gap_max = max(gap_min + 1, int(round(2 * period)))
     gaps = np.arange(gap_max + 1, dtype=np.float64)
@@ -188,32 +183,31 @@ def track_beats(
         return np.zeros(0)
     frames = frames[keep[0] : keep[-1] + 1]
 
-    times = (frames + ONSET_LAG_FRAMES) * config.hop / SAMPLE_RATE
-    duration = env.size * config.hop / SAMPLE_RATE
+    times = (frames + ONSET_LAG_FRAMES) * HOP / SAMPLE_RATE
+    duration = env.size * HOP / SAMPLE_RATE
     return times[(times >= 0) & (times < duration)]
 
 
-def infer_downbeats(beat_times: np.ndarray, mel: MelSpectrogram) -> np.ndarray:
+def infer_downbeats(beat_times: np.ndarray, mel: np.ndarray) -> np.ndarray:
     """Downbeat times assuming 4/4: the beat phase with the most low-band
     energy wins, and every fourth beat from that phase is a downbeat."""
     beat_times = np.asarray(beat_times, dtype=np.float64)
     if beat_times.size < METER:
         raise TooFewBeats(f"need at least {METER} beats, got {beat_times.size}")
-    fps = mel.config.frames_per_second
-    frames = np.clip(np.round(beat_times * fps).astype(int), 0, mel.n_frames - 1)
-    low = mel.frames[:, :DOWNBEAT_LOW_BINS].mean(axis=1)
+    frames = np.clip(np.round(beat_times * FRAMES_PER_SECOND).astype(int), 0, mel.shape[0] - 1)
+    low = mel[:, :DOWNBEAT_LOW_BINS].mean(axis=1)
     scores = [low[frames[phase::METER]].mean() for phase in range(METER)]
     best = int(np.argmax(scores))
     return beat_times[best::METER]
 
 
-def analyze_waveform(x: np.ndarray, mel: MelSpectrogram) -> BeatGrid:
+def analyze_waveform(x: np.ndarray, mel: np.ndarray) -> BeatGrid:
     """Full builtin analysis of one track: tempo, beats, and downbeats, from
-    ``mel``, the ``mel_spectrogram`` of the track's samples ``x`` (whose
-    config is used); of ``x`` itself only the length is read."""
+    ``mel``, the ``mel_spectrogram`` of the track's samples ``x``; of ``x``
+    itself only the length is read."""
     env = onset_envelope(mel)
-    tempo = estimate_tempo(env, mel.config)
-    beats = track_beats(env, tempo, mel.config)
+    tempo = estimate_tempo(env)
+    beats = track_beats(env, tempo)
     beats = beats[beats < x.size / SAMPLE_RATE]
     if beats.size < 2:
         raise NoOnsets("too few beats to form a grid")
@@ -243,14 +237,17 @@ def load_beat_annotation(path) -> BeatGrid:
     missing = {"tempo_bpm", "beat_times", "downbeat_times", "source"} - payload.keys()
     if missing:
         raise SchemaError(f"{path}: missing keys {sorted(missing)}")
+    tempo = payload["tempo_bpm"]
+    if isinstance(tempo, bool) or not isinstance(tempo, (int, float)):
+        raise SchemaError(f"{path}: tempo_bpm is {tempo!r}, expected a number")
     try:
         grid = BeatGrid(
-            tempo_bpm=float(payload["tempo_bpm"]),
+            tempo_bpm=float(tempo),
             beat_times=np.asarray(payload["beat_times"], dtype=np.float64),
             downbeat_times=np.asarray(payload["downbeat_times"], dtype=np.float64),
             source=str(payload["source"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed field ({exc})") from exc
     validate_grid(grid)
     return grid

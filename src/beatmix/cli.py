@@ -26,8 +26,8 @@ import numpy as np
 
 from . import beats as beats_mod
 from . import codec as codec_mod
-from . import gateway, metrics, mixup, wavio
-from .dsp import GL_ITERATIONS, SAMPLE_RATE, SignalConfig
+from . import dsp, gateway, metrics, mixup, wavio
+from .dsp import SAMPLE_RATE
 from .errors import (
     BeatmixError,
     DuplicateBasename,
@@ -65,39 +65,41 @@ def _checked(convert, ok, expect):
     return parse
 
 
-def _int(value):
-    """``int``, except that a float, which it would truncate, gives None."""
-    return None if isinstance(value, float) else int(value)
-
-
 _fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
-_finite_float = _checked(float, math.isfinite, "a finite number")
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a positive number")
-_integer = _checked(_int, lambda v: True, "an integer")
-_positive_int = _checked(_int, lambda v: v > 0, "a positive integer")
-_nonnegative_int = _checked(_int, lambda v: v >= 0, "a non-negative integer")
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+# report.json keys each SIM_AA result by its threshold to two decimals, so
+# two thresholds with one key would lose a result.
 _thresholds = _checked(
     lambda text: tuple(float(t) for t in text.split(",")),
-    lambda values: all(0.0 <= t <= 1.0 for t in values),
-    "a comma-separated list of numbers in [0, 1]",
+    lambda values: all(0.0 <= t <= 1.0 for t in values)
+    and len({f"{t:.2f}" for t in values}) == len(values),
+    "a comma-separated list of numbers in [0, 1], distinct to two decimals",
 )
 
 # Corpus settings, key -> (converter, default): ingest's --config file and every
-# stage's read of the stored values go through these. SignalConfig checks the
-# ranges of the signal keys, which depend on each other.
+# stage's read of the stored values go through these.
 _SETTINGS = {
-    "hop": (_integer, SignalConfig.hop),
-    "window": (_integer, SignalConfig.window),
-    "fft_size": (_integer, SignalConfig.fft_size),
-    "n_mels": (_integer, SignalConfig.n_mels),
-    "fmin": (_finite_float, SignalConfig.fmin),
-    "fmax": (_finite_float, SignalConfig.fmax),
-    "log_floor": (_finite_float, SignalConfig.log_floor),
     "bucket_width": (_positive_float, 4.0),
-    "clip_samples": (_positive_int, mixup.DEFAULT_CLIP_SAMPLES),
-    "gl_iterations": (_positive_int, GL_ITERATIONS),
     "segment_seconds": (_positive_float, 10.0),
     "mix_p": (_fraction, 0.5),
+}
+
+# Settings that manifests of earlier versions may store, now fixed at these
+# values. A stored key that states its fixed value is ignored; any other value
+# was analyzed or mixed another way, so the manifest must be rebuilt.
+_RETIRED = {
+    "sample_rate": dsp.SAMPLE_RATE,
+    "hop": dsp.HOP,
+    "window": dsp.WINDOW,
+    "fft_size": dsp.FFT_SIZE,
+    "n_mels": dsp.N_MELS,
+    "fmin": dsp.FMIN,
+    "fmax": dsp.FMAX,
+    "log_floor": dsp.LOG_FLOOR,
+    "clip_samples": mixup.CLIP_SAMPLES,
+    "gl_iterations": dsp.GL_ITERATIONS,
 }
 
 
@@ -145,31 +147,33 @@ def read_config_file(path) -> dict:
         if key not in _SETTINGS:
             raise SchemaError(f"{path}:{line_no}: unknown key {key!r}")
         values[key] = _setting(key, value, f"{path}:{line_no}")
-    _settings(values, path)  # the signal keys' ranges depend on each other
     return values
 
 
-def _settings(stored: dict, source) -> tuple[dict, SignalConfig]:
-    """Each ``_SETTINGS`` value in ``stored``, or its default, and the SignalConfig
-    they give; other stored keys are ignored."""
-    settings = {
+def _settings(stored: dict, source) -> dict:
+    """Each ``_SETTINGS`` value in ``stored``, or its default. A ``_RETIRED`` key
+    stored with another value than its fixed one raises a SchemaError naming
+    ``source``; other stored keys are ignored."""
+    for key, fixed in _RETIRED.items():
+        value = stored.get(key, fixed)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != fixed:
+            raise SchemaError(
+                f"{source}: bad value for {key} ({value!r}): the analysis is fixed at "
+                f"{key} = {fixed}; run `beatmix ingest` to rebuild the manifest"
+            )
+    return {
         key: _setting(key, stored[key], source) if key in stored else default
         for key, (_, default) in _SETTINGS.items()
     }
-    signal = {k: v for k, v in settings.items() if k in SignalConfig.__dataclass_fields__}
-    try:
-        return settings, SignalConfig(**signal)
-    except ValueError as exc:
-        raise SchemaError(f"{source}: bad signal settings ({exc})") from exc
 
 
 def _load_checked(args):
-    """The manifest, its stored settings and SignalConfig, for the stages that read
-    audio: ids unique, files present."""
+    """The manifest and its stored settings, for the stages that read audio:
+    ids unique, files present."""
     manifest = load_manifest(args.manifest)
-    settings, config = _settings(manifest.config, args.manifest)
+    settings = _settings(manifest.config, args.manifest)
     validate_manifest(manifest)
-    return manifest, settings, config
+    return manifest, settings
 
 
 def _beside_manifest(args, name) -> str:
@@ -178,11 +182,11 @@ def _beside_manifest(args, name) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(args.manifest)), name)
 
 
-def _caches(args, config) -> tuple[str, str]:
-    """The sample cache and the mel cache for ``config``, beside the manifest."""
+def _caches(args) -> tuple[str, str]:
+    """The sample cache and the mel cache, beside the manifest."""
     return (
         _beside_manifest(args, wavio.NORMALIZED_CACHE),
-        _beside_manifest(args, wavio.mel_cache_name(config)),
+        _beside_manifest(args, wavio.MEL_CACHE),
     )
 
 
@@ -250,7 +254,7 @@ def cmd_ingest(args) -> int:
 
 # --- analyze ----------------------------------------------------------------
 
-def _analyze_one(manifest, entry, config, external, caches):
+def _analyze_one(manifest, entry, external, caches):
     path = manifest.track_path(entry)
     sidecar_rel = os.path.splitext(entry.path)[0] + ".beats.json"
     sidecar = os.path.join(manifest.root, sidecar_rel)
@@ -275,7 +279,7 @@ def _analyze_one(manifest, entry, config, external, caches):
         samples_dir, mels_dir = caches
         wave = wavio.load_normalized(path, samples_dir, current_hash, data)
         del data  # freed before the mel is computed: on 20 s stereo 44.1 kHz tracks, ~12 MiB less peak RSS
-        mel = wavio.load_mel(mels_dir, current_hash, config, lambda: wave)
+        mel = wavio.load_mel(mels_dir, current_hash, lambda: wave)
         grid = beats_mod.analyze_waveform(wave, mel)
         beats_mod.save_beat_annotation(grid, sidecar)
     entry.content_hash = current_hash
@@ -286,14 +290,14 @@ def _analyze_one(manifest, entry, config, external, caches):
 
 
 def cmd_analyze(args) -> int:
-    manifest, _, config = _load_checked(args)
-    caches = _caches(args, config)
+    manifest, _ = _load_checked(args)
+    caches = _caches(args)
 
     outcomes = {"cached": 0, "analyzed": 0, "failed": 0}
 
     def work(entry):
         try:
-            return _analyze_one(manifest, entry, config, args.external_beats, caches)
+            return _analyze_one(manifest, entry, args.external_beats, caches)
         except BeatmixError as exc:
             entry.analysis_error = f"{type(exc).__name__}: {exc}"
             entry.tempo_bpm = None
@@ -325,7 +329,7 @@ def cmd_analyze(args) -> int:
 def cmd_group(args) -> int:
     """Report the tempo groups that `mix` derives; store --bucket-width if given."""
     manifest = load_manifest(args.manifest)
-    settings, _ = _settings(manifest.config, args.manifest)
+    settings = _settings(manifest.config, args.manifest)
     width = args.bucket_width if args.bucket_width is not None else settings["bucket_width"]
     tempos = [e.tempo_bpm for e in manifest.entries if e.tempo_bpm is not None]
     if not tempos:
@@ -343,12 +347,12 @@ def cmd_group(args) -> int:
 def cmd_fit_codec(args) -> int:
     if args.components > args.patch**2:
         raise InputError(f"--components {args.components} exceeds --patch squared")
-    manifest, _, config = _load_checked(args)
+    manifest, _ = _load_checked(args)
     patch = args.patch
     usable = [e for e in manifest.entries if e.analysis_error is None]
     if not usable:
         raise MissingPrerequisite("no usable tracks to fit the codec on")
-    samples_dir, mels_dir = _caches(args, config)
+    samples_dir, mels_dir = _caches(args)
 
     def corpus_mels():
         for entry in usable:
@@ -356,13 +360,12 @@ def cmd_fit_codec(args) -> int:
             path = manifest.track_path(entry)
             digest = content_hash(path)
             with _naming(entry.path):
-                frames = wavio.load_mel(
-                    mels_dir, digest, config,
-                    lambda: wavio.load_normalized(path, samples_dir, digest),
-                ).frames
-            t = (frames.shape[0] // patch) * patch  # crop to whole patches
+                mel = wavio.load_mel(
+                    mels_dir, digest, lambda: wavio.load_normalized(path, samples_dir, digest)
+                )
+            t = (mel.shape[0] // patch) * patch  # crop to whole patches
             if t:
-                yield frames[:t]
+                yield mel[:t]
 
     codec = codec_mod.fit(corpus_mels(), n_components=args.components, patch_size=patch)
     out = args.out or _beside_manifest(args, "codec.bin")
@@ -377,7 +380,7 @@ def cmd_fit_codec(args) -> int:
 # --- mix ---------------------------------------------------------------------
 
 def cmd_mix(args) -> int:
-    manifest, settings, config = _load_checked(args)
+    manifest, settings = _load_checked(args)
     p = args.p if args.p is not None else settings["mix_p"]
 
     analyzed = [e for e in manifest.entries if e.tempo_bpm is not None and e.beats_path]
@@ -404,9 +407,7 @@ def cmd_mix(args) -> int:
         tracks[entry.id] = mixup.TrackView(entry.id, entry.n_samples, grid, group)
         captions[entry.id] = entry.caption
 
-    specs = mixup.plan_mixup_pass(
-        tracks, args.strategy, p, args.count, args.seed, settings["clip_samples"]
-    )
+    specs = mixup.plan_mixup_pass(tracks, args.strategy, p, args.count, args.seed)
     # Offsets sit on the downbeats of each track's last analysis: a track
     # edited since then must be analyzed again before it is cut.
     by_id = manifest.by_id()
@@ -418,7 +419,7 @@ def cmd_mix(args) -> int:
             )
     os.makedirs(args.out, exist_ok=True)
 
-    samples_dir, _ = _caches(args, config)
+    samples_dir, _ = _caches(args)
 
     def load_clip(track_id, offset, n):
         entry = by_id[track_id]
@@ -433,7 +434,7 @@ def cmd_mix(args) -> int:
         return np.array(clip)
 
     for spec in specs:
-        wave = mixup.render_spec(spec, load_clip, codec, config, settings["gl_iterations"])
+        wave = mixup.render_spec(spec, load_clip, codec)
         wavio.save_wav(os.path.join(args.out, f"{spec.out_id}.wav"), wave)
         payload = asdict(spec)
         payload["caption_a"] = captions.get(spec.track_a, "")
@@ -449,7 +450,7 @@ def cmd_mix(args) -> int:
 
 def cmd_segment(args) -> int:
     manifest = load_manifest(args.manifest)
-    settings, _ = _settings(manifest.config, args.manifest)
+    settings = _settings(manifest.config, args.manifest)
     seconds = args.seconds if args.seconds is not None else settings["segment_seconds"]
     seg_len = int(round(seconds * SAMPLE_RATE))
     if seg_len < 1:
@@ -622,14 +623,12 @@ def main(argv=None) -> int:
     except InputError as exc:
         log(f"error: {exc}")
         return 1
-    except OSError as exc:
-        if exc.filename is None:
-            raise
-        reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
-        log(f"error: {exc.filename}: {reason}")
-        return 1
-    except BeatmixError as exc:
-        log(f"internal error: {exc}")
+    except Exception as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+            log(f"error: {exc.filename}: {reason}")
+            return 1
+        log(f"internal error: {type(exc).__name__}: {exc}")
         return 2
 
 

@@ -1,9 +1,11 @@
 """Linear mel <-> latent codec: PCA over non-overlapping patches.
 
-Each mel matrix is cut into P x P tiles, every tile is flattened, centered on
-the corpus mean, and projected onto the top C principal directions. A T x F
-mel therefore maps to a (C, T/P, F/P) latent tensor; with the default
-T=1024, F=128, P=8, C=16 that is (16, 128, 16).
+Each mel, a T x F array, is cut into P x P tiles, every tile is flattened,
+centered on the corpus mean, and projected onto the top C principal
+directions. A mel therefore maps to a (C, T/P, F/P) latent tensor; for a
+10.24 s clip (T=1024, F=128) and the default P=8, C=16 that is
+(16, 128, 16). ``decode`` gives back a mel of ``dsp.N_MELS`` bins, clamped at
+``dsp.LOG_FLOOR``.
 
 Because encode and decode are affine, a convex combination of two latents
 decodes to the same convex combination of the two reconstructions, which is
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import MelSpectrogram, SignalConfig
+from .dsp import LOG_FLOOR, N_MELS
 from .errors import (
     CodecMismatch,
     HashMismatch,
@@ -89,7 +91,7 @@ def _from_patches(patches: np.ndarray, t: int, f: int, patch: int) -> np.ndarray
 
 
 def fit(mels, n_components: int, patch_size: int) -> PcaCodec:
-    """Fit the patch-PCA codec on an iterable of mels (or raw T x F arrays).
+    """Fit the patch-PCA codec on an iterable of T x F mel arrays.
 
     Covariance is accumulated in one streaming pass, so the corpus never has
     to fit in memory at once. Deterministic for a fixed corpus order; each
@@ -103,8 +105,7 @@ def fit(mels, n_components: int, patch_size: int) -> PcaCodec:
     total = np.zeros(p2)
     outer = np.zeros((p2, p2))
     for mel in mels:
-        frames = mel.frames if isinstance(mel, MelSpectrogram) else np.asarray(mel, dtype=np.float64)
-        patches = _to_patches(frames, patch_size)
+        patches = _to_patches(np.asarray(mel, dtype=np.float64), patch_size)
         count += patches.shape[0]
         total += patches.sum(axis=0)
         outer += patches.T @ patches
@@ -138,12 +139,12 @@ def fit(mels, n_components: int, patch_size: int) -> PcaCodec:
     )
 
 
-def encode(codec: PcaCodec, mel: MelSpectrogram) -> LatentTensor:
+def encode(codec: PcaCodec, mel: np.ndarray) -> LatentTensor:
     """Project a mel onto the codec basis; result is (C, T/P, F/P)."""
-    t, f = mel.frames.shape
+    t, f = mel.shape
     p = codec.patch_size
     try:
-        patches = _to_patches(mel.frames, p)
+        patches = _to_patches(mel, p)
     except NonDivisibleShape as exc:
         raise ShapeMismatch(str(exc)) from exc
     coeffs = (patches - codec.mean.astype(np.float64)) @ codec.basis.T.astype(np.float64)
@@ -151,9 +152,7 @@ def encode(codec: PcaCodec, mel: MelSpectrogram) -> LatentTensor:
     return LatentTensor(values=values, codec_id=codec.codec_id)
 
 
-def decode(
-    codec: PcaCodec, latent: LatentTensor, config: SignalConfig = SignalConfig()
-) -> MelSpectrogram:
+def decode(codec: PcaCodec, latent: LatentTensor) -> np.ndarray:
     """Reconstruct a mel from a latent tensor (clamped at the log floor)."""
     if latent.codec_id != codec.codec_id:
         raise CodecMismatch(
@@ -164,14 +163,12 @@ def decode(
     if c != codec.n_components:
         raise ShapeMismatch(f"latent has {c} channels, codec keeps {codec.n_components}")
     p = codec.patch_size
-    if fp * p != config.n_mels:
-        raise ShapeMismatch(
-            f"latent implies {fp * p} mel bins, config expects {config.n_mels}"
-        )
+    if fp * p != N_MELS:
+        raise ShapeMismatch(f"latent implies {fp * p} mel bins, a mel has {N_MELS}")
     coeffs = latent.values.transpose(1, 2, 0).reshape(-1, c)
     patches = coeffs @ codec.basis.astype(np.float64) + codec.mean.astype(np.float64)
     frames = _from_patches(patches, tp * p, fp * p, p)
-    return MelSpectrogram(np.maximum(frames, config.log_floor), config)
+    return np.maximum(frames, LOG_FLOOR)
 
 
 def save(codec: PcaCodec, path) -> None:

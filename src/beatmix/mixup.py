@@ -7,9 +7,11 @@ around an even blend. "bam" mixes the aligned waveforms directly;
 "blm" mixes the latent-codec representations and renders the result back to
 audio through the codec decoder and Fast Griffin-Lim.
 
-Spec planning is a deterministic stream from one seeded generator: a run is
-fully reproducible from (seed, corpus, config), and rendering a spec is a
-pure function of the spec, so it can be parallelized freely.
+Every clip is ``CLIP_SAMPLES`` long, the paper's 10.24 s, and blm renders
+through ``dsp.GL_ITERATIONS`` iterations of phase retrieval. Spec planning is
+a deterministic stream from one seeded generator: a run is fully
+reproducible from (seed, corpus, settings), and rendering a spec is a pure
+function of the spec, so it can be parallelized freely.
 """
 
 from dataclasses import dataclass
@@ -18,11 +20,11 @@ import numpy as np
 
 from . import codec as codec_mod
 from .beats import BeatGrid
-from .dsp import GL_ITERATIONS, SAMPLE_RATE, SignalConfig, invert_mel, mel_spectrogram
+from .dsp import GL_ITERATIONS, SAMPLE_RATE, invert_mel, mel_spectrogram
 from .errors import LengthMismatch, NoEligibleDownbeat, ShapeMismatch
 
 BUCKET_RANGE = (60.0, 180.0)
-DEFAULT_CLIP_SAMPLES = 163840  # 10.24 s at 16 kHz
+CLIP_SAMPLES = 163840  # 10.24 s at 16 kHz
 LAMBDA_EPS = 1e-9
 BETA_A = 5.0
 BETA_B = 5.0
@@ -43,7 +45,7 @@ class MixupSpec:
     track_b: str | None = None
     offset_b: int | None = None
     lam: float | None = None
-    clip_samples: int = DEFAULT_CLIP_SAMPLES
+    clip_samples: int = CLIP_SAMPLES
 
 
 def group_id_for(bpm: float, bucket_width: float) -> int:
@@ -62,11 +64,11 @@ def sample_mix_ratio(rng: np.random.Generator) -> float:
     return min(max(lam, LAMBDA_EPS), 1.0 - LAMBDA_EPS)
 
 
-def eligible_downbeat_offsets(grid: BeatGrid, n_samples: int, clip_samples: int) -> np.ndarray:
+def eligible_downbeat_offsets(grid: BeatGrid, n_samples: int) -> np.ndarray:
     """Offsets, in samples, of the downbeats that leave a full clip of
     audio after them."""
     offsets = np.round(grid.downbeat_times * SAMPLE_RATE).astype(np.int64)
-    return offsets[(offsets >= 0) & (offsets + clip_samples <= n_samples)]
+    return offsets[(offsets >= 0) & (offsets + CLIP_SAMPLES <= n_samples)]
 
 
 def bam_mix(x1: np.ndarray, x2: np.ndarray, lam: float) -> np.ndarray:
@@ -109,7 +111,6 @@ def plan_mixup_pass(
     p: float,
     count: int,
     seed: int,
-    clip_samples: int = DEFAULT_CLIP_SAMPLES,
 ) -> list[MixupSpec]:
     """Plan ``count`` output clips without touching any audio, from one
     generator seeded with ``seed``; offsets are in samples.
@@ -117,7 +118,7 @@ def plan_mixup_pass(
     Each slot mixes with probability ``p`` when another usable track shares
     its base track's ``group_id``; otherwise the slot is an unmixed clip. Only
     tracks with at least one eligible downbeat participate at all, so every
-    planned clip starts on a downbeat and is exactly ``clip_samples`` long.
+    planned clip starts on a downbeat and is exactly ``CLIP_SAMPLES`` long.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
@@ -125,7 +126,7 @@ def plan_mixup_pass(
         raise ValueError("p must lie in [0, 1]")
 
     eligible = {
-        tid: eligible_downbeat_offsets(v.grid, v.n_samples, clip_samples)
+        tid: eligible_downbeat_offsets(v.grid, v.n_samples)
         for tid, v in tracks.items()
     }
     usable = sorted(tid for tid, offs in eligible.items() if offs.size > 0)
@@ -162,18 +163,13 @@ def plan_mixup_pass(
                 track_b=partner,
                 offset_b=off_b,
                 lam=lam,
-                clip_samples=clip_samples,
             )
         )
     return specs
 
 
 def render_spec(
-    spec: MixupSpec,
-    load_clip,
-    codec: codec_mod.PcaCodec | None = None,
-    config: SignalConfig = SignalConfig(),
-    iterations: int = GL_ITERATIONS,
+    spec: MixupSpec, load_clip, codec: codec_mod.PcaCodec | None = None
 ) -> np.ndarray:
     """Produce the audio for one spec.
 
@@ -189,7 +185,7 @@ def render_spec(
         return bam_mix(a, b, spec.lam)
     if codec is None:
         raise ValueError("blm rendering needs a fitted codec")
-    lat_a = codec_mod.encode(codec, mel_spectrogram(a, config))
-    lat_b = codec_mod.encode(codec, mel_spectrogram(b, config))
+    lat_a = codec_mod.encode(codec, mel_spectrogram(a))
+    lat_b = codec_mod.encode(codec, mel_spectrogram(b))
     mixed = blm_mix(lat_a, lat_b, spec.lam)
-    return invert_mel(codec_mod.decode(codec, mixed, config), iterations)
+    return invert_mel(codec_mod.decode(codec, mixed), GL_ITERATIONS)

@@ -12,11 +12,9 @@ once, and ``load_mel`` keeps each track's log-mel the same way, so each is
 computed once. Writing always emits mono 16-bit PCM at ``dsp.SAMPLE_RATE``.
 """
 
-import dataclasses
 import functools
 import hashlib
 import io
-import json
 import os
 import struct
 from math import gcd
@@ -24,16 +22,19 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import SAMPLE_RATE, MelSpectrogram, SignalConfig, mel_spectrogram
+from .dsp import N_MELS, SAMPLE_RATE, mel_spectrogram
 from .errors import CorruptFile, UnsupportedFormat
 from .manifest import atomic_open, atomic_write
 
 # Name of the directory of cached ``load_wav`` output. Rename it whenever a
 # change alters the samples ``load_wav`` returns, so no stale cache is read.
 NORMALIZED_CACHE = "audio-16k-v3"
-# Version of the mels ``dsp.mel_spectrogram`` returns, part of the name of
-# every mel cache directory. Bump it whenever a change alters those mels.
+# Version of the mels ``dsp.mel_spectrogram`` returns. Bump it whenever a
+# change alters those mels.
 MEL_VERSION = 1
+# Name of the directory of cached ``load_mel`` output. It changes with either
+# version, so that neither other mel code nor other samples ever read it.
+MEL_CACHE = f"mel-v{MEL_VERSION}-{NORMALIZED_CACHE}"
 
 _FMT_PCM = 0x0001
 _FMT_FLOAT = 0x0003
@@ -171,30 +172,22 @@ def load_normalized(path, cache_dir, digest, data=None) -> np.ndarray:
     return np.asarray(samples)  # on a hit, a plain ndarray view of the np.memmap
 
 
-def mel_cache_name(config: SignalConfig) -> str:
-    """Name of the directory of the mels ``load_mel`` keeps for ``config``:
-    ``mel-`` and a digest of the settings, MEL_VERSION and NORMALIZED_CACHE,
-    so that other settings, other mel code or other samples never read it."""
-    key = json.dumps([NORMALIZED_CACHE, MEL_VERSION, dataclasses.asdict(config)], sort_keys=True)
-    return "mel-" + hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
-
-
-def load_mel(cache_dir, digest, config: SignalConfig, decode) -> MelSpectrogram:
-    """``mel_spectrogram(decode(), config)``, through ``cache_dir/<digest>.npy``.
+def load_mel(cache_dir, digest, decode) -> np.ndarray:
+    """``mel_spectrogram(decode())``, through ``cache_dir/<digest>.npy``.
 
     ``digest`` is the track's content hash, ``cache_dir`` a directory named
-    by ``mel_cache_name(config)``, and ``decode`` a function that gives the
-    track's normalized samples; it is called only on a miss. A hit is
-    memory-mapped read-only; a miss, or a cache file that does not load as a
-    2-D float64 array of ``config.n_mels`` columns, is computed and written
-    atomically.
+    ``MEL_CACHE``, and ``decode`` a function that gives the track's
+    normalized samples; it is called only on a miss. A hit is a read-only
+    ndarray view of the memory-mapped file; a miss, or a cache file that does
+    not load as a 2-D float64 array of ``N_MELS`` columns, is computed and
+    written atomically.
     """
-    frames = _cached_array(
+    mel = _cached_array(
         os.path.join(cache_dir, f"{digest}.npy"),
-        lambda array: array.ndim == 2 and array.shape[1] == config.n_mels,
-        lambda: mel_spectrogram(decode(), config).frames,
+        lambda array: array.ndim == 2 and array.shape[1] == N_MELS,
+        lambda: mel_spectrogram(decode()),
     )
-    return MelSpectrogram(frames, config)
+    return np.asarray(mel)  # on a hit, a plain ndarray view of the np.memmap
 
 
 def normalized_length(data: bytes) -> int:

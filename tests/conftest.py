@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
-from beatmix.dsp import SignalConfig
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-@pytest.fixture(scope="session")
-def config():
-    return SignalConfig()
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from beatmix.beats import BeatGrid
 from beatmix.cli import main
 from beatmix.client import EmbeddingClient
 from beatmix.dsp import SAMPLE_RATE as SR
-from beatmix.dsp import MelSpectrogram, SignalConfig, mel_spectrogram
+from beatmix.dsp import mel_spectrogram
 from beatmix.gateway import (
     RecordSet,
     load_embedding_set,
@@ -49,21 +49,17 @@ def report(criterion: int, label: str, ok: bool, extra: str = ""):
 # -- 1 -------------------------------------------------------------------------
 
 def test_criterion_01_signal_shape_contract():
-    cfg = SignalConfig()
     rng = np.random.default_rng(0)
     clip = rng.uniform(-0.5, 0.5, 163840)
-    fit_mels = [
-        MelSpectrogram(np.clip(rng.normal(-40, 10, (64, 128)), -70, -10), cfg)
-        for _ in range(4)
-    ]
+    fit_mels = [np.clip(rng.normal(-40, 10, (64, 128)), -70, -10) for _ in range(4)]
     codec = C.fit(fit_mels, n_components=16, patch_size=8)
 
     start = time.perf_counter()
-    mel = mel_spectrogram(clip, cfg)
+    mel = mel_spectrogram(clip)
     latent = C.encode(codec, mel)
     elapsed = time.perf_counter() - start
 
-    ok = mel.frames.shape == (1024, 128) and latent.values.shape == (16, 128, 16)
+    ok = mel.shape == (1024, 128) and latent.values.shape == (16, 128, 16)
     report(1, "10.24 s clip -> 1024x128 mel and (16,128,16) latent", ok and elapsed < 1.0,
            f"{elapsed * 1000:.0f} ms")
 
@@ -71,14 +67,13 @@ def test_criterion_01_signal_shape_contract():
 # -- 2 -------------------------------------------------------------------------
 
 def test_criterion_02_beat_tracker_calibration():
-    cfg = SignalConfig()
     start = time.perf_counter()
     worst_tempo_err = 0.0
     worst_hit_rate = 1.0
     for bpm in (70, 90, 120, 150):
         for noise_db in (None, -20):
             x, clicks = click_track(bpm, 30.0, noise_db=noise_db, seed=3)
-            grid = B.analyze_waveform(x, mel_spectrogram(x, cfg))
+            grid = B.analyze_waveform(x, mel_spectrogram(x))
             worst_tempo_err = max(worst_tempo_err, abs(grid.tempo_bpm - bpm))
             core = grid.beat_times[1:-1]
             errs = np.array([np.abs(clicks - b).min() for b in core])
@@ -258,20 +253,16 @@ def test_criterion_08_sim_aa_contract():
 
 def test_criterion_09_codec_properties():
     rng = np.random.default_rng(4)
-    cfg = SignalConfig()
-    mels = [
-        MelSpectrogram(np.clip(rng.normal(-40, 10, (64, 128)), -70, -10), cfg)
-        for _ in range(6)
-    ]
+    mels = [np.clip(rng.normal(-40, 10, (64, 128)), -70, -10) for _ in range(6)]
     codec = C.fit(mels, n_components=16, patch_size=8)
     lat = C.encode(codec, mels[0])
     idem = float(
-        np.abs(C.encode(codec, C.decode(codec, lat, cfg)).values - lat.values).max()
+        np.abs(C.encode(codec, C.decode(codec, lat)).values - lat.values).max()
     )
 
     full = C.fit(mels, n_components=64, patch_size=8)
     lossless = float(
-        np.abs(C.decode(full, C.encode(full, mels[0]), cfg).frames - mels[0].frames).max()
+        np.abs(C.decode(full, C.encode(full, mels[0])) - mels[0]).max()
     )
 
     errors = []
@@ -282,7 +273,7 @@ def test_criterion_09_codec_properties():
                 np.mean(
                     [
                         np.linalg.norm(
-                            C.decode(ck, C.encode(ck, m), cfg).frames - m.frames
+                            C.decode(ck, C.encode(ck, m)) - m
                         )
                         for m in mels
                     ]
@@ -292,7 +283,7 @@ def test_criterion_09_codec_properties():
     monotone = all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
 
     lam = 0.37
-    mixed = MelSpectrogram(lam * mels[0].frames + (1 - lam) * mels[1].frames, cfg)
+    mixed = lam * mels[0] + (1 - lam) * mels[1]
     lin = float(
         np.abs(
             C.encode(codec, mixed).values
@@ -320,7 +311,7 @@ def _write_acceptance_corpus(root):
 
 def _toy_audio_embedding(wave, dim=32):
     """Deterministic stand-in embedder: time-averaged mel band energies."""
-    feats = mel_spectrogram(wave).frames.mean(axis=0)
+    feats = mel_spectrogram(wave).mean(axis=0)
     v = feats[:dim] - feats[:dim].mean()
     norm = np.linalg.norm(v)
     if norm == 0:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import sys
 import threading
@@ -10,10 +11,10 @@ import pytest
 
 from beatmix import codec as codec_mod
 from beatmix import gateway as G
-from beatmix import metrics, mixup, wavio
+from beatmix import cli, metrics, mixup, wavio
 from beatmix.beats import BeatGrid, save_beat_annotation
-from beatmix.cli import _SETTINGS, main
-from beatmix.dsp import SignalConfig, mel_spectrogram
+from beatmix.cli import _RETIRED, _SETTINGS, main
+from beatmix.dsp import mel_spectrogram
 from beatmix.errors import DimMismatch, DuplicateId, SchemaError, ZeroNorm
 from beatmix.manifest import Manifest, canonical_json, content_hash, load_manifest, save_manifest
 from beatmix.gateway import (
@@ -245,6 +246,21 @@ def test_analyze_external_non_utf8_sidecar_fails_that_track(corpus, capsys):
     assert by_id["track00"].tempo_bpm == 120.0
 
 
+def test_analyze_external_sidecar_with_string_tempo_fails_that_track(corpus, capsys):
+    manifest = corpus / "manifest.json"
+    run(["ingest", corpus / "corpus", "--manifest", manifest])
+    write_external_sidecars((corpus / "corpus").glob("*.wav"))
+    bad = corpus / "corpus" / "track02.beats.json"
+    bad.write_text(bad.read_text().replace("120.0", '"120"'))
+    assert run(["analyze", "--manifest", manifest, "--external-beats"]) == 0
+    assert "3 analyzed, 0 cached, 1 failed" in capsys.readouterr().err
+    by_id = load_manifest(manifest).by_id()
+    assert by_id["track02"].analysis_error == (
+        f"SchemaError: {bad}: tempo_bpm is '120', expected a number"
+    )
+    assert by_id["track02"].tempo_bpm is None and by_id["track00"].tempo_bpm == 120.0
+
+
 def test_external_analyze_reads_sidecars_replaced_after_a_builtin_analyze(tmp_path, capsys):
     root = tmp_path / "corpus"
     write_corpus(root, [100, 118], duration_s=12.0)
@@ -441,17 +457,17 @@ def test_fit_codec_cold_warm_and_rewritten_track(corpus):
 
 # --- the mel cache: analyze writes each track's mel, fit-codec reads it ----------
 
-def _mels_dir(tmp_path, config=SignalConfig()):
-    return tmp_path / wavio.mel_cache_name(config)
+def _mels_dir(tmp_path):
+    return tmp_path / wavio.MEL_CACHE
 
 
 def _count_mels(monkeypatch):
     """Count every ``mel_spectrogram`` call, through each module that binds it."""
     calls = []
 
-    def counting(wave, config=SignalConfig()):
+    def counting(wave):
         calls.append(wave.size)
-        return mel_spectrogram(wave, config)
+        return mel_spectrogram(wave)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("beatmix") and getattr(module, "mel_spectrogram", None) is mel_spectrogram:
@@ -514,7 +530,7 @@ def test_analyze_workers_write_one_mel_per_distinct_track(tmp_path):
     for h in hashes:
         frames = np.load(mels / f"{h}.npy")
         samples = np.load(tmp_path / wavio.NORMALIZED_CACHE / f"{h}.npy")
-        assert frames.tobytes() == mel_spectrogram(samples).frames.tobytes()
+        assert frames.tobytes() == mel_spectrogram(samples).tobytes()
 
 
 def test_an_edited_wav_gets_a_new_mel(corpus):
@@ -528,28 +544,8 @@ def test_an_edited_wav_gets_a_new_mel(corpus):
     save_wav(track, x)
     assert run(["analyze", "--manifest", manifest]) == 0
     assert set(os.listdir(mels)) - before == {f"{content_hash(track)}.npy"}
-    expect = mel_spectrogram(load_wav(track)).frames
+    expect = mel_spectrogram(load_wav(track))
     assert np.load(mels / f"{content_hash(track)}.npy").tobytes() == expect.tobytes()
-
-
-def test_other_mel_settings_never_read_the_default_mels(corpus):
-    config = corpus / "mels64.cfg"
-    config.write_text("n_mels = 64\n")
-    manifest = corpus / "manifest.json"
-    run(["ingest", corpus / "corpus", "--manifest", manifest])
-    assert run(["analyze", "--manifest", manifest]) == 0
-    default = _mels_dir(corpus)
-    small = _mels_dir(corpus, SignalConfig(n_mels=64))
-    assert small != default and not small.exists()
-    shutil.copytree(default, small)  # default-config mels where the 64-mel ones belong
-    for sidecar in (corpus / "corpus").glob("*.beats.json"):
-        sidecar.unlink()
-    assert run(["ingest", corpus / "corpus", "--manifest", manifest, "--config", config]) == 0
-    assert run(["analyze", "--manifest", manifest]) == 0
-    assert sorted(os.listdir(small)) == sorted(os.listdir(default))
-    for name in os.listdir(small):
-        assert np.load(small / name).shape[1] == 64
-        assert np.load(default / name).shape[1] == 128
 
 
 # --- analyze re-reads an edited WAV ----------------------------------------------
@@ -924,6 +920,8 @@ def test_usage_error_exits_one():
         for stage in (["analyze"], ["group"], ["fit-codec"], ["segment"],
                       ["mix", "--strategy", "bam", "--count", "1"])
     ],
+    # report.json would key both as "0.00" and keep one result
+    (["eval", "--gen-emb", "gen.emb", "--thresholds", "0.001,0.004"], "distinct to two decimals"),
 ])
 def test_out_of_range_argument_exits_one_before_any_io(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)  # no file the arguments name exists
@@ -947,13 +945,15 @@ def test_segment_length_out_of_range_exits_one(corpus, capsys):
     "hop = 0", "window = 0", "fft_size = 512", "n_mels = 0", "sample_rate = 0", "fmin = -1",
     "clip_samples = 0", "gl_iterations = 0", "bucket_width = -1", "segment_seconds = 0",
     "mix_p = 2", "sample_rate = 22050", "log_floor = nan", "log_floor = inf",
+    # a fixed analysis value is no setting, even at the value it is fixed at
+    "hop = 160", "gl_iterations = 14", "clip_samples = 163840",
 ])
 def test_out_of_range_config_value_exits_one_at_ingest(corpus, capsys, line):
     cfg = corpus / "beatmix.cfg"
     cfg.write_text(line + "\n")
     manifest = corpus / "manifest.json"
     assert run(["ingest", corpus / "corpus", "--manifest", manifest, "--config", cfg]) == 1
-    assert str(cfg) in capsys.readouterr().err
+    assert f"{cfg}:1: " in capsys.readouterr().err  # the file and the line
     assert not manifest.exists()
 
 
@@ -1022,7 +1022,8 @@ def test_hand_edited_signal_setting_exits_one(corpus, capsys):
     payload["config"]["hop"] = 0
     manifest.write_text(json.dumps(payload))
     assert run(["analyze", "--manifest", manifest]) == 1
-    assert "need 0 < hop" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {manifest}: bad value for hop (0): the analysis is fixed at hop = 160" in err
 
 
 def test_hand_edited_bucket_width_exits_one(corpus, capsys):
@@ -1058,6 +1059,12 @@ def write_edited(manifest_text, key, value):
 MIX = ["mix", "--strategy", "bam", "--count", "2"]
 # every stored setting: a stage that reads it and a value out of its range
 HAND_EDITS = {
+    "bucket_width": (["group"], 0),
+    "segment_seconds": (["segment"], 0),
+    "mix_p": (MIX, 2),
+}
+# every retired setting but sample_rate: a stage and a value other than its fixed one
+RETIRED_EDITS = {
     "hop": (["analyze"], 0),
     "window": (["analyze"], 0),
     "fft_size": (["analyze"], 512),
@@ -1065,30 +1072,51 @@ HAND_EDITS = {
     "fmin": (["analyze"], -1),
     "fmax": (["analyze"], 9000),
     "log_floor": (["analyze"], float("nan")),
-    "bucket_width": (["group"], 0),
     "clip_samples": (MIX, 0),
     "gl_iterations": (MIX, 0),
-    "segment_seconds": (["segment"], 0),
-    "mix_p": (MIX, 2),
 }
+EDITS = {**HAND_EDITS, **RETIRED_EDITS}
 
 
 @pytest.mark.parametrize("key, value", [
-    *[(key, value) for key, (_, bad) in HAND_EDITS.items() for value in (bad, "abc")],
+    *[(key, value) for key, (_, bad) in EDITS.items() for value in (bad, "abc")],
     ("hop", None), pytest.param("mix_p", 10**400, id="mix_p-1e400"),
-    # a JSON float is no integer setting, and a JSON boolean no setting at all
+    # a JSON float is not the integer a retired key is fixed at, and a JSON
+    # boolean is no setting at all
     ("hop", 160.5), ("clip_samples", 163840.9), ("hop", True), ("mix_p", True),
 ])
 def test_hand_edited_setting_exits_one_naming_manifest_and_key(
     grouped_manifest, tmp_path, monkeypatch, capsys, key, value
 ):
     assert set(HAND_EDITS) == set(_SETTINGS)
+    assert set(RETIRED_EDITS) == set(_RETIRED) - {"sample_rate"}
     monkeypatch.chdir(tmp_path)  # where mix's default --out would go
     write_edited(grouped_manifest, key, value)
-    assert run(HAND_EDITS[key][0] + ["--manifest", "manifest.json"]) == 1
+    assert run(EDITS[key][0] + ["--manifest", "manifest.json"]) == 1
     err = capsys.readouterr().err
     assert "manifest.json: bad" in err and key in err
     assert os.listdir() == ["manifest.json"]
+
+
+STAGES = [["analyze"], ["group"], ["fit-codec"], MIX, ["segment"]]
+
+
+@pytest.mark.parametrize("stage", STAGES, ids=lambda stage: stage[0])
+@pytest.mark.parametrize("key, value", [
+    ("hop", 256), ("clip_samples", 1000), ("sample_rate", 22050), ("fmin", False),
+])
+def test_stored_retired_key_with_another_value_exits_one_and_writes_nothing(
+    grouped_manifest, tmp_path, monkeypatch, capsys, stage, key, value
+):
+    # a manifest made with hop = 256 must not be analyzed at 160 without a word
+    monkeypatch.chdir(tmp_path)
+    write_edited(grouped_manifest, key, value)
+    assert run(stage + ["--manifest", "manifest.json"]) == 1
+    err = capsys.readouterr().err
+    assert (f"error: manifest.json: bad value for {key} ({value!r}): the analysis is fixed "
+            f"at {key} = {_RETIRED[key]}; run `beatmix ingest` to rebuild the manifest") in err
+    assert os.listdir() == ["manifest.json"]
+    assert not (tmp_path / wavio.MEL_CACHE).exists()
 
 
 @pytest.mark.parametrize("stage, field, value", [
@@ -1137,13 +1165,12 @@ def test_hand_edited_bucket_width_is_used(grouped_manifest, tmp_path, monkeypatc
                    for pair in mixed_pairs(tmp_path / "mixes"))
 
 
-def test_mix_without_eligible_downbeat_creates_no_out(corpus, capsys):
-    cfg = corpus / "beatmix.cfg"
-    cfg.write_text("clip_samples = 10000000\n")  # 625 s clips from 14 s tracks
-    manifest, out = corpus / "manifest.json", corpus / "mixes"
-    run(["ingest", corpus / "corpus", "--manifest", manifest, "--config", cfg])
-    run(["analyze", "--manifest", manifest])
-    run(["group", "--manifest", manifest])
+def test_mix_without_eligible_downbeat_creates_no_out(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    write_corpus(root, [117, 118], duration_s=9.0)  # shorter than one 10.24 s clip
+    manifest, out = tmp_path / "manifest.json", tmp_path / "mixes"
+    run(["ingest", root, "--manifest", manifest])
+    assert run(["analyze", "--manifest", manifest]) == 0
     assert run(MIX + ["--manifest", manifest, "--out", out]) == 1
     assert "no track offers a downbeat" in capsys.readouterr().err
     assert not out.exists()
@@ -1242,18 +1269,32 @@ def test_rerun_with_the_same_bytes_replaces_no_output(corpus, rng):
 
 
 def test_manifest_with_stored_sample_rate_still_runs(corpus):
-    # manifests from older versions store keys nothing reads any more: the only
-    # sample rate that works, and fit-codec's C and P (codec.bin's header has them)
+    # manifests from older versions store keys nothing reads any more: every
+    # retired key at the value it is now fixed at, and fit-codec's C and P
+    # (codec.bin's header has them)
     manifest = corpus / "manifest.json"
     run(["ingest", corpus / "corpus", "--manifest", manifest])
     payload = json.loads(manifest.read_text())
-    payload["config"].update(sample_rate=16000, codec_components=16, codec_patch=8)
+    payload["config"].update(_RETIRED, codec_components=16, codec_patch=8)
+    assert payload["config"]["hop"] == 160 and payload["config"]["gl_iterations"] == 14
     manifest.write_text(json.dumps(payload))
     for stage in (
-        ["analyze"], ["group"], ["mix", "--strategy", "bam", "--count", "2", "--out", corpus / "m"],
+        ["analyze"], ["group"], ["fit-codec", "-C", "4"],
+        ["mix", "--strategy", "bam", "--count", "2", "--out", corpus / "m"],
+        ["mix", "--strategy", "blm", "--count", "1", "--p", "1", "--out", corpus / "b"],
         ["segment", "--out", corpus / "segments.json"],
     ):
         assert run(stage + ["--manifest", manifest]) == 0
+
+
+def test_readme_lists_exactly_the_settings_and_their_defaults():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("### Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, re.M)
+    assert {key: float(default) for key, default in rows} == {
+        key: default for key, (_, default) in _SETTINGS.items()
+    }
+    assert [key for key, _ in rows] == list(_SETTINGS)
 
 
 def test_config_file_overrides(tmp_path, capsys):
@@ -1269,6 +1310,30 @@ def test_config_file_overrides(tmp_path, capsys):
     run(["segment", "--manifest", manifest, "--out", seg_path])
     segs = json.loads(seg_path.read_text())
     assert segs["seconds"] == 5
+
+
+# --- internal faults ---------------------------------------------------------------
+
+@pytest.mark.parametrize("fault", [
+    RuntimeError("boom"), KeyError("track00"), OSError("no file named"),
+], ids=["runtime", "key", "oserror-without-filename"])
+def test_internal_fault_exits_two_with_one_line(monkeypatch, capsys, fault):
+    def failing(args):
+        raise fault
+
+    monkeypatch.setattr(cli, "cmd_segment", failing)
+    assert run(["segment", "--manifest", "manifest.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"internal error: {type(fault).__name__}: {fault}\n"
+
+
+def test_keyboard_interrupt_is_not_caught(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_segment", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(["segment", "--manifest", "manifest.json"])
 
 
 # --- crash safety ------------------------------------------------------------------
@@ -1317,11 +1382,11 @@ def test_failed_rename_leaves_no_file(tmp_path, rng, monkeypatch, kind):
     assert os.listdir(out) == []
 
 
-def test_eval_failed_rename_leaves_no_report(tmp_path, rng, monkeypatch):
+def test_eval_failed_rename_leaves_no_report(tmp_path, rng, monkeypatch, capsys):
     files, _ = make_embedding_files(tmp_path, rng)
     monkeypatch.setattr(os, "replace", _failing_rename)
-    with pytest.raises(OSError, match="rename failed"):
-        full_eval(files, tmp_path / "report")
+    assert full_eval(files, tmp_path / "report") == 2  # an OSError naming no file
+    assert "internal error: OSError: rename failed" in capsys.readouterr().err
     assert os.listdir(tmp_path / "report") == []
 
 

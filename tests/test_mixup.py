@@ -7,7 +7,7 @@ from beatmix import codec as C
 from beatmix import mixup as M
 from beatmix.beats import BeatGrid
 from beatmix.dsp import SAMPLE_RATE as SR
-from beatmix.dsp import MelSpectrogram, SignalConfig, mel_spectrogram
+from beatmix.dsp import GL_ITERATIONS, HOP, LOG_FLOOR, N_MELS, mel_spectrogram
 from beatmix.errors import LengthMismatch, NoEligibleDownbeat, ShapeMismatch
 from synth import click_track
 
@@ -69,7 +69,7 @@ def two_track_pass(grid, n_samples, seed):
 def test_align_downbeats_on_two_second_grid():
     grid = make_grid(120.0)  # downbeats every 2 s from 0
     n = 30 * SR
-    offsets = M.eligible_downbeat_offsets(grid, n, 163840)
+    offsets = M.eligible_downbeat_offsets(grid, n)
     assert offsets.size and np.all(offsets % 32000 == 0) and np.all(offsets + 163840 <= n)
     for spec in two_track_pass(grid, n, seed=0):
         for off in (spec.offset_a, spec.offset_b):
@@ -78,7 +78,7 @@ def test_align_downbeats_on_two_second_grid():
 
 def test_align_too_short_track():
     grid = make_grid(120.0, duration_s=8.0)
-    assert M.eligible_downbeat_offsets(grid, 8 * SR, 163840).size == 0
+    assert M.eligible_downbeat_offsets(grid, 8 * SR).size == 0
     with pytest.raises(NoEligibleDownbeat):
         two_track_pass(grid, 8 * SR, seed=0)
 
@@ -161,12 +161,8 @@ def test_blm_norm_triangle_inequality(lam, seed):
 @pytest.fixture(scope="module")
 def fitted():
     rng = np.random.default_rng(3)
-    cfg = SignalConfig()
-    mels = [
-        MelSpectrogram(np.clip(rng.normal(-40, 12, (64, 128)), -80, 0), cfg)
-        for _ in range(5)
-    ]
-    return C.fit(mels, n_components=16, patch_size=8), mels, cfg
+    mels = [np.clip(rng.normal(-40, 12, (64, 128)), -80, 0) for _ in range(5)]
+    return C.fit(mels, n_components=16, patch_size=8), mels
 
 
 def patch_pca_reconstruction(codec, frames):
@@ -180,9 +176,9 @@ def patch_pca_reconstruction(codec, frames):
 
 
 def test_blm_render_matches_codec_reconstruction(fitted, monkeypatch):
-    codec, _, cfg = fitted
+    codec, _ = fitted
     rng = np.random.default_rng(11)
-    n = 64 * cfg.hop  # 64 frames, whole patches
+    n = 64 * HOP  # 64 frames, whole patches
     audio = {tid: rng.uniform(-0.5, 0.5, n) for tid in ("a", "b")}
     spec = M.MixupSpec("mix_00000", "blm", True, "a", 0, seed=0, track_b="b", offset_b=0,
                        lam=0.3, clip_samples=n)
@@ -194,39 +190,38 @@ def test_blm_render_matches_codec_reconstruction(fitted, monkeypatch):
         return out
 
     monkeypatch.setattr(M, "invert_mel", capture)
-    assert M.render_spec(spec, lambda t, o, k: audio[t][o : o + k], codec, cfg, 3) is out
+    assert M.render_spec(spec, lambda t, o, k: audio[t][o : o + k], codec) is out
     [(mel, iterations)] = handed
-    assert iterations == 3 and mel.config == cfg
+    assert iterations == GL_ITERATIONS
     # the codec is affine before decode clamps at the log floor, so mixing the
     # latents mixes the reconstructions; the two sides differ only by the
     # rounding of reassociated float64 sums, far below 1e-9 dB at these magnitudes
     r_a, r_b = (
-        patch_pca_reconstruction(codec, mel_spectrogram(audio[t], cfg).frames)
-        for t in ("a", "b")
+        patch_pca_reconstruction(codec, mel_spectrogram(audio[t])) for t in ("a", "b")
     )
-    expect = np.maximum(0.3 * r_a + 0.7 * r_b, cfg.log_floor)
-    assert mel.frames.shape == expect.shape == (64, cfg.n_mels)
-    np.testing.assert_allclose(mel.frames, expect, rtol=0, atol=1e-9)
+    expect = np.maximum(0.3 * r_a + 0.7 * r_b, LOG_FLOOR)
+    assert mel.shape == expect.shape == (64, N_MELS)
+    np.testing.assert_allclose(mel, expect, rtol=0, atol=1e-9)
 
 
 def test_blm_render_zero_latent_gives_patch_mean(fitted):
-    codec, mels, cfg = fitted
+    codec, mels = fitted
     zero = C.LatentTensor(np.zeros((16, 8, 16)), codec.codec_id)
-    mel = C.decode(codec, zero, cfg)
+    mel = C.decode(codec, zero)
     tiled = C._from_patches(
         np.tile(codec.mean.astype(np.float64), (8 * 16, 1)), 64, 128, 8
     )
-    assert np.array_equal(mel.frames, np.maximum(tiled, cfg.log_floor))
+    assert np.array_equal(mel, np.maximum(tiled, LOG_FLOOR))
 
 
 def test_blm_mixed_latent_stays_in_reconstruction_envelope(fitted):
-    codec, mels, cfg = fitted
+    codec, mels = fitted
     l1, l2 = C.encode(codec, mels[0]), C.encode(codec, mels[1])
-    r1, r2 = C.decode(codec, l1, cfg).frames, C.decode(codec, l2, cfg).frames
-    mixed_mel = C.decode(codec, M.blm_mix(l1, l2, 0.3), cfg)
+    r1, r2 = C.decode(codec, l1), C.decode(codec, l2)
+    mixed_mel = C.decode(codec, M.blm_mix(l1, l2, 0.3))
     lo = np.minimum(r1, r2) - 1e-9
     hi = np.maximum(r1, r2) + 1e-9
-    assert np.all(mixed_mel.frames >= lo) and np.all(mixed_mel.frames <= hi)
+    assert np.all(mixed_mel >= lo) and np.all(mixed_mel <= hi)
 
 
 # --- pass planning --------------------------------------------------------------
@@ -293,12 +288,12 @@ def test_plan_offsets_are_downbeats():
             assert np.abs(np.round(grid_b.downbeat_times * SR) - spec.offset_b).min() <= 1
 
 
-def two_branch_plan(tracks, strategy, p, count, seed, clip_samples=M.DEFAULT_CLIP_SAMPLES):
+def two_branch_plan(tracks, strategy, p, count, seed):
     """Reference planner: a mixed and an unmixed branch, each drawing its
     offsets and ratio in the order the planner's contract fixes."""
     rng = np.random.default_rng(seed)
     eligible = {
-        tid: M.eligible_downbeat_offsets(v.grid, v.n_samples, clip_samples)
+        tid: M.eligible_downbeat_offsets(v.grid, v.n_samples)
         for tid, v in tracks.items()
     }
     usable = sorted(tid for tid, offs in eligible.items() if offs.size > 0)
@@ -313,14 +308,11 @@ def two_branch_plan(tracks, strategy, p, count, seed, clip_samples=M.DEFAULT_CLI
             off_b = int(eligible[partner][rng.integers(eligible[partner].size)])
             lam = M.sample_mix_ratio(rng)
             specs.append(M.MixupSpec(
-                f"mix_{slot:05d}", strategy, True, base, off_a, seed, partner, off_b, lam,
-                clip_samples,
+                f"mix_{slot:05d}", strategy, True, base, off_a, seed, partner, off_b, lam
             ))
         else:
             off_a = int(eligible[base][rng.integers(eligible[base].size)])
-            specs.append(M.MixupSpec(
-                f"mix_{slot:05d}", strategy, False, base, off_a, seed, clip_samples=clip_samples
-            ))
+            specs.append(M.MixupSpec(f"mix_{slot:05d}", strategy, False, base, off_a, seed))
     return specs
 
 
@@ -370,20 +362,16 @@ def test_render_unmixed_spec_is_source_clip(rng):
 
 
 def test_render_blm_spec_end_to_end():
-    cfg = SignalConfig()
     tracks = corpus_views([120, 121], duration_s=14.0)
     audio = {}
     for i, tid in enumerate(sorted(tracks)):
         x, _ = click_track(120 + i, 14.0, seed=i)
         audio[tid] = x
-    mels = [
-        mel_spectrogram(audio[t][:163840], cfg) for t in sorted(tracks)
-    ]
+    mels = [mel_spectrogram(audio[t][:163840]) for t in sorted(tracks)]
     codec = C.fit(mels, n_components=8, patch_size=8)
-    specs = M.plan_mixup_pass(tracks, "blm", 1.0, 2, 0, clip_samples=163840)
+    specs = M.plan_mixup_pass(tracks, "blm", 1.0, 2, 0)
     for spec in specs:
-        wave = M.render_spec(
-            spec, lambda t, o, n: audio[t][o : o + n], codec=codec, config=cfg, iterations=2
-        )
+        assert spec.clip_samples == 163840
+        wave = M.render_spec(spec, lambda t, o, n: audio[t][o : o + n], codec=codec)
         assert wave.size == 163840
         assert np.all(np.abs(wave) <= 1.0)

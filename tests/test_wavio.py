@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from beatmix import wavio
-from beatmix.dsp import SignalConfig, mel_spectrogram
+from beatmix.dsp import N_MELS, mel_spectrogram
 from beatmix.errors import CorruptFile, UnsupportedFormat
 from beatmix.manifest import content_hash
 from beatmix.wavio import (
@@ -13,7 +13,6 @@ from beatmix.wavio import (
     load_mel,
     load_normalized,
     load_wav,
-    mel_cache_name,
     probe_wav,
     resample,
     save_wav,
@@ -353,31 +352,30 @@ def test_decode_equals_out_of_place_scaling_bit_for_bit(fmt, n_channels):
     assert frames.tobytes() == OUT_OF_PLACE[fmt](raw).tobytes()
 
 
-def _mel_setup(tmp_path, config=SignalConfig()):
+def _mel_setup(tmp_path):
     path = tmp_path / "in.wav"
     _stereo_44k(path)
-    return path, tmp_path / mel_cache_name(config), content_hash(path)
+    return path, tmp_path / wavio.MEL_CACHE, content_hash(path)
 
 
 def test_mel_cache_hit_equals_a_fresh_mel_bit_for_bit(tmp_path):
-    config = SignalConfig()
-    path, mels, digest = _mel_setup(tmp_path, config)
-    expect = mel_spectrogram(load_wav(path), config).frames
+    path, mels, digest = _mel_setup(tmp_path)
+    expect = mel_spectrogram(load_wav(path))
     decoded = []
 
     def decode():
         decoded.append(path)
         return load_wav(path)
 
-    cold = load_mel(mels, digest, config, decode)
-    warm = load_mel(mels, digest, config, decode)
+    cold = load_mel(mels, digest, decode)
+    warm = load_mel(mels, digest, decode)
     assert decoded == [path]  # the hit decodes nothing
     assert os.listdir(mels) == [f"{digest}.npy"]
-    for frames in (cold.frames, np.load(mels / f"{digest}.npy"), warm.frames):
+    for frames in (cold, np.load(mels / f"{digest}.npy"), warm):
         assert frames.dtype == np.float64 and frames.shape == expect.shape
         assert frames.tobytes() == expect.tobytes()
-    assert isinstance(warm.frames.base, np.memmap)
-    assert warm.config == config
+    assert type(warm) is np.ndarray and isinstance(warm.base, np.memmap)
+    assert expect.shape[1] == N_MELS
 
 
 @pytest.mark.parametrize("damage", [
@@ -388,25 +386,20 @@ def test_mel_cache_hit_equals_a_fresh_mel_bit_for_bit(tmp_path):
     lambda path: np.save(path, np.load(path)[:, :64]),
 ], ids=["truncated", "not-npy", "float32", "1-d", "64-columns"])
 def test_damaged_mel_cache_file_is_rebuilt(tmp_path, damage):
-    config = SignalConfig()
-    path, mels, digest = _mel_setup(tmp_path, config)
-    load_mel(mels, digest, config, lambda: load_wav(path))
+    path, mels, digest = _mel_setup(tmp_path)
+    load_mel(mels, digest, lambda: load_wav(path))
     cached = mels / f"{digest}.npy"
     damage(cached)
-    expect = mel_spectrogram(load_wav(path), config).frames.tobytes()
-    assert load_mel(mels, digest, config, lambda: load_wav(path)).frames.tobytes() == expect
+    expect = mel_spectrogram(load_wav(path)).tobytes()
+    assert load_mel(mels, digest, lambda: load_wav(path)).tobytes() == expect
     assert np.load(cached).tobytes() == expect
     assert os.listdir(mels) == [cached.name]
 
 
-def test_mel_cache_name_follows_settings_mel_code_and_sample_cache(monkeypatch):
-    default = mel_cache_name(SignalConfig())
-    assert default.startswith("mel-") and default == mel_cache_name(SignalConfig())
-    others = {mel_cache_name(SignalConfig(n_mels=64)), mel_cache_name(SignalConfig(hop=80)),
-              mel_cache_name(SignalConfig(log_floor=-60.0))}
-    assert len(others) == 3 and default not in others
-    monkeypatch.setattr(wavio, "MEL_VERSION", wavio.MEL_VERSION + 1)
-    assert mel_cache_name(SignalConfig()) != default
-    monkeypatch.undo()
-    monkeypatch.setattr(wavio, "NORMALIZED_CACHE", "audio-16k-other")
-    assert mel_cache_name(SignalConfig()) != default
+def test_mel_cache_name_follows_mel_code_and_sample_cache():
+    # built from both versions, so bumping MEL_VERSION or renaming the sample
+    # cache renames it; "mel-" keeps it under .gitignore's /mel-*/
+    assert wavio.MEL_CACHE == f"mel-v{wavio.MEL_VERSION}-{wavio.NORMALIZED_CACHE}"
+    gitignore = os.path.join(os.path.dirname(__file__), "..", ".gitignore")
+    with open(gitignore, encoding="utf-8") as fh:
+        assert "/mel-*/" in fh.read().split("\n")
