@@ -4,7 +4,7 @@ Stages, in their natural order::
 
     beatmix ingest CORPUS_DIR          build the manifest
     beatmix analyze --manifest M       tempo/beat/downbeat annotations
-    beatmix group --manifest M         report tempo groups, or set their width
+    beatmix group --manifest M         report tempo groups
     beatmix fit-codec --manifest M     fit the latent codec
     beatmix mix --manifest M ...       produce mixed clips
     beatmix segment --manifest M       10 s segment index for similarity audits
@@ -16,7 +16,6 @@ files. Exit codes: 0 success, 1 input error, 2 internal error.
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import beats as beats_mod
 from . import codec as codec_mod
-from . import dsp, gateway, metrics, mixup, wavio
+from . import gateway, metrics, mixup, wavio
 from .dsp import SAMPLE_RATE
 from .errors import (
     BeatmixError,
@@ -48,25 +47,27 @@ from .manifest import (
     validate_manifest,
 )
 
+# Length of a `segment` segment, the unit SIM_AA compares generated clips with;
+# a float, as segments.json states it.
+SEGMENT_SECONDS = 10.0
+
 
 def _checked(convert, ok, expect):
-    """An argparse type and a setting converter: ``convert``, then require ``ok``.
-    A boolean is never a setting, though Python counts it as a number."""
+    """An argparse type: ``convert``, then require ``ok``."""
 
     def parse(value):
         try:
-            converted = None if isinstance(value, bool) else convert(value)
-        except (TypeError, ValueError, OverflowError):
-            converted = None
-        if converted is None or not ok(converted):
-            raise argparse.ArgumentTypeError(f"{value!r} is not {expect}")
-        return converted
+            converted = convert(value)
+            if ok(converted):
+                return converted
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{value!r} is not {expect}")
 
     return parse
 
 
 _fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
-_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a positive number")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 # report.json keys each SIM_AA result by its threshold to two decimals, so
@@ -78,41 +79,9 @@ _thresholds = _checked(
     "a comma-separated list of numbers in [0, 1], distinct to two decimals",
 )
 
-# Corpus settings, key -> (converter, default): ingest's --config file and every
-# stage's read of the stored values go through these.
-_SETTINGS = {
-    "bucket_width": (_positive_float, 4.0),
-    "segment_seconds": (_positive_float, 10.0),
-    "mix_p": (_fraction, 0.5),
-}
-
-# Settings that manifests of earlier versions may store, now fixed at these
-# values. A stored key that states its fixed value is ignored; any other value
-# was analyzed or mixed another way, so the manifest must be rebuilt.
-_RETIRED = {
-    "sample_rate": dsp.SAMPLE_RATE,
-    "hop": dsp.HOP,
-    "window": dsp.WINDOW,
-    "fft_size": dsp.FFT_SIZE,
-    "n_mels": dsp.N_MELS,
-    "fmin": dsp.FMIN,
-    "fmax": dsp.FMAX,
-    "log_floor": dsp.LOG_FLOOR,
-    "clip_samples": mixup.CLIP_SAMPLES,
-    "gl_iterations": dsp.GL_ITERATIONS,
-}
-
 
 def log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _setting(key, value, source):
-    """``value`` through ``key``'s converter, or a SchemaError naming ``source``."""
-    try:
-        return _SETTINGS[key][0](value)
-    except argparse.ArgumentTypeError as exc:
-        raise SchemaError(f"{source}: bad value for {key} ({exc})") from exc
 
 
 @contextlib.contextmanager
@@ -132,48 +101,6 @@ def _read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
-
-
-def read_config_file(path) -> dict:
-    """Plain key=value configuration; '#' starts a comment."""
-    values = {}
-    for line_no, raw in enumerate(_read_text(path).split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise SchemaError(f"{path}:{line_no}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SETTINGS:
-            raise SchemaError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = _setting(key, value, f"{path}:{line_no}")
-    return values
-
-
-def _settings(stored: dict, source) -> dict:
-    """Each ``_SETTINGS`` value in ``stored``, or its default. A ``_RETIRED`` key
-    stored with another value than its fixed one raises a SchemaError naming
-    ``source``; other stored keys are ignored."""
-    for key, fixed in _RETIRED.items():
-        value = stored.get(key, fixed)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != fixed:
-            raise SchemaError(
-                f"{source}: bad value for {key} ({value!r}): the analysis is fixed at "
-                f"{key} = {fixed}; run `beatmix ingest` to rebuild the manifest"
-            )
-    return {
-        key: _setting(key, stored[key], source) if key in stored else default
-        for key, (_, default) in _SETTINGS.items()
-    }
-
-
-def _load_checked(args):
-    """The manifest and its stored settings, for the stages that read audio:
-    ids unique, files present."""
-    manifest = load_manifest(args.manifest)
-    settings = _settings(manifest.config, args.manifest)
-    validate_manifest(manifest)
-    return manifest, settings
 
 
 def _beside_manifest(args, name) -> str:
@@ -214,7 +141,6 @@ def cmd_ingest(args) -> int:
             if not isinstance(caption, str):
                 raise SchemaError(f"{args.captions}: caption of {track_id!r} is not a string")
 
-    settings = read_config_file(args.config) if args.config else {}
     entries = []
     seen = {}
     missing_captions = 0
@@ -244,7 +170,7 @@ def cmd_ingest(args) -> int:
             )
         )
 
-    manifest = Manifest(root=root, entries=entries, config=settings)
+    manifest = Manifest(root=root, entries=entries)
     save_manifest(manifest, args.manifest)
     log(f"ingested {len(entries)} tracks -> {args.manifest}")
     if missing_captions:
@@ -290,7 +216,8 @@ def _analyze_one(manifest, entry, external, caches):
 
 
 def cmd_analyze(args) -> int:
-    manifest, _ = _load_checked(args)
+    manifest = load_manifest(args.manifest)
+    validate_manifest(manifest)
     caches = _caches(args)
 
     outcomes = {"cached": 0, "analyzed": 0, "failed": 0}
@@ -327,18 +254,16 @@ def cmd_analyze(args) -> int:
 # --- group ------------------------------------------------------------------
 
 def cmd_group(args) -> int:
-    """Report the tempo groups that `mix` derives; store --bucket-width if given."""
+    """Report the tempo groups that `mix` derives."""
     manifest = load_manifest(args.manifest)
-    settings = _settings(manifest.config, args.manifest)
-    width = args.bucket_width if args.bucket_width is not None else settings["bucket_width"]
     tempos = [e.tempo_bpm for e in manifest.entries if e.tempo_bpm is not None]
     if not tempos:
         raise MissingPrerequisite("no analyzed tracks; run `beatmix analyze` first")
-    if args.bucket_width is not None:
-        manifest.config["bucket_width"] = width
-        save_manifest(manifest, args.manifest)
-    groups = {mixup.group_id_for(bpm, width) for bpm in tempos}
-    log(f"group: {len(tempos)} tracks in {len(groups)} tempo groups (width {width} BPM)")
+    groups = {mixup.group_id_for(bpm) for bpm in tempos}
+    log(
+        f"group: {len(tempos)} tracks in {len(groups)} tempo groups "
+        f"(width {mixup.BUCKET_WIDTH} BPM)"
+    )
     return 0
 
 
@@ -347,7 +272,8 @@ def cmd_group(args) -> int:
 def cmd_fit_codec(args) -> int:
     if args.components > args.patch**2:
         raise InputError(f"--components {args.components} exceeds --patch squared")
-    manifest, _ = _load_checked(args)
+    manifest = load_manifest(args.manifest)
+    validate_manifest(manifest)
     patch = args.patch
     usable = [e for e in manifest.entries if e.analysis_error is None]
     if not usable:
@@ -380,8 +306,8 @@ def cmd_fit_codec(args) -> int:
 # --- mix ---------------------------------------------------------------------
 
 def cmd_mix(args) -> int:
-    manifest, settings = _load_checked(args)
-    p = args.p if args.p is not None else settings["mix_p"]
+    manifest = load_manifest(args.manifest)
+    validate_manifest(manifest)
 
     analyzed = [e for e in manifest.entries if e.tempo_bpm is not None and e.beats_path]
     if not analyzed:
@@ -403,11 +329,11 @@ def cmd_mix(args) -> int:
         grid = beats_mod.load_beat_annotation(
             os.path.join(manifest.root, entry.beats_path)
         )
-        group = mixup.group_id_for(entry.tempo_bpm, settings["bucket_width"])
+        group = mixup.group_id_for(entry.tempo_bpm)
         tracks[entry.id] = mixup.TrackView(entry.id, entry.n_samples, grid, group)
         captions[entry.id] = entry.caption
 
-    specs = mixup.plan_mixup_pass(tracks, args.strategy, p, args.count, args.seed)
+    specs = mixup.plan_mixup_pass(tracks, args.strategy, args.p, args.count, args.seed)
     # Offsets sit on the downbeats of each track's last analysis: a track
     # edited since then must be analyzed again before it is cut.
     by_id = manifest.by_id()
@@ -450,18 +376,14 @@ def cmd_mix(args) -> int:
 
 def cmd_segment(args) -> int:
     manifest = load_manifest(args.manifest)
-    settings = _settings(manifest.config, args.manifest)
-    seconds = args.seconds if args.seconds is not None else settings["segment_seconds"]
-    seg_len = int(round(seconds * SAMPLE_RATE))
-    if seg_len < 1:
-        raise InputError(f"segments of {seconds:g} s are shorter than one sample")
+    seg_len = int(round(SEGMENT_SECONDS * SAMPLE_RATE))
     segments = []
     empty = 0
     for entry in manifest.entries:
         n_seg = entry.n_samples // seg_len
         if n_seg == 0:
             empty += 1
-            log(f"warning: {entry.id}: shorter than one {seconds:g} s segment")
+            log(f"warning: {entry.id}: shorter than one {SEGMENT_SECONDS:g} s segment")
             continue
         for k in range(n_seg):
             segments.append(
@@ -475,7 +397,7 @@ def cmd_segment(args) -> int:
     out = args.out or _beside_manifest(args, "segments.json")
     payload = {
         "schema_version": 1,
-        "seconds": seconds,
+        "seconds": SEGMENT_SECONDS,
         "sample_rate": SAMPLE_RATE,
         "segments": segments,
     }
@@ -561,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus_dir")
     p.add_argument("--manifest", default="manifest.json")
     p.add_argument("--captions", help="JSON file mapping track id -> caption")
-    p.add_argument("--config", help="key=value settings file, stored in the manifest")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("analyze", help="compute or ingest beat annotations")
@@ -571,9 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("group", help="report tempo groups; --bucket-width stores their width")
+    p = sub.add_parser("group", help="report tempo groups")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--bucket-width", type=_positive_float, default=None)
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("fit-codec", help="fit the patch-PCA latent codec")
@@ -587,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--strategy", choices=mixup.STRATEGIES, required=True)
     p.add_argument("--count", type=_positive_int, required=True)
-    p.add_argument("--p", type=_fraction, default=None, help="mixup rate (default: stored mix_p)")
+    p.add_argument("--p", type=_fraction, default=0.5, help="mixup rate")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default="mixes")
     p.add_argument("--codec", help="codec file (default: codec.bin beside the manifest)")
@@ -595,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", help="index non-overlapping segments per track")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--seconds", type=_positive_float, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_segment)
 

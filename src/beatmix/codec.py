@@ -192,6 +192,11 @@ def load(path) -> PcaCodec:
     version, patch_size, n_components = struct.unpack_from("<III", data, 4)
     if version != _VERSION:
         raise SchemaError(f"{path}: unsupported codec version {version}")
+    if not (patch_size >= 1 and 1 <= n_components <= patch_size * patch_size):
+        raise SchemaError(
+            f"{path}: P={patch_size}, C={n_components} is no codec (fit needs P >= 1 "
+            "and 1 <= C <= P*P)"
+        )
     stored_hash = data[16:48]
     p2 = patch_size * patch_size
     expect = 48 + 4 * p2 + 4 * n_components * p2

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .errors import InvariantViolation, SchemaError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -35,8 +35,6 @@ class TrackEntry:
 class Manifest:
     root: str
     entries: list = field(default_factory=list)
-    config: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
     def by_id(self) -> dict[str, TrackEntry]:
         return {e.id: e for e in self.entries}
@@ -64,9 +62,11 @@ def atomic_open(path):
         with open(tmp, "xb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename = path  # the error names the target, not the temp file
         raise
 
 
@@ -110,9 +110,8 @@ def save_manifest(manifest: Manifest, path) -> None:
     """Write ``manifest`` canonically, through ``atomic_write``."""
     manifest.entries.sort(key=lambda e: e.id)
     payload = {
-        "schema_version": manifest.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "root": manifest.root,
-        "config": manifest.config,
         "entries": [asdict(e) for e in manifest.entries],
     }
     atomic_write(path, canonical_json(payload))
@@ -137,9 +136,9 @@ def load_manifest(path) -> Manifest:
             f"{path}: schema version {payload.get('schema_version')} unsupported; "
             "run `beatmix ingest` to rebuild the manifest"
         )
-    root, config = payload.get("root", "."), payload.get("config", {})
-    if not isinstance(root, str) or not isinstance(config, dict):
-        raise SchemaError(f"{path}: root must be a string and config an object")
+    root = payload.get("root", ".")
+    if not isinstance(root, str):
+        raise SchemaError(f"{path}: root must be a string")
     try:
         entries = [TrackEntry(**e) for e in payload["entries"]]
     except TypeError as exc:
@@ -153,12 +152,7 @@ def load_manifest(path) -> Manifest:
                 raise SchemaError(
                     f"{path}: track {entry.id!r}: field {f.name} is {value!r}, expected {expected}"
                 )
-    return Manifest(
-        root=root,
-        entries=entries,
-        config=dict(config),
-        schema_version=payload["schema_version"],
-    )
+    return Manifest(root=root, entries=entries)
 
 
 def validate_manifest(manifest: Manifest) -> None:

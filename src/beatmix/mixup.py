@@ -10,8 +10,8 @@ audio through the codec decoder and Fast Griffin-Lim.
 Every clip is ``CLIP_SAMPLES`` long, the paper's 10.24 s, and blm renders
 through ``dsp.GL_ITERATIONS`` iterations of phase retrieval. Spec planning is
 a deterministic stream from one seeded generator: a run is fully
-reproducible from (seed, corpus, settings), and rendering a spec is a pure
-function of the spec, so it can be parallelized freely.
+reproducible from (seed, corpus, mix arguments), and rendering a spec is a
+pure function of the spec, so it can be parallelized freely.
 """
 
 from dataclasses import dataclass
@@ -24,6 +24,7 @@ from .dsp import GL_ITERATIONS, SAMPLE_RATE, invert_mel, mel_spectrogram
 from .errors import LengthMismatch, NoEligibleDownbeat, ShapeMismatch
 
 BUCKET_RANGE = (60.0, 180.0)
+BUCKET_WIDTH = 4.0  # BPM; partners share a bucket
 CLIP_SAMPLES = 163840  # 10.24 s at 16 kHz
 LAMBDA_EPS = 1e-9
 BETA_A = 5.0
@@ -48,13 +49,13 @@ class MixupSpec:
     clip_samples: int = CLIP_SAMPLES
 
 
-def group_id_for(bpm: float, bucket_width: float) -> int:
-    """Deterministic fixed-width BPM bucket over [60, 180); tempos outside
-    the range fall into the first or the last bucket."""
+def group_id_for(bpm: float) -> int:
+    """Deterministic ``BUCKET_WIDTH`` BPM bucket over [60, 180); tempos
+    outside the range fall into the first or the last bucket."""
     lo, hi = BUCKET_RANGE
-    n_buckets = int(np.ceil((hi - lo) / bucket_width))
+    n_buckets = int(np.ceil((hi - lo) / BUCKET_WIDTH))
     clamped = min(max(bpm, lo), np.nextafter(hi, lo))
-    gid = int((clamped - lo) // bucket_width)
+    gid = int((clamped - lo) // BUCKET_WIDTH)
     return min(gid, n_buckets - 1)
 
 

@@ -110,7 +110,7 @@ def test_criterion_03_mixup_algebra_and_batch_alignment():
         return BeatGrid(bpm, beats, beats[::4])
 
     tracks = {
-        f"t{i}": M.TrackView(f"t{i}", 30 * SR, make_grid(bpm), M.group_id_for(bpm, 4.0))
+        f"t{i}": M.TrackView(f"t{i}", 30 * SR, make_grid(bpm), M.group_id_for(bpm))
         for i, bpm in enumerate([118, 119, 90, 91, 150, 151, 120, 121])
     }
     specs = M.plan_mixup_pass(tracks, "bam", 1.0, 500, 5)
@@ -151,7 +151,7 @@ def test_criterion_05_mixup_rate():
         return BeatGrid(bpm, beats, beats[::4])
 
     tracks = {
-        f"t{i}": M.TrackView(f"t{i}", 30 * SR, make_grid(bpm), M.group_id_for(bpm, 4.0))
+        f"t{i}": M.TrackView(f"t{i}", 30 * SR, make_grid(bpm), M.group_id_for(bpm))
         for i, bpm in enumerate([118, 119, 90, 91, 150, 151])
     }
     specs = M.plan_mixup_pass(tracks, "bam", 0.5, 10000, 9)

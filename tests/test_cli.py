@@ -1,7 +1,10 @@
+import argparse
+import hashlib
 import json
 import os
 import re
 import shutil
+import struct
 import sys
 import threading
 import tracemalloc
@@ -13,7 +16,7 @@ from beatmix import codec as codec_mod
 from beatmix import gateway as G
 from beatmix import cli, metrics, mixup, wavio
 from beatmix.beats import BeatGrid, save_beat_annotation
-from beatmix.cli import _RETIRED, _SETTINGS, main
+from beatmix.cli import main
 from beatmix.dsp import mel_spectrogram
 from beatmix.errors import DimMismatch, DuplicateId, SchemaError, ZeroNorm
 from beatmix.manifest import Manifest, canonical_json, content_hash, load_manifest, save_manifest
@@ -319,24 +322,18 @@ def mixed_pairs(out):
     return [frozenset((s["track_a"], s["track_b"])) for s in specs if s["mixed"]]
 
 
-def test_group_assigns_buckets(tmp_path):
-    # 117 and 122 BPM fall in [116,120) and [120,124) at width 4, both in [116,124) at 8
+def test_group_assigns_buckets(tmp_path, capsys):
+    # 117 and 122 BPM fall in the 4-BPM buckets [116,120) and [120,124); 90 and 91 share one
     root, manifest = tmp_path / "corpus", tmp_path / "manifest.json"
     write_corpus(root, [117, 122, 90, 91], duration_s=14.0)
     run(["ingest", root, "--manifest", manifest])
     run(["analyze", "--manifest", manifest])
+    capsys.readouterr()
+    assert run(["group", "--manifest", manifest]) == 0
+    assert "group: 4 tracks in 3 tempo groups (width 4.0 BPM)" in capsys.readouterr().err
     mix = ["mix", "--manifest", manifest, "--strategy", "bam", "--count", "20", "--p", "1"]
-    assert run(mix + ["--out", tmp_path / "width4"]) == 0
-    assert set(mixed_pairs(tmp_path / "width4")) == {frozenset(("track02", "track03"))}
-    analyzed = json.loads(manifest.read_text())
-    assert run(["group", "--manifest", manifest, "--bucket-width", "8"]) == 0
-    grouped = json.loads(manifest.read_text())
-    assert grouped["config"] == {"bucket_width": 8.0}
-    assert grouped["entries"] == analyzed["entries"]  # groups are derived, not stored
-    assert run(mix + ["--out", tmp_path / "width8"]) == 0
-    assert set(mixed_pairs(tmp_path / "width8")) == {
-        frozenset(("track00", "track01")), frozenset(("track02", "track03"))
-    }
+    assert run(mix + ["--out", tmp_path / "mixes"]) == 0
+    assert set(mixed_pairs(tmp_path / "mixes")) == {frozenset(("track02", "track03"))}
 
 
 def test_mix_blm_without_codec_fails(corpus):
@@ -388,21 +385,26 @@ def test_manifest_is_left_alone_after_analyze(corpus):
 def test_version_1_manifest_exits_one_naming_ingest(
     grouped_manifest, tmp_path, monkeypatch, capsys
 ):
+    # and so is a version-2 manifest
     monkeypatch.chdir(tmp_path)
-    payload = json.loads(grouped_manifest)
-    payload["schema_version"] = 1
-    for entry in payload["entries"]:
-        entry["group_id"] = 0  # what version 1 stored
-    text = json.dumps(payload)
-    with open("manifest.json", "w") as fh:
-        fh.write(text)
-    for stage in (["analyze"], ["group"], ["fit-codec"], MIX, ["segment"]):
-        assert run(stage + ["--manifest", "manifest.json"]) == 1
-        err = capsys.readouterr().err
-        assert "manifest.json: schema version 1 unsupported" in err and "`beatmix ingest`" in err
-    assert os.listdir() == ["manifest.json"]
-    with open("manifest.json") as fh:
-        assert fh.read() == text
+    for version in (1, 2):
+        payload = json.loads(grouped_manifest)
+        payload["schema_version"] = version
+        payload["config"] = {"bucket_width": 4.0}  # what both versions stored
+        if version == 1:
+            for entry in payload["entries"]:
+                entry["group_id"] = 0  # what version 1 also stored
+        text = json.dumps(payload)
+        with open("manifest.json", "w") as fh:
+            fh.write(text)
+        for stage in (["analyze"], ["group"], ["fit-codec"], MIX, ["segment"]):
+            assert run(stage + ["--manifest", "manifest.json"]) == 1
+            err = capsys.readouterr().err
+            assert f"manifest.json: schema version {version} unsupported" in err
+            assert "`beatmix ingest`" in err
+        assert os.listdir() == ["manifest.json"]
+        with open("manifest.json") as fh:
+            assert fh.read() == text
 
 
 def _no_decoding(path):
@@ -619,7 +621,7 @@ def test_mix_pairs_only_equal_manifest_groups(corpus):
     run(["ingest", corpus / "corpus", "--manifest", manifest])
     run(["analyze", "--manifest", manifest])
     group_of = {
-        e.id: mixup.group_id_for(e.tempo_bpm, 4.0) for e in load_manifest(manifest).entries
+        e.id: mixup.group_id_for(e.tempo_bpm) for e in load_manifest(manifest).entries
     }
     assert len(set(group_of.values())) == 2
     out = corpus / "mixes"
@@ -903,6 +905,7 @@ def test_usage_error_exits_one():
     (["eval", "--gen-emb", "gen.emb", "--thresholds", "1.5"], "--thresholds"),
     (["eval", "--gen-emb", "gen.emb", "--thresholds", "0.9,abc"], "--thresholds"),
     (["mix", "--manifest", "m.json", "--strategy", "bam", "--count", "1", "--p", "1.5"], "--p"),
+    # segment's length and group's width are constants: no flag sets them
     (["segment", "--manifest", "m.json", "--seconds", "0"], "--seconds"),
     (["fit-codec", "--manifest", "m.json", "-C", "0"], "--components"),
     (["fit-codec", "--manifest", "m.json", "-P", "0"], "--patch"),
@@ -913,7 +916,7 @@ def test_usage_error_exits_one():
     (["mix", "--manifest", "m.json", "--strategy", "bam", "--count", "1", "--seed", "-1"],
      "--seed"),
     (["analyze", "--manifest", "m.json", "--workers", "0"], "--workers"),
-    # settings are fixed at ingest; the later stages take no --config
+    # no stage takes a settings file (ingest's case is the last one)
     *[
         (stage + ["--manifest", "m.json", "--config", "beatmix.cfg"],
          "unrecognized arguments: --config")
@@ -922,6 +925,7 @@ def test_usage_error_exits_one():
     ],
     # report.json would key both as "0.00" and keep one result
     (["eval", "--gen-emb", "gen.emb", "--thresholds", "0.001,0.004"], "distinct to two decimals"),
+    (["ingest", "corpus", "--config", "beatmix.cfg"], "unrecognized arguments: --config"),
 ])
 def test_out_of_range_argument_exits_one_before_any_io(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)  # no file the arguments name exists
@@ -929,32 +933,6 @@ def test_out_of_range_argument_exits_one_before_any_io(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert flag in err and "not found" not in err
     assert os.listdir(tmp_path) == []
-
-
-def test_segment_length_out_of_range_exits_one(corpus, capsys):
-    manifest = corpus / "manifest.json"
-    run(["ingest", corpus / "corpus", "--manifest", manifest])
-    out = corpus / "segments.json"
-    # positive, but rounds to zero samples at 16 kHz
-    assert run(["segment", "--manifest", manifest, "--seconds", "1e-5", "--out", out]) == 1
-    assert "shorter than one sample" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("line", [
-    "hop = 0", "window = 0", "fft_size = 512", "n_mels = 0", "sample_rate = 0", "fmin = -1",
-    "clip_samples = 0", "gl_iterations = 0", "bucket_width = -1", "segment_seconds = 0",
-    "mix_p = 2", "sample_rate = 22050", "log_floor = nan", "log_floor = inf",
-    # a fixed analysis value is no setting, even at the value it is fixed at
-    "hop = 160", "gl_iterations = 14", "clip_samples = 163840",
-])
-def test_out_of_range_config_value_exits_one_at_ingest(corpus, capsys, line):
-    cfg = corpus / "beatmix.cfg"
-    cfg.write_text(line + "\n")
-    manifest = corpus / "manifest.json"
-    assert run(["ingest", corpus / "corpus", "--manifest", manifest, "--config", cfg]) == 1
-    assert f"{cfg}:1: " in capsys.readouterr().err  # the file and the line
-    assert not manifest.exists()
 
 
 def _latin1(path, text):
@@ -966,12 +944,6 @@ def _non_utf8_captions(tmp):
     bad = tmp / "captions.json"
     _latin1(bad, '{"track00": "café"}')
     return ["ingest", tmp / "corpus", "--manifest", tmp / "manifest.json", "--captions", bad], bad
-
-
-def _non_utf8_config(tmp):
-    bad = tmp / "beatmix.cfg"
-    _latin1(bad, "hop = 160  # café\n")
-    return ["ingest", tmp / "corpus", "--manifest", tmp / "manifest.json", "--config", bad], bad
 
 
 def _non_utf8_caption_txt(tmp):
@@ -1003,9 +975,8 @@ def _tree(root):
 
 
 @pytest.mark.parametrize("setup", [
-    _non_utf8_captions, _non_utf8_config, _non_utf8_caption_txt, _non_utf8_manifest,
-    _non_utf8_sidecar,
-], ids=["captions", "config", "caption-txt", "manifest", "sidecar"])
+    _non_utf8_captions, _non_utf8_caption_txt, _non_utf8_manifest, _non_utf8_sidecar,
+], ids=["captions", "caption-txt", "manifest", "sidecar"])
 def test_non_utf8_text_input_exits_one_naming_it(corpus, capsys, setup):
     argv, bad = setup(corpus)
     before = _tree(corpus)
@@ -1013,28 +984,6 @@ def test_non_utf8_text_input_exits_one_naming_it(corpus, capsys, setup):
     assert run(argv) == 1
     assert f"error: {bad}: " in capsys.readouterr().err
     assert _tree(corpus) == before
-
-
-def test_hand_edited_signal_setting_exits_one(corpus, capsys):
-    manifest = corpus / "manifest.json"
-    run(["ingest", corpus / "corpus", "--manifest", manifest])
-    payload = json.loads(manifest.read_text())
-    payload["config"]["hop"] = 0
-    manifest.write_text(json.dumps(payload))
-    assert run(["analyze", "--manifest", manifest]) == 1
-    err = capsys.readouterr().err
-    assert f"error: {manifest}: bad value for hop (0): the analysis is fixed at hop = 160" in err
-
-
-def test_hand_edited_bucket_width_exits_one(corpus, capsys):
-    manifest = corpus / "manifest.json"
-    run(["ingest", corpus / "corpus", "--manifest", manifest])
-    payload = json.loads(manifest.read_text())
-    payload["config"]["bucket_width"] = 0
-    manifest.write_text(json.dumps(payload))
-    assert run(["group", "--manifest", manifest]) == 1
-    err = capsys.readouterr().err
-    assert str(manifest) in err and "bad value for bucket_width" in err
 
 
 @pytest.fixture(scope="module")
@@ -1048,77 +997,7 @@ def grouped_manifest(tmp_path_factory):
     return manifest.read_text()
 
 
-def write_edited(manifest_text, key, value):
-    """Write the manifest with ``config[key] = value`` to ./manifest.json."""
-    payload = json.loads(manifest_text)
-    payload["config"][key] = value
-    with open("manifest.json", "w") as fh:
-        json.dump(payload, fh)
-
-
 MIX = ["mix", "--strategy", "bam", "--count", "2"]
-# every stored setting: a stage that reads it and a value out of its range
-HAND_EDITS = {
-    "bucket_width": (["group"], 0),
-    "segment_seconds": (["segment"], 0),
-    "mix_p": (MIX, 2),
-}
-# every retired setting but sample_rate: a stage and a value other than its fixed one
-RETIRED_EDITS = {
-    "hop": (["analyze"], 0),
-    "window": (["analyze"], 0),
-    "fft_size": (["analyze"], 512),
-    "n_mels": (["analyze"], 0),
-    "fmin": (["analyze"], -1),
-    "fmax": (["analyze"], 9000),
-    "log_floor": (["analyze"], float("nan")),
-    "clip_samples": (MIX, 0),
-    "gl_iterations": (MIX, 0),
-}
-EDITS = {**HAND_EDITS, **RETIRED_EDITS}
-
-
-@pytest.mark.parametrize("key, value", [
-    *[(key, value) for key, (_, bad) in EDITS.items() for value in (bad, "abc")],
-    ("hop", None), pytest.param("mix_p", 10**400, id="mix_p-1e400"),
-    # a JSON float is not the integer a retired key is fixed at, and a JSON
-    # boolean is no setting at all
-    ("hop", 160.5), ("clip_samples", 163840.9), ("hop", True), ("mix_p", True),
-])
-def test_hand_edited_setting_exits_one_naming_manifest_and_key(
-    grouped_manifest, tmp_path, monkeypatch, capsys, key, value
-):
-    assert set(HAND_EDITS) == set(_SETTINGS)
-    assert set(RETIRED_EDITS) == set(_RETIRED) - {"sample_rate"}
-    monkeypatch.chdir(tmp_path)  # where mix's default --out would go
-    write_edited(grouped_manifest, key, value)
-    assert run(EDITS[key][0] + ["--manifest", "manifest.json"]) == 1
-    err = capsys.readouterr().err
-    assert "manifest.json: bad" in err and key in err
-    assert os.listdir() == ["manifest.json"]
-
-
-STAGES = [["analyze"], ["group"], ["fit-codec"], MIX, ["segment"]]
-
-
-@pytest.mark.parametrize("stage", STAGES, ids=lambda stage: stage[0])
-@pytest.mark.parametrize("key, value", [
-    ("hop", 256), ("clip_samples", 1000), ("sample_rate", 22050), ("fmin", False),
-])
-def test_stored_retired_key_with_another_value_exits_one_and_writes_nothing(
-    grouped_manifest, tmp_path, monkeypatch, capsys, stage, key, value
-):
-    # a manifest made with hop = 256 must not be analyzed at 160 without a word
-    monkeypatch.chdir(tmp_path)
-    write_edited(grouped_manifest, key, value)
-    assert run(stage + ["--manifest", "manifest.json"]) == 1
-    err = capsys.readouterr().err
-    assert (f"error: manifest.json: bad value for {key} ({value!r}): the analysis is fixed "
-            f"at {key} = {_RETIRED[key]}; run `beatmix ingest` to rebuild the manifest") in err
-    assert os.listdir() == ["manifest.json"]
-    assert not (tmp_path / wavio.MEL_CACHE).exists()
-
-
 @pytest.mark.parametrize("stage, field, value", [
     (["segment"], "n_samples", "lots"),
     (["group"], "tempo_bpm", "fast"),
@@ -1139,30 +1018,14 @@ def test_hand_edited_entry_field_exits_one_naming_manifest_track_and_field(
     assert os.listdir() == ["manifest.json"]
 
 
-@pytest.mark.parametrize("key, value", [("root", 7), ("config", 5), ("config", ["a"])])
-def test_hand_edited_manifest_root_or_config_type_exits_one(
-    grouped_manifest, tmp_path, monkeypatch, capsys, key, value
-):
+def test_hand_edited_manifest_root_type_exits_one(grouped_manifest, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     payload = json.loads(grouped_manifest)
-    payload[key] = value
+    payload["root"] = 7
     with open("manifest.json", "w") as fh:
         json.dump(payload, fh)
     assert run(["analyze", "--manifest", "manifest.json"]) == 1
-    assert "manifest.json: root must be a string and config an object" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("stage", [["analyze"], ["fit-codec"], MIX])
-def test_hand_edited_bucket_width_is_used(grouped_manifest, tmp_path, monkeypatch, stage):
-    monkeypatch.chdir(tmp_path)
-    # at width 60, 117-118 and 90-91 BPM all fall in group 0; at width 4 they form two
-    write_edited(grouped_manifest, "bucket_width", 60.0)
-    mixing = stage[0] == "mix"
-    extra = ["--p", "1", "--count", "10"] if mixing else []
-    assert run(stage + ["--manifest", "manifest.json", *extra]) == 0
-    if mixing:
-        assert any(pair & {"track00", "track01"} and pair & {"track02", "track03"}
-                   for pair in mixed_pairs(tmp_path / "mixes"))
+    assert "manifest.json: root must be a string" in capsys.readouterr().err
 
 
 def test_mix_without_eligible_downbeat_creates_no_out(tmp_path, capsys):
@@ -1205,6 +1068,45 @@ def test_fit_codec_decode_error_names_the_track(corpus, capsys):
     assert "error: track01.wav: data chunk is not a whole number of frames" in err
 
 
+def write_codec_file(path, patch, components):
+    """A codec file of this header whose stored hash matches its payload."""
+    p2 = patch * patch
+    payload = np.zeros(p2 + components * p2, "<f4").tobytes()  # the mean, then the basis
+    digest = hashlib.sha256(struct.pack("<II", patch, components) + payload).digest()
+    path.write_bytes(b"BMPC" + struct.pack("<III", 1, patch, components) + digest + payload)
+
+
+@pytest.mark.parametrize("patch, components", [(1, 2), (0, 0), (2, 0)])
+def test_codec_header_out_of_range_exits_one(
+    grouped_manifest, tmp_path, monkeypatch, capsys, patch, components
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "manifest.json").write_text(grouped_manifest)
+    write_codec_file(tmp_path / "bad.bin", patch, components)
+    assert run(MIX + ["--strategy", "blm", "--p", "1", "--manifest", "manifest.json",
+                      "--codec", "bad.bin", "--out", "mixes"]) == 1
+    assert f"error: bad.bin: P={patch}, C={components} is no codec" in capsys.readouterr().err
+    assert sorted(os.listdir()) == ["bad.bin", "manifest.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "{root}", "--manifest", "{out}"],
+    ["fit-codec", "--manifest", "manifest.json", "-C", "4", "--out", "{out}"],
+    ["segment", "--manifest", "manifest.json", "--out", "{out}"],
+], ids=lambda argv: argv[0])
+def test_output_in_a_missing_directory_exits_one_naming_it(
+    grouped_manifest, tmp_path, monkeypatch, capsys, argv
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "manifest.json").write_text(grouped_manifest)
+    out = tmp_path / "nodir" / "output"
+    root = json.loads(grouped_manifest)["root"]
+    assert run([arg.format(root=root, out=out) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {out}: not found" in err and ".tmp-" not in err
+    assert not (tmp_path / "nodir").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--manifest", "{dir}"],
     ["eval", "--gen-emb", "{dir}", "--out", "{dir}/report"],
@@ -1219,16 +1121,16 @@ def test_unreadable_input_path_exits_one(tmp_path, capsys, argv):
 
 def test_unchanged_manifest_is_not_rewritten(tmp_path):
     path = tmp_path / "manifest.json"
-    manifest = Manifest(root="corpus", config={"clip_seconds": 10.24})
+    manifest = Manifest(root="corpus")
     save_manifest(manifest, path)
     before = os.stat(path)
     save_manifest(manifest, path)
     after = os.stat(path)
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-    manifest.config["clip_seconds"] = 5.0
+    manifest.root = "elsewhere"
     save_manifest(manifest, path)
     assert os.stat(path).st_ino != before.st_ino
-    assert load_manifest(path).config == {"clip_seconds": 5.0}
+    assert load_manifest(path).root == "elsewhere"
 
 
 def _inodes_and_mtimes(directory):
@@ -1268,48 +1170,21 @@ def test_rerun_with_the_same_bytes_replaces_no_output(corpus, rng):
     assert (report / "report.json").stat().st_ino != reports["report.json"][0]
 
 
-def test_manifest_with_stored_sample_rate_still_runs(corpus):
-    # manifests from older versions store keys nothing reads any more: every
-    # retired key at the value it is now fixed at, and fit-codec's C and P
-    # (codec.bin's header has them)
-    manifest = corpus / "manifest.json"
-    run(["ingest", corpus / "corpus", "--manifest", manifest])
-    payload = json.loads(manifest.read_text())
-    payload["config"].update(_RETIRED, codec_components=16, codec_patch=8)
-    assert payload["config"]["hop"] == 160 and payload["config"]["gl_iterations"] == 14
-    manifest.write_text(json.dumps(payload))
-    for stage in (
-        ["analyze"], ["group"], ["fit-codec", "-C", "4"],
-        ["mix", "--strategy", "bam", "--count", "2", "--out", corpus / "m"],
-        ["mix", "--strategy", "blm", "--count", "1", "--p", "1", "--out", corpus / "b"],
-        ["segment", "--out", corpus / "segments.json"],
-    ):
-        assert run(stage + ["--manifest", manifest]) == 0
-
-
-def test_readme_lists_exactly_the_settings_and_their_defaults():
+def test_readme_names_only_flags_the_cli_accepts():
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
-        section = fh.read().split("### Configuration\n", 1)[1].split("\n## ", 1)[0]
-    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, re.M)
-    assert {key: float(default) for key, default in rows} == {
-        key: default for key, (_, default) in _SETTINGS.items()
+        text = fh.read()
+    # the Benchmark section's flags are perfbench/run.py's
+    before, _, rest = text.partition("\n## Benchmark\n")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", before + rest.partition("\n## ")[2]))
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        flag
+        for command in subparsers.choices.values()
+        for action in command._actions
+        for flag in action.option_strings
     }
-    assert [key for key, _ in rows] == list(_SETTINGS)
-
-
-def test_config_file_overrides(tmp_path, capsys):
-    root = tmp_path / "corpus"
-    write_corpus(root, [120, 121], duration_s=14.0)
-    cfg = tmp_path / "beatmix.cfg"
-    cfg.write_text("bucket_width = 8\n# comment\nsegment_seconds = 5\n")
-    manifest = tmp_path / "manifest.json"
-    run(["ingest", root, "--manifest", manifest, "--config", cfg])
-    payload = json.loads(manifest.read_text())
-    assert payload["config"]["bucket_width"] == 8
-    seg_path = tmp_path / "segments.json"
-    run(["segment", "--manifest", manifest, "--out", seg_path])
-    segs = json.loads(seg_path.read_text())
-    assert segs["seconds"] == 5
+    assert "--p" in named and named - accepted == set()
 
 
 # --- internal faults ---------------------------------------------------------------

@@ -20,18 +20,18 @@ def make_grid(bpm, duration_s=30.0, t0=0.0):
 # --- tempo groups -----------------------------------------------------------
 
 def test_same_bucket():
-    assert M.group_id_for(120, 4.0) == M.group_id_for(121, 4.0) == 15
+    assert M.group_id_for(120) == M.group_id_for(121) == 15
 
 
 def test_bucket_boundary():
-    assert M.group_id_for(120, 4.0) != M.group_id_for(125, 4.0)
-    assert M.group_id_for(np.nextafter(124.0, 0.0), 4.0) == 15
-    assert M.group_id_for(124.0, 4.0) == 16
+    assert M.group_id_for(120) != M.group_id_for(125)
+    assert M.group_id_for(np.nextafter(124.0, 0.0)) == 15
+    assert M.group_id_for(124.0) == 16
 
 
 def test_group_clamping():
-    assert M.group_id_for(59.0, 4.0) == 0
-    assert M.group_id_for(500.0, 4.0) == M.group_id_for(179.9, 4.0)
+    assert M.group_id_for(59.0) == 0
+    assert M.group_id_for(500.0) == M.group_id_for(179.9)
 
 
 # --- mixing ratio -----------------------------------------------------------
@@ -61,7 +61,7 @@ def test_beta_stays_open_interval():
 
 def two_track_pass(grid, n_samples, seed):
     """A p=1 plan over two tracks that share ``grid``: every slot mixes them."""
-    gid = M.group_id_for(grid.tempo_bpm, 4.0)
+    gid = M.group_id_for(grid.tempo_bpm)
     tracks = {tid: M.TrackView(tid, n_samples, grid, gid) for tid in ("a", "b")}
     return M.plan_mixup_pass(tracks, "bam", 1.0, 50, seed)
 
@@ -229,7 +229,7 @@ def test_blm_mixed_latent_stays_in_reconstruction_envelope(fitted):
 def corpus_views(bpms, duration_s=30.0):
     return {
         f"t{i}": M.TrackView(
-            f"t{i}", int(duration_s * SR), make_grid(b, duration_s), M.group_id_for(b, 4.0)
+            f"t{i}", int(duration_s * SR), make_grid(b, duration_s), M.group_id_for(b)
         )
         for i, b in enumerate(bpms)
     }
