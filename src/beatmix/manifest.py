@@ -139,6 +139,10 @@ def load_manifest(path) -> Manifest:
     root = payload.get("root", ".")
     if not isinstance(root, str):
         raise SchemaError(f"{path}: root must be a string")
+    for key in sorted(set(payload) - {"schema_version", "root", "entries"}):
+        # a hand-added setting would otherwise be ignored without a word
+        raise SchemaError(f"{path}: bad key {key} = {payload[key]!r}: a manifest stores no "
+                          "settings, only its root and tracks")
     try:
         entries = [TrackEntry(**e) for e in payload["entries"]]
     except TypeError as exc:

@@ -998,6 +998,42 @@ def grouped_manifest(tmp_path_factory):
 
 
 MIX = ["mix", "--strategy", "bam", "--count", "2"]
+# every setting a manifest once stored: a stage that read it and a value out of its range
+EDITS = {
+    "bucket_width": (["group"], 0),
+    "segment_seconds": (["segment"], 0),
+    "mix_p": (MIX, 2),
+    "hop": (["analyze"], 0),
+    "window": (["analyze"], 0),
+    "fft_size": (["analyze"], 512),
+    "n_mels": (["analyze"], 0),
+    "fmin": (["analyze"], -1),
+    "fmax": (["analyze"], 9000),
+    "log_floor": (["analyze"], float("nan")),
+    "clip_samples": (MIX, 0),
+    "gl_iterations": (MIX, 0),
+}
+
+
+@pytest.mark.parametrize("key, value", [
+    *[(key, value) for key, (_, bad) in EDITS.items() for value in (bad, "abc")],
+    ("hop", None), pytest.param("mix_p", 10**400, id="mix_p-1e400"),
+    ("hop", 160.5), ("clip_samples", 163840.9), ("hop", True), ("mix_p", True),
+])
+def test_hand_edited_setting_exits_one_naming_manifest_and_key(
+    grouped_manifest, tmp_path, monkeypatch, capsys, key, value
+):
+    # the settings are constants: one written into the manifest is refused, not ignored
+    monkeypatch.chdir(tmp_path)  # where mix's default --out would go
+    payload = json.loads(grouped_manifest)
+    payload["config"] = {key: value}
+    with open("manifest.json", "w") as fh:
+        json.dump(payload, fh)
+    assert run(EDITS[key][0] + ["--manifest", "manifest.json"]) == 1
+    err = capsys.readouterr().err
+    assert "error: manifest.json: bad key config = {" in err and repr(key) in err
+    assert "a manifest stores no settings" in err
+    assert os.listdir() == ["manifest.json"]
 @pytest.mark.parametrize("stage, field, value", [
     (["segment"], "n_samples", "lots"),
     (["group"], "tempo_bpm", "fast"),
@@ -1018,14 +1054,21 @@ def test_hand_edited_entry_field_exits_one_naming_manifest_track_and_field(
     assert os.listdir() == ["manifest.json"]
 
 
-def test_hand_edited_manifest_root_type_exits_one(grouped_manifest, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param("root", 7, "root must be a string", id="root-7"),
+    pytest.param("config", 5, "bad key config = 5", id="config-5"),
+    pytest.param("config", ["a"], "bad key config = ['a']", id="config-value2"),
+])
+def test_hand_edited_manifest_root_or_config_type_exits_one(
+    grouped_manifest, tmp_path, monkeypatch, capsys, key, value, message
+):
     monkeypatch.chdir(tmp_path)
     payload = json.loads(grouped_manifest)
-    payload["root"] = 7
+    payload[key] = value
     with open("manifest.json", "w") as fh:
         json.dump(payload, fh)
     assert run(["analyze", "--manifest", "manifest.json"]) == 1
-    assert "manifest.json: root must be a string" in capsys.readouterr().err
+    assert f"error: manifest.json: {message}" in capsys.readouterr().err
 
 
 def test_mix_without_eligible_downbeat_creates_no_out(tmp_path, capsys):
