@@ -36,14 +36,19 @@ from .errors import (
     SchemaError,
 )
 from .manifest import (
+    FINGERPRINTS,
     Manifest,
     TrackEntry,
     atomic_write,
     canonical_json,
-    content_hash,
+    current_hash,
+    fingerprint,
+    load_fingerprints,
     load_manifest,
     read_json,
+    save_fingerprints,
     save_manifest,
+    trusted_hash,
     validate_manifest,
 )
 
@@ -117,6 +122,20 @@ def _caches(args) -> tuple[str, str]:
     )
 
 
+def _fingerprints(args):
+    """The fingerprint file beside the manifest, and the records it holds."""
+    path = _beside_manifest(args, FINGERPRINTS)
+    return path, load_fingerprints(path)
+
+
+def _probe(path):
+    """``wavio.probe_wav(path)``, with the fingerprint record of its read in
+    place of the bare hash."""
+    record = fingerprint(path)
+    n_samples, record["sha256"], data = wavio.probe_wav(path)
+    return n_samples, record, data
+
+
 # --- ingest -----------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
@@ -141,6 +160,7 @@ def cmd_ingest(args) -> int:
             if not isinstance(caption, str):
                 raise SchemaError(f"{args.captions}: caption of {track_id!r} is not a string")
 
+    fingerprints, known = _fingerprints(args)
     entries = []
     seen = {}
     missing_captions = 0
@@ -151,7 +171,8 @@ def cmd_ingest(args) -> int:
         seen[track_id] = rel
         full = os.path.join(root, rel)
         with _naming(rel):
-            n_samples, digest, _ = wavio.probe_wav(full)
+            n_samples, record, _ = _probe(full)
+        known[full] = record
         caption = caption_map.get(track_id, "")
         if not caption:
             txt = os.path.splitext(full)[0] + ".txt"
@@ -166,12 +187,13 @@ def cmd_ingest(args) -> int:
                 n_samples=n_samples,
                 duration_s=n_samples / SAMPLE_RATE,
                 caption=caption,
-                content_hash=digest,
+                content_hash=record["sha256"],
             )
         )
 
     manifest = Manifest(root=root, entries=entries)
     save_manifest(manifest, args.manifest)
+    save_fingerprints(fingerprints, known)
     log(f"ingested {len(entries)} tracks -> {args.manifest}")
     if missing_captions:
         log(f"warning: {missing_captions} tracks have no caption")
@@ -180,21 +202,28 @@ def cmd_ingest(args) -> int:
 
 # --- analyze ----------------------------------------------------------------
 
-def _analyze_one(manifest, entry, external, caches):
+def _analyze_one(manifest, entry, external, caches, known):
+    """Analyze one track; also return the fingerprint record of the read
+    that hashed its WAV, or None if ``known`` vouched for the stored hash."""
     path = manifest.track_path(entry)
     sidecar_rel = os.path.splitext(entry.path)[0] + ".beats.json"
     sidecar = os.path.join(manifest.root, sidecar_rel)
-    # the one read: hash, length and, on a miss, samples
-    n_samples, current_hash, data = wavio.probe_wav(path)
+    n_samples, record, data = entry.n_samples, None, None
+    digest = None if external else trusted_hash(path, known)
+    if digest != entry.content_hash:
+        # Not vouched for: one read gives the hash, the length and, on a
+        # miss, the samples. Otherwise a miss reads the file only to decode it.
+        n_samples, record, data = _probe(path)
+        digest = record["sha256"]
     if (
         not external  # an external sidecar may have been replaced: always read it
         and entry.tempo_bpm is not None
-        and entry.content_hash == current_hash
+        and entry.content_hash == digest
         and entry.beats_path == sidecar_rel
         and os.path.exists(sidecar)
     ):
-        return entry, "cached"
-    # The file may have changed since ingest: take its length as ingest does.
+        return entry, "cached", record
+    # the length that goes with the hash: the stored one, or the file's as ingest takes it
     entry.n_samples = n_samples
     entry.duration_s = entry.n_samples / SAMPLE_RATE
     if external:
@@ -203,32 +232,33 @@ def _analyze_one(manifest, entry, external, caches):
         grid = beats_mod.load_beat_annotation(sidecar)
     else:
         samples_dir, mels_dir = caches
-        wave = wavio.load_normalized(path, samples_dir, current_hash, data)
+        wave = wavio.load_normalized(path, samples_dir, digest, data)
         del data  # freed before the mel is computed: on 20 s stereo 44.1 kHz tracks, ~12 MiB less peak RSS
-        mel = wavio.load_mel(mels_dir, current_hash, lambda: wave)
+        mel = wavio.load_mel(mels_dir, digest, lambda: wave)
         grid = beats_mod.analyze_waveform(wave, mel)
         beats_mod.save_beat_annotation(grid, sidecar)
-    entry.content_hash = current_hash
+    entry.content_hash = digest
     entry.beats_path = sidecar_rel
     entry.tempo_bpm = float(grid.tempo_bpm)
     entry.analysis_error = None
-    return entry, "analyzed"
+    return entry, "analyzed", record
 
 
 def cmd_analyze(args) -> int:
     manifest = load_manifest(args.manifest)
     validate_manifest(manifest)
     caches = _caches(args)
+    fingerprints, known = _fingerprints(args)
 
     outcomes = {"cached": 0, "analyzed": 0, "failed": 0}
 
     def work(entry):
         try:
-            return _analyze_one(manifest, entry, args.external_beats, caches)
+            return _analyze_one(manifest, entry, args.external_beats, caches, known)
         except BeatmixError as exc:
             entry.analysis_error = f"{type(exc).__name__}: {exc}"
             entry.tempo_bpm = None
-            return entry, "failed"
+            return entry, "failed", None
 
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
@@ -236,10 +266,12 @@ def cmd_analyze(args) -> int:
     else:
         results = [work(e) for e in manifest.entries]
 
-    for entry, outcome in results:
+    for entry, outcome, record in results:
         outcomes[outcome] += 1
         if outcome == "failed":
             log(f"warning: {entry.id}: {entry.analysis_error}")
+        if record is not None:  # recorded here, not by the worker threads
+            known[os.path.abspath(manifest.track_path(entry))] = record
 
     save_manifest(manifest, args.manifest)
     log(
@@ -248,6 +280,7 @@ def cmd_analyze(args) -> int:
     )
     if manifest.entries and outcomes["failed"] == len(manifest.entries):
         raise InputError("analysis failed for every track")
+    save_fingerprints(fingerprints, known)
     return 0
 
 
@@ -279,12 +312,13 @@ def cmd_fit_codec(args) -> int:
     if not usable:
         raise MissingPrerequisite("no usable tracks to fit the codec on")
     samples_dir, mels_dir = _caches(args)
+    fingerprints, known = _fingerprints(args)
 
     def corpus_mels():
         for entry in usable:
-            # re-hashed, so that an edited WAV is decoded afresh
+            # the current hash, so that an edited WAV is decoded afresh
             path = manifest.track_path(entry)
-            digest = content_hash(path)
+            digest = current_hash(path, known)
             with _naming(entry.path):
                 mel = wavio.load_mel(
                     mels_dir, digest, lambda: wavio.load_normalized(path, samples_dir, digest)
@@ -296,6 +330,7 @@ def cmd_fit_codec(args) -> int:
     codec = codec_mod.fit(corpus_mels(), n_components=args.components, patch_size=patch)
     out = args.out or _beside_manifest(args, "codec.bin")
     codec_mod.save(codec, out)
+    save_fingerprints(fingerprints, known)
     log(
         f"fit-codec: {codec.fit_stats['n_patches']} patches, C={args.components}, "
         f"P={patch} -> {out}"
@@ -337,9 +372,10 @@ def cmd_mix(args) -> int:
     # Offsets sit on the downbeats of each track's last analysis: a track
     # edited since then must be analyzed again before it is cut.
     by_id = manifest.by_id()
+    fingerprints, known = _fingerprints(args)
     for track_id in sorted({s.track_a for s in specs} | {s.track_b for s in specs} - {None}):
         entry = by_id[track_id]
-        if content_hash(manifest.track_path(entry)) != entry.content_hash:
+        if current_hash(manifest.track_path(entry), known) != entry.content_hash:
             raise MissingPrerequisite(
                 f"{entry.path} changed since it was analyzed; run `beatmix analyze`"
             )
@@ -367,6 +403,7 @@ def cmd_mix(args) -> int:
         payload["caption_b"] = captions.get(spec.track_b, "") if spec.track_b else None
         spec_path = os.path.join(args.out, f"{spec.out_id}.mixspec.json")
         atomic_write(spec_path, canonical_json(payload))
+    save_fingerprints(fingerprints, known)
     n_mixed = sum(spec.mixed for spec in specs)
     log(f"mix: wrote {args.count} clips ({n_mixed} mixed) -> {args.out}")
     return 0

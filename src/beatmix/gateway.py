@@ -9,15 +9,11 @@ time. Embedding rows are L2-normalized at the boundary, by the same helper
 that ``client`` uses for vectors from a live service, so a dot product
 downstream is always a cosine similarity.
 
-Two on-disk formats are supported:
-
-* binary (preferred, bit-exact): header ``magic, u32 dim, u32 count``, then
-  per record ``u16 id_len, id bytes (UTF-8), dim x f32 little-endian``.
-  Magic is ``EMB1`` for embeddings, ``POS1`` for posteriors.
-* CSV fallback: one record per line, ``id, v1, ..., vD``.
+The one on-disk format is binary: header ``magic, u32 dim, u32 count``,
+then per record ``u16 id_len, id bytes (UTF-8), dim x f32 little-endian``.
+Magic is ``EMB1`` for embeddings, ``POS1`` for posteriors.
 """
 
-import csv
 import os
 import struct
 from dataclasses import dataclass
@@ -125,44 +121,6 @@ def _read_blocks(path, magic: bytes):
             yield RecordSet.from_records(ids, rows[: len(ids)], source=path)
 
 
-def _read_csv(path) -> RecordSet:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(enumerate(csv.reader(fh), start=1))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise SchemaError(f"{path}: neither a known binary set nor CSV ({exc})") from exc
-    ids, vectors = [], []
-    dim = None
-    for line_no, row in rows:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        rec_id, *vals = row
-        if dim is None:
-            dim = len(vals)
-            if dim == 0:
-                raise SchemaError(f"{path}:{line_no}: row has no values")
-        if len(vals) != dim:
-            raise DimMismatch(
-                f"{path}:{line_no}: row has {len(vals)} values, expected {dim}"
-            )
-        try:
-            vectors.append([float(v) for v in vals])
-        except ValueError as exc:
-            raise SchemaError(f"{path}:{line_no}: non-numeric value ({exc})") from exc
-        ids.append(rec_id.strip())
-    if dim is None:
-        raise SchemaError(f"{path}: no records")
-    return RecordSet.from_records(ids, np.array(vectors, dtype=np.float64), source=path)
-
-
-def _blocks(path, magic: bytes):
-    """The records of a set file as RecordSet blocks; a CSV file is one block."""
-    if _is_csv(path):
-        yield _read_csv(path)
-    else:
-        yield from _read_blocks(path, magic)
-
-
 def _joined(blocks, source) -> RecordSet:
     blocks = list(blocks)
     if len(blocks) == 1:
@@ -172,14 +130,6 @@ def _joined(blocks, source) -> RecordSet:
         np.concatenate([block.rows for block in blocks]),
         source=source,
     )
-
-
-def _is_csv(path) -> bool:
-    if str(path).lower().endswith(".csv"):
-        return True
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    return head not in (EMB_MAGIC, POS_MAGIC)
 
 
 def save_embedding_set(path, embeddings: RecordSet) -> None:
@@ -209,7 +159,7 @@ def read_embedding_blocks(path):
     reader holds one block at a time, plus every id read so far for that
     check: the ids are the one part that grows with the number of records."""
     ids = []
-    for block in _blocks(path, EMB_MAGIC):
+    for block in _read_blocks(path, EMB_MAGIC):
         _unit_rows(block.ids, block.rows, path)
         ids += block.ids
         yield block
@@ -230,7 +180,7 @@ def save_posterior_set(path, posteriors: RecordSet) -> None:
 def load_posterior_set(path) -> RecordSet:
     """Load classifier posteriors; rows must sum to 1 within 1%, and are
     renormalized to sum exactly 1."""
-    posteriors = _joined(_blocks(path, POS_MAGIC), path)
+    posteriors = _joined(_read_blocks(path, POS_MAGIC), path)
     rows = posteriors.rows
     bad = np.flatnonzero((rows < 0).any(axis=1) | ~np.isfinite(rows).all(axis=1))
     if bad.size:

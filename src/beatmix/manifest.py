@@ -3,13 +3,17 @@
 The manifest is the pipeline's source of truth. Entries are keyed by track
 id (the WAV basename), ordered and serialized canonically so re-running a
 stage on unchanged inputs reproduces the file byte for byte. Caching is
-keyed on content hashes, never on modification times.
+keyed on content hashes. A stage learns a WAV's hash from the fingerprint
+file beside the manifest when the file's stat shows it unchanged since it
+was hashed (``current_hash``), and reads and hashes it otherwise.
 """
 
 import contextlib
 import hashlib
 import json
 import os
+import re
+import time
 import typing
 from dataclasses import asdict, dataclass, field, fields
 
@@ -49,6 +53,99 @@ def content_hash(path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+# Name of the fingerprint file beside the manifest: each WAV's content hash
+# with the stat it had when it was hashed. It is a cache, safe to delete.
+FINGERPRINTS = "wav-fingerprints.json"
+# A fingerprint is trusted only if the file's last change is older than the
+# moment it was taken by at least this much. An edit within one timestamp
+# tick of the stat that preceded the hashing read leaves the stat unchanged;
+# the margin must exceed the file system's timestamp granularity, which is a
+# coarse kernel tick on local Linux file systems and 2 s on FAT.
+RACY_NS = 2_000_000_000
+
+
+def _stat(path) -> list:
+    st = os.stat(path)
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def fingerprint(path) -> dict:
+    """A fingerprint record of ``path`` without its hash: the clock, then
+    the file's stat. Take it just before the read that hashes the file and
+    store the hash under ``"sha256"``. An edit made after this stat changes
+    the file's ctime, or falls within ``RACY_NS`` of the clock reading, so
+    the record never vouches for an edited file."""
+    taken_ns = time.time_ns()
+    return {"stat": _stat(path), "taken_ns": taken_ns}
+
+
+def trusted_hash(path, known) -> str | None:
+    """The content hash that ``known`` (absolute path -> fingerprint record)
+    holds for ``path``, if the file's stat is still the recorded one and its
+    last change came ``RACY_NS`` or more before the record was taken; else
+    None. ctime counts because no user-space call sets it back, so an edit
+    followed by ``touch -r`` is seen."""
+    record = known.get(os.path.abspath(path))
+    if record is None:
+        return None
+    try:
+        now = _stat(path)
+    except OSError:
+        return None  # hashing it raises the error that names the file
+    if now != record["stat"] or max(now[3], now[4]) + RACY_NS > record["taken_ns"]:
+        return None
+    return record["sha256"]
+
+
+def current_hash(path, known) -> str:
+    """``content_hash(path)``, from ``known`` if ``trusted_hash`` vouches
+    for it; otherwise the file is hashed and its new record stored in
+    ``known``."""
+    digest = trusted_hash(path, known)
+    if digest is None:
+        record = fingerprint(path)
+        digest = record["sha256"] = content_hash(path)
+        known[os.path.abspath(path)] = record
+    return digest
+
+
+def _is_record(record) -> bool:
+    return (
+        isinstance(record, dict)
+        and set(record) == {"sha256", "stat", "taken_ns"}
+        and isinstance(record["sha256"], str)
+        and re.fullmatch("[0-9a-f]{64}", record["sha256"]) is not None  # it names cache files
+        and isinstance(record["stat"], list)
+        and len(record["stat"]) == 5
+        and all(type(v) is int for v in record["stat"] + [record["taken_ns"]])
+    )
+
+
+def load_fingerprints(path) -> dict:
+    """The fingerprint records stored in ``path``; a missing, unreadable or
+    malformed file holds none."""
+    if not os.path.exists(path):
+        return {}  # the usual case at a first ingest, not an error
+    try:
+        known = read_json(path, "fingerprints")
+    except (OSError, SchemaError):
+        return {}
+    if not isinstance(known, dict) or not all(map(_is_record, known.values())):
+        return {}
+    return known
+
+
+def save_fingerprints(path, known) -> None:
+    """Write ``known`` canonically, through ``atomic_write``: when nothing
+    new was recorded, the file is left as it is. A file that cannot be
+    written is skipped: it only saves reading, and a stage whose other
+    caches are warm needs no write access beside the manifest."""
+    try:
+        atomic_write(path, canonical_json(known))
+    except OSError:
+        pass
 
 
 @contextlib.contextmanager

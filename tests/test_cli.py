@@ -7,19 +7,30 @@ import shutil
 import struct
 import sys
 import threading
+import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from beatmix import codec as codec_mod
 from beatmix import gateway as G
-from beatmix import cli, metrics, mixup, wavio
+from beatmix import cli, manifest as manifest_mod, metrics, mixup, wavio
 from beatmix.beats import BeatGrid, save_beat_annotation
 from beatmix.cli import main
 from beatmix.dsp import mel_spectrogram
 from beatmix.errors import DimMismatch, DuplicateId, SchemaError, ZeroNorm
-from beatmix.manifest import Manifest, canonical_json, content_hash, load_manifest, save_manifest
+from beatmix.manifest import (
+    Manifest,
+    canonical_json,
+    content_hash,
+    fingerprint,
+    load_fingerprints,
+    load_manifest,
+    save_manifest,
+    trusted_hash,
+)
 from beatmix.gateway import (
     EMB_MAGIC,
     POS_MAGIC,
@@ -1109,6 +1120,212 @@ def test_fit_codec_decode_error_names_the_track(corpus, capsys):
     assert run(["fit-codec", "--manifest", manifest, "-C", "4"]) == 1
     err = capsys.readouterr().err
     assert "error: track01.wav: data chunk is not a whole number of frames" in err
+
+
+# --- the fingerprint file: a WAV is hashed again unless its stat vouches for it ---
+
+def _flip_bytes_in_place(path):
+    """Change 4000 bytes of the data chunk with an r+b write: the file keeps
+    its size and its inode."""
+    offset = os.path.getsize(path) // 4 * 2
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        block = fh.read(4000)
+        fh.seek(offset)
+        fh.write(bytes(b ^ 1 for b in block))
+
+
+def _edit_in_the_racy_window(track, fingerprints, monkeypatch):
+    # An edit in the timestamp tick of the stat taken before hashing leaves the
+    # stat as recorded: the record holds the old hash with the edited file's
+    # stat, taken a moment after the edit.
+    old = content_hash(track)
+    _flip_bytes_in_place(track)
+    known = load_fingerprints(fingerprints)
+    known[str(track)].update(fingerprint(track))
+    fingerprints.write_text(json.dumps(known))
+    with monkeypatch.context() as m:
+        m.setattr(manifest_mod, "RACY_NS", 0)
+        assert trusted_hash(track, load_fingerprints(fingerprints)) == old  # the stat shows nothing
+
+
+def _edit_and_set_mtime_back(track, fingerprints, monkeypatch):
+    monkeypatch.setattr(manifest_mod, "RACY_NS", 0)
+    before = os.stat(track)
+    time.sleep(0.05)  # past the file system's timestamp tick
+    _flip_bytes_in_place(track)
+    os.utime(track, ns=(before.st_atime_ns, before.st_mtime_ns))  # touch -r
+    after = os.stat(track)
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+        before.st_ino, before.st_size, before.st_mtime_ns)
+    assert after.st_ctime_ns != before.st_ctime_ns
+
+
+def _edit_advancing_mtime(track, fingerprints, monkeypatch):
+    monkeypatch.setattr(manifest_mod, "RACY_NS", 0)
+    before = os.stat(track)
+    time.sleep(0.05)
+    _flip_bytes_in_place(track)
+    assert os.stat(track).st_mtime_ns > before.st_mtime_ns
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_in_the_racy_window, _edit_and_set_mtime_back, _edit_advancing_mtime,
+])
+@pytest.mark.parametrize("stage", ["analyze", "mix"])
+def test_an_edit_after_fingerprinting_is_seen(corpus, monkeypatch, capsys, edit, stage):
+    manifest, fingerprints = corpus / "manifest.json", corpus / manifest_mod.FINGERPRINTS
+    track = corpus / "corpus" / "track00.wav"
+    assert run(["ingest", corpus / "corpus", "--manifest", manifest]) == 0
+    with monkeypatch.context() as m:
+        m.setattr(manifest_mod, "RACY_NS", 0)
+        assert run(["analyze", "--manifest", manifest]) == 0  # now every record vouches
+    assert trusted_hash(track, load_fingerprints(fingerprints)) is None  # written just now
+    edit(track, fingerprints, monkeypatch)
+    capsys.readouterr()
+    if stage == "analyze":
+        assert run(["analyze", "--manifest", manifest]) == 0
+        assert "1 analyzed, 3 cached, 0 failed" in capsys.readouterr().err
+        assert load_manifest(manifest).by_id()["track00"].content_hash == content_hash(track)
+    else:
+        out = corpus / "mixes"
+        assert run(["mix", "--manifest", manifest, "--strategy", "bam", "--count", "20",
+                    "--p", "1", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "error: track00.wav changed since it was analyzed; run `beatmix analyze`" in err
+        assert not out.exists()
+
+
+def _count_hashing(monkeypatch):
+    """Count the WAVs that the stages hash: every ``content_hash`` and
+    ``probe_wav`` call, through the modules that call them."""
+    hashed = []
+    real_hash, real_probe = manifest_mod.content_hash, wavio.probe_wav
+
+    def counting_hash(path):
+        hashed.append(os.path.basename(path))
+        return real_hash(path)
+
+    def counting_probe(path):
+        hashed.append(os.path.basename(path))
+        return real_probe(path)
+
+    monkeypatch.setattr(manifest_mod, "content_hash", counting_hash)
+    monkeypatch.setattr(wavio, "probe_wav", counting_probe)
+    return hashed
+
+
+FIT = ["fit-codec", "-C", "4"]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[: len(text) // 2],  # truncated
+    lambda text: "not json",
+    lambda text: "[]",
+    lambda text: text.replace('"stat": [', '"stat": ["0", '),  # six values, one a string
+    lambda text: re.sub(r'"sha256": "[0-9a-f]+"', '"sha256": "../x"', text, count=1),
+    lambda text: None,  # deleted
+], ids=["truncated", "not-json", "a-list", "bad-stat", "bad-hash", "deleted"])
+def test_a_damaged_or_deleted_fingerprint_file_means_hashing_again(corpus, monkeypatch, damage):
+    monkeypatch.setattr(manifest_mod, "RACY_NS", 0)
+    manifest, fingerprints = corpus / "manifest.json", corpus / manifest_mod.FINGERPRINTS
+    assert run(["ingest", corpus / "corpus", "--manifest", manifest]) == 0
+    assert run(["analyze", "--manifest", manifest]) == 0
+    intact = fingerprints.read_text()
+    hashed = _count_hashing(monkeypatch)
+    assert run(FIT + ["--manifest", manifest]) == 0
+    assert hashed == []
+    damaged = damage(intact)
+    if damaged is None:
+        fingerprints.unlink()
+    else:
+        fingerprints.write_text(damaged)
+    assert run(FIT + ["--manifest", manifest]) == 0
+    assert sorted(hashed) == [f"track{i:02d}.wav" for i in range(4)]
+    rebuilt = load_fingerprints(fingerprints)
+    assert sorted(rebuilt) == sorted(str(p) for p in (corpus / "corpus").glob("*.wav"))
+    assert run(FIT + ["--manifest", manifest]) == 0
+    assert len(hashed) == 4
+
+
+def test_a_fingerprint_is_never_used_for_another_path(corpus, monkeypatch, capsys):
+    monkeypatch.setattr(manifest_mod, "RACY_NS", 0)
+    manifest, fingerprints = corpus / "manifest.json", corpus / manifest_mod.FINGERPRINTS
+    root = corpus / "corpus"
+    assert run(["ingest", root, "--manifest", manifest]) == 0
+    assert run(["analyze", "--manifest", manifest]) == 0
+    # track01's record moves to another path, and track00's record (another
+    # hash) to track01's path: neither vouches for track01
+    known = load_fingerprints(fingerprints)
+    record = known.pop(str(root / "track01.wav"))
+    known[str(root / "moved.wav")] = {**record, "sha256": "0" * 64}
+    known[str(root / "track01.wav")] = known[str(root / "track00.wav")]
+    fingerprints.write_text(json.dumps(known))
+    hashed = _count_hashing(monkeypatch)
+    assert run(["mix", "--manifest", manifest, "--strategy", "bam", "--count", "20", "--p", "1",
+                "--out", corpus / "mixes"]) == 0
+    assert hashed == ["track01.wav"]
+    again = load_fingerprints(fingerprints)
+    assert again[str(root / "track01.wav")]["sha256"] == content_hash(root / "track01.wav")
+
+
+def test_a_fingerprint_file_that_cannot_be_written_fails_no_stage(corpus, monkeypatch):
+    manifest = corpus / "manifest.json"
+    assert run(["ingest", corpus / "corpus", "--manifest", manifest]) == 0
+    assert run(["analyze", "--manifest", manifest]) == 0
+    (corpus / manifest_mod.FINGERPRINTS).unlink()
+
+    def read_only(path, data):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(manifest_mod, "atomic_write", read_only)
+    assert run(FIT + ["--manifest", manifest]) == 0
+    assert run(["mix", "--manifest", manifest, "--strategy", "bam", "--count", "2",
+                "--out", corpus / "mixes"]) == 0
+    assert not (corpus / manifest_mod.FINGERPRINTS).exists()
+
+
+def test_each_wav_is_read_twice_and_hashed_once_across_the_pipeline(corpus, monkeypatch):
+    # ingest reads and hashes each WAV; the first analyze reads it to decode
+    # it; every later stage trusts its fingerprint and its cached samples.
+    # More analyze threads than cores: no thread's record may be lost.
+    monkeypatch.setattr(manifest_mod, "RACY_NS", 0)
+    root, manifest = corpus / "corpus", corpus / "manifest.json"
+    opened, digests = [], []
+    real_open, real_sha256 = open, hashlib.sha256
+
+    def counting_open(file, *args, **kwargs):
+        if str(file).endswith(".wav") and os.path.dirname(os.path.abspath(file)) == str(root):
+            opened.append(os.path.basename(file))
+        return real_open(file, *args, **kwargs)
+
+    class CountingSha256:
+        def __init__(self, data=b""):
+            self._h = real_sha256(data)
+
+        def update(self, data):
+            self._h.update(data)
+
+        def digest(self):
+            return self._h.digest()
+
+        def hexdigest(self):
+            digests.append(self._h.hexdigest())
+            return digests[-1]
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    monkeypatch.setattr(hashlib, "sha256", CountingSha256)
+    for stage in (["ingest", root], ["analyze", "--workers", "3"], ["analyze"], FIT,
+                  ["mix", "--strategy", "bam", "--count", "20", "--p", "1",
+                   "--out", corpus / "mixes"]):
+        assert run(stage + ["--manifest", manifest]) == 0
+    monkeypatch.undo()
+    wavs = sorted(os.listdir(root))
+    wavs = [name for name in wavs if name.endswith(".wav")]
+    assert len(wavs) == 4
+    assert sorted(opened) == sorted(wavs * 2)
+    counts = Counter(digests)
+    assert [counts[content_hash(root / name)] for name in wavs] == [1] * 4
 
 
 def write_codec_file(path, patch, components):

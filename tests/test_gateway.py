@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beatmix import gateway as G
+from beatmix.cli import main
 from beatmix.errors import (
     DimMismatch,
     DuplicateId,
@@ -157,19 +158,13 @@ def test_empty_binary_set_loads_as_empty_matrix(tmp_path):
     assert len(back) == 0 and back.rows.shape == (0, 6) and not back
 
 
-def test_csv_fallback(tmp_path):
+def test_csv_set_exits_one_as_bad_magic(tmp_path, capsys):
+    # the binary format is the only one: a CSV set is refused, whatever its name
     path = tmp_path / "e.csv"
     path.write_text("b,0,5,0\na,3,4,0\n")
-    back = G.load_embedding_set(path)
-    assert back.ids == ("a", "b")
-    assert np.allclose(back.rows, [[0.6, 0.8, 0.0], [0.0, 1.0, 0.0]])
-
-
-def test_csv_dim_mismatch(tmp_path):
-    path = tmp_path / "e.csv"
-    path.write_text("a,1,2,3\nb,1,2\n")
-    with pytest.raises(DimMismatch):
-        G.load_embedding_set(path)
+    assert main(["eval", "--gen-emb", str(path), "--out", str(tmp_path / "r")]) == 1
+    assert f"error: {path}: bad magic b'b,0,', expected b'EMB1'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 # --- posteriors --------------------------------------------------------------------
