@@ -233,7 +233,7 @@ def _analyze_one(manifest, entry, external, caches, known):
     else:
         samples_dir, mels_dir = caches
         wave = wavio.load_normalized(path, samples_dir, digest, data)
-        del data  # freed before the mel is computed: on 20 s stereo 44.1 kHz tracks, ~12 MiB less peak RSS
+        del data  # the file's bytes are not held through the mel: 32 MB for 3 minutes of 44.1 kHz stereo
         mel = wavio.load_mel(mels_dir, digest, lambda: wave)
         grid = beats_mod.analyze_waveform(wave, mel)
         beats_mod.save_beat_annotation(grid, sidecar)

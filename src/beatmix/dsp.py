@@ -14,6 +14,12 @@ a plain (frames, N_MELS) float64 array.
 
 Mel magnitudes are stored in dB, ``20 * log10(amplitude)``, clamped at
 ``LOG_FLOOR``, -80 dB (amplitudes below 1e-4 of full scale).
+
+``mel_spectrogram`` frames and transforms the signal ``TILE_FRAMES`` frames
+at a time, so its working set is the padded signal, one tile's frames and
+spectrum, and the track's (frames, FFT_SIZE//2 + 1) magnitude array, which
+the filterbank product then reads whole. Each row is the same FFT of the same
+frame as in one whole-signal transform, so the tiles do not change a bit.
 """
 
 import functools
@@ -41,6 +47,14 @@ GL_ITERATIONS = 14
 # Fast Griffin-Lim momentum. At 0.99 the consistency error of a plain sine
 # no longer falls monotonically; at 0.9 it does.
 FGLA_MOMENTUM = 0.9
+
+# Frames per STFT tile in mel_spectrogram: a 1 MB frame buffer and a 1 MB
+# spectrum, whatever the track's length. A whole 20 s track's frames and
+# spectrum take 16 MB each, which the allocator returned to the system after
+# every call and faulted in again on the next (800-1,300 minor faults per
+# call). With 128-frame tiles a 20 s mel took 5.3 ms instead of 7.6-8.3 ms,
+# with no faults, on a 2-core AMD EPYC VM.
+TILE_FRAMES = 128
 
 
 def frame_count(n_samples: int) -> int:
@@ -101,13 +115,30 @@ def _hann() -> np.ndarray:
 
 
 def _stft(padded: np.ndarray, n_frames: int, frames=None) -> np.ndarray:
-    """Complex spectra of the Hann-windowed frames ``padded[k*HOP : k*HOP + WINDOW]``;
-    ``frames``, an (n_frames, WINDOW) float64 array, is filled with the
-    windowed frames instead of a new one."""
+    """Complex spectra of the Hann-windowed frames ``padded[k*HOP : k*HOP + WINDOW]``
+    for k below ``n_frames``, one ``rfft`` per row; ``frames``, an
+    (n_frames, WINDOW) float64 array, is filled with the windowed frames
+    instead of a new one. ``invert_mel`` transforms every frame at once,
+    ``mel_spectrogram`` a tile of frames at a time."""
     view = np.lib.stride_tricks.sliding_window_view(padded, WINDOW)
     view = view[: (n_frames - 1) * HOP + 1 : HOP]
     frames = np.multiply(view, _hann(), out=frames)
     return np.fft.rfft(frames, n=FFT_SIZE, axis=1)
+
+
+def _magnitudes(x: np.ndarray) -> np.ndarray:
+    """The magnitude spectra of the frames of ``x``, reflect-padded by half a
+    window: a (frame_count(x.size), FFT_SIZE//2 + 1) array, filled
+    ``TILE_FRAMES`` rows at a time. The padded signal and the tile buffers
+    are freed on return, before the filterbank product."""
+    padded = np.pad(x, WINDOW // 2, mode="reflect")
+    n_frames = frame_count(x.size)
+    mag = np.empty((n_frames, FFT_SIZE // 2 + 1))
+    frames = np.empty((min(TILE_FRAMES, n_frames), WINDOW))
+    for start in range(0, n_frames, TILE_FRAMES):
+        rows = mag[start : start + TILE_FRAMES]
+        np.abs(_stft(padded[start * HOP :], rows.shape[0], frames[: rows.shape[0]]), out=rows)
+    return mag
 
 
 def mel_spectrogram(x: np.ndarray) -> np.ndarray:
@@ -118,9 +149,7 @@ def mel_spectrogram(x: np.ndarray) -> np.ndarray:
     """
     if x.size < WINDOW:
         raise TooShort(f"{x.size} samples < one window of {WINDOW}")
-    padded = np.pad(x, WINDOW // 2, mode="reflect")
-    mag = np.abs(_stft(padded, frame_count(x.size)))
-    mel_amp = mag @ mel_filterbank().T
+    mel_amp = _magnitudes(x) @ mel_filterbank().T
     return 20.0 * np.log10(np.maximum(mel_amp, AMP_FLOOR))
 
 

@@ -151,9 +151,10 @@ def save_fingerprints(path, known) -> None:
 @contextlib.contextmanager
 def atomic_open(path):
     """Yield a new binary file beside ``path`` and rename it over ``path``
-    when the block ends, so that neither a reader nor a crash sees a partial
-    file; on any failure the temp file is removed. The file gets the
-    permissions a plain ``open`` gives."""
+    when the block ends, so that no reader sees a partial file and a process
+    that dies mid-write leaves none; on any failure the temp file is removed.
+    Nothing is ``fsync``ed, so a power loss is not covered. The file gets
+    the permissions a plain ``open`` gives."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
     try:
         with open(tmp, "xb") as fh:

@@ -3,8 +3,11 @@
 Reading accepts PCM 16/24/32-bit and 32-bit float, any channel count, and
 returns the package's one audio type, a 1-D float64 array at
 ``dsp.SAMPLE_RATE`` (16 kHz): everything is downmixed to mono by arithmetic
-mean and resampled with a Kaiser-windowed polyphase sinc interpolator that
-applies each filter branch as one matrix-vector product. NumPy passes that product to BLAS when
+mean, ``DECODE_TILE_FRAMES`` frames at a time, straight into the
+resampler's zero-padded input, so that no float64 copy of the whole
+interleaved file is made, and resampled with a Kaiser-windowed
+polyphase sinc interpolator that applies each filter branch as one
+matrix-vector product. NumPy passes that product to BLAS when
 the input stride allows (from 44.1 kHz it does), so the last bit of a sample
 may depend on the BLAS build. ``load_normalized`` keeps that result in a
 cache keyed by the file's content hash, so each distinct file is decoded
@@ -35,6 +38,11 @@ MEL_VERSION = 1
 # Name of the directory of cached ``load_mel`` output. It changes with either
 # version, so that neither other mel code nor other samples ever read it.
 MEL_CACHE = f"mel-v{MEL_VERSION}-{NORMALIZED_CACHE}"
+
+# Frames decoded and downmixed at a time by load_wav: a 256 KB float64 tile
+# of 44.1 kHz stereo, where the whole file's interleaved float64 copy took
+# 14 MB per 20 s and about 960 minor page faults per such track.
+DECODE_TILE_FRAMES = 1 << 14
 
 _FMT_PCM = 0x0001
 _FMT_FLOAT = 0x0003
@@ -119,23 +127,27 @@ def load_wav(path, data=None) -> np.ndarray:
         with open(path, "rb") as fh:
             data = fh.read()
     chunks = _parse_chunks(data)
-    fmt, n_channels, rate, bits, _ = _wav_format(chunks)
-    frames = _decode_samples(chunks[b"data"], fmt, bits, n_channels)
-    # The channels' mean, summed a column at a time, left to right, from 0.0
-    # (which turns -0.0 into 0.0). Below 8 channels these are the bits of
-    # frames.mean(axis=1), whose per-row reduction is an order of magnitude
-    # slower; from 8 float channels on, NumPy sums pairwise and rounds
-    # differently.
-    mono = 0.0 + frames[:, 0]
-    for channel in range(1, n_channels):
-        mono += frames[:, channel]
-    mono /= n_channels
-    # Free the interleaved samples (14 MB for 20 s of 44.1 kHz stereo) before
-    # resampling, so that they do not raise the heap's high-water mark, which
-    # stays resident after they are freed.
-    del frames
-    mono = resample(mono, rate, SAMPLE_RATE)
-    return np.clip(mono, -1.0, 1.0)
+    fmt, n_channels, rate, bits, n_frames = _wav_format(chunks)
+    body = memoryview(chunks[b"data"])
+    frame_bytes = n_channels * (bits // 8)
+    # The downmix is written straight into the resampler's zero-padded input.
+    padded, mono = _resample_buffer(n_frames, rate, SAMPLE_RATE)
+    # One tile even for an empty data chunk, so that its format is checked.
+    for start in range(0, max(n_frames, 1), DECODE_TILE_FRAMES):
+        stop = start + DECODE_TILE_FRAMES
+        frames = _decode_samples(body[start * frame_bytes : stop * frame_bytes], fmt, bits, n_channels)
+        # The channels' mean, summed a column at a time, left to right, from
+        # 0.0 (which turns -0.0 into 0.0). Below 8 channels these are the bits
+        # of frames.mean(axis=1), whose per-row reduction is an order of
+        # magnitude slower; from 8 float channels on, NumPy sums pairwise and
+        # rounds differently.
+        out = np.add(0.0, frames[:, 0], out=mono[start:stop])
+        for channel in range(1, n_channels):
+            out += frames[:, channel]
+        out /= n_channels
+    if rate != SAMPLE_RATE:
+        mono = _resample_padded(padded, n_frames, rate, SAMPLE_RATE)
+    return np.clip(mono, -1.0, 1.0, out=mono)
 
 
 def _cached_array(path, valid, compute) -> np.ndarray:
@@ -251,6 +263,14 @@ def _polyphase_table(up: int, down: int) -> np.ndarray:
     return table
 
 
+def _resample_buffer(n_in: int, rate_in: int, rate_out: int):
+    """A zeroed input buffer for ``_resample_padded`` and the view of it that
+    holds the ``n_in`` input samples, between the margins the filter reads."""
+    down = rate_in // gcd(rate_in, rate_out)
+    padded = np.zeros(_TAPS // 2 + n_in + _TAPS // 2 + down + 1)
+    return padded, padded[_TAPS // 2 : _TAPS // 2 + n_in]
+
+
 def resample(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
     """Rational-ratio resampling by windowed-sinc polyphase interpolation."""
     x = np.asarray(x, dtype=np.float64)
@@ -258,15 +278,21 @@ def resample(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
         return x.copy()
     if rate_in <= 0 or rate_out <= 0:
         raise ValueError("sample rates must be positive")
+    padded, samples = _resample_buffer(x.size, rate_in, rate_out)
+    samples[:] = x
+    return _resample_padded(padded, x.size, rate_in, rate_out)
+
+
+def _resample_padded(padded: np.ndarray, n_in: int, rate_in: int, rate_out: int) -> np.ndarray:
+    """``resample`` of the ``n_in`` samples held in a ``_resample_buffer``."""
     g = gcd(rate_in, rate_out)
     up, down = rate_out // g, rate_in // g
-    n_out = (x.size * up) // down
+    n_out = (n_in * up) // down
     if n_out == 0:
         return np.zeros(0)
 
     table = _polyphase_table(up, down)
     half = _TAPS // 2
-    padded = np.concatenate([np.zeros(half), x, np.zeros(half + down + 1)])
     windows = sliding_window_view(padded, _TAPS)  # row i is padded[i : i + _TAPS]
     out = np.empty(n_out)
     # Output n sits at input position n*down/up; outputs sharing n % up share

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,13 @@ from hypothesis import strategies as st
 from beatmix import codec as C
 from beatmix import mixup as M
 from beatmix.dsp import (
+    AMP_FLOOR,
     FFT_SIZE,
     HOP,
     LOG_FLOOR,
     N_MELS,
+    SAMPLE_RATE,
+    TILE_FRAMES,
     WINDOW,
     _filterbank_pinv,
     _hann,
@@ -20,6 +25,7 @@ from beatmix.dsp import (
     frame_count,
     invert_mel,
     mel_band_edges,
+    mel_filterbank,
     mel_spectrogram,
 )
 from beatmix.errors import TooShort
@@ -184,6 +190,38 @@ def test_stft_equals_per_frame_rfft(rng):
     ])
     got = _stft(padded, n_frames)
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def untiled_mel(x):
+    """mel_spectrogram as one whole-signal STFT: the tiles' reference."""
+    padded = np.pad(x, WINDOW // 2, mode="reflect")
+    mag = np.abs(_stft(padded, frame_count(x.size)))
+    return 20.0 * np.log10(np.maximum(mag @ mel_filterbank().T, AMP_FLOOR))
+
+
+# 7 frames is the fewest a signal gives: one window of samples
+@pytest.mark.parametrize("n_frames", [
+    frame_count(WINDOW), TILE_FRAMES - 1, TILE_FRAMES, TILE_FRAMES + 1,
+    2 * TILE_FRAMES + 1, frame_count(20 * SAMPLE_RATE),
+])
+def test_tiled_mel_equals_the_untiled_mel_bitwise(rng, n_frames):
+    x = rng.uniform(-1.0, 1.0, max(WINDOW, (n_frames - 1) * HOP + 1 + int(rng.integers(HOP))))
+    assert frame_count(x.size) == n_frames
+    got = mel_spectrogram(x)
+    assert got.shape == (n_frames, N_MELS)
+    assert got.tobytes() == untiled_mel(x).tobytes()
+
+
+def test_mel_holds_less_than_one_frame_matrix(rng):
+    x = rng.uniform(-1.0, 1.0, 60 * SAMPLE_RATE)
+    mel_spectrogram(x[:WINDOW])  # the filterbank and window are built once, not counted
+    tracemalloc.start()
+    try:
+        mel_spectrogram(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < frame_count(x.size) * WINDOW * 8  # the whole track's float64 frames
 
 
 def test_overlap_add_and_window_sum_equal_plain_loops(rng):

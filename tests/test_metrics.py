@@ -241,6 +241,28 @@ def test_paired_kl_pairs_by_id(rng):
     assert MT.paired_kl(gen, gt) == pytest.approx(float(np.mean(kls)), abs=1e-12)
 
 
+def per_pair_kl(gen, gt):
+    """paired_kl's formula one id pair at a time: the oracle."""
+    kls = []
+    for gen_id, q in zip(gen.ids, gen.rows):
+        p = gt.rows[gt.ids.index(gen_id)]
+        p = (p + MT.KL_EPS) / (p + MT.KL_EPS).sum()
+        q = (q + MT.KL_EPS) / (q + MT.KL_EPS).sum()
+        kls.append(float(np.sum(p * (np.log(p) - np.log(q)))))
+    return float(np.mean(kls))
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (3, 7), (40, 527), (257, 1100)])
+def test_paired_kl_equals_the_per_pair_formula_bitwise(rng, n, k):
+    gen_rows, gt_rows = rng.random((n, k)), rng.random((n + 4, k))
+    gen_rows[rng.random(gen_rows.shape) < 0.3] = 0.0
+    gt_rows[rng.random(gt_rows.shape) < 0.3] = 0.0
+    ids = [f"p{i:04d}" for i in rng.permutation(n + 4)]
+    gen = RecordSet.from_records(ids[:n], gen_rows)
+    gt = RecordSet.from_records(ids, gt_rows)
+    assert MT.paired_kl(gen, gt) == per_pair_kl(gen, gt)
+
+
 def test_paired_kl_missing_partner():
     with pytest.raises(MissingPartner):
         MT.paired_kl(posterior_set([0.5, 0.5], "a"), posterior_set([0.5, 0.5], "b"))

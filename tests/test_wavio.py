@@ -1,11 +1,12 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from beatmix import wavio
-from beatmix.dsp import N_MELS, mel_spectrogram
+from beatmix.dsp import N_MELS, SAMPLE_RATE, mel_spectrogram
 from beatmix.errors import CorruptFile, UnsupportedFormat
 from beatmix.manifest import content_hash
 from beatmix.wavio import (
@@ -284,9 +285,9 @@ def test_damaged_cache_file_is_rebuilt(tmp_path, damage):
     assert os.listdir(cache) == [cached.name]
 
 
-def _wav_from_raw(raw: np.ndarray, tag: int, bits: int) -> bytes:
-    """16 kHz WAV bytes holding ``raw`` (frames x channels), given in the
-    file's own sample type (24-bit samples as int32 values)."""
+def _wav_from_raw(raw: np.ndarray, tag: int, bits: int, rate: int = 16000) -> bytes:
+    """WAV bytes holding ``raw`` (frames x channels), given in the file's own
+    sample type (24-bit samples as int32 values)."""
     n_channels = raw.shape[1]
     if bits == 24:
         body = raw.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
@@ -295,7 +296,7 @@ def _wav_from_raw(raw: np.ndarray, tag: int, bits: int) -> bytes:
     block = n_channels * bits // 8
     return (
         b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
-        + b"fmt " + struct.pack("<IHHIIHH", 16, tag, n_channels, 16000, 16000 * block, block, bits)
+        + b"fmt " + struct.pack("<IHHIIHH", 16, tag, n_channels, rate, rate * block, block, bits)
         + b"data" + struct.pack("<I", len(body)) + body
     )
 
@@ -350,6 +351,44 @@ def test_decode_equals_out_of_place_scaling_bit_for_bit(fmt, n_channels):
     frames = wavio._decode_samples(body, tag, bits, n_channels)
     assert frames.shape == (raw.shape[0], n_channels)
     assert frames.tobytes() == OUT_OF_PLACE[fmt](raw).tobytes()
+
+
+def whole_array_load(data: bytes) -> np.ndarray:
+    """load_wav with the whole data chunk decoded at once: the tiles' reference."""
+    chunks = wavio._parse_chunks(data)
+    fmt, n_channels, rate, bits, _ = wavio._wav_format(chunks)
+    frames = wavio._decode_samples(chunks[b"data"], fmt, bits, n_channels)
+    mono = 0.0 + frames[:, 0]
+    for channel in range(1, n_channels):
+        mono += frames[:, channel]
+    mono /= n_channels
+    return np.clip(resample(mono, rate, SAMPLE_RATE), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
+@pytest.mark.parametrize("n_channels", [1, 2, 6])
+def test_tiled_decode_equals_the_whole_array_decode_bitwise(fmt, n_channels):
+    rng = np.random.default_rng(n_channels)
+    tile = wavio.DECODE_TILE_FRAMES
+    for n_frames in (0, 1, tile - 1, tile, tile + 1, 2 * tile + 3):
+        raw, tag, bits, _ = _raw_frames(fmt, n_channels, rng, n_frames)
+        for rate in (16000, 44100):
+            data = _wav_from_raw(raw, tag, bits, rate)
+            assert load_wav("in-memory.wav", data).tobytes() == whole_array_load(data).tobytes()
+
+
+def test_load_wav_holds_less_than_a_whole_interleaved_copy():
+    n_frames, n_channels = 60 * 44100, 2
+    raw = np.random.default_rng(3).integers(-20000, 20000, (n_frames, n_channels)).astype("<i2")
+    data = _wav_from_raw(raw, 1, 16, 44100)
+    del raw
+    tracemalloc.start()
+    try:
+        load_wav("in-memory.wav", data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_frames * n_channels * 8  # the file's samples as one float64 array
 
 
 def _mel_setup(tmp_path):
