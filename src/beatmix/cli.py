@@ -18,7 +18,7 @@ import argparse
 import contextlib
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict
 
 import numpy as np
@@ -26,6 +26,7 @@ import numpy as np
 from . import beats as beats_mod
 from . import codec as codec_mod
 from . import gateway, metrics, mixup, wavio
+from ._blas import serial_blas
 from .dsp import SAMPLE_RATE
 from .errors import (
     BeatmixError,
@@ -126,6 +127,13 @@ def _fingerprints(args):
     """The fingerprint file beside the manifest, and the records it holds."""
     path = _beside_manifest(args, FINGERPRINTS)
     return path, load_fingerprints(path)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every OS
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _probe(path):
@@ -261,7 +269,8 @@ def cmd_analyze(args) -> int:
             return entry, "failed", None
 
     if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        # one BLAS thread per worker: more only compete with the workers for the CPUs
+        with serial_blas(), ThreadPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(work, manifest.entries))
     else:
         results = [work(e) for e in manifest.entries]
@@ -395,14 +404,37 @@ def cmd_mix(args) -> int:
         # a copy, so that the mapping of the whole track closes after each clip
         return np.array(clip)
 
-    for spec in specs:
-        wave = mixup.render_spec(spec, load_clip, codec)
+    def render(spec):
+        return mixup.render_spec(spec, load_clip, codec)
+
+    def write(spec, wave):
         wavio.save_wav(os.path.join(args.out, f"{spec.out_id}.wav"), wave)
         payload = asdict(spec)
         payload["caption_a"] = captions.get(spec.track_a, "")
         payload["caption_b"] = captions.get(spec.track_b, "") if spec.track_b else None
         spec_path = os.path.join(args.out, f"{spec.out_id}.mixspec.json")
         atomic_write(spec_path, canonical_json(payload))
+
+    if args.strategy == "blm":
+        # A blm render is tens of milliseconds of Griffin-Lim, so the clips
+        # render on a thread per CPU, BLAS on one thread each, a batch of one
+        # clip per thread at a time. A batch is written in spec order once
+        # all of it has rendered: at most one batch is held, a failed spec's
+        # error ends the command with the specs before it written, and no
+        # write runs during a render, so that perfbench's tracer, which
+        # parents a pool thread's spans on what the calling thread is in,
+        # nests every render in the command.
+        workers = _cpus()
+        with serial_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
+            for lo in range(0, len(specs), workers):
+                batch = specs[lo : lo + workers]
+                futures = [pool.submit(render, spec) for spec in batch]
+                wait(futures)
+                for spec, future in zip(batch, futures):
+                    write(spec, future.result())
+    else:
+        for spec in specs:  # a bam render is one axpy: no pool pays for it
+            write(spec, render(spec))
     save_fingerprints(fingerprints, known)
     n_mixed = sum(spec.mixed for spec in specs)
     log(f"mix: wrote {args.count} clips ({n_mixed} mixed) -> {args.out}")
@@ -494,11 +526,11 @@ def cmd_eval(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     report_json = os.path.join(args.out, "report.json")
-    atomic_write(report_json, report.to_json())
+    audit = report.audit_records()  # built once for both files
+    atomic_write(report_json, report.to_json(audit))
     atomic_write(os.path.join(args.out, "report.txt"), metrics.render_table(report))
-    if report.nn_audit:
-        audit = canonical_json([asdict(r) for r in report.nn_audit])
-        atomic_write(os.path.join(args.out, "nn_audit.json"), audit)
+    if audit:
+        atomic_write(os.path.join(args.out, "nn_audit.json"), canonical_json(audit))
     log(f"eval: report -> {report_json}")
     return 0
 

@@ -156,7 +156,13 @@ class MetricsReport:
     nn_audit: list = field(default_factory=list)  # NearestNeighbor records
     provenance: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def audit_records(self) -> list[dict]:
+        """``nn_audit`` as the plain dicts that report.json and nn_audit.json hold."""
+        return [asdict(r) for r in self.nn_audit]
+
+    def to_json(self, audit: list[dict] | None = None) -> str:
+        """report.json's text; ``audit`` is ``self.audit_records()``, if the
+        caller has built it already."""
         payload = {
             "fd": {k: self.fd[k] for k in sorted(self.fd)},
             "inception_score": self.inception_score,
@@ -165,7 +171,7 @@ class MetricsReport:
             "test_set_text_audio_sim": self.test_set_text_audio_sim,
             "retrieval_max": self.retrieval_max,
             "sim_aa": {f"{t:.2f}": self.sim_aa[t] for t in sorted(self.sim_aa)},
-            "nn_audit": [asdict(r) for r in self.nn_audit],
+            "nn_audit": self.audit_records() if audit is None else audit,
             "provenance": self.provenance,
         }
         return canonical_json(payload)

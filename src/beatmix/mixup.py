@@ -11,7 +11,9 @@ Every clip is ``CLIP_SAMPLES`` long, the paper's 10.24 s, and blm renders
 through ``dsp.GL_ITERATIONS`` iterations of phase retrieval. Spec planning is
 a deterministic stream from one seeded generator: a run is fully
 reproducible from (seed, corpus, mix arguments), and rendering a spec is a
-pure function of the spec, so it can be parallelized freely.
+pure function of the spec, so it can be parallelized freely: ``beatmix mix``
+renders blm specs on a thread per CPU, and its output does not depend on how
+many there are.
 """
 
 from dataclasses import dataclass

@@ -34,7 +34,7 @@ from .manifest import atomic_open, atomic_write
 NORMALIZED_CACHE = "audio-16k-v3"
 # Version of the mels ``dsp.mel_spectrogram`` returns. Bump it whenever a
 # change alters those mels.
-MEL_VERSION = 1
+MEL_VERSION = 2
 # Name of the directory of cached ``load_mel`` output. It changes with either
 # version, so that neither other mel code nor other samples ever read it.
 MEL_CACHE = f"mel-v{MEL_VERSION}-{NORMALIZED_CACHE}"

@@ -14,13 +14,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from beatmix import beats as beats_mod
 from beatmix import codec as codec_mod
 from beatmix import gateway as G
 from beatmix import cli, manifest as manifest_mod, metrics, mixup, wavio
 from beatmix.beats import BeatGrid, save_beat_annotation
 from beatmix.cli import main
 from beatmix.dsp import mel_spectrogram
-from beatmix.errors import DimMismatch, DuplicateId, SchemaError, ZeroNorm
+from beatmix.errors import DimMismatch, DuplicateId, InputError, SchemaError, ZeroNorm
 from beatmix.manifest import (
     Manifest,
     canonical_json,
@@ -40,6 +41,7 @@ from beatmix.gateway import (
 )
 from beatmix.wavio import load_normalized, load_wav, save_wav, wav_bytes
 from synth import click_track
+from test_blas import blas, blas_threads  # noqa: F401 - blas is a fixture
 from test_gateway import write_raw
 from test_wavio import add_stray_bytes, write_raw_wav, write_short_fmt_wav
 
@@ -677,6 +679,139 @@ def test_mix_clip_lengths_and_wavs(corpus):
     for name in os.listdir(out):
         if name.endswith(".wav"):
             assert load_wav(out / name).size == 163840
+
+
+# --- thread pools: analyze --workers and the blm renders of mix ---------------
+
+def _tree_bytes(directory):
+    return {p.relative_to(directory).as_posix(): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_analyze_writes_the_same_bytes_on_one_worker_and_on_three(tmp_path):
+    # 44.1 kHz stereo, so that the resampler's BLAS products run in the pool too
+    sources = tmp_path / "sources"
+    sources.mkdir()
+    for i, bpm in enumerate([100, 112, 124, 136]):
+        x, _ = click_track(bpm, 12.0, sr=44100, bass_phase=0, seed=i)
+        write_raw_wav(sources / f"track{i:02d}.wav", np.stack([x, 0.5 * x], axis=1), 44100, "pcm16")
+    trees = []
+    for workers in ("1", "3"):
+        work = tmp_path / f"workers{workers}"
+        shutil.copytree(sources, work / "corpus")
+        manifest = work / "manifest.json"
+        assert run(["ingest", work / "corpus", "--manifest", manifest]) == 0
+        assert run(["analyze", "--manifest", manifest, "--workers", workers]) == 0
+        trees.append(_tree_bytes(work))
+    # the sidecars, the sample caches and the mel caches
+    one, three = ({name: data for name, data in tree.items()
+                   if name.endswith((".beats.json", ".npy"))} for tree in trees)
+    assert len(one) == 12 and one == three
+
+
+@pytest.fixture
+def blm_ready(corpus):
+    """The corpus fixture, ingested, analyzed, and with a codec beside the manifest."""
+    manifest = corpus / "manifest.json"
+    assert run(["ingest", corpus / "corpus", "--manifest", manifest]) == 0
+    assert run(["analyze", "--manifest", manifest]) == 0
+    assert run(["fit-codec", "--manifest", manifest, "-C", "4"]) == 0
+    return manifest
+
+
+def _mix_blm(manifest, out, count=5):
+    return run(["mix", "--manifest", manifest, "--strategy", "blm", "--p", "1",
+                "--count", count, "--seed", "2", "--out", out])
+
+
+def test_mix_blm_writes_the_same_bytes_on_one_thread_and_on_three(blm_ready, monkeypatch):
+    samples = blm_ready.parent / wavio.NORMALIZED_CACHE
+    outs = {}
+    for workers in (1, 3):  # 3: more threads than this machine may have cores
+        shutil.rmtree(samples)  # so that threads decode and cache one track at once
+        monkeypatch.setattr(cli, "_cpus", lambda: workers)
+        outs[workers] = blm_ready.parent / f"blm{workers}"
+        codes = []
+        mixer = threading.Thread(target=lambda: codes.append(_mix_blm(blm_ready, outs[workers])))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            mixer.start()
+            mixer.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not mixer.is_alive() and codes == [0]
+    one, three = _tree_bytes(outs[1]), _tree_bytes(outs[3])
+    assert len(one) == 10 and one == three  # 5 clips: more than the threads
+    assert not [name for name in os.listdir(samples) if name.startswith(".tmp-")]
+
+
+def test_main_leaves_the_blas_thread_count_as_it_found_it(blm_ready, blas, monkeypatch):
+    get, _ = blas
+    analyze, seen = beats_mod.analyze_waveform, []
+
+    def recorded(*args):
+        seen.append(get())
+        return analyze(*args)
+
+    monkeypatch.setattr(beats_mod, "analyze_waveform", recorded)
+    for sidecar in (blm_ready.parent / "corpus").glob("*.beats.json"):
+        sidecar.unlink()  # so that analyze runs again
+    with blas_threads(blas, 2):
+        assert run(["analyze", "--manifest", blm_ready, "--workers", "2"]) == 0
+        assert get() == 2 and seen == [1] * 4  # each worker analyzed on one BLAS thread
+        assert _mix_blm(blm_ready, blm_ready.parent / "blm", count=2) == 0
+        assert get() == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mix_blm_failing_spec_exits_one_and_writes_only_the_specs_before_it(
+    blm_ready, monkeypatch, capsys, workers
+):
+    render = mixup.render_spec
+
+    def failing(spec, load_clip, codec=None):
+        if spec.out_id == "mix_00002":
+            raise InputError(f"{spec.track_a}: clip at {spec.offset_a} runs past end of track")
+        return render(spec, load_clip, codec)
+
+    monkeypatch.setattr(cli, "_cpus", lambda: workers)
+    monkeypatch.setattr(mixup, "render_spec", failing)
+    out = blm_ready.parent / "blm"
+    capsys.readouterr()
+    assert _mix_blm(blm_ready, out) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: track\d\d: clip at \d+ runs past end of track\n", err)
+    assert sorted(os.listdir(out)) == [
+        f"mix_0000{k}.{ext}" for k in (0, 1) for ext in ("mixspec.json", "wav")
+    ]
+
+
+def test_mix_blm_holds_at_most_one_render_per_thread(blm_ready, monkeypatch, blas):
+    get, _ = blas
+    render, save = mixup.render_spec, wavio.save_wav
+    lock = threading.Lock()
+    held, most, threads = [0], [0], []
+
+    def counted_render(spec, load_clip, codec=None):
+        with lock:
+            held[0] += 1
+            most[0] = max(most[0], held[0])
+            threads.append(get())
+        return render(spec, load_clip, codec)
+
+    def counted_save(path, x):
+        save(path, x)
+        with lock:
+            held[0] -= 1
+
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(mixup, "render_spec", counted_render)
+    monkeypatch.setattr(wavio, "save_wav", counted_save)
+    with blas_threads(blas, 2):
+        assert _mix_blm(blm_ready, blm_ready.parent / "blm") == 0
+    assert held == [0] and most == [2]
+    assert threads == [1] * 5  # every render ran with BLAS on one thread
 
 
 def test_segment_counting(tmp_path, capsys):
