@@ -123,6 +123,16 @@ def _caches(args) -> tuple[str, str]:
     )
 
 
+def _track_mel(manifest, entry, digest, caches):
+    """The log-mel of the track whose content hash is ``digest``, from the
+    mel cache; a miss computes and stores it from the track's samples,
+    through the sample cache. A decode error names the track's file."""
+    samples_dir, mels_dir = caches
+    path = manifest.track_path(entry)
+    with _naming(entry.path):
+        return wavio.load_mel(mels_dir, digest, lambda: wavio.load_normalized(path, samples_dir, digest))
+
+
 def _fingerprints(args):
     """The fingerprint file beside the manifest, and the records it holds."""
     path = _beside_manifest(args, FINGERPRINTS)
@@ -320,18 +330,13 @@ def cmd_fit_codec(args) -> int:
     usable = [e for e in manifest.entries if e.analysis_error is None]
     if not usable:
         raise MissingPrerequisite("no usable tracks to fit the codec on")
-    samples_dir, mels_dir = _caches(args)
+    caches = _caches(args)
     fingerprints, known = _fingerprints(args)
 
     def corpus_mels():
         for entry in usable:
             # the current hash, so that an edited WAV is decoded afresh
-            path = manifest.track_path(entry)
-            digest = current_hash(path, known)
-            with _naming(entry.path):
-                mel = wavio.load_mel(
-                    mels_dir, digest, lambda: wavio.load_normalized(path, samples_dir, digest)
-                )
+            mel = _track_mel(manifest, entry, current_hash(manifest.track_path(entry), known), caches)
             t = (mel.shape[0] // patch) * patch  # crop to whole patches
             if t:
                 yield mel[:t]
@@ -390,22 +395,27 @@ def cmd_mix(args) -> int:
             )
     os.makedirs(args.out, exist_ok=True)
 
-    samples_dir, _ = _caches(args)
+    caches = _caches(args)
 
     def load_clip(track_id, offset, n):
         entry = by_id[track_id]
         with _naming(entry.path):
-            samples = wavio.load_normalized(
-                manifest.track_path(entry), samples_dir, entry.content_hash
-            )
+            samples = wavio.load_normalized(manifest.track_path(entry), caches[0], entry.content_hash)
         clip = samples[offset : offset + n]
         if clip.size != n:
             raise InputError(f"{track_id}: clip at {offset} runs past end of track")
         # a copy, so that the mapping of the whole track closes after each clip
         return np.array(clip)
 
+    def load_mel(track_id, first, n):
+        entry = by_id[track_id]
+        rows = _track_mel(manifest, entry, entry.content_hash, caches)[first : first + n]
+        if len(rows) != n:
+            raise InputError(f"{track_id}: clip at frame {first} runs past end of track")
+        return rows
+
     def render(spec):
-        return mixup.render_spec(spec, load_clip, codec)
+        return mixup.render_spec(spec, load_clip, load_mel, codec)
 
     def write(spec, wave):
         wavio.save_wav(os.path.join(args.out, f"{spec.out_id}.wav"), wave)
@@ -526,11 +536,10 @@ def cmd_eval(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     report_json = os.path.join(args.out, "report.json")
-    audit = report.audit_records()  # built once for both files
-    atomic_write(report_json, report.to_json(audit))
+    atomic_write(report_json, report.to_json())
     atomic_write(os.path.join(args.out, "report.txt"), metrics.render_table(report))
-    if audit:
-        atomic_write(os.path.join(args.out, "nn_audit.json"), canonical_json(audit))
+    if report.nn_audit:
+        atomic_write(os.path.join(args.out, "nn_audit.json"), canonical_json(report.nn_audit))
     log(f"eval: report -> {report_json}")
     return 0
 

@@ -13,7 +13,7 @@ results are reproducible to the bit.
 """
 
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from math import fsum
 
 import numpy as np
@@ -43,13 +43,6 @@ def mean_text_audio_similarity(text: RecordSet, audio: RecordSet) -> float:
     if not sims:
         raise EmptySet("no ids shared between text and audio sets")
     return float(np.mean(sims))
-
-
-@dataclass(frozen=True)
-class NearestNeighbor:
-    gen_id: str
-    segment_id: str
-    similarity: float
 
 
 def frechet_distance(set_a: np.ndarray, set_b: np.ndarray) -> float:
@@ -153,16 +146,13 @@ class MetricsReport:
     test_set_text_audio_sim: float | None = None
     retrieval_max: float | None = None
     sim_aa: dict = field(default_factory=dict)  # threshold -> ratio
-    nn_audit: list = field(default_factory=list)  # NearestNeighbor records
+    # per generated item, {"gen_id", "segment_id", "similarity"} of its
+    # nearest training segment, as report.json and nn_audit.json hold it
+    nn_audit: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
 
-    def audit_records(self) -> list[dict]:
-        """``nn_audit`` as the plain dicts that report.json and nn_audit.json hold."""
-        return [asdict(r) for r in self.nn_audit]
-
-    def to_json(self, audit: list[dict] | None = None) -> str:
-        """report.json's text; ``audit`` is ``self.audit_records()``, if the
-        caller has built it already."""
+    def to_json(self) -> str:
+        """report.json's text."""
         payload = {
             "fd": {k: self.fd[k] for k in sorted(self.fd)},
             "inception_score": self.inception_score,
@@ -171,7 +161,7 @@ class MetricsReport:
             "test_set_text_audio_sim": self.test_set_text_audio_sim,
             "retrieval_max": self.retrieval_max,
             "sim_aa": {f"{t:.2f}": self.sim_aa[t] for t in sorted(self.sim_aa)},
-            "nn_audit": self.audit_records() if audit is None else audit,
+            "nn_audit": self.nn_audit,
             "provenance": self.provenance,
         }
         return canonical_json(payload)
@@ -234,7 +224,7 @@ def build_report(
             report.retrieval_max = float(np.mean(best[:n_text]))
         if n_segments and "gen" in queries:
             report.nn_audit = [
-                NearestNeighbor(gen_id, seg_id, float(b))
+                {"gen_id": gen_id, "segment_id": seg_id, "similarity": float(b)}
                 for gen_id, seg_id, b in zip(gen_emb.ids, nearest[n_text:], best[n_text:])
             ]
             for tau in sorted(thresholds):

@@ -5,7 +5,10 @@ on a downbeat of its source, so the combined material stays rhythmically
 coherent. The mixing ratio is drawn from Beta(5, 5), which concentrates
 around an even blend. "bam" mixes the aligned waveforms directly;
 "blm" mixes the latent-codec representations and renders the result back to
-audio through the codec decoder and Fast Griffin-Lim.
+audio through the codec decoder and Fast Griffin-Lim. A blm mix encodes
+the rows of each source track's own log-mel that cover its clip, the mel
+that analysis cached, so no clip is analyzed on its own and its edge frames
+see the real audio around it, not a reflection.
 
 Every clip is ``CLIP_SAMPLES`` long, the paper's 10.24 s, and blm renders
 through ``dsp.GL_ITERATIONS`` iterations of phase retrieval. Spec planning is
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import codec as codec_mod
 from .beats import BeatGrid
-from .dsp import GL_ITERATIONS, SAMPLE_RATE, invert_mel, mel_spectrogram
+from .dsp import GL_ITERATIONS, HOP, SAMPLE_RATE, invert_mel
 from .errors import LengthMismatch, NoEligibleDownbeat, ShapeMismatch
 
 BUCKET_RANGE = (60.0, 180.0)
@@ -172,23 +175,30 @@ def plan_mixup_pass(
 
 
 def render_spec(
-    spec: MixupSpec, load_clip, codec: codec_mod.PcaCodec | None = None
+    spec: MixupSpec, load_clip, load_mel=None, codec: codec_mod.PcaCodec | None = None
 ) -> np.ndarray:
     """Produce the audio for one spec.
 
     ``load_clip(track_id, offset, n_samples)`` must return a float array of
-    exactly ``n_samples`` samples. Rendering depends only on the spec, so any
-    scheduling across specs yields identical output.
+    exactly ``n_samples`` samples, and ``load_mel(track_id, first, n_frames)``
+    exactly ``n_frames`` rows of the track's log-mel from row ``first``. A
+    mixed blm spec reads no samples: each source's clip is the
+    ``clip_samples // HOP`` mel rows from the hop frame nearest its offset,
+    which for a builtin downbeat is the offset's own frame. Rendering depends
+    only on the spec, so any scheduling across specs yields identical output.
     """
+    if spec.mixed and spec.strategy == "blm":
+        if codec is None:
+            raise ValueError("blm rendering needs a fitted codec")
+
+        def latent(track_id, offset):
+            rows = load_mel(track_id, (offset + HOP // 2) // HOP, spec.clip_samples // HOP)
+            return codec_mod.encode(codec, rows)
+
+        mixed = blm_mix(latent(spec.track_a, spec.offset_a), latent(spec.track_b, spec.offset_b), spec.lam)
+        return invert_mel(codec_mod.decode(codec, mixed), GL_ITERATIONS)
     a = np.asarray(load_clip(spec.track_a, spec.offset_a, spec.clip_samples), dtype=np.float64)
     if not spec.mixed:
         return a
     b = np.asarray(load_clip(spec.track_b, spec.offset_b, spec.clip_samples), dtype=np.float64)
-    if spec.strategy == "bam":
-        return bam_mix(a, b, spec.lam)
-    if codec is None:
-        raise ValueError("blm rendering needs a fitted codec")
-    lat_a = codec_mod.encode(codec, mel_spectrogram(a))
-    lat_b = codec_mod.encode(codec, mel_spectrogram(b))
-    mixed = blm_mix(lat_a, lat_b, spec.lam)
-    return invert_mel(codec_mod.decode(codec, mixed), GL_ITERATIONS)
+    return bam_mix(a, b, spec.lam)

@@ -271,20 +271,9 @@ def _resample_buffer(n_in: int, rate_in: int, rate_out: int):
     return padded, padded[_TAPS // 2 : _TAPS // 2 + n_in]
 
 
-def resample(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
-    """Rational-ratio resampling by windowed-sinc polyphase interpolation."""
-    x = np.asarray(x, dtype=np.float64)
-    if rate_in == rate_out:
-        return x.copy()
-    if rate_in <= 0 or rate_out <= 0:
-        raise ValueError("sample rates must be positive")
-    padded, samples = _resample_buffer(x.size, rate_in, rate_out)
-    samples[:] = x
-    return _resample_padded(padded, x.size, rate_in, rate_out)
-
-
 def _resample_padded(padded: np.ndarray, n_in: int, rate_in: int, rate_out: int) -> np.ndarray:
-    """``resample`` of the ``n_in`` samples held in a ``_resample_buffer``."""
+    """Rational-ratio resampling, by windowed-sinc polyphase interpolation,
+    of the ``n_in`` samples held in a ``_resample_buffer``."""
     g = gcd(rate_in, rate_out)
     up, down = rate_out // g, rate_in // g
     n_out = (n_in * up) // down

@@ -513,6 +513,12 @@ def test_one_read_and_one_mel_per_track_across_analyze_and_fit_codec(corpus, mon
     shutil.rmtree(_mels_dir(corpus))
     assert run(["fit-codec", "--manifest", manifest, "-C", "4"]) == 0
     assert len(mels) == 8
+    # blm mixes the mels fit-codec cached: no mel is computed, no sample read
+    loads, load = [], wavio.load_normalized
+    monkeypatch.setattr(wavio, "load_normalized", lambda *a: loads.append(a) or load(*a))
+    assert _mix_blm(manifest, corpus / "blm") == 0
+    assert all(spec["mixed"] for spec in _mixspecs(corpus / "blm"))
+    assert len(mels) == 8 and loads == []
 
 
 def test_fit_codec_without_either_cache_writes_the_same_codec(corpus):
@@ -725,10 +731,11 @@ def _mix_blm(manifest, out, count=5):
 
 
 def test_mix_blm_writes_the_same_bytes_on_one_thread_and_on_three(blm_ready, monkeypatch):
-    samples = blm_ready.parent / wavio.NORMALIZED_CACHE
+    samples, mels = blm_ready.parent / wavio.NORMALIZED_CACHE, _mels_dir(blm_ready.parent)
     outs = {}
     for workers in (1, 3):  # 3: more threads than this machine may have cores
-        shutil.rmtree(samples)  # so that threads decode and cache one track at once
+        for cache in (samples, mels):  # so that threads compute and cache one track's mel at once
+            shutil.rmtree(cache)
         monkeypatch.setattr(cli, "_cpus", lambda: workers)
         outs[workers] = blm_ready.parent / f"blm{workers}"
         codes = []
@@ -743,7 +750,8 @@ def test_mix_blm_writes_the_same_bytes_on_one_thread_and_on_three(blm_ready, mon
         assert not mixer.is_alive() and codes == [0]
     one, three = _tree_bytes(outs[1]), _tree_bytes(outs[3])
     assert len(one) == 10 and one == three  # 5 clips: more than the threads
-    assert not [name for name in os.listdir(samples) if name.startswith(".tmp-")]
+    assert not [name for cache in (samples, mels) for name in os.listdir(cache)
+                if name.startswith(".tmp-")]
 
 
 def test_main_leaves_the_blas_thread_count_as_it_found_it(blm_ready, blas, monkeypatch):
@@ -770,10 +778,10 @@ def test_mix_blm_failing_spec_exits_one_and_writes_only_the_specs_before_it(
 ):
     render = mixup.render_spec
 
-    def failing(spec, load_clip, codec=None):
+    def failing(spec, load_clip, load_mel=None, codec=None):
         if spec.out_id == "mix_00002":
             raise InputError(f"{spec.track_a}: clip at {spec.offset_a} runs past end of track")
-        return render(spec, load_clip, codec)
+        return render(spec, load_clip, load_mel, codec)
 
     monkeypatch.setattr(cli, "_cpus", lambda: workers)
     monkeypatch.setattr(mixup, "render_spec", failing)
@@ -793,12 +801,12 @@ def test_mix_blm_holds_at_most_one_render_per_thread(blm_ready, monkeypatch, bla
     lock = threading.Lock()
     held, most, threads = [0], [0], []
 
-    def counted_render(spec, load_clip, codec=None):
+    def counted_render(spec, load_clip, load_mel=None, codec=None):
         with lock:
             held[0] += 1
             most[0] = max(most[0], held[0])
             threads.append(get())
-        return render(spec, load_clip, codec)
+        return render(spec, load_clip, load_mel, codec)
 
     def counted_save(path, x):
         save(path, x)
@@ -812,6 +820,94 @@ def test_mix_blm_holds_at_most_one_render_per_thread(blm_ready, monkeypatch, bla
         assert _mix_blm(blm_ready, blm_ready.parent / "blm") == 0
     assert held == [0] and most == [2]
     assert threads == [1] * 5  # every render ran with BLAS on one thread
+
+
+# --- blm encodes the rows of the track mels in the mel cache ---------------------
+
+def _mixspecs(out):
+    return [json.loads(p.read_text()) for p in sorted(out.glob("*.mixspec.json"))]
+
+
+def _handed_to_encode(monkeypatch):
+    """Record a copy of every mel ``codec.encode`` is given."""
+    handed, encode = [], codec_mod.encode
+
+    def recording(codec, mel):
+        handed.append(np.array(mel))
+        return encode(codec, mel)
+
+    monkeypatch.setattr(codec_mod, "encode", recording)
+    return handed
+
+
+def _cached_rows(manifest, spec):
+    """The mel-cache rows a mixed spec's two clips cover, from the hop frame
+    nearest each offset."""
+    hashes = {e["id"]: e["content_hash"] for e in json.loads(manifest.read_text())["entries"]}
+    rows = []
+    for track, offset in ((spec["track_a"], spec["offset_a"]), (spec["track_b"], spec["offset_b"])):
+        first = (offset + 80) // 160
+        rows.append(np.load(_mels_dir(manifest.parent) / f"{hashes[track]}.npy")[first : first + 1024])
+    return rows
+
+
+def _off_grid_sidecars(corpus):
+    """External sidecars at 120 BPM whose one downbeat lies 81 samples past
+    hop frame 100, so that the nearest frame is 101."""
+    downbeat = (100 * 160 + 81) / 16000
+    for i in range(4):
+        beats = [downbeat + k * 0.5 for k in range(20)]
+        sidecar = {"tempo_bpm": 120.0, "beat_times": beats,
+                   "downbeat_times": [downbeat], "source": "external"}
+        (corpus / "corpus" / f"track{i:02d}.beats.json").write_text(json.dumps(sidecar))
+    return ["--external-beats"]
+
+
+@pytest.mark.parametrize("sidecars", [lambda corpus: [], _off_grid_sidecars],
+                         ids=["builtin", "external-off-grid"])
+def test_mix_blm_encodes_the_cached_mel_rows_bit_for_bit(corpus, monkeypatch, sidecars):
+    manifest = corpus / "manifest.json"
+    assert run(["ingest", corpus / "corpus", "--manifest", manifest]) == 0
+    assert run(["analyze", "--manifest", manifest, *sidecars(corpus)]) == 0
+    assert run(["fit-codec", "--manifest", manifest, "-C", "4"]) == 0
+    handed = _handed_to_encode(monkeypatch)
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)  # one thread: encodes in spec order
+    assert _mix_blm(manifest, corpus / "blm") == 0
+    specs = _mixspecs(corpus / "blm")
+    assert len(specs) == 5 and all(spec["mixed"] for spec in specs)
+    if sidecars is _off_grid_sidecars:
+        assert {(s["offset_a"], s["offset_b"]) for s in specs} == {(16081, 16081)}
+    expect = [rows for spec in specs for rows in _cached_rows(manifest, spec)]
+    assert len(handed) == len(expect) == 10
+    for mel, rows in zip(handed, expect):
+        assert mel.shape == (1024, 128) and mel.tobytes() == rows.tobytes()
+
+
+def test_mix_blm_without_the_mel_cache_writes_the_same_bytes_and_analyze_s_mels(
+    blm_ready, monkeypatch
+):
+    mels_dir = _mels_dir(blm_ready.parent)
+    analyzed = _tree_bytes(mels_dir)
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)  # one thread: one mel per track, exactly
+    assert _mix_blm(blm_ready, blm_ready.parent / "warm") == 0
+    shutil.rmtree(mels_dir)
+    mels = _count_mels(monkeypatch)
+    assert _mix_blm(blm_ready, blm_ready.parent / "cold") == 0
+    assert _tree_bytes(blm_ready.parent / "cold") == _tree_bytes(blm_ready.parent / "warm")
+    hashes = {e["id"]: e["content_hash"] for e in json.loads(blm_ready.read_text())["entries"]}
+    used = {hashes[s[k]] for s in _mixspecs(blm_ready.parent / "cold") for k in ("track_a", "track_b")}
+    rewritten = _tree_bytes(mels_dir)
+    assert sorted(rewritten) == sorted(f"{h}.npy" for h in used) and len(mels) == len(used)
+    assert rewritten == {name: analyzed[name] for name in rewritten}
+
+
+def test_mix_blm_with_a_short_cached_mel_exits_one_naming_the_track(blm_ready, capsys):
+    for path in _mels_dir(blm_ready.parent).glob("*.npy"):
+        np.save(path, np.load(path)[:200])  # a valid mel, shorter than its track
+    capsys.readouterr()
+    assert _mix_blm(blm_ready, blm_ready.parent / "blm") == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: track\d\d: clip at frame \d+ runs past end of track\n", err)
 
 
 def test_segment_counting(tmp_path, capsys):
@@ -981,8 +1077,8 @@ def test_eval_streamed_blocks_match_the_whole_set(tmp_path, rng, monkeypatch):
     )
     assert calls == [7, 7, 7, 7, 7, 5]
     assert streamed == metrics.build_report(gen_emb=gen, text_emb=text, train_seg_emb=[whole])
-    assert streamed.nn_audit[0].segment_id == min(ids[3], ids[12])
-    assert streamed.nn_audit[1].segment_id == min(ids[20], ids[30])
+    assert streamed.nn_audit[0]["segment_id"] == min(ids[3], ids[12])
+    assert streamed.nn_audit[1]["segment_id"] == min(ids[20], ids[30])
     assert streamed.provenance["sim_sizes"] == [12, 40]
 
 
@@ -1565,9 +1661,13 @@ def test_rerun_with_the_same_bytes_replaces_no_output(corpus, rng):
     assert (report / "report.json").stat().st_ino != reports["report.json"][0]
 
 
-def test_readme_names_only_flags_the_cli_accepts():
+def _readme():
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
-        text = fh.read()
+        return fh.read()
+
+
+def test_readme_names_only_flags_the_cli_accepts():
+    text = _readme()
     # the Benchmark section's flags are perfbench/run.py's
     before, _, rest = text.partition("\n## Benchmark\n")
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", before + rest.partition("\n## ")[2]))
@@ -1580,6 +1680,11 @@ def test_readme_names_only_flags_the_cli_accepts():
         for flag in action.option_strings
     }
     assert "--p" in named and named - accepted == set()
+
+
+def test_readme_names_only_the_cache_directories_read_today():
+    named = set(re.findall(r"(?<![\w-])(?:audio-16k|mel-)[^\s/`]*/", _readme()))
+    assert named == {f"{wavio.NORMALIZED_CACHE}/", f"{wavio.MEL_CACHE}/"}
 
 
 # --- internal faults ---------------------------------------------------------------

@@ -107,8 +107,8 @@ def test_nn_ratio_self_match(rng):
     gen = unit_set(rng, 25, 12, "g")
     report = sim_aa(gen, gen, 0.90)
     assert report.sim_aa == {0.90: 1.0}
-    assert all(r.similarity >= 1.0 - 1e-12 for r in report.nn_audit)
-    assert all(r.gen_id == r.segment_id for r in report.nn_audit)
+    assert all(r["similarity"] >= 1.0 - 1e-12 for r in report.nn_audit)
+    assert all(r["gen_id"] == r["segment_id"] for r in report.nn_audit)
 
 
 def test_nn_ratio_zero_when_unreachable(rng):
@@ -312,7 +312,7 @@ def test_report_searches_once_for_all_thresholds(rng, monkeypatch):
     assert report.sim_aa == {t: float(np.mean(gen_best >= t)) for t in thresholds}
     assert report.retrieval_max == float(np.mean(text_best))
     assert report.nn_audit == [
-        MT.NearestNeighbor(g, train.ids[j], float(b))
+        {"gen_id": g, "segment_id": train.ids[j], "similarity": float(b)}
         for g, j, b in zip(gen.ids, gen_idx, gen_best)
     ]
     with pytest.raises(ValueError):

@@ -175,13 +175,29 @@ def patch_pca_reconstruction(codec, frames):
     return recon.reshape(t // p, f // p, p, p).transpose(0, 2, 1, 3).reshape(t, f)
 
 
+def no_samples(track_id, offset, n_samples):
+    raise AssertionError(f"{track_id}: a mixed blm render read samples")
+
+
+def mel_rows(mels):
+    """A ``render_spec`` mel loader over whole-track mels, recording each call."""
+    calls = []
+
+    def load_mel(track_id, first, n_frames):
+        calls.append((track_id, first, n_frames))
+        return mels[track_id][first : first + n_frames]
+
+    return load_mel, calls
+
+
 def test_blm_render_matches_codec_reconstruction(fitted, monkeypatch):
     codec, _ = fitted
     rng = np.random.default_rng(11)
+    mels = {tid: np.clip(rng.normal(-40, 12, (80, N_MELS)), -80, 0) for tid in ("a", "b")}
     n = 64 * HOP  # 64 frames, whole patches
-    audio = {tid: rng.uniform(-0.5, 0.5, n) for tid in ("a", "b")}
-    spec = M.MixupSpec("mix_00000", "blm", True, "a", 0, seed=0, track_b="b", offset_b=0,
-                       lam=0.3, clip_samples=n)
+    # a on the hop grid at frame 3; b 81 samples past frame 5, nearest frame 6
+    spec = M.MixupSpec("mix_00000", "blm", True, "a", 3 * HOP, seed=0, track_b="b",
+                       offset_b=5 * HOP + 81, lam=0.3, clip_samples=n)
     handed = []
     out = np.zeros(n)
 
@@ -190,15 +206,16 @@ def test_blm_render_matches_codec_reconstruction(fitted, monkeypatch):
         return out
 
     monkeypatch.setattr(M, "invert_mel", capture)
-    assert M.render_spec(spec, lambda t, o, k: audio[t][o : o + k], codec) is out
+    load_mel, calls = mel_rows(mels)
+    assert M.render_spec(spec, no_samples, load_mel, codec) is out
+    assert calls == [("a", 3, 64), ("b", 6, 64)]
     [(mel, iterations)] = handed
     assert iterations == GL_ITERATIONS
     # the codec is affine before decode clamps at the log floor, so mixing the
     # latents mixes the reconstructions; the two sides differ only by the
     # rounding of reassociated float64 sums, far below 1e-9 dB at these magnitudes
-    r_a, r_b = (
-        patch_pca_reconstruction(codec, mel_spectrogram(audio[t])) for t in ("a", "b")
-    )
+    r_a = patch_pca_reconstruction(codec, mels["a"][3:67])
+    r_b = patch_pca_reconstruction(codec, mels["b"][6:70])
     expect = np.maximum(0.3 * r_a + 0.7 * r_b, LOG_FLOOR)
     assert mel.shape == expect.shape == (64, N_MELS)
     np.testing.assert_allclose(mel, expect, rtol=0, atol=1e-9)
@@ -367,11 +384,14 @@ def test_render_blm_spec_end_to_end():
     for i, tid in enumerate(sorted(tracks)):
         x, _ = click_track(120 + i, 14.0, seed=i)
         audio[tid] = x
-    mels = [mel_spectrogram(audio[t][:163840]) for t in sorted(tracks)]
-    codec = C.fit(mels, n_components=8, patch_size=8)
+    mels = {t: mel_spectrogram(audio[t]) for t in sorted(tracks)}
+    codec = C.fit([mels[t][:1024] for t in sorted(tracks)], n_components=8, patch_size=8)
     specs = M.plan_mixup_pass(tracks, "blm", 1.0, 2, 0)
+    load_mel, calls = mel_rows(mels)
     for spec in specs:
-        assert spec.clip_samples == 163840
-        wave = M.render_spec(spec, lambda t, o, n: audio[t][o : o + n], codec=codec)
+        assert spec.mixed and spec.clip_samples == 163840
+        wave = M.render_spec(spec, no_samples, load_mel, codec)
+        assert calls[-2:] == [(spec.track_a, (spec.offset_a + HOP // 2) // HOP, 1024),
+                              (spec.track_b, (spec.offset_b + HOP // 2) // HOP, 1024)]
         assert wave.size == 163840
         assert np.all(np.abs(wave) <= 1.0)

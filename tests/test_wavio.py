@@ -15,7 +15,6 @@ from beatmix.wavio import (
     load_normalized,
     load_wav,
     probe_wav,
-    resample,
     save_wav,
     wav_bytes,
 )
@@ -101,15 +100,27 @@ def test_resample_sine_peak_matches_reference(tmp_path):
     assert peak == ref_peak == round(440 * 16000 / 16000)
 
 
-def test_resample_preserves_dc():
-    x = np.full(5000, 0.25)
-    y = resample(x, 48000, 16000)
+def test_resample_preserves_dc(tmp_path):
+    path = tmp_path / "dc48.wav"
+    write_raw_wav(path, np.full((5000, 1), 0.25), 48000, "float32")
+    y = load_wav(path)
     assert np.abs(y[100:-100] - 0.25).max() < 1e-6
 
 
-def test_resample_identity():
-    x = np.linspace(-1, 1, 777)
-    assert np.array_equal(resample(x, 16000, 16000), x)
+def test_resample_identity(tmp_path):
+    x = np.linspace(-1, 1, 777).astype(np.float32).astype(np.float64)  # exact in the file
+    path = tmp_path / "same16.wav"
+    write_raw_wav(path, x[:, None], 16000, "float32")
+    assert np.array_equal(load_wav(path), x)
+
+
+def _resample(x, rate):
+    """``x`` at ``rate`` resampled to ``SAMPLE_RATE`` the way load_wav does it."""
+    if rate == SAMPLE_RATE:
+        return x.copy()
+    padded, samples = wavio._resample_buffer(x.size, rate, SAMPLE_RATE)
+    samples[:] = x
+    return wavio._resample_padded(padded, x.size, rate, SAMPLE_RATE)
 
 
 def _resample_oracle(x, up, down):
@@ -141,14 +152,16 @@ def test_resample_matches_tap_by_tap_oracle(tmp_path, rate):
     # empty, one sample, the longest input with fewer outputs than `up`
     # (down - 1 samples), and about 1 s with a partial last branch
     for n in sorted({0, 1, down - 1, rate + 7}):
-        x = rng.uniform(-1.0, 1.0, n)
+        x = rng.uniform(-1.0, 1.0, n).astype(np.float32).astype(np.float64)  # exact in the file
         path = tmp_path / f"{n}.wav"
         write_raw_wav(path, x[:, None], rate, "float32")
-        y = resample(x, rate, 16000)
+        y = _resample(x, rate)
         assert y.dtype == np.float64
         assert y.size == (n * up) // down == probe_wav(path)[0]
         assert np.abs(y - _resample_oracle(x, up, down)).max(initial=0.0) <= 1e-12
-        assert resample(x, rate, 16000).tobytes() == y.tobytes()
+        assert _resample(x, rate).tobytes() == y.tobytes()
+        # load_wav resamples the file's samples the same way, then clips
+        assert load_wav(path).tobytes() == np.clip(y, -1.0, 1.0).tobytes()
 
 
 def test_not_a_wav(tmp_path):
@@ -362,7 +375,7 @@ def whole_array_load(data: bytes) -> np.ndarray:
     for channel in range(1, n_channels):
         mono += frames[:, channel]
     mono /= n_channels
-    return np.clip(resample(mono, rate, SAMPLE_RATE), -1.0, 1.0)
+    return np.clip(_resample(mono, rate), -1.0, 1.0)
 
 
 @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
