@@ -227,7 +227,7 @@ def _analyze_one(manifest, entry, external, caches, known):
     sidecar_rel = os.path.splitext(entry.path)[0] + ".beats.json"
     sidecar = os.path.join(manifest.root, sidecar_rel)
     n_samples, record, data = entry.n_samples, None, None
-    digest = None if external else trusted_hash(path, known)
+    digest = trusted_hash(path, known)
     if digest != entry.content_hash:
         # Not vouched for: one read gives the hash, the length and, on a
         # miss, the samples. Otherwise a miss reads the file only to decode it.

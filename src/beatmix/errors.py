@@ -79,7 +79,7 @@ class HashMismatch(InputError):
 # --- embedding gateway ----------------------------------------------------
 
 class SchemaError(InputError):
-    """File or response does not follow the documented layout."""
+    """File does not follow the documented layout."""
 
 
 class DimMismatch(InputError):
@@ -96,14 +96,6 @@ class ZeroNorm(InputError):
 
 class NotAProbability(InputError):
     """Posterior row is negative or does not sum close to one."""
-
-
-class Timeout(BeatmixError):
-    """Embedding service did not answer within the configured budget."""
-
-
-class BadStatus(BeatmixError):
-    """Embedding service answered with a non-success HTTP status."""
 
 
 # --- metrics --------------------------------------------------------------

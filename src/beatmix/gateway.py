@@ -5,12 +5,13 @@ from a file is one ``RecordSet``, a matrix with its rows in id order; a set
 too large to hold, such as the training segments, can instead be read once
 as a sequence of ``RecordSet`` blocks of at most ``BLOCK_ROWS`` records
 (``read_embedding_blocks``), holding one block and the set's ids at a
-time. Embedding rows are L2-normalized at the boundary, by the same helper
-that ``client`` uses for vectors from a live service, so a dot product
+time. Embedding rows are L2-normalized at the boundary, so a dot product
 downstream is always a cosine similarity.
 
-The one on-disk format is binary: header ``magic, u32 dim, u32 count``,
-then per record ``u16 id_len, id bytes (UTF-8), dim x f32 little-endian``.
+The embeddings and posteriors come from models outside beatmix, which only
+reads them. The one on-disk format is binary: header ``magic, u32 dim,
+u32 count``, then per record ``u16 id_len, id bytes (UTF-8), dim x f32
+little-endian``.
 Magic is ``EMB1`` for embeddings, ``POS1`` for posteriors.
 """
 
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, DuplicateId, NotAProbability, SchemaError, ZeroNorm
-from .manifest import atomic_write
 
 EMB_MAGIC = b"EMB1"
 POS_MAGIC = b"POS1"
@@ -65,18 +65,6 @@ def _check_unique(sorted_ids, source) -> None:
 
 
 # --- file transport ---------------------------------------------------------
-
-def _write_records(path, magic: bytes, records: RecordSet) -> None:
-    if not records:
-        raise ValueError("refusing to write an empty set")
-    parts = [magic, struct.pack("<II", records.dim, len(records))]
-    for rec_id, row in zip(records.ids, records.rows.astype("<f4")):
-        id_bytes = rec_id.encode("utf-8")
-        if len(id_bytes) > 0xFFFF:
-            raise ValueError(f"id too long: {rec_id!r}")
-        parts += [struct.pack("<H", len(id_bytes)), id_bytes, row.tobytes()]
-    atomic_write(path, b"".join(parts))
-
 
 def _read_blocks(path, magic: bytes):
     """Yield the records of a binary set file, in file order, as RecordSets
@@ -132,10 +120,6 @@ def _joined(blocks, source) -> RecordSet:
     )
 
 
-def save_embedding_set(path, embeddings: RecordSet) -> None:
-    _write_records(path, EMB_MAGIC, embeddings)
-
-
 def _unit_rows(ids, rows: np.ndarray, source) -> np.ndarray:
     """Scale each row of ``rows`` to unit L2 norm, in place; a row with no
     direction raises ZeroNorm naming ``source`` and its id."""
@@ -171,10 +155,6 @@ def load_embedding_set(path) -> RecordSet:
     """Load a whole embedding set and scale its rows to unit L2 norm;
     duplicate ids and rows with no direction are rejected."""
     return _joined(read_embedding_blocks(path), path)
-
-
-def save_posterior_set(path, posteriors: RecordSet) -> None:
-    _write_records(path, POS_MAGIC, posteriors)
 
 
 def load_posterior_set(path) -> RecordSet:

@@ -36,13 +36,11 @@ from beatmix.gateway import (
     EMB_MAGIC,
     POS_MAGIC,
     RecordSet,
-    save_embedding_set,
-    save_posterior_set,
 )
 from beatmix.wavio import load_normalized, load_wav, save_wav, wav_bytes
+from sets import save_embedding_set, save_posterior_set, write_raw
 from synth import click_track
 from test_blas import blas, blas_threads  # noqa: F401 - blas is a fixture
-from test_gateway import write_raw
 from test_wavio import add_stray_bytes, write_raw_wav, write_short_fmt_wav
 
 
@@ -1516,19 +1514,28 @@ def test_a_fingerprint_file_that_cannot_be_written_fails_no_stage(corpus, monkey
     assert not (corpus / manifest_mod.FINGERPRINTS).exists()
 
 
+def _count_wav_opens(monkeypatch, root):
+    """The names of the WAVs in ``root`` that are opened, one per open."""
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file).endswith(".wav") and os.path.dirname(os.path.abspath(file)) == str(root):
+            opened.append(os.path.basename(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    return opened
+
+
 def test_each_wav_is_read_twice_and_hashed_once_across_the_pipeline(corpus, monkeypatch):
     # ingest reads and hashes each WAV; the first analyze reads it to decode
     # it; every later stage trusts its fingerprint and its cached samples.
     # More analyze threads than cores: no thread's record may be lost.
     monkeypatch.setattr(manifest_mod, "RACY_NS", 0)
     root, manifest = corpus / "corpus", corpus / "manifest.json"
-    opened, digests = [], []
-    real_open, real_sha256 = open, hashlib.sha256
-
-    def counting_open(file, *args, **kwargs):
-        if str(file).endswith(".wav") and os.path.dirname(os.path.abspath(file)) == str(root):
-            opened.append(os.path.basename(file))
-        return real_open(file, *args, **kwargs)
+    digests = []
+    real_sha256 = hashlib.sha256
 
     class CountingSha256:
         def __init__(self, data=b""):
@@ -1544,7 +1551,7 @@ def test_each_wav_is_read_twice_and_hashed_once_across_the_pipeline(corpus, monk
             digests.append(self._h.hexdigest())
             return digests[-1]
 
-    monkeypatch.setattr("builtins.open", counting_open)
+    opened = _count_wav_opens(monkeypatch, root)
     monkeypatch.setattr(hashlib, "sha256", CountingSha256)
     for stage in (["ingest", root], ["analyze", "--workers", "3"], ["analyze"], FIT,
                   ["mix", "--strategy", "bam", "--count", "20", "--p", "1",
@@ -1557,6 +1564,33 @@ def test_each_wav_is_read_twice_and_hashed_once_across_the_pipeline(corpus, monk
     assert sorted(opened) == sorted(wavs * 2)
     counts = Counter(digests)
     assert [counts[content_hash(root / name)] for name in wavs] == [1] * 4
+
+
+def test_a_warm_external_analyze_opens_no_wav_but_hashes_an_edited_one(corpus, monkeypatch, capsys):
+    # the sidecars are read on every run; a WAV only when its fingerprint
+    # does not vouch for its hash
+    monkeypatch.setattr(manifest_mod, "RACY_NS", 0)
+    root, manifest = corpus / "corpus", corpus / "manifest.json"
+    external = ["analyze", "--manifest", manifest, "--external-beats"]
+    assert run(["ingest", root, "--manifest", manifest]) == 0
+    write_external_sidecars(root.glob("*.wav"))
+    assert run(external) == 0
+    opened = _count_wav_opens(monkeypatch, root)
+    capsys.readouterr()
+    assert run(external) == 0
+    assert "4 analyzed, 0 cached, 0 failed" in capsys.readouterr().err
+    assert opened == []
+
+    track = root / "track00.wav"
+    before = load_manifest(manifest).by_id()["track00"]
+    time.sleep(0.05)  # past the file system's timestamp tick
+    save_wav(track, click_track(117, 10.0, seed=0)[0])
+    assert run(external) == 0
+    assert opened == ["track00.wav"]
+    entry = load_manifest(manifest).by_id()["track00"]
+    assert entry.content_hash == content_hash(track)
+    assert entry.content_hash != before.content_hash
+    assert entry.n_samples == len(load_wav(track)) < before.n_samples
 
 
 def write_codec_file(path, patch, components):

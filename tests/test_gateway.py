@@ -12,6 +12,7 @@ from beatmix.errors import (
     SchemaError,
     ZeroNorm,
 )
+from sets import save_embedding_set, save_posterior_set, write_raw
 
 
 # --- normalize ----------------------------------------------------------------
@@ -49,19 +50,10 @@ def unit_vectors(rng, n, d, prefix):
     return G.RecordSet.from_records([f"{prefix}{i:03d}" for i in range(n)], rows)
 
 
-def write_raw(path, magic, ids, rows):
-    """A binary set with its records in exactly the given order."""
-    with open(path, "wb") as fh:
-        fh.write(magic + struct.pack("<II", rows.shape[1], len(ids)))
-        for rec_id, row in zip(ids, rows):
-            fh.write(struct.pack("<H", len(rec_id)) + rec_id.encode())
-            fh.write(np.asarray(row, dtype="<f4").tobytes())
-
-
 def test_embedding_round_trip(tmp_path, rng):
     embs = unit_vectors(rng, 3, 16, "t")
     path = tmp_path / "e.emb"
-    G.save_embedding_set(path, embs)
+    save_embedding_set(path, embs)
     back = G.load_embedding_set(path)
     assert back.ids == embs.ids == ("t000", "t001", "t002")
     assert back.rows.shape == (3, 16) and back.rows.dtype == np.float64
@@ -73,8 +65,8 @@ def test_embedding_round_trip_bit_exact_after_reload(tmp_path, rng):
     # f32 payload: a second save/load cycle reproduces the file byte for byte
     embs = unit_vectors(rng, 5, 32, "t")
     p1, p2 = tmp_path / "a.emb", tmp_path / "b.emb"
-    G.save_embedding_set(p1, embs)
-    G.save_embedding_set(p2, G.load_embedding_set(p1))
+    save_embedding_set(p1, embs)
+    save_embedding_set(p2, G.load_embedding_set(p1))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -145,7 +137,7 @@ def test_embedding_bad_magic(tmp_path):
 def test_embedding_trailing_garbage(tmp_path, rng):
     embs = unit_vectors(rng, 2, 8, "t")
     path = tmp_path / "trail.emb"
-    G.save_embedding_set(path, embs)
+    save_embedding_set(path, embs)
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(SchemaError):
         G.load_embedding_set(path)
@@ -176,7 +168,7 @@ def posteriors(rows):
 
 def test_posterior_uniform_accepted(tmp_path):
     path = tmp_path / "p.post"
-    G.save_posterior_set(path, posteriors(np.full((3, 10), 0.1)))
+    save_posterior_set(path, posteriors(np.full((3, 10), 0.1)))
     back = G.load_posterior_set(path)
     assert back.ids == ("p0", "p1", "p2")
     assert np.allclose(back.rows, 0.1)
@@ -185,20 +177,20 @@ def test_posterior_uniform_accepted(tmp_path):
 
 def test_posterior_half_sum_rejected(tmp_path):
     path = tmp_path / "p.post"
-    G.save_posterior_set(path, posteriors([[0.5, 0.5], [0.25, 0.25]]))
+    save_posterior_set(path, posteriors([[0.5, 0.5], [0.25, 0.25]]))
     with pytest.raises(NotAProbability, match="p.post.*'p1' sums to 0.5000"):
         G.load_posterior_set(path)
 
 
 def test_posterior_near_one_renormalized(tmp_path):
     path = tmp_path / "p.post"
-    G.save_posterior_set(path, posteriors([0.502, 0.502]))  # sums to 1.004
+    save_posterior_set(path, posteriors([0.502, 0.502]))  # sums to 1.004
     back = G.load_posterior_set(path)
     assert abs(back.rows[0].sum() - 1.0) < 1e-9
 
 
 def test_posterior_negative_rejected(tmp_path):
     path = tmp_path / "p.post"
-    G.save_posterior_set(path, posteriors([[0.5, 0.5], [1.2, -0.2]]))
+    save_posterior_set(path, posteriors([[0.5, 0.5], [1.2, -0.2]]))
     with pytest.raises(NotAProbability, match="p.post.*'p1' has negative"):
         G.load_posterior_set(path)

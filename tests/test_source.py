@@ -1,0 +1,72 @@
+"""Checks on the source itself: what it imports, and that each of its
+top-level names is used by the program or the benchmark, not only by tests."""
+
+import ast
+import re
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
+import beatmix
+
+SRC = Path(beatmix.__file__).parent
+ROOT = SRC.parent.parent
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "numpy" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}:{node.lineno}: {name}")
+    assert foreign == []
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in dependencies] == ["numpy"]
+
+
+def _referenced_names(node):
+    """Every name, attribute and imported name that ``node`` mentions."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rpartition(".")[2]
+
+
+def unused_top_level_names(paths):
+    """``module.name`` of each top-level function and class in ``src/beatmix``
+    that no top-level statement of ``paths``, other than its own definition,
+    refers to."""
+    defined, used_by = [], defaultdict(set)
+    for path in paths:
+        for statement in _parse(path).body:
+            owner = (path, statement.lineno)
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if path.parent == SRC:
+                    defined.append((owner, f"{path.stem}.{statement.name}", statement.name))
+            for name in _referenced_names(statement):
+                used_by[name].add(owner)
+    return [label for owner, label, name in defined if not used_by[name] - {owner}]
+
+
+def test_every_top_level_name_is_used_outside_the_tests():
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    assert unused_top_level_names(paths) == []
