@@ -16,8 +16,8 @@ import numpy as np
 
 BACKEND = "numpy"
 
-_NN_CHUNK = 256  # queries per BLAS product
-_RESCORE_PAIRS = 2048  # (query, reference) pairs rescored at once
+_NN_CHUNK = 512  # queries per BLAS product
+_RESCORE_PAIRS = 256  # (query, reference) pairs rescored at once
 
 
 def beat_dp(score, penalty, gap_min, gap_max, start_threshold):
@@ -61,23 +61,49 @@ def beat_dp(score, penalty, gap_min, gap_max, start_threshold):
     return backlink, cumscore
 
 
+class ScaledQueries:
+    """Query rows prepared once for ``nn_max_dot``: the float64 rows, their
+    float32 copy scaled by the power of two ``2**-exp``, and the norms of the
+    scaled rows. A search over many blocks of references passes one of these
+    to every call in turn, so the queries are scaled once, not once per
+    block, and the float32 copy of each block goes into one buffer kept
+    here, not into a fresh allocation per block."""
+
+    def __init__(self, rows):
+        self.rows = np.ascontiguousarray(rows, dtype=np.float64)
+        self.f32, self.norms, self.exp = _scaled_float32(self.rows)
+        self._refs32 = np.empty((0, self.rows.shape[1]), dtype=np.float32)
+
+    @property
+    def shape(self):
+        return self.rows.shape
+
+    def _refs_buffer(self, n_refs):
+        if self._refs32.shape[0] < n_refs:
+            self._refs32 = np.empty((n_refs, self.shape[1]), dtype=np.float32)
+        return self._refs32[:n_refs]
+
+
 def nn_max_dot(queries, refs):
     """Per-query maximum dot product over all reference rows.
 
-    The result is that of the left-to-right float64 sum for every pair,
-    with ties going to the lowest reference index, so it does not depend on
-    the BLAS or on how callers tile the queries. Inputs must be finite,
-    their dot products must not overflow (the gateway rejects non-finite
-    vectors) and the dimension d must be in [1, 2**24). Returns (best, index);
-    with no reference rows every best is -inf and every index -1.
+    ``queries`` is a matrix or a ``ScaledQueries`` made from one. The result
+    is that of the left-to-right float64 sum for every pair, with ties going
+    to the lowest reference index, so it does not depend on the BLAS or on
+    how callers tile the queries. Inputs must be finite, their dot products
+    must not overflow (the gateway rejects non-finite vectors) and the
+    dimension d must be in [1, 2**24). Returns (best, index); with no
+    reference rows every best is -inf and every index -1.
 
     A float32 BLAS product shortlists, per query, every reference within a
     margin of the row maximum; only the shortlist is summed in fixed order.
-    The queries and the references are each scaled by a power of two so
-    that their largest magnitude is at most 1; that is exact, and keeps the
-    float32 product from overflowing. In the scaled units, with u32 and u64
-    the unit roundoffs and gamma_d(u) = d u / (1 - d u), the float32 value
-    of a pair (q, r) differs from the exact dot product by at most
+    A row whose runner-up falls below that floor shortlists its argmax
+    alone, so only rows with a runner-up inside the margin are compared in
+    full. The queries and the references are each scaled by a power of two
+    so that their largest magnitude is at most 1; that is exact, and keeps
+    the float32 product from overflowing. In the scaled units, with u32 and
+    u64 the unit roundoffs and gamma_d(u) = d u / (1 - d u), the float32
+    value of a pair (q, r) differs from the exact dot product by at most
     (2 u32 + u32**2) |q| |r| for rounding q and r to float32, plus
     gamma_d(u32) (1 + u32)**2 |q| |r| for summing the rounded products in
     any order, with or without fused multiply-adds; the fixed-order float64
@@ -96,7 +122,8 @@ def nn_max_dot(queries, refs):
     smallest subnormal at the unscaled magnitude, and 4 d of it covers the
     same. The bound, not a test, is what tells this margin from half of it.
     """
-    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    if not isinstance(queries, ScaledQueries):
+        queries = ScaledQueries(queries)
     refs = np.ascontiguousarray(refs, dtype=np.float64)
     if queries.shape[1] != refs.shape[1]:
         raise ValueError("queries and refs disagree on dimensionality")
@@ -105,41 +132,51 @@ def nn_max_dot(queries, refs):
     idx = np.full(n, -1, dtype=np.int64)
     if n == 0 or refs.shape[0] == 0:
         return best, idx
-    q32, query_norm, q_exp = _scaled_float32(queries)
-    r32, ref_norm, r_exp = _scaled_float32(refs)
+    r32, ref_norm, r_exp = _scaled_float32(refs, queries._refs_buffer(refs.shape[0]))
     u32, u64 = np.finfo(np.float32).eps / 2, np.finfo(np.float64).eps / 2
     gamma32, gamma64 = d * u32 / (1 - d * u32), d * u64 / (1 - d * u64)
     relative = (2 * u32 + u32**2) + gamma32 * (1 + u32) ** 2 + gamma64
     # the float64 underflow bound, 2**-1074 at the unscaled magnitude; an
     # exponent past float64's range only widens the margin to everything
-    underflow64 = 2.0 ** min(-1074 - q_exp - r_exp, 1023)
-    margin = (4 * relative * ref_norm.max()) * query_norm + d * (
+    underflow64 = 2.0 ** min(-1074 - queries.exp - r_exp, 1023)
+    margin = (4 * relative * ref_norm.max()) * queries.norms + d * (
         16 * float(np.finfo(np.float32).tiny) + 4 * underflow64
     )
+    buffer = np.empty((min(n, _NN_CHUNK), refs.shape[0]), dtype=np.float32)
     for lo in range(0, n, _NN_CHUNK):
         hi = min(n, lo + _NN_CHUNK)
-        sims = q32[lo:hi] @ r32.T
-        floor = sims.max(axis=1) - margin[lo:hi]
-        rows, cols = np.divmod(np.flatnonzero(sims >= floor[:, None]), refs.shape[0])
-        rows += lo
-        exact = _fixed_order_dots(queries, refs, rows, cols)
-        # pairs come row by row, cols ascending within a row; a stable sort
-        # by descending value within each row puts first the row's maximum
-        # at its lowest index
-        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        first = np.lexsort((-exact, rows))[starts]
-        best[rows[first]] = exact[first]
-        idx[rows[first]] = cols[first]
+        sims = np.matmul(queries.f32[lo:hi], r32.T, out=buffer[: hi - lo])
+        tile = np.arange(hi - lo)
+        top = sims.argmax(axis=1)
+        peak = sims[tile, top]
+        floor = peak - margin[lo:hi]
+        # each row's runner-up: its maximum with the argmax knocked out
+        sims[tile, top] = -np.inf
+        near = np.flatnonzero(sims.max(axis=1) >= floor)
+        sims[tile, top] = peak
+        alone = np.ones(hi - lo, dtype=bool)
+        alone[near] = False
+        near_rows, near_cols = np.nonzero(sims[near] >= floor[near, None])
+        rows = np.r_[tile[alone], near[near_rows]]
+        cols = np.r_[top[alone], near_cols]
+        exact = _fixed_order_dots(queries.rows, refs, rows + lo, cols)
+        # each row's pairs keep their cols ascending, so a stable sort by row
+        # and then by descending value puts first the row's maximum at its
+        # lowest index; every row of the tile has at least its argmax
+        order = np.lexsort((-exact, rows))
+        first = order[np.r_[True, rows[order[1:]] != rows[order[:-1]]]]
+        best[lo:hi] = exact[first]
+        idx[lo:hi] = cols[first]
     return best, idx
 
 
-def _scaled_float32(x):
-    """``x * 2**-e`` rounded to float32, the float64 norms of the rows of
-    ``x * 2**-e``, and ``e``: the power of two that brings the largest
-    magnitude into [1/2, 1). Works through ``_NN_CHUNK`` rows at a time, so
-    no full-size float64 copy is made."""
-    e = int(np.frexp(max(x.max(), -x.min()))[1])
-    out = np.empty(x.shape, dtype=np.float32)
+def _scaled_float32(x, out=None):
+    """``x * 2**-e`` rounded to float32 (into ``out``, when given), the
+    float64 norms of the rows of ``x * 2**-e``, and ``e``: the power of two
+    that brings the largest magnitude into [1/2, 1). Works through
+    ``_NN_CHUNK`` rows at a time, so no full-size float64 copy is made."""
+    e = int(np.frexp(max(x.max(initial=0.0), -x.min(initial=0.0)))[1])
+    out = np.empty(x.shape, dtype=np.float32) if out is None else out
     norms = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], _NN_CHUNK):
         part = np.ldexp(x[lo : lo + _NN_CHUNK], -e)

@@ -48,7 +48,10 @@ class RecordSet:
         _check_unique(sorted_ids, source)
         if order != list(range(len(order))):
             rows = rows[order]
-        return cls(sorted_ids, np.ascontiguousarray(rows, dtype=np.float64))
+        # a signalling NaN read from a file warns as it is cast; the readers
+        # reject every non-finite row right after, as an InputError
+        with np.errstate(invalid="ignore"):
+            return cls(sorted_ids, np.ascontiguousarray(rows, dtype=np.float64))
 
     @property
     def dim(self) -> int:
@@ -69,7 +72,8 @@ def _check_unique(sorted_ids, source) -> None:
 def _read_blocks(path, magic: bytes):
     """Yield the records of a binary set file, in file order, as RecordSets
     of at most ``BLOCK_ROWS`` records; the file is read once, straight into
-    a float32 block buffer. A set with no records is one empty block."""
+    a float32 buffer per block, which is dropped before its block goes out.
+    A set with no records is one empty block."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(12)
@@ -82,8 +86,10 @@ def _read_blocks(path, magic: bytes):
             raise SchemaError(f"{path}: header declares dim 0")
         # no more rows than the file can hold, so a bad header allocates nothing large
         fit = (size - 12) // (2 + 4 * dim)
-        ids, rows = [], np.empty((min(count, BLOCK_ROWS, fit), dim), dtype="<f4")
+        ids, rows = [], None
         for record in range(count):
+            if rows is None:
+                rows = np.empty((min(count - record, BLOCK_ROWS, fit), dim), dtype="<f4")
             id_len = fh.read(2)
             if len(id_len) < 2:
                 raise SchemaError(f"{path}: truncated record header")
@@ -100,13 +106,16 @@ def _read_blocks(path, magic: bytes):
                 ) from exc
             fh.readinto(rows[len(ids) - 1])
             if len(ids) == len(rows):
-                # the block is converted to float64, a copy, so the buffer is free again
-                yield RecordSet.from_records(ids, rows, source=path)
-                ids = []
+                # the block is converted to float64, a copy
+                block, ids, rows = RecordSet.from_records(ids, rows, source=path), [], None
+                yield block
+                del block
         if fh.tell() != size:
             raise SchemaError(f"{path}: {size - fh.tell()} trailing bytes after last record")
-        if ids or not count:
-            yield RecordSet.from_records(ids, rows[: len(ids)], source=path)
+        # each buffer holds the records left, up to BLOCK_ROWS, so with every
+        # record read the last one has gone out too; an empty set is left
+        if not count:
+            yield RecordSet.from_records([], np.empty((0, dim), dtype="<f4"), source=path)
 
 
 def _joined(blocks, source) -> RecordSet:
@@ -147,6 +156,7 @@ def read_embedding_blocks(path):
         _unit_rows(block.ids, block.rows, path)
         ids += block.ids
         yield block
+        del block  # so that the next block is not read while this one is held
     ids.sort()
     _check_unique(ids, path)
 

@@ -97,19 +97,57 @@ def inception_score(posteriors: RecordSet) -> float:
 
     ``0 * log(0/q)`` counts as zero, so a uniform set scores exactly 1 and a
     full set of distinct one-hot posteriors over K classes scores K. The
-    marginal and the KL average use exact summation (fsum), so identical
-    posteriors yield a bitwise-zero KL.
+    marginal, each KL and their average are exact sums rounded once, as
+    ``fsum`` rounds them, so identical posteriors yield a bitwise-zero KL.
     """
     if not posteriors:
         raise EmptySet("empty posterior set")
     probs = posteriors.rows
-    n, k = probs.shape
-    marginal = np.array([fsum(probs[:, j]) for j in range(k)]) / n
-    kls = []
-    for p in probs:
-        mask = p > 0
-        kls.append(fsum(p[mask] * (np.log(p[mask]) - np.log(marginal[mask]))))
+    n = probs.shape[0]
+    marginal = _fsums(probs.T) / n
+    seen = probs > 0
+    # the logs of 0 are masked out of the terms; a marginal that underflows
+    # to 0 under a positive p gives an infinite KL, as its log does
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = probs * (np.log(np.where(seen, probs, 1.0)) - np.log(marginal))
+    kls = _fsums(np.where(seen, terms, 0.0))
     return float(np.exp(fsum(kls) / n))
+
+
+def _fsums(x: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of the float64 matrix ``x``, to the bit.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008,
+    ExtractVector): with ``sigma`` a power of two at least ``2**h`` times a
+    row's largest magnitude, where ``2**h >= width + 2``, each value ``v``
+    splits exactly into ``q = (sigma + v) - sigma``, a multiple of
+    ``sigma * 2**-53``, and ``v - q``, at most ``sigma * 2**-53`` in
+    magnitude. A row's ``q`` sum to less than ``sigma`` on that grid, so
+    NumPy sums them exactly in any order. Extracting again from the
+    remainders until they are all zero leaves a few exact partials per row
+    whose sum is the row's exact sum; ``fsum`` of them rounds it once, as
+    ``fsum`` of the row does. A row with a non-finite value, or too large
+    for ``sigma`` to be finite, is summed by ``fsum`` itself.
+    """
+    headroom = (x.shape[1] + 1).bit_length()
+    rest = np.array(x, dtype=np.float64, order="C")
+    largest = np.maximum(rest.max(axis=1, initial=0.0), -rest.min(axis=1, initial=0.0))
+    plain = ~(largest < 2.0 ** (1023 - headroom))
+    rest[plain] = largest[plain] = 0.0
+    q = np.empty_like(rest)
+    parts = []
+    while largest.any():
+        sigma = np.ldexp(1.0, np.frexp(largest)[1] + headroom)[:, None]
+        np.add(sigma, rest, out=q)
+        q -= sigma
+        rest -= q
+        parts.append(q.sum(axis=1))
+        largest = np.maximum(rest.max(axis=1), -rest.min(axis=1))
+    partials = np.stack(parts, axis=1) if parts else np.zeros((x.shape[0], 0))
+    return np.array([
+        fsum(x[i]) if plain[i] else fsum(partial) for i, partial in enumerate(partials.tolist())
+    ])
 
 
 def paired_kl(gen_posteriors: RecordSet, gt_posteriors: RecordSet) -> float:
@@ -245,23 +283,26 @@ def _nearest_segments(queries, blocks):
     block wins on a greater value, or an equal one at a smaller id. So the
     result is that of one search over the whole set in id order.
     """
-    rows = np.concatenate([q.rows for q in queries.values()]) if queries else None
+    rows = None
+    if queries:
+        # scaled once for the whole search, not once per block
+        rows = _kernels.ScaledQueries(np.concatenate([q.rows for q in queries.values()]))
     best = nearest = None
     n_segments = 0
     for block in blocks:
         n_segments += len(block)
-        if not (block and queries):
-            continue
-        for name, query in queries.items():
-            if query.dim != block.dim:
-                raise DimMismatch(f"{name} dim {query.dim} vs segment dim {block.dim}")
-        value, index = _kernels.nn_max_dot(rows, block.rows)
-        seg_ids = np.array(block.ids, dtype=object)[index]
-        if best is None:
-            best, nearest = value, seg_ids
-        else:
-            won = (value > best) | ((value == best) & (seg_ids < nearest))
-            best[won], nearest[won] = value[won], seg_ids[won]
+        if block and queries:
+            for name, query in queries.items():
+                if query.dim != block.dim:
+                    raise DimMismatch(f"{name} dim {query.dim} vs segment dim {block.dim}")
+            value, index = _kernels.nn_max_dot(rows, block.rows)
+            seg_ids = np.array(block.ids, dtype=object)[index]
+            if best is None:
+                best, nearest = value, seg_ids
+            else:
+                won = (value > best) | ((value == best) & (seg_ids < nearest))
+                best[won], nearest[won] = value[won], seg_ids[won]
+        del block  # so that the next block is not read while this one is held
     return best, nearest, n_segments
 
 

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -1080,6 +1081,40 @@ def test_eval_streamed_blocks_match_the_whole_set(tmp_path, rng, monkeypatch):
     assert streamed.provenance["sim_sizes"] == [12, 40]
 
 
+def test_eval_searches_each_block_with_no_other_block_or_reader_buffer_held(
+    tmp_path, rng, monkeypatch
+):
+    # a block is released before the next one is read, and the float32
+    # buffer it was read into before it is searched: one block at a time
+    seg_path = tmp_path / "segments.emb"
+    write_shuffled_segments(seg_path, rng)
+    gen_rows = rng.normal(size=(12, SEGMENT_DIM))
+    gen = RecordSet.from_records([f"g{i:02d}" for i in range(12)], gen_rows)
+    G._unit_rows(gen.ids, gen.rows, "gen")
+    monkeypatch.setattr(G, "BLOCK_ROWS", 7)
+    blocks, buffers = [], []
+    make = G.RecordSet.from_records
+
+    def from_records(ids, rows, source):
+        assert all(block() is None for block in blocks)
+        buffers.append(weakref.ref(rows))
+        block = make(ids, rows, source)
+        blocks.append(weakref.ref(block))
+        return block
+
+    search = metrics._kernels.nn_max_dot
+
+    def nn_max_dot(queries, refs):
+        assert all(buffer() is None for buffer in buffers)
+        assert [block() is not None for block in blocks] == [False] * (len(blocks) - 1) + [True]
+        return search(queries, refs)
+
+    monkeypatch.setattr(G.RecordSet, "from_records", from_records)
+    monkeypatch.setattr(metrics._kernels, "nn_max_dot", nn_max_dot)
+    report = metrics.build_report(gen_emb=gen, train_seg_emb=G.read_embedding_blocks(seg_path))
+    assert len(blocks) == 6 and report.provenance["sim_sizes"] == [12, 40]
+
+
 def _repeat_id_across_blocks(path):
     raw = bytearray(path.read_bytes())
     first, later = (12 + 2 + k * SEGMENT_RECORD for k in (1, 12))
@@ -1760,9 +1795,6 @@ ARTIFACT_WRITERS = {
     "manifest": lambda path, rng: save_manifest(Manifest(root="."), path),
     # a cache miss writes the normalized samples into the artifact's directory
     "normalized": lambda path, rng: _normalize_source(path, rng),
-    "embeddings": lambda path, rng: save_embedding_set(
-        path, RecordSet.from_records(["a"], rng.normal(size=(1, 4)))
-    ),
 }
 
 

@@ -159,6 +159,22 @@ def test_csv_set_exits_one_as_bad_magic(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (struct.pack("<II", 0, 1), "header declares dim 0"),
+        (struct.pack("<II", 4, 1) + b"\x01", "truncated record header"),
+    ],
+    ids=["dim 0", "truncated record header"],
+)
+def test_embedding_header_faults_exit_one_naming_the_file(tmp_path, capsys, body, message):
+    path = tmp_path / "gen.emb"
+    path.write_bytes(G.EMB_MAGIC + body)
+    assert main(["eval", "--gen-emb", str(path), "--out", str(tmp_path / "r")]) == 1
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 # --- posteriors --------------------------------------------------------------------
 
 def posteriors(rows):

@@ -4,7 +4,8 @@ bit for bit, including the tie-breaking rules."""
 import numpy as np
 import pytest
 
-from beatmix import _kernels
+from beatmix import _kernels, metrics
+from beatmix.gateway import RecordSet
 
 
 def python_nn_oracle(queries, refs):
@@ -159,11 +160,12 @@ def test_nn_extreme_scales_match_python_oracle(rng):
 
 
 def test_nn_independent_of_query_tiling(rng):
-    q = _unit_rows(rng, 600, 32)
+    chunk = _kernels._NN_CHUNK
+    q = _unit_rows(rng, 2 * chunk + 88, 32)
     r = _unit_rows(rng, 700, 32)
     r[5] = r[600]
     best, idx = _kernels.nn_max_dot(q, r)
-    for k in (1, 255, 256, 300, 599):
+    for k in (1, chunk - 1, chunk, chunk + 44, len(q) - 1):
         b_lo, i_lo = _kernels.nn_max_dot(q[:k], r)
         b_hi, i_hi = _kernels.nn_max_dot(q[k:], r)
         assert np.array_equal(np.r_[b_lo, b_hi], best)
@@ -235,6 +237,63 @@ def test_nn_shortlist_stays_small(rng, monkeypatch):
     assert n <= sum(rescored) <= 1.05 * n
 
 
+def test_nn_many_references_inside_the_margin(rng, monkeypatch):
+    # one query with 40 copies of its nearest reference, each nudged by a
+    # few ulps, and one with an exact duplicate of it: their runners-up lie
+    # inside the margin, so those rows are compared in full, while the
+    # random queries shortlist their argmax alone
+    d = 64
+    near = np.tile(_unit_rows(rng, 1, d), (40, 1))
+    for row in near:
+        k = rng.integers(d, size=4)
+        row[k] += rng.integers(-4, 5, size=4) * np.spacing(row[k])
+    r = np.vstack([_unit_rows(rng, 30, d), near, _unit_rows(rng, 30, d)])
+    r[75] = r[12]
+    q = np.vstack([_unit_rows(rng, 3, d), near[0], r[12], _unit_rows(rng, 3, d)])
+    rescored = []
+    rescore = _kernels._fixed_order_dots
+
+    def fixed_order_dots(q, r, rows, cols):
+        rescored.append(np.bincount(rows, minlength=8))
+        return rescore(q, r, rows, cols)
+
+    monkeypatch.setattr(_kernels, "_fixed_order_dots", fixed_order_dots)
+    best, idx = _kernels.nn_max_dot(q, r)
+    obest, oidx = python_nn_oracle(q, r)
+    assert np.array_equal(idx, oidx)
+    assert np.array_equal(best, obest)
+    per_row = sum(rescored)
+    assert per_row[3] >= 40 and per_row[4] >= 2 and idx[4] == 12
+    assert per_row[[0, 1, 2, 5, 6, 7]].tolist() == [1] * 6
+
+
+def test_one_eval_search_scales_the_queries_once(rng, monkeypatch):
+    # the queries (text and generated, 50 rows) are scaled once for the
+    # whole search; each of the 4 blocks of references is scaled once, into
+    # one float32 buffer
+    scaled, buffers = [], []
+    scale = _kernels._scaled_float32
+
+    def scaled_float32(x, out=None):
+        scaled.append(len(x))
+        buffers.append(None if out is None else out.base)
+        return scale(x, out)
+
+    monkeypatch.setattr(_kernels, "_scaled_float32", scaled_float32)
+    text, gen = (
+        RecordSet.from_records([f"g{i:02d}" for i in range(n)], _unit_rows(rng, n, 16))
+        for n in (20, 30)
+    )
+    blocks = [
+        RecordSet.from_records([f"s{b}{i:02d}" for i in range(9)], _unit_rows(rng, 9, 16))
+        for b in range(4)
+    ]
+    report = metrics.build_report(gen_emb=gen, text_emb=text, train_seg_emb=iter(blocks))
+    assert scaled == [50, 9, 9, 9, 9]
+    assert buffers[0] is None and all(b is buffers[1] is not None for b in buffers[1:])
+    assert report.provenance["sim_sizes"] == [30, 36]
+
+
 def python_dot(q, r):
     acc = 0.0
     for qk, rk in zip(q, r):
@@ -242,7 +301,12 @@ def python_dot(q, r):
     return acc
 
 
-@pytest.mark.parametrize("n_pairs", [1, 2047, 2048, 2049, 4097])
+RESCORE = _kernels._RESCORE_PAIRS
+
+
+@pytest.mark.parametrize(
+    "n_pairs", sorted({1, RESCORE - 1, RESCORE, RESCORE + 1, 2047, 2048, 2049, 4097})
+)
 def test_fixed_order_dots_match_a_plain_loop_bitwise(n_pairs, rng):
     # every pair's sum against acc = 0.0; acc += q[k] * r[k], compared as
     # bytes, since array_equal counts -0.0 equal to 0.0; the first pair's

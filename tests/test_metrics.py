@@ -1,4 +1,5 @@
 import json
+from math import fsum
 
 import numpy as np
 import pytest
@@ -219,6 +220,83 @@ def test_is_bounds(seed, n, k):
 def test_is_empty_set():
     with pytest.raises(EmptySet):
         MT.inception_score(posterior_set(np.zeros((0, 4))))
+
+
+def per_row_inception_score(posteriors):
+    """inception_score's formula with one fsum per class and per row: the
+    oracle."""
+    probs = posteriors.rows
+    n, k = probs.shape
+    marginal = np.array([fsum(probs[:, j]) for j in range(k)]) / n
+    kls = []
+    for p in probs:
+        mask = p > 0
+        kls.append(fsum(p[mask] * (np.log(p[mask]) - np.log(marginal[mask]))))
+    return float(np.exp(fsum(kls) / n))
+
+
+@pytest.mark.parametrize(
+    "n, k, alpha", [(1, 1, 1.0), (7, 3, 0.05), (200, 527, 0.3), (1000, 40, 2.0)]
+)
+def test_is_equals_the_per_row_fsum_formula_bitwise(rng, n, k, alpha):
+    # small Dirichlet concentrations put many values near 0; exact zeros
+    # (never a row's largest value), a class no row predicts and a repeated
+    # row are added on top
+    probs = rng.dirichlet(np.full(k, alpha), size=n)
+    zeros = rng.random(probs.shape) < 0.2
+    zeros[np.arange(n), probs.argmax(axis=1)] = False
+    probs[zeros] = 0.0
+    probs = np.hstack([np.zeros((n, 1)), probs / probs.sum(axis=1, keepdims=True)])
+    probs[-1] = probs[0]
+    posteriors = posterior_set(probs)
+    assert MT.inception_score(posteriors).hex() == per_row_inception_score(posteriors).hex()
+
+
+def _wide_rows(rng, n, width):
+    """Signed values whose exponents spread over most of float64's range,
+    with cancelling pairs, so each row sum needs many extraction passes."""
+    rows = rng.normal(size=(n, width)) * 2.0 ** rng.integers(-1000, 1000, size=(n, width))
+    flip = rng.random((n, width)) < 0.3
+    rows[flip] = -np.roll(rows, 1, axis=1)[flip]
+    return rows
+
+
+def _cancelling_rows(values):
+    """Rows that hold each value and its negation, so each sums to exactly 0."""
+    return np.hstack([values, -values[:, ::-1]])
+
+
+FSUM_CASES = {
+    "wide exponents": lambda rng: _wide_rows(rng, 300, 37),
+    "long rows": lambda rng: _wide_rows(rng, 5, 4000),
+    "x and -x": lambda rng: _cancelling_rows(
+        rng.normal(size=(50, 8)) * 2.0 ** rng.integers(-900, 900, size=(50, 8))
+    ),
+    "subnormals": lambda rng: rng.integers(-2**40, 2**40, size=(100, 64)) * 5e-324,
+    "subnormals and normals": lambda rng: np.hstack(
+        [rng.integers(-99, 99, size=(100, 9)) * 5e-324, rng.normal(size=(100, 3)) * 2.0**-1020]
+    ),
+    "zeros": lambda rng: np.array([[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]]),
+    "zero width": lambda rng: np.zeros((4, 0)),
+    "no rows": lambda rng: np.zeros((0, 5)),
+    "near overflow": lambda rng: np.array(
+        [[1.7e308, -1.7e308, 1e300, 3.0], [2.0**1012, 2.0**1012, 1.0, 0.0]]
+    ),
+    "not finite": lambda rng: np.array(
+        [[np.inf, 1.0], [2.0, -np.inf], [np.nan, 1.0], [1.0, 2.0]]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FSUM_CASES))
+def test_fsums_match_fsum_as_bytes(rng, case):
+    rows = FSUM_CASES[case](rng).astype(np.float64)
+    want = np.array([fsum(row) for row in rows.tolist()]).reshape(rows.shape[0])
+    got = MT._fsums(rows)
+    assert got.tobytes() == want.tobytes()
+    # the columns of a transposed view, as the marginal takes them
+    want = np.array([fsum(col) for col in rows.T.tolist()]).reshape(rows.shape[1])
+    assert MT._fsums(rows.T).tobytes() == want.tobytes()
 
 
 # --- paired KL ---------------------------------------------------------------------------
