@@ -279,8 +279,7 @@ def cmd_analyze(args) -> int:
             return entry, "failed", None
 
     if args.workers > 1:
-        # one BLAS thread per worker: more only compete with the workers for the CPUs
-        with serial_blas(), ThreadPoolExecutor(max_workers=args.workers) as pool:
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(work, manifest.entries))
     else:
         results = [work(e) for e in manifest.entries]

@@ -43,8 +43,6 @@ class LatentTensor:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 3:
-            raise ValueError("latent tensor must be 3-D (C, T/P, F/P)")
 
 
 @dataclass
@@ -58,11 +56,6 @@ class PcaCodec:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float32)
         self.basis = np.asarray(self.basis, dtype=np.float32)
-        p2 = self.patch_size * self.patch_size
-        if self.mean.shape != (p2,) or self.basis.shape != (self.n_components, p2):
-            raise ValueError("mean/basis shapes disagree with patch_size and n_components")
-        if self.n_components > p2:
-            raise ValueError("cannot keep more components than the patch dimensionality")
 
     @property
     def codec_id(self) -> str:
@@ -99,8 +92,6 @@ def fit(mels, n_components: int, patch_size: int) -> PcaCodec:
     positive.
     """
     p2 = patch_size * patch_size
-    if n_components < 1 or n_components > p2:
-        raise ValueError(f"n_components must be in [1, {p2}]")
     count = 0
     total = np.zeros(p2)
     outer = np.zeros((p2, p2))

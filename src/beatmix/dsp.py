@@ -23,11 +23,6 @@ whole-signal transform and product, so the tiles do not change a bit.
 ``invert_mel`` works through the same tiles: a render holds its clip's
 spectra whole but its frames one tile at a time, about 30 MB for a 10.24 s
 clip, so that ``mix`` can run one render per CPU.
-
-Each BLAS product here gives the same bits on one BLAS thread and on
-several (checked with NumPy's OpenBLAS), so a result does not depend on the
-thread pool it ran in: see ``_filterbank_product`` for the mel's; the
-pseudo-inverse product sums only 128 mel bands.
 """
 
 import functools
@@ -137,22 +132,17 @@ def _stft(padded: np.ndarray, n_frames: int, frames=None) -> np.ndarray:
 
 def _mel_amplitudes(x: np.ndarray) -> np.ndarray:
     """The mel filterbank amplitudes of the frames of ``x``, reflect-padded
-    by half a window: a (frame_count(x.size), N_MELS) array, filled a tile
-    of at most ``TILE_FRAMES`` rows at a time from that tile's magnitude
-    spectra. The tiles are of equal size, so none is shorter than half of
-    ``TILE_FRAMES`` unless it is the whole: OpenBLAS takes another path, with
-    other bits, for a product of fewer than 10 rows."""
+    by half a window: a (frame_count(x.size), N_MELS) array, filled
+    ``TILE_FRAMES`` rows at a time from that tile's magnitude spectra."""
     padded = np.pad(x, WINDOW // 2, mode="reflect")
     n_frames = frame_count(x.size)
-    n_tiles = -(-n_frames // TILE_FRAMES)
-    bounds = [k * n_frames // n_tiles for k in range(n_tiles + 1)]
     out = np.empty((n_frames, N_MELS))
     frames = np.empty((min(TILE_FRAMES, n_frames), WINDOW))
     mag = np.empty((frames.shape[0], FFT_SIZE // 2 + 1))
-    for start, stop in zip(bounds, bounds[1:]):
-        n = stop - start
+    for start in range(0, n_frames, TILE_FRAMES):
+        n = min(TILE_FRAMES, n_frames - start)
         spectra = _stft(padded[start * HOP :], n, frames[:n])
-        _filterbank_product(np.abs(spectra, out=mag[:n]), out[start:stop])
+        _filterbank_product(np.abs(spectra, out=mag[:n]), out[start : start + n])
     return out
 
 
@@ -167,19 +157,26 @@ def mel_spectrogram(x: np.ndarray) -> np.ndarray:
     return 20.0 * np.log10(np.maximum(_mel_amplitudes(x), AMP_FLOOR))
 
 
-def _filterbank_product(mag: np.ndarray, out=None) -> np.ndarray:
-    """``mag @ mel_filterbank().T``, summed over the bins in two halves;
-    ``out``, when given, receives it.
-
-    OpenBLAS sums a product's 513 terms in blocks: 256 then 257 on one
-    thread, 257 then 256 on several, so one product's last bit depended on
-    the BLAS thread count. Each half is one block on either, so this gives
-    the several-thread bits on any thread count (NumPy's OpenBLAS 0.3.31).
-    """
+@functools.cache
+def _filterbank_bands():
+    """For the even mel bands, then the odd: each bin's weight in them and
+    each band's first non-zero bin. The bands of one parity are pairwise
+    disjoint, so each bin's weight is the one non-zero filterbank entry of
+    its column, if any, exactly."""
     fb = mel_filterbank()
-    half = (fb.shape[1] + 1) // 2
-    out = np.matmul(mag[:, :half], fb[:, :half].T, out=out)
-    out += mag[:, half:] @ fb[:, half:].T
+    return tuple((fb[p::2].sum(axis=0), np.argmax(fb[p::2] > 0, axis=1)) for p in (0, 1))
+
+
+def _filterbank_product(mag: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``mag @ mel_filterbank().T``, written into ``out``, in an order that
+    NumPy fixes and no BLAS can change.
+
+    Per parity, each band sums the weighted bins from its first non-zero bin
+    up to the next band's with one ``np.add.reduceat``; the zero-weight bins
+    between bands add +0.0, which changes nothing.
+    """
+    for parity, (weights, starts) in enumerate(_filterbank_bands()):
+        np.add.reduceat(mag * weights, starts, axis=1, out=out[:, parity::2])
     return out
 
 
@@ -259,7 +256,7 @@ def _own_mapping(shape, dtype) -> np.ndarray:
     return np.frombuffer(pages, dtype, count).reshape(shape)
 
 
-def invert_mel(mel: np.ndarray, iterations: int = GL_ITERATIONS, callback=None) -> np.ndarray:
+def invert_mel(mel: np.ndarray, iterations: int = GL_ITERATIONS) -> np.ndarray:
     """Reconstruct audio from a log-mel matrix.
 
     The mel magnitudes are mapped back to a linear spectrum through the
@@ -269,19 +266,17 @@ def invert_mel(mel: np.ndarray, iterations: int = GL_ITERATIONS, callback=None) 
     deterministic. Each iteration projects onto the consistent spectra
     (ISTFT then STFT), restores the target magnitudes, and extrapolates
     along the last step with momentum ``FGLA_MOMENTUM``; the output is the
-    ISTFT of the last magnitude-restored spectrum. When given,
-    ``callback(iteration, error)`` is invoked each iteration with the
-    relative spectral consistency error of that iteration's STFT(ISTFT(.)).
+    ISTFT of the last magnitude-restored spectrum.
 
     Both transforms work ``TILE_FRAMES`` frames at a time: the ISTFT
     overlap-adds each tile into the signal in frame order, then each tile
     of the signal's STFT has its magnitudes restored and its momentum step
     taken at once. So the whole-clip arrays are the target, the current
-    coefficients, the last projection and, for a callback, the magnitudes;
-    the frames and the spectrum exist one tile at a time, in buffers reused
-    from tile to tile. The target and both complex arrays are on mappings of
-    their own (``_own_mapping``). Every element goes through the same operations in the same order as in
-    the plain whole-clip formulas, so the output is the same bits.
+    coefficients and the last projection, each on a mapping of its own
+    (``_own_mapping``); the frames and the spectrum exist one tile at a
+    time, in buffers reused from tile to tile. Every element goes through
+    the same operations in the same order as in the plain whole-clip
+    formulas, so the output is the same bits.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -289,14 +284,11 @@ def invert_mel(mel: np.ndarray, iterations: int = GL_ITERATIONS, callback=None) 
     pinv = _filterbank_pinv().T
     target = np.matmul(amp, pinv, out=_own_mapping((amp.shape[0], pinv.shape[1]), np.float64))
     np.maximum(target, 0.0, out=target)
-    target_norm = np.linalg.norm(target)
 
     n_frames = target.shape[0]
     window_sum = _window_sum(n_frames)
     frames = np.empty((min(TILE_FRAMES, n_frames), WINDOW))
     scale = np.empty((frames.shape[0], target.shape[1]))
-    # the callback's error is taken over the whole clip's magnitudes
-    mag = None if callback is None else np.empty_like(target)
     coeffs = _own_mapping(target.shape, np.complex128)
     coeffs[...] = target
     prev = _own_mapping(target.shape, np.complex128)
@@ -306,9 +298,8 @@ def invert_mel(mel: np.ndarray, iterations: int = GL_ITERATIONS, callback=None) 
             rows = slice(start, start + TILE_FRAMES)
             n = min(TILE_FRAMES, n_frames - start)
             spec = _stft(padded[start * HOP :], n, frames[:n])
-            tile_mag = np.abs(spec, out=scale[:n] if mag is None else mag[rows])
             # spec becomes the projection, spec * (target / max(|spec|, 1e-16))
-            ratio = np.maximum(tile_mag, 1e-16, out=scale[:n])
+            ratio = np.maximum(np.abs(spec, out=scale[:n]), 1e-16, out=scale[:n])
             np.divide(target[rows], ratio, out=ratio)
             spec *= ratio
             if it == 0:
@@ -319,8 +310,6 @@ def invert_mel(mel: np.ndarray, iterations: int = GL_ITERATIONS, callback=None) 
                 step *= FGLA_MOMENTUM
                 np.add(spec, step, out=step)
             prev[rows] = spec
-        if callback is not None:
-            callback(it, np.linalg.norm(mag - target) / max(target_norm, 1e-16))
     y = _istft(prev, window_sum)
 
     pad = WINDOW // 2

@@ -41,8 +41,6 @@ class RecordSet:
     def from_records(cls, ids, rows, source="record set") -> "RecordSet":
         """Put the records in id order; a repeated id raises DuplicateId."""
         rows = np.asarray(rows)
-        if rows.ndim != 2 or rows.shape[0] != len(ids):
-            raise ValueError(f"{len(ids)} ids need an ({len(ids)}, dim) matrix, not {rows.shape}")
         order = sorted(range(len(ids)), key=ids.__getitem__)
         sorted_ids = tuple(ids[i] for i in order)
         _check_unique(sorted_ids, source)

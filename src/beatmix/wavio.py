@@ -34,7 +34,7 @@ from .manifest import atomic_open, atomic_write
 NORMALIZED_CACHE = "audio-16k-v3"
 # Version of the mels ``dsp.mel_spectrogram`` returns. Bump it whenever a
 # change alters those mels.
-MEL_VERSION = 2
+MEL_VERSION = 3
 # Name of the directory of cached ``load_mel`` output. It changes with either
 # version, so that neither other mel code nor other samples ever read it.
 MEL_CACHE = f"mel-v{MEL_VERSION}-{NORMALIZED_CACHE}"
@@ -131,7 +131,7 @@ def load_wav(path, data=None) -> np.ndarray:
     body = memoryview(chunks[b"data"])
     frame_bytes = n_channels * (bits // 8)
     # The downmix is written straight into the resampler's zero-padded input.
-    padded, mono = _resample_buffer(n_frames, rate, SAMPLE_RATE)
+    padded, mono = _resample_buffer(n_frames)
     # One tile even for an empty data chunk, so that its format is checked.
     for start in range(0, max(n_frames, 1), DECODE_TILE_FRAMES):
         stop = start + DECODE_TILE_FRAMES
@@ -263,11 +263,12 @@ def _polyphase_table(up: int, down: int) -> np.ndarray:
     return table
 
 
-def _resample_buffer(n_in: int, rate_in: int, rate_out: int):
+def _resample_buffer(n_in: int):
     """A zeroed input buffer for ``_resample_padded`` and the view of it that
-    holds the ``n_in`` input samples, between the margins the filter reads."""
-    down = rate_in // gcd(rate_in, rate_out)
-    padded = np.zeros(_TAPS // 2 + n_in + _TAPS // 2 + down + 1)
+    holds the ``n_in`` input samples, between the margins the filter reads.
+    The last window ``_resample_padded`` reads ends at or before the right
+    margin's end, so the buffer's size does not depend on the rates."""
+    padded = np.zeros(_TAPS // 2 + n_in + _TAPS // 2)
     return padded, padded[_TAPS // 2 : _TAPS // 2 + n_in]
 
 

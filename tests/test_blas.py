@@ -1,11 +1,18 @@
 import contextlib
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import beatmix
 from beatmix import _blas
-from beatmix.dsp import _filterbank_product, invert_mel, mel_filterbank, mel_spectrogram
+from beatmix.dsp import invert_mel, mel_spectrogram
 from beatmix.mixup import CLIP_SAMPLES
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(beatmix.__file__)))
 
 
 @pytest.fixture
@@ -64,9 +71,46 @@ def test_mel_and_inversion_bits_do_not_depend_on_the_blas_thread_count(blas, rng
             assert invert_mel(mel, 2).tobytes() == audio.tobytes()
 
 
-def test_the_filterbank_product_has_the_bits_of_one_product_on_several_threads(blas, rng):
-    mag = np.abs(rng.normal(size=(1001, mel_filterbank().shape[1])))
-    with blas_threads(blas, 2):
-        several = mag @ mel_filterbank().T
-        with _blas.serial_blas():
-            assert _filterbank_product(mag).tobytes() == several.tobytes()
+# Run in a fresh interpreter: print, as a JSON object, the SHA-256 of the
+# bits of each named result. Every result but "control" must have the same
+# bits under every BLAS kernel and thread count; "control", a plain BLAS
+# product, must not, or the runs show nothing.
+_PROBE = """
+import hashlib, json
+import numpy as np
+from beatmix.dsp import _mel_amplitudes, mel_filterbank, mel_spectrogram
+
+x = np.random.default_rng(0).uniform(-1.0, 1.0, 12 * 16000)
+mag = np.abs(np.random.default_rng(1).normal(size=(2001, mel_filterbank().shape[1])))
+results = {
+    "mel_amplitudes": _mel_amplitudes(x),
+    "mel": mel_spectrogram(x),
+    "control": mag @ mel_filterbank().T,
+}
+print(json.dumps({name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in results.items()}))
+"""
+
+
+def _probe(coretype, threads):
+    """The probe's digests with OpenBLAS on ``threads`` threads and its
+    ``coretype`` kernel (None: the one it picks for this CPU)."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _PROBE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-4000:]
+    return json.loads(done.stdout)
+
+
+def test_mel_bits_do_not_depend_on_the_blas_kernel_or_thread_count():
+    runs = {(kernel, threads): _probe(kernel, threads)
+            for kernel in (None, "Haswell", "Prescott") for threads in (1, 2)}
+    if runs["Haswell", 1]["control"] == runs["Prescott", 1]["control"]:
+        pytest.skip("a plain product has the same bits under the Haswell and the Prescott "
+                    "kernel: OpenBLAS ignores OPENBLAS_CORETYPE, or NumPy links another BLAS")
+    for name in runs[None, 1]:
+        if name != "control":
+            assert len({digests[name] for digests in runs.values()}) == 1, name

@@ -15,7 +15,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from beatmix import beats as beats_mod
 from beatmix import codec as codec_mod
 from beatmix import gateway as G
 from beatmix import cli, manifest as manifest_mod, metrics, mixup, wavio
@@ -42,7 +41,7 @@ from beatmix.wavio import load_normalized, load_wav, save_wav, wav_bytes
 from sets import save_embedding_set, save_posterior_set, write_raw
 from synth import click_track
 from test_blas import blas, blas_threads  # noqa: F401 - blas is a fixture
-from test_wavio import add_stray_bytes, write_raw_wav, write_short_fmt_wav
+from test_wavio import add_stray_bytes, extensible, write_raw_wav, write_short_fmt_wav
 
 
 def write_corpus(root, bpms, duration_s=16.0, captions=True, bass_phase=0):
@@ -142,6 +141,15 @@ def test_ingest_short_fmt_chunk_exits_one(corpus, capsys):
     manifest = corpus / "manifest.json"
     assert run(["ingest", corpus / "corpus", "--manifest", manifest]) == 1
     assert "error: short_fmt.wav: fmt chunk too small" in capsys.readouterr().err
+    assert not manifest.exists()
+
+
+def test_ingest_short_extensible_fmt_chunk_exits_one(corpus, capsys):
+    path = corpus / "corpus" / "short_ext.wav"
+    path.write_bytes(extensible((corpus / "corpus" / "track00.wav").read_bytes(), fmt_size=24))
+    manifest = corpus / "manifest.json"
+    assert run(["ingest", corpus / "corpus", "--manifest", manifest]) == 1
+    assert "error: short_ext.wav: extensible fmt chunk too small" in capsys.readouterr().err
     assert not manifest.exists()
 
 
@@ -755,20 +763,16 @@ def test_mix_blm_writes_the_same_bytes_on_one_thread_and_on_three(blm_ready, mon
 
 def test_main_leaves_the_blas_thread_count_as_it_found_it(blm_ready, blas, monkeypatch):
     get, _ = blas
-    analyze, seen = beats_mod.analyze_waveform, []
+    render, seen = mixup.render_spec, []
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         seen.append(get())
-        return analyze(*args)
+        return render(*args, **kwargs)
 
-    monkeypatch.setattr(beats_mod, "analyze_waveform", recorded)
-    for sidecar in (blm_ready.parent / "corpus").glob("*.beats.json"):
-        sidecar.unlink()  # so that analyze runs again
+    monkeypatch.setattr(mixup, "render_spec", recorded)
     with blas_threads(blas, 2):
-        assert run(["analyze", "--manifest", blm_ready, "--workers", "2"]) == 0
-        assert get() == 2 and seen == [1] * 4  # each worker analyzed on one BLAS thread
         assert _mix_blm(blm_ready, blm_ready.parent / "blm", count=2) == 0
-        assert get() == 2
+        assert get() == 2 and seen == [1] * 2  # each clip rendered on one BLAS thread
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -10,7 +10,9 @@ import pytest
 from beatmix import codec, gateway
 from beatmix.errors import InputError
 from beatmix.gateway import RecordSet
+from beatmix.wavio import load_wav, probe_wav
 from sets import save_embedding_set, save_posterior_set
+from test_wavio import write_raw_wav
 
 MUTANTS = 300
 
@@ -45,10 +47,18 @@ def _codec():
     return codec.fit([rng.normal(size=(16, 8)) for _ in range(4)], n_components=3, patch_size=4)
 
 
+def _wav(path):
+    # 256 frames, so that no mutated sample rate makes a load large
+    frames = np.random.default_rng(7).uniform(-1.0, 1.0, (256, 2))
+    write_raw_wav(path, frames, 44100, "pcm24")
+
+
 FILES = {
     "EMB1": (lambda path: save_embedding_set(path, _records(6, 5)), gateway.load_embedding_set),
     "POS1": (lambda path: save_posterior_set(path, _records(6, 5)), gateway.load_posterior_set),
     "codec": (lambda path: codec.save(_codec(), path), codec.load),
+    "load_wav": (_wav, load_wav),
+    "probe_wav": (_wav, probe_wav),
 }
 
 

@@ -118,7 +118,7 @@ def _resample(x, rate):
     """``x`` at ``rate`` resampled to ``SAMPLE_RATE`` the way load_wav does it."""
     if rate == SAMPLE_RATE:
         return x.copy()
-    padded, samples = wavio._resample_buffer(x.size, rate, SAMPLE_RATE)
+    padded, samples = wavio._resample_buffer(x.size)
     samples[:] = x
     return wavio._resample_padded(padded, x.size, rate, SAMPLE_RATE)
 
@@ -376,6 +376,46 @@ def whole_array_load(data: bytes) -> np.ndarray:
         mono += frames[:, channel]
     mono /= n_channels
     return np.clip(_resample(mono, rate), -1.0, 1.0)
+
+
+def extensible(data: bytes, fmt_size: int = 40) -> bytes:
+    """The bytes of a WAV with a 16-byte fmt chunk, the first chunk, written
+    with a ``WAVE_FORMAT_EXTENSIBLE`` fmt chunk cut to ``fmt_size`` bytes
+    instead (40 is the whole chunk): the SubFormat GUID at byte 24 leads
+    with the plain format tag."""
+    tag, n_channels, rate, byte_rate, block, bits = struct.unpack_from("<HHIIHH", data, 20)
+    guid = struct.pack("<H", tag) + bytes.fromhex("000000001000800000aa00389b71")
+    mask = (1 << n_channels) - 1  # the first n_channels speaker positions
+    body = struct.pack("<HHIIHHHHI", 0xFFFE, n_channels, rate, byte_rate, block, bits,
+                       22, bits, mask) + guid
+    body = body[:fmt_size] + bytes(fmt_size & 1)  # chunks are word-aligned
+    rest = b"WAVE" + b"fmt " + struct.pack("<I", fmt_size) + body + data[36:]
+    return b"RIFF" + struct.pack("<I", len(rest)) + rest
+
+
+def test_extensible_24_bit_stereo_decodes_as_plain_pcm():
+    raw, tag, bits, _ = _raw_frames("pcm24", 2, np.random.default_rng(24), 5000)
+    for rate in (16000, 44100):
+        plain = _wav_from_raw(raw, tag, bits, rate)
+        wave = load_wav("extensible.wav", extensible(plain))
+        assert wave.size > 0 and wave.tobytes() == load_wav("plain.wav", plain).tobytes()
+
+
+@pytest.mark.parametrize("rate", [2**31 - 1, 2**32 - 5])
+def test_a_header_rate_sizes_no_allocation(rate):
+    """16,000 frames at a rate that gives no sample at 16 kHz: the resampler
+    holds the samples and the filter's margins, whatever the rate."""
+    data = bytearray(_wav_from_raw(np.zeros((16000, 1), "<i2"), 1, 16))
+    struct.pack_into("<I", data, 24, rate)
+    data = bytes(data)
+    tracemalloc.start()
+    try:
+        wave = load_wav("huge-rate.wav", data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert wave.size == 0
+    assert peak < 8 * 16000 * 8  # eight float64 copies of the samples
 
 
 @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
