@@ -125,8 +125,6 @@ def nn_max_dot(queries, refs):
     if not isinstance(queries, ScaledQueries):
         queries = ScaledQueries(queries)
     refs = np.ascontiguousarray(refs, dtype=np.float64)
-    if queries.shape[1] != refs.shape[1]:
-        raise ValueError("queries and refs disagree on dimensionality")
     n, d = queries.shape
     best = np.full(n, -np.inf)
     idx = np.full(n, -1, dtype=np.int64)

@@ -29,7 +29,6 @@ from . import gateway, metrics, mixup, wavio
 from ._blas import serial_blas
 from .dsp import SAMPLE_RATE
 from .errors import (
-    BeatmixError,
     DuplicateBasename,
     EmptyCorpus,
     InputError,
@@ -264,7 +263,7 @@ def _analyze_one(manifest, entry, external, caches, known):
 
 def cmd_analyze(args) -> int:
     manifest = load_manifest(args.manifest)
-    validate_manifest(manifest)
+    validate_manifest(manifest, args.manifest)
     caches = _caches(args)
     fingerprints, known = _fingerprints(args)
 
@@ -273,7 +272,7 @@ def cmd_analyze(args) -> int:
     def work(entry):
         try:
             return _analyze_one(manifest, entry, args.external_beats, caches, known)
-        except BeatmixError as exc:
+        except InputError as exc:
             entry.analysis_error = f"{type(exc).__name__}: {exc}"
             entry.tempo_bpm = None
             return entry, "failed", None
@@ -309,7 +308,9 @@ def cmd_group(args) -> int:
     manifest = load_manifest(args.manifest)
     tempos = [e.tempo_bpm for e in manifest.entries if e.tempo_bpm is not None]
     if not tempos:
-        raise MissingPrerequisite("no analyzed tracks; run `beatmix analyze` first")
+        raise MissingPrerequisite(
+            f"{args.manifest}: no analyzed tracks; run `beatmix analyze` first"
+        )
     groups = {mixup.group_id_for(bpm) for bpm in tempos}
     log(
         f"group: {len(tempos)} tracks in {len(groups)} tempo groups "
@@ -324,11 +325,11 @@ def cmd_fit_codec(args) -> int:
     if args.components > args.patch**2:
         raise InputError(f"--components {args.components} exceeds --patch squared")
     manifest = load_manifest(args.manifest)
-    validate_manifest(manifest)
+    validate_manifest(manifest, args.manifest)
     patch = args.patch
     usable = [e for e in manifest.entries if e.analysis_error is None]
     if not usable:
-        raise MissingPrerequisite("no usable tracks to fit the codec on")
+        raise MissingPrerequisite(f"{args.manifest}: no usable tracks to fit the codec on")
     caches = _caches(args)
     fingerprints, known = _fingerprints(args)
 
@@ -355,11 +356,13 @@ def cmd_fit_codec(args) -> int:
 
 def cmd_mix(args) -> int:
     manifest = load_manifest(args.manifest)
-    validate_manifest(manifest)
+    validate_manifest(manifest, args.manifest)
 
     analyzed = [e for e in manifest.entries if e.tempo_bpm is not None and e.beats_path]
     if not analyzed:
-        raise MissingPrerequisite("no analyzed tracks; run `beatmix analyze` first")
+        raise MissingPrerequisite(
+            f"{args.manifest}: no analyzed tracks; run `beatmix analyze` first"
+        )
 
     codec = None
     if args.strategy == "blm":
@@ -496,7 +499,7 @@ def _parse_named(values):
             path = item
             name = os.path.splitext(os.path.basename(item))[0]
         if name in out:
-            raise InputError(f"provider {name!r} given twice")
+            raise InputError(f"provider {name!r} given twice: {out[name]} and {path}")
         out[name] = path
     return out
 

@@ -2,15 +2,18 @@
 
 Each mel, a T x F array, is cut into P x P tiles, every tile is flattened,
 centered on the corpus mean, and projected onto the top C principal
-directions. A mel therefore maps to a (C, T/P, F/P) latent tensor; for a
-10.24 s clip (T=1024, F=128) and the default P=8, C=16 that is
-(16, 128, 16). ``decode`` gives back a mel of ``dsp.N_MELS`` bins, clamped at
-``dsp.LOG_FLOOR``.
+directions. A mel therefore maps to a plain (C, T/P, F/P) float64 array;
+for a 10.24 s clip (T=1024, F=128) and the default P=8, C=16 that is
+(16, 128, 16). ``decode`` takes such an array from the same codec and gives
+back the mel, clamped at ``dsp.LOG_FLOOR``. P must divide ``dsp.N_MELS``
+(128): ``fit`` needs it to cut any mel into tiles, and ``load`` rejects a
+file that breaks it.
 
 Because encode and decode are affine, a convex combination of two latents
 decodes to the same convex combination of the two reconstructions, which is
-what makes latent-space mixing well defined here. The codec interface is
-deliberately small so a nonlinear autoencoder can be substituted behind it.
+what makes latent-space mixing well defined here. The codec is three
+functions (``fit``, ``encode``, ``decode``) over plain arrays, so a nonlinear
+autoencoder could replace them without touching the mixer.
 """
 
 import hashlib
@@ -20,29 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import LOG_FLOOR, N_MELS
-from .errors import (
-    CodecMismatch,
-    HashMismatch,
-    InsufficientData,
-    NonDivisibleShape,
-    SchemaError,
-    ShapeMismatch,
-)
+from .errors import HashMismatch, InsufficientData, NonDivisibleShape, SchemaError
 from .manifest import atomic_write
 
 _MAGIC = b"BMPC"
 _VERSION = 1
-
-
-@dataclass
-class LatentTensor:
-    """C x T/P x F/P coefficients plus the id of the codec that made them."""
-
-    values: np.ndarray
-    codec_id: str
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
 
 
 @dataclass
@@ -56,10 +41,6 @@ class PcaCodec:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float32)
         self.basis = np.asarray(self.basis, dtype=np.float32)
-
-    @property
-    def codec_id(self) -> str:
-        return _payload_hash(self).hex()
 
 
 def _payload_hash(codec: PcaCodec) -> bytes:
@@ -112,51 +93,31 @@ def fit(mels, n_components: int, patch_size: int) -> PcaCodec:
     for row in basis:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
-
-    total_var = float(np.trace(cov))
-    retained = float(np.sum(np.maximum(eigvals[order], 0.0)))
-    stats = {
-        "n_patches": count,
-        "total_variance": total_var,
-        "retained_variance": retained,
-        "mean_residual_mse": max(total_var - retained, 0.0) / p2,
-    }
     return PcaCodec(
         patch_size=patch_size,
         n_components=n_components,
         mean=mean.astype(np.float32),
         basis=basis.astype(np.float32),
-        fit_stats=stats,
+        fit_stats={"n_patches": count},
     )
 
 
-def encode(codec: PcaCodec, mel: np.ndarray) -> LatentTensor:
-    """Project a mel onto the codec basis; result is (C, T/P, F/P)."""
+def encode(codec: PcaCodec, mel: np.ndarray) -> np.ndarray:
+    """Project a mel onto the codec basis; the result is a (C, T/P, F/P)
+    float64 array."""
     t, f = mel.shape
     p = codec.patch_size
-    try:
-        patches = _to_patches(mel, p)
-    except NonDivisibleShape as exc:
-        raise ShapeMismatch(str(exc)) from exc
+    patches = _to_patches(mel, p)
     coeffs = (patches - codec.mean.astype(np.float64)) @ codec.basis.T.astype(np.float64)
-    values = coeffs.reshape(t // p, f // p, codec.n_components).transpose(2, 0, 1)
-    return LatentTensor(values=values, codec_id=codec.codec_id)
+    return coeffs.reshape(t // p, f // p, codec.n_components).transpose(2, 0, 1)
 
 
-def decode(codec: PcaCodec, latent: LatentTensor) -> np.ndarray:
-    """Reconstruct a mel from a latent tensor (clamped at the log floor)."""
-    if latent.codec_id != codec.codec_id:
-        raise CodecMismatch(
-            f"latent was encoded by codec {latent.codec_id[:12]}..., "
-            f"this codec is {codec.codec_id[:12]}..."
-        )
-    c, tp, fp = latent.values.shape
-    if c != codec.n_components:
-        raise ShapeMismatch(f"latent has {c} channels, codec keeps {codec.n_components}")
+def decode(codec: PcaCodec, latent: np.ndarray) -> np.ndarray:
+    """Reconstruct a mel from a (C, T/P, F/P) latent array of this codec,
+    clamped at the log floor."""
+    c, tp, fp = latent.shape
     p = codec.patch_size
-    if fp * p != N_MELS:
-        raise ShapeMismatch(f"latent implies {fp * p} mel bins, a mel has {N_MELS}")
-    coeffs = latent.values.transpose(1, 2, 0).reshape(-1, c)
+    coeffs = latent.transpose(1, 2, 0).reshape(-1, c)
     patches = coeffs @ codec.basis.astype(np.float64) + codec.mean.astype(np.float64)
     frames = _from_patches(patches, tp * p, fp * p, p)
     return np.maximum(frames, LOG_FLOOR)
@@ -183,13 +144,13 @@ def load(path) -> PcaCodec:
     version, patch_size, n_components = struct.unpack_from("<III", data, 4)
     if version != _VERSION:
         raise SchemaError(f"{path}: unsupported codec version {version}")
-    if not (patch_size >= 1 and 1 <= n_components <= patch_size * patch_size):
+    p2 = patch_size * patch_size
+    if not (patch_size >= 1 and N_MELS % patch_size == 0 and 1 <= n_components <= p2):
         raise SchemaError(
             f"{path}: P={patch_size}, C={n_components} is no codec (fit needs P >= 1 "
-            "and 1 <= C <= P*P)"
+            f"dividing {N_MELS} and 1 <= C <= P*P)"
         )
     stored_hash = data[16:48]
-    p2 = patch_size * patch_size
     expect = 48 + 4 * p2 + 4 * n_components * p2
     if len(data) != expect:
         raise SchemaError(f"{path}: expected {expect} bytes, found {len(data)}")

@@ -278,8 +278,6 @@ def invert_mel(mel: np.ndarray, iterations: int = GL_ITERATIONS) -> np.ndarray:
     the same operations in the same order as in the plain whole-clip
     formulas, so the output is the same bits.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     amp = 10.0 ** (mel / 20.0)
     pinv = _filterbank_pinv().T
     target = np.matmul(amp, pinv, out=_own_mapping((amp.shape[0], pinv.shape[1]), np.float64))

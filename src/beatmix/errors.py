@@ -6,11 +6,7 @@ as an internal failure (exit code 2).
 """
 
 
-class BeatmixError(Exception):
-    """Base class for all beatmix errors."""
-
-
-class InputError(BeatmixError):
+class InputError(Exception):
     """A caller-supplied file or argument violates its contract."""
 
 
@@ -46,14 +42,6 @@ class InvariantViolation(InputError):
 
 # --- mixup ----------------------------------------------------------------
 
-class LengthMismatch(InputError):
-    """Audio clips of unequal length cannot be mixed."""
-
-
-class ShapeMismatch(InputError):
-    """Tensor shapes disagree with each other or with the codec."""
-
-
 class NoEligibleDownbeat(InputError):
     """No downbeat leaves enough audio after it for a full clip."""
 
@@ -66,10 +54,6 @@ class InsufficientData(InputError):
 
 class NonDivisibleShape(InputError):
     """Mel dimensions are not divisible by the patch size."""
-
-
-class CodecMismatch(InputError):
-    """Latent tensor was produced by a different codec."""
 
 
 class HashMismatch(InputError):

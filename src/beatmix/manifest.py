@@ -257,11 +257,13 @@ def load_manifest(path) -> Manifest:
     return Manifest(root=root, entries=entries)
 
 
-def validate_manifest(manifest: Manifest) -> None:
+def validate_manifest(manifest: Manifest, path) -> None:
+    """Raise an InvariantViolation naming ``path``, the manifest's file,
+    unless its track ids are distinct and every track's WAV exists."""
     seen = set()
     for entry in manifest.entries:
         if entry.id in seen:
-            raise InvariantViolation(f"duplicate track id {entry.id!r}")
+            raise InvariantViolation(f"{path}: duplicate track id {entry.id!r}")
         seen.add(entry.id)
         if not os.path.exists(manifest.track_path(entry)):
-            raise InvariantViolation(f"missing audio file {manifest.track_path(entry)}")
+            raise InvariantViolation(f"{path}: missing audio file {manifest.track_path(entry)}")

@@ -153,8 +153,6 @@ def _fsums(x: np.ndarray) -> np.ndarray:
 def paired_kl(gen_posteriors: RecordSet, gt_posteriors: RecordSet) -> float:
     """Mean KL(groundtruth || generated) over id-paired posteriors, with an
     epsilon floor so exact zeros stay finite."""
-    if not gen_posteriors:
-        raise EmptySet("empty posterior set")
     if gen_posteriors.dim != gt_posteriors.dim:
         raise InconsistentK(
             f"generated K={gen_posteriors.dim} vs groundtruth K={gt_posteriors.dim}"
@@ -228,8 +226,6 @@ def build_report(
     read once, with the same result as the blocks joined. Missing
     inputs simply leave their fields None.
     """
-    if not all(0.0 <= tau <= 1.0 for tau in thresholds):
-        raise ValueError("thresholds must lie in [0, 1]")
     report = MetricsReport()
     report.provenance = {
         "kl_direction": "KL(groundtruth || generated)",

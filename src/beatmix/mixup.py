@@ -3,12 +3,13 @@
 Mixing always pairs tracks from the same tempo bucket and starts every clip
 on a downbeat of its source, so the combined material stays rhythmically
 coherent. The mixing ratio is drawn from Beta(5, 5), which concentrates
-around an even blend. "bam" mixes the aligned waveforms directly;
-"blm" mixes the latent-codec representations and renders the result back to
-audio through the codec decoder and Fast Griffin-Lim. A blm mix encodes
-the rows of each source track's own log-mel that cover its clip, the mel
-that analysis cached, so no clip is analyzed on its own and its edge frames
-see the real audio around it, not a reflection.
+around an even blend. Both strategies are one convex combination of two
+beat-aligned inputs (``convex_mix``): "bam" mixes the aligned waveforms
+directly; "blm" mixes the latent-codec representations and renders the
+result back to audio through the codec decoder and Fast Griffin-Lim. A blm
+mix encodes the rows of each source track's own log-mel that cover its
+clip, the mel that analysis cached, so no clip is analyzed on its own and
+its edge frames see the real audio around it, not a reflection.
 
 Every clip is ``CLIP_SAMPLES`` long, the paper's 10.24 s, and blm renders
 through ``dsp.GL_ITERATIONS`` iterations of phase retrieval. Spec planning is
@@ -26,7 +27,7 @@ import numpy as np
 from . import codec as codec_mod
 from .beats import BeatGrid
 from .dsp import GL_ITERATIONS, HOP, SAMPLE_RATE, invert_mel
-from .errors import LengthMismatch, NoEligibleDownbeat, ShapeMismatch
+from .errors import NoEligibleDownbeat
 
 BUCKET_RANGE = (60.0, 180.0)
 BUCKET_WIDTH = 4.0  # BPM; partners share a bucket
@@ -77,24 +78,10 @@ def eligible_downbeat_offsets(grid: BeatGrid, n_samples: int) -> np.ndarray:
     return offsets[(offsets >= 0) & (offsets + CLIP_SAMPLES <= n_samples)]
 
 
-def bam_mix(x1: np.ndarray, x2: np.ndarray, lam: float) -> np.ndarray:
-    """Convex combination of two aligned clips: lam*x1 + (1-lam)*x2."""
-    if x1.size != x2.size:
-        raise LengthMismatch(f"{x1.size} vs {x2.size} samples")
-    return lam * x1 + (1.0 - lam) * x2
-
-
-def blm_mix(
-    y1: codec_mod.LatentTensor, y2: codec_mod.LatentTensor, lam: float
-) -> codec_mod.LatentTensor:
-    """Convex combination of two latent tensors from the same codec."""
-    if y1.values.shape != y2.values.shape:
-        raise ShapeMismatch(f"{y1.values.shape} vs {y2.values.shape}")
-    if y1.codec_id != y2.codec_id:
-        raise ShapeMismatch("latents come from different codecs")
-    return codec_mod.LatentTensor(
-        lam * y1.values + (1.0 - lam) * y2.values, y1.codec_id
-    )
+def convex_mix(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
+    """``lam * a + (1 - lam) * b`` for two beat-aligned inputs of one shape:
+    the waveforms of a bam mix or the latents of a blm mix."""
+    return lam * a + (1.0 - lam) * b
 
 
 @dataclass
@@ -183,10 +170,10 @@ def render_spec(
             rows = load_mel(track_id, (offset + HOP // 2) // HOP, spec.clip_samples // HOP)
             return codec_mod.encode(codec, rows)
 
-        mixed = blm_mix(latent(spec.track_a, spec.offset_a), latent(spec.track_b, spec.offset_b), spec.lam)
+        mixed = convex_mix(latent(spec.track_a, spec.offset_a), latent(spec.track_b, spec.offset_b), spec.lam)
         return invert_mel(codec_mod.decode(codec, mixed), GL_ITERATIONS)
     a = np.asarray(load_clip(spec.track_a, spec.offset_a, spec.clip_samples), dtype=np.float64)
     if not spec.mixed:
         return a
     b = np.asarray(load_clip(spec.track_b, spec.offset_b, spec.clip_samples), dtype=np.float64)
-    return bam_mix(a, b, spec.lam)
+    return convex_mix(a, b, spec.lam)

@@ -1,9 +1,9 @@
 """WAV (RIFF) reading/writing and sample-rate conversion.
 
-Reading accepts PCM 16/24/32-bit and 32-bit float, any channel count, and
-returns the package's one audio type, a 1-D float64 array at
-``dsp.SAMPLE_RATE`` (16 kHz): everything is downmixed to mono by arithmetic
-mean, ``DECODE_TILE_FRAMES`` frames at a time, straight into the
+Reading accepts PCM 16/24/32-bit and 32-bit float, any channel count and
+any sample rate from ``MIN_RATE`` (1 kHz) up, and returns the package's one
+audio type, a 1-D float64 array at ``dsp.SAMPLE_RATE`` (16 kHz): everything
+is downmixed to mono by arithmetic mean, ``DECODE_TILE_FRAMES`` frames at a time, straight into the
 resampler's zero-padded input, so that no float64 copy of the whole
 interleaved file is made, and resampled with a Kaiser-windowed
 polyphase sinc interpolator that applies each filter branch as one
@@ -43,6 +43,11 @@ MEL_CACHE = f"mel-v{MEL_VERSION}-{NORMALIZED_CACHE}"
 # of 44.1 kHz stereo, where the whole file's interleaved float64 copy took
 # 14 MB per 20 s and about 960 minor page faults per such track.
 DECODE_TILE_FRAMES = 1 << 14
+
+# Lowest sample rate read, in Hz: resampling to ``SAMPLE_RATE`` then grows a
+# file's samples at most 16-fold, where a header's rate of 1 Hz would ask for
+# 16,000 samples per frame.
+MIN_RATE = 1000
 
 _FMT_PCM = 0x0001
 _FMT_FLOAT = 0x0003
@@ -108,8 +113,8 @@ def _wav_format(chunks):
         (fmt,) = struct.unpack_from("<H", fmt_body, 24)  # SubFormat GUID leads with the tag
     if n_channels < 1:
         raise CorruptFile("channel count of zero")
-    if rate <= 0:
-        raise CorruptFile("non-positive sample rate")
+    if rate < MIN_RATE:
+        raise UnsupportedFormat(f"sample rate {rate} Hz is below {MIN_RATE} Hz")
     n_frames, partial = divmod(len(chunks[b"data"]), n_channels * max(bits // 8, 1))
     if partial:
         raise CorruptFile("data chunk is not a whole number of frames")
@@ -245,7 +250,7 @@ _KAISER_BETA = 8.6
 _ROLLOFF = 0.9475
 _TAPS = 64  # taps per polyphase branch
 
-@functools.cache
+@functools.lru_cache(maxsize=4)
 def _polyphase_table(up: int, down: int) -> np.ndarray:
     """Kaiser-windowed sinc filter table, shape (up, _TAPS)."""
     half = _TAPS // 2

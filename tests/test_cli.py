@@ -41,7 +41,13 @@ from beatmix.wavio import load_normalized, load_wav, save_wav, wav_bytes
 from sets import save_embedding_set, save_posterior_set, write_raw
 from synth import click_track
 from test_blas import blas, blas_threads  # noqa: F401 - blas is a fixture
-from test_wavio import add_stray_bytes, extensible, write_raw_wav, write_short_fmt_wav
+from test_wavio import (
+    _wav_from_raw,
+    add_stray_bytes,
+    extensible,
+    write_raw_wav,
+    write_short_fmt_wav,
+)
 
 
 def write_corpus(root, bpms, duration_s=16.0, captions=True, bass_phase=0):
@@ -1640,7 +1646,7 @@ def write_codec_file(path, patch, components):
     path.write_bytes(b"BMPC" + struct.pack("<III", 1, patch, components) + digest + payload)
 
 
-@pytest.mark.parametrize("patch, components", [(1, 2), (0, 0), (2, 0)])
+@pytest.mark.parametrize("patch, components", [(1, 2), (0, 0), (2, 0), (3, 4)])
 def test_codec_header_out_of_range_exits_one(
     grouped_manifest, tmp_path, monkeypatch, capsys, patch, components
 ):
@@ -1651,6 +1657,205 @@ def test_codec_header_out_of_range_exits_one(
                       "--codec", "bad.bin", "--out", "mixes"]) == 1
     assert f"error: bad.bin: P={patch}, C={components} is no codec" in capsys.readouterr().err
     assert sorted(os.listdir()) == ["bad.bin", "manifest.json"]
+
+
+# --- input faults: each exits 1 through main, naming the file at fault ----------
+
+def _one_track_corpus(seconds=6.0):
+    """A corpus of one click track in ./corpus, ingested into ./manifest.json;
+    the absolute path of the sidecar its track would have."""
+    write_corpus("corpus", [120], duration_s=seconds, captions=False)
+    assert run(["ingest", "corpus"]) == 0
+    return os.path.abspath(os.path.join("corpus", "track00.beats.json"))
+
+
+def _float64_wav(grouped):
+    os.mkdir("corpus")
+    with open(os.path.join("corpus", "f64.wav"), "wb") as fh:
+        fh.write(_wav_from_raw(np.zeros((1600, 1), "<f8"), 3, 64))
+    assert run(["ingest", "corpus"]) == 0  # its header alone is well formed
+    return (["fit-codec", "--manifest", "manifest.json"],
+            ["error: f64.wav: 64-bit float WAV not supported"])
+
+
+def _zero_channel_wav(grouped):
+    os.mkdir("corpus")
+    with open(os.path.join("corpus", "none.wav"), "wb") as fh:
+        fh.write(_wav_from_raw(np.zeros((0, 0), "<i2"), 1, 16) + bytes(64))
+    return ["ingest", "corpus"], ["error: none.wav: channel count of zero"]
+
+
+SIDECAR_BEATS = [round(0.25 + k * 0.5, 3) for k in range(20)]
+
+
+def _sidecar(text, message):
+    """A one-track corpus whose external sidecar holds ``text`` (none if
+    ``text`` is None): analyze fails its one track, naming the sidecar."""
+
+    def setup(grouped):
+        sidecar = _one_track_corpus()
+        if text is not None:
+            with open(sidecar, "w") as fh:
+                fh.write(text)
+        return ["analyze", "--manifest", "manifest.json", "--external-beats"], [
+            f"warning: track00: {message.format(sidecar=sidecar)}",
+            "error: analysis failed for every track",
+        ]
+
+    return setup
+
+
+def _sidecar_payload(**fields):
+    payload = {"tempo_bpm": 120.0, "beat_times": SIDECAR_BEATS,
+               "downbeat_times": SIDECAR_BEATS[::4], "source": "external"}
+    return json.dumps({**payload, **fields})
+
+
+def _short_track(grouped):
+    _one_track_corpus(seconds=3.0)
+    return ["analyze", "--manifest", "manifest.json"], [
+        "warning: track00: TooShort: tempo estimation needs at least 4 seconds",
+        "error: analysis failed for every track",
+    ]
+
+
+def _manifest(edit, message, argv=("analyze",)):
+    """The grouped manifest after ``edit(payload)``, as ./manifest.json."""
+
+    def setup(grouped):
+        payload = json.loads(grouped)
+        with open("manifest.json", "w") as fh:
+            fh.write(json.dumps(edit(payload)))
+        return [*argv, "--manifest", "manifest.json"], [
+            f"error: manifest.json: {message.format(root=payload['root'])}"
+        ]
+
+    return setup
+
+
+def _edit_entry(field, value):
+    def edit(payload):
+        payload["entries"][1][field] = value
+        return payload
+
+    return edit
+
+
+def _edit_every_entry(field, value):
+    def edit(payload):
+        for entry in payload["entries"]:
+            entry[field] = value
+        return payload
+
+    return edit
+
+
+def _not_a_directory(grouped):
+    with open("corpus.wav", "w") as fh:
+        fh.write("x")
+    return ["ingest", "corpus.wav"], [f"error: {os.path.abspath('corpus.wav')} is not a directory"]
+
+
+def _captions_not_an_object(grouped):
+    write_corpus("corpus", [120], duration_s=1.0, captions=False)
+    with open("captions.json", "w") as fh:
+        fh.write('["a caption"]')
+    return (["ingest", "corpus", "--captions", "captions.json"],
+            ["error: captions.json: expected an object of id -> caption"])
+
+
+INPUT_FAULTS = {
+    "wav-float64": _float64_wav,
+    "wav-zero-channels": _zero_channel_wav,
+    "sidecar-not-an-object": _sidecar("[120]", "SchemaError: {sidecar}: expected a JSON object"),
+    "sidecar-malformed-field": _sidecar(
+        _sidecar_payload(beat_times=["x"]), "SchemaError: {sidecar}: malformed field ("
+    ),
+    "sidecar-unknown-source": _sidecar(
+        _sidecar_payload(source="manual"),
+        "InvariantViolation: {sidecar}: unknown source 'manual'",
+    ),
+    "sidecar-missing": _sidecar(None, "InputError: {sidecar}: external annotation missing"),
+    "track-shorter-than-4-s": _short_track,
+    "manifest-not-a-manifest": _manifest(lambda payload: [payload], "not a manifest"),
+    "manifest-malformed-entry": _manifest(_edit_entry("bogus", 1), "malformed entry ("),
+    "manifest-boolean-field": _manifest(
+        _edit_entry("n_samples", True),
+        "track 'track01': field n_samples is True, expected int",
+    ),
+    "manifest-duplicate-id": _manifest(
+        _edit_entry("id", "track00"), "duplicate track id 'track00'"
+    ),
+    "manifest-missing-audio": _manifest(
+        _edit_entry("path", "gone.wav"), "missing audio file {root}/gone.wav"
+    ),
+    "corpus-not-a-directory": _not_a_directory,
+    "captions-not-an-object": _captions_not_an_object,
+    "no-usable-tracks": _manifest(
+        _edit_every_entry("analysis_error", "NoOnsets: silence"),
+        "no usable tracks to fit the codec on", argv=["fit-codec"],
+    ),
+    "no-analyzed-tracks": _manifest(
+        _edit_every_entry("tempo_bpm", None), "no analyzed tracks", argv=MIX
+    ),
+    "provider-given-twice": lambda grouped: (
+        ["eval", "--gen-emb", "a=x.emb", "--gen-emb", "a=y.emb"],
+        ["error: provider 'a' given twice: x.emb and y.emb"],
+    ),
+    "no-gen-emb": lambda grouped: (
+        ["eval", "--gt-emb", "x.emb"], ["error: at least one --gen-emb is required"]
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(INPUT_FAULTS))
+def test_input_fault_exits_one_naming_it(grouped_manifest, tmp_path, monkeypatch, capsys, fault):
+    monkeypatch.chdir(tmp_path)
+    argv, messages = INPUT_FAULTS[fault](grouped_manifest)
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert [m for m in messages if m not in err] == [], err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rate", [1, 999])
+def test_ingest_a_header_rate_under_1_khz_exits_one(tmp_path, capsys, rate):
+    """16,000 frames that a 1 Hz rate would stretch to 256,000,000 samples."""
+    data = bytearray(_wav_from_raw(np.zeros((16000, 1), "<i2"), 1, 16))
+    struct.pack_into("<I", data, 24, rate)
+    os.mkdir(tmp_path / "corpus")
+    (tmp_path / "corpus" / "slow.wav").write_bytes(bytes(data))
+    manifest = tmp_path / "manifest.json"
+    tracemalloc.start()
+    try:
+        assert run(["ingest", tmp_path / "corpus", "--manifest", manifest]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f"error: slow.wav: sample rate {rate} Hz is below 1000 Hz" in capsys.readouterr().err
+    assert peak < 8 * len(data)
+    assert not manifest.exists()
+
+
+def test_eval_fd_of_one_record_sets(tmp_path):
+    """A set of one record has no spread: its covariance is the regularizer
+    alone, and the FD of two such sets is the squared distance of the records."""
+    x, y = np.eye(4)[:2]
+    save_embedding_set(tmp_path / "gen.emb", RecordSet.from_records(["g0"], x[None]))
+    save_embedding_set(tmp_path / "gt.emb", RecordSet.from_records(["g0"], y[None]))
+    assert run(["eval", "--gen-emb", f"pann={tmp_path / 'gen.emb'}",
+                "--gt-emb", f"pann={tmp_path / 'gt.emb'}", "--out", tmp_path / "report"]) == 0
+    report = json.loads((tmp_path / "report" / "report.json").read_text())
+    assert report["fd"]["pann"] == pytest.approx(2.0, abs=1e-12)
+    assert report["provenance"]["fd_pann_sizes"] == [1, 1]
+
+
+@pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+def test_cpus_without_sched_getaffinity_is_the_cpu_count(monkeypatch, count, cpus):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert cli._cpus() == cpus
 
 
 @pytest.mark.parametrize("argv", [

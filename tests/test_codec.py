@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 
 from beatmix import codec as C
 from beatmix.dsp import LOG_FLOOR
-from beatmix.errors import (
-    CodecMismatch,
-    HashMismatch,
-    InsufficientData,
-    NonDivisibleShape,
-    ShapeMismatch,
-)
+from beatmix.errors import HashMismatch, InsufficientData, NonDivisibleShape
 
 
 def random_mels(rng, count=6, t=64, f=128):
@@ -59,7 +53,7 @@ def test_latent_shape_contract(rng):
     mels = random_mels(rng, t=1024)
     codec = C.fit(mels[:3], n_components=16, patch_size=8)
     latent = C.encode(codec, mels[0])
-    assert latent.values.shape == (16, 128, 16)
+    assert latent.shape == (16, 128, 16)
 
 
 def test_mean_mel_encodes_to_zero(rng):
@@ -67,14 +61,13 @@ def test_mean_mel_encodes_to_zero(rng):
     codec = C.fit(mels, n_components=8, patch_size=8)
     tiled = C._from_patches(np.tile(codec.mean.astype(np.float64), (8 * 16, 1)), 64, 128, 8)
     latent = C.encode(codec, tiled)
-    assert np.abs(latent.values).max() < 1e-4
+    assert np.abs(latent).max() < 1e-4
 
 
 def test_zero_latent_decodes_to_mean(rng):
     mels = random_mels(rng)
     codec = C.fit(mels, n_components=8, patch_size=8)
-    zero = C.LatentTensor(np.zeros((8, 8, 16)), codec.codec_id)
-    rec = C.decode(codec, zero)
+    rec = C.decode(codec, np.zeros((8, 8, 16)))
     tiled = C._from_patches(np.tile(codec.mean.astype(np.float64), (8 * 16, 1)), 64, 128, 8)
     assert np.array_equal(rec, np.maximum(tiled, LOG_FLOOR))
 
@@ -84,7 +77,7 @@ def test_projection_idempotence(rng):
     codec = C.fit(mels, n_components=16, patch_size=8)
     lat = C.encode(codec, mels[0])
     again = C.encode(codec, C.decode(codec, lat))
-    assert np.abs(lat.values - again.values).max() < 1e-5
+    assert np.abs(lat - again).max() < 1e-5
 
 
 @settings(max_examples=20, deadline=None)
@@ -95,8 +88,8 @@ def test_encode_linearity(lam, seed):
     codec = C.fit(mels, n_components=4, patch_size=4)
     m1, m2 = mels[0], mels[1]
     mixed = lam * m1 + (1 - lam) * m2
-    lhs = C.encode(codec, mixed).values
-    rhs = lam * C.encode(codec, m1).values + (1 - lam) * C.encode(codec, m2).values
+    lhs = C.encode(codec, mixed)
+    rhs = lam * C.encode(codec, m1) + (1 - lam) * C.encode(codec, m2)
     assert np.abs(lhs - rhs).max() < 1e-5
 
 
@@ -141,24 +134,8 @@ def test_encode_shape_mismatch(rng):
     mels = random_mels(rng)
     codec = C.fit(mels, n_components=8, patch_size=8)
     odd = np.zeros((30, 128))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NonDivisibleShape):
         C.encode(codec, odd)
-
-
-def test_decode_codec_mismatch(rng):
-    mels = random_mels(rng)
-    c1 = C.fit(mels[:3], n_components=8, patch_size=8)
-    c2 = C.fit(mels[3:], n_components=8, patch_size=8)
-    lat = C.encode(c1, mels[0])
-    with pytest.raises(CodecMismatch):
-        C.decode(c2, lat)
-
-
-def test_decode_refuses_a_latent_of_other_than_n_mels_bins(rng):
-    mels = random_mels(rng, count=3, t=16, f=16)
-    codec = C.fit(mels, n_components=4, patch_size=4)
-    with pytest.raises(ShapeMismatch, match="latent implies 16 mel bins, a mel has 128"):
-        C.decode(codec, C.encode(codec, mels[0]))
 
 
 def test_save_load_bit_exact(tmp_path, rng):
@@ -169,10 +146,10 @@ def test_save_load_bit_exact(tmp_path, rng):
     back = C.load(path)
     assert np.array_equal(codec.mean, back.mean)
     assert np.array_equal(codec.basis, back.basis)
-    assert codec.codec_id == back.codec_id
+    assert (back.patch_size, back.n_components) == (8, 16)
     # encode after reload matches encode before save, bit for bit
-    a = C.encode(codec, mels[0]).values
-    b = C.encode(back, mels[0]).values
+    a = C.encode(codec, mels[0])
+    b = C.encode(back, mels[0])
     assert np.array_equal(a, b)
 
 

@@ -393,8 +393,6 @@ def test_report_searches_once_for_all_thresholds(rng, monkeypatch):
         {"gen_id": g, "segment_id": train.ids[j], "similarity": float(b)}
         for g, j, b in zip(gen.ids, gen_idx, gen_best)
     ]
-    with pytest.raises(ValueError):
-        MT.build_report(gen_emb=gen, train_seg_emb=[train], thresholds=(0.5, 1.5))
 
 
 def test_report_default_thresholds(rng):

@@ -8,7 +8,7 @@ from beatmix import mixup as M
 from beatmix.beats import BeatGrid
 from beatmix.dsp import SAMPLE_RATE as SR
 from beatmix.dsp import GL_ITERATIONS, HOP, LOG_FLOOR, N_MELS, mel_spectrogram
-from beatmix.errors import LengthMismatch, NoEligibleDownbeat, ShapeMismatch
+from beatmix.errors import NoEligibleDownbeat
 from synth import click_track
 
 
@@ -95,20 +95,15 @@ def test_align_single_candidate_is_deterministic():
 def test_bam_degenerate_lambda_is_identity(rng):
     x1 = rng.uniform(-1, 1, 4000)
     x2 = rng.uniform(-1, 1, 4000)
-    out = M.bam_mix(x1, x2, 1.0 - 1e-9)
+    out = M.convex_mix(x1, x2, 1.0 - 1e-9)
     assert np.abs(out - x1).max() < 1e-6
 
 
 def test_bam_impulse_linearity():
     x1 = np.zeros(8); x1[0] = 1.0
     x2 = np.zeros(8); x2[1] = 1.0
-    out = M.bam_mix(x1, x2, 0.5)
+    out = M.convex_mix(x1, x2, 0.5)
     assert out[0] == 0.5 and out[1] == 0.5
-
-
-def test_bam_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        M.bam_mix(np.zeros(10), np.zeros(11), 0.5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,32 +112,23 @@ def test_bam_amplitude_bound_and_swap_symmetry(lam, seed):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1, 1, 256)
     b = rng.uniform(-1, 1, 256)
-    out = M.bam_mix(a, b, lam)
+    out = M.convex_mix(a, b, lam)
     assert np.abs(out).max() <= max(np.abs(a).max(), np.abs(b).max()) + 1e-12
-    swapped = M.bam_mix(b, a, 1.0 - lam)
+    swapped = M.convex_mix(b, a, 1.0 - lam)
     assert np.abs(out - swapped).max() < 1e-6
 
 
 def test_blm_symmetry_zero(rng):
     y = rng.normal(size=(4, 8, 4))
-    l1 = C.LatentTensor(y, "same")
-    l2 = C.LatentTensor(-y, "same")
-    out = M.blm_mix(l1, l2, 0.5)
-    assert np.abs(out.values).max() == 0.0
+    out = M.convex_mix(y, -y, 0.5)
+    assert np.abs(out).max() == 0.0
 
 
 def test_blm_degenerate_lambda(rng):
-    y1 = C.LatentTensor(rng.normal(size=(4, 8, 4)), "same")
-    y2 = C.LatentTensor(rng.normal(size=(4, 8, 4)), "same")
-    out = M.blm_mix(y1, y2, 1.0 - 1e-9)
-    assert np.abs(out.values - y1.values).max() < 1e-6
-
-
-def test_blm_shape_mismatch(rng):
-    y1 = C.LatentTensor(rng.normal(size=(4, 8, 4)), "same")
-    y2 = C.LatentTensor(rng.normal(size=(4, 8, 8)), "same")
-    with pytest.raises(ShapeMismatch):
-        M.blm_mix(y1, y2, 0.5)
+    y1 = rng.normal(size=(4, 8, 4))
+    y2 = rng.normal(size=(4, 8, 4))
+    out = M.convex_mix(y1, y2, 1.0 - 1e-9)
+    assert np.abs(out - y1).max() < 1e-6
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,9 +137,9 @@ def test_blm_norm_triangle_inequality(lam, seed):
     rng = np.random.default_rng(seed)
     y1 = rng.normal(size=(4, 8, 4))
     y2 = rng.normal(size=(4, 8, 4))
-    out = M.blm_mix(C.LatentTensor(y1, "x"), C.LatentTensor(y2, "x"), lam)
+    out = M.convex_mix(y1, y2, lam)
     bound = lam * np.linalg.norm(y1) + (1 - lam) * np.linalg.norm(y2)
-    assert np.linalg.norm(out.values) <= bound + 1e-9
+    assert np.linalg.norm(out) <= bound + 1e-9
 
 
 # --- blm render ---------------------------------------------------------------
@@ -223,19 +209,18 @@ def test_blm_render_matches_codec_reconstruction(fitted, monkeypatch):
 
 def test_blm_render_zero_latent_gives_patch_mean(fitted):
     codec, mels = fitted
-    zero = C.LatentTensor(np.zeros((16, 8, 16)), codec.codec_id)
-    mel = C.decode(codec, zero)
+    mel = C.decode(codec, np.zeros((16, 8, 16)))
     tiled = C._from_patches(
         np.tile(codec.mean.astype(np.float64), (8 * 16, 1)), 64, 128, 8
     )
     assert np.array_equal(mel, np.maximum(tiled, LOG_FLOOR))
 
 
-def test_blm_mixed_latent_stays_in_reconstruction_envelope(fitted):
+def test_a_mixed_blm_latent_stays_in_reconstruction_envelope(fitted):
     codec, mels = fitted
     l1, l2 = C.encode(codec, mels[0]), C.encode(codec, mels[1])
     r1, r2 = C.decode(codec, l1), C.decode(codec, l2)
-    mixed_mel = C.decode(codec, M.blm_mix(l1, l2, 0.3))
+    mixed_mel = C.decode(codec, M.convex_mix(l1, l2, 0.3))
     lo = np.minimum(r1, r2) - 1e-9
     hi = np.maximum(r1, r2) + 1e-9
     assert np.all(mixed_mel >= lo) and np.all(mixed_mel <= hi)

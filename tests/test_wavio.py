@@ -418,6 +418,31 @@ def test_a_header_rate_sizes_no_allocation(rate):
     assert peak < 8 * 16000 * 8  # eight float64 copies of the samples
 
 
+def test_1_khz_is_the_lowest_rate_read():
+    frames = np.zeros((100, 1), "<i2")
+    assert load_wav("1k.wav", _wav_from_raw(frames, 1, 16, rate=1000)).size == 1600
+    slow = _wav_from_raw(frames, 1, 16, rate=999)
+    with pytest.raises(UnsupportedFormat, match="sample rate 999 Hz is below 1000 Hz"):
+        load_wav("slow.wav", slow)
+    with pytest.raises(UnsupportedFormat, match="sample rate 999 Hz is below 1000 Hz"):
+        wavio.normalized_length(slow)  # what probe_wav reads
+
+
+def test_the_polyphase_table_cache_holds_at_most_four_tables(tmp_path):
+    """Five rates of five filter tables: the cache keeps four, and a rate
+    whose table was evicted reads the same samples from a rebuilt one."""
+    rates = [17000, 19000, 21000, 23000, 27000]
+    x = np.sin(np.arange(2000) * 0.05)[:, None] * 0.5
+    for rate in rates:
+        write_raw_wav(tmp_path / f"{rate}.wav", x, rate, "float32")
+    wavio._polyphase_table.cache_clear()
+    first = {rate: load_wav(tmp_path / f"{rate}.wav").tobytes() for rate in rates}
+    assert wavio._polyphase_table.cache_info().currsize <= 4
+    for rate in rates:  # the first rate's table was evicted
+        assert load_wav(tmp_path / f"{rate}.wav").tobytes() == first[rate]
+    assert wavio._polyphase_table.cache_info().currsize <= 4
+
+
 @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
 @pytest.mark.parametrize("n_channels", [1, 2, 6])
 def test_tiled_decode_equals_the_whole_array_decode_bitwise(fmt, n_channels):
