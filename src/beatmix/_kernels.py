@@ -67,7 +67,9 @@ class ScaledQueries:
     scaled rows. A search over many blocks of references passes one of these
     to every call in turn, so the queries are scaled once, not once per
     block, and the float32 copy of each block goes into one buffer kept
-    here, not into a fresh allocation per block."""
+    here, not into a fresh allocation per block. A C-contiguous float64
+    matrix, such as the stacked queries of eval's search, is held as it is,
+    not copied: the float32 copy is the only one made."""
 
     def __init__(self, rows):
         self.rows = np.ascontiguousarray(rows, dtype=np.float64)

@@ -230,7 +230,8 @@ def _analyze_one(manifest, entry, external, caches, known):
     if digest != entry.content_hash:
         # Not vouched for: one read gives the hash, the length and, on a
         # miss, the samples. Otherwise a miss reads the file only to decode it.
-        n_samples, record, data = _probe(path)
+        with _naming(entry.path):
+            n_samples, record, data = _probe(path)
         digest = record["sha256"]
     if (
         not external  # an external sidecar may have been replaced: always read it
@@ -249,10 +250,11 @@ def _analyze_one(manifest, entry, external, caches, known):
         grid = beats_mod.load_beat_annotation(sidecar)
     else:
         samples_dir, mels_dir = caches
-        wave = wavio.load_normalized(path, samples_dir, digest, data)
-        del data  # the file's bytes are not held through the mel: 32 MB for 3 minutes of 44.1 kHz stereo
-        mel = wavio.load_mel(mels_dir, digest, lambda: wave)
-        grid = beats_mod.analyze_waveform(wave, mel)
+        with _naming(entry.path):
+            wave = wavio.load_normalized(path, samples_dir, digest, data)
+            del data  # the file's bytes are not held through the mel: 32 MB for 3 minutes of 44.1 kHz stereo
+            mel = wavio.load_mel(mels_dir, digest, lambda: wave)
+            grid = beats_mod.analyze_waveform(wave, mel)
         beats_mod.save_beat_annotation(grid, sidecar)
     entry.content_hash = digest
     entry.beats_path = sidecar_rel
@@ -505,36 +507,32 @@ def _parse_named(values):
 
 
 def cmd_eval(args) -> int:
+    """Write the metrics report of the given embedding and posterior files.
+
+    ``metrics.build_report`` reads each file just before the first metric
+    that uses it and releases it after the last: FD one provider at a time,
+    then the inception score and KL, the text-audio similarities, and the
+    training-segment search last, block by block. So a fault in a later
+    file surfaces after the earlier metrics have run, still before any
+    report file is written.
+    """
     gen_named = _parse_named(args.gen_emb)
     gt_named = _parse_named(args.gt_emb)
     if not gen_named:
         raise InputError("at least one --gen-emb is required")
-    gen_sets = {name: gateway.load_embedding_set(path) for name, path in gen_named.items()}
-    gt_sets = {name: gateway.load_embedding_set(path) for name, path in gt_named.items()}
 
-    fd_sets = {
-        name: (gen_sets[name], gt_sets[name]) for name in gen_sets if name in gt_sets
-    }
-    primary = next(iter(gen_sets.values()))
+    def loader(read, path):
+        return None if path is None else lambda: read(path)
 
-    # read once, block by block, while the report is built
-    train_seg = gateway.read_embedding_blocks(args.train_seg_emb) if args.train_seg_emb else None
-    text = gateway.load_embedding_set(args.text_emb) if args.text_emb else None
-    gen_post = gateway.load_posterior_set(args.gen_post) if args.gen_post else None
-    gt_post = gateway.load_posterior_set(args.gt_post) if args.gt_post else None
-
-    gt_primary = next(iter(gt_sets.values())) if gt_sets else None
     report = metrics.build_report(
-        fd_sets=fd_sets or None,
-        gen_emb=primary,
-        train_seg_emb=train_seg,
-        text_emb=text,
-        gt_emb=gt_primary,
-        gen_post=gen_post,
-        gt_post=gt_post,
+        gen_emb={name: loader(gateway.load_embedding_set, path) for name, path in gen_named.items()},
+        gt_emb={name: loader(gateway.load_embedding_set, path) for name, path in gt_named.items()},
+        gen_post=loader(gateway.load_posterior_set, args.gen_post),
+        gt_post=loader(gateway.load_posterior_set, args.gt_post),
+        text_emb=loader(gateway.load_embedding_set, args.text_emb),
+        train_seg_emb=loader(gateway.read_embedding_blocks, args.train_seg_emb),
         thresholds=args.thresholds,
     )
-    report.provenance["gen_providers"] = sorted(gen_sets)
 
     os.makedirs(args.out, exist_ok=True)
     report_json = os.path.join(args.out, "report.json")

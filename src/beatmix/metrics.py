@@ -12,7 +12,7 @@ its file, and the nearest-neighbor search uses the fixed-order kernel, so
 results are reproducible to the bit.
 """
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from math import fsum
 
@@ -205,93 +205,121 @@ class MetricsReport:
 
 def build_report(
     *,
-    fd_sets: dict[str, tuple[RecordSet, RecordSet]] | None = None,
-    gen_emb: RecordSet | None = None,
-    train_seg_emb: Iterable[RecordSet] | None = None,
-    text_emb: RecordSet | None = None,
-    gt_emb: RecordSet | None = None,
-    gen_post: RecordSet | None = None,
-    gt_post: RecordSet | None = None,
+    gen_emb: dict[str, Callable[[], RecordSet]] | None = None,
+    gt_emb: dict[str, Callable[[], RecordSet]] | None = None,
+    gen_post: Callable[[], RecordSet] | None = None,
+    gt_post: Callable[[], RecordSet] | None = None,
+    text_emb: Callable[[], RecordSet] | None = None,
+    train_seg_emb: Callable[[], Iterable[RecordSet]] | None = None,
     thresholds=DEFAULT_THRESHOLDS,
 ) -> MetricsReport:
-    """Assemble whatever metrics the supplied inputs allow.
+    """Assemble whatever metrics the supplied inputs allow, reading each
+    input just before the first metric that uses it and releasing it after
+    the last, so that the inputs are never all held at once.
 
-    ``fd_sets`` maps a provider name to (generated, groundtruth) embedding
-    sets. Text-audio pairing matches ids between ``text_emb`` and
-    ``gen_emb`` / ``gt_emb``. Retrieval-max (each text's best cosine over
-    the training segments, averaged) and SIM_AA@tau (the fraction of
-    generated items whose best cosine reaches tau) share one nearest-neighbor
-    search. ``train_seg_emb`` is an iterable of RecordSet blocks (such as
-    ``gateway.read_embedding_blocks``) that is searched block by block and
-    read once, with the same result as the blocks joined. Missing
-    inputs simply leave their fields None.
+    Each input is a loader, a function of no arguments that reads it.
+    ``gen_emb`` and ``gt_emb`` map a provider name to the loader of its
+    generated and groundtruth embedding set; the first of each is the
+    primary set. ``train_seg_emb`` gives an iterable of RecordSet blocks
+    (such as ``gateway.read_embedding_blocks``) that is searched block by
+    block and read once, with the same result as the blocks joined. The
+    metrics run in this order:
+
+    1. FD per provider present in both maps, one provider at a time; every
+       embedding set is read here, and all but the two primary sets are
+       released after their provider's FD.
+    2. The inception score and the paired KL, from the posteriors.
+    3. The text-audio similarities of the text pairs in the primary
+       generated and groundtruth sets (the latter released after it).
+    4. Retrieval-max (each text's best cosine over the training segments,
+       averaged) and SIM_AA@tau (the fraction of generated items whose best
+       cosine reaches tau), from one nearest-neighbor search. The text rows
+       and the primary generated rows are stacked once, and during the
+       search only that matrix and the generated ids are held.
+
+    So a fault in a later input is raised after the earlier metrics have
+    run. Missing inputs simply leave their fields None.
     """
+    gen_emb, gt_emb = gen_emb or {}, gt_emb or {}
     report = MetricsReport()
     report.provenance = {
         "kl_direction": "KL(groundtruth || generated)",
         "thresholds": [float(t) for t in thresholds],
         "cov_regularization": COV_REG,
+        "gen_providers": sorted(gen_emb),
     }
-
-    if fd_sets:
-        for provider in sorted(fd_sets):
-            gen_set, gt_set = fd_sets[provider]
+    primary, gt_primary = next(iter(gen_emb), None), next(iter(gt_emb), None)
+    gen = gt = None
+    for provider in sorted(gen_emb.keys() | gt_emb.keys()):
+        gen_set = gen_emb[provider]() if provider in gen_emb else None
+        gt_set = gt_emb[provider]() if provider in gt_emb else None
+        if gen_set is not None and gt_set is not None:
             report.fd[provider] = frechet_distance(gen_set.rows, gt_set.rows)
             report.provenance[f"fd_{provider}_sizes"] = [len(gen_set), len(gt_set)]
+        if provider == primary:
+            gen = gen_set
+        if provider == gt_primary:
+            gt = gt_set
+        del gen_set, gt_set
 
-    if gen_post is not None:
-        report.inception_score = inception_score(gen_post)
-        if gt_post is not None:
-            report.paired_kl = paired_kl(gen_post, gt_post)
+    posteriors = gen_post() if gen_post is not None else None
+    if posteriors is not None:
+        report.inception_score = inception_score(posteriors)
+    truth = gt_post() if gt_post is not None else None  # read for its faults even alone
+    if posteriors is not None and truth is not None:
+        report.paired_kl = paired_kl(posteriors, truth)
+    del posteriors, truth
 
-    if text_emb and gen_emb:
-        report.mean_text_audio_sim = mean_text_audio_similarity(text_emb, gen_emb)
-        report.provenance["text_gen_pairs"] = len(set(text_emb.ids) & set(gen_emb.ids))
-    if text_emb and gt_emb:
-        report.test_set_text_audio_sim = mean_text_audio_similarity(text_emb, gt_emb)
+    text = text_emb() if text_emb is not None else None
+    if text and gen:
+        report.mean_text_audio_sim = mean_text_audio_similarity(text, gen)
+        report.provenance["text_gen_pairs"] = len(set(text.ids) & set(gen.ids))
+    if text and gt:
+        report.test_set_text_audio_sim = mean_text_audio_similarity(text, gt)
+    del gt
 
-    queries = {name: q for name, q in (("text", text_emb), ("gen", gen_emb)) if q}
     if train_seg_emb is not None:
-        best, nearest, n_segments = _nearest_segments(queries, train_seg_emb)
-        n_text = len(text_emb) if "text" in queries else 0
-        if n_segments and "text" in queries:
+        # text and generated rows have one dim: the similarity above checked it
+        queries = [q for q in (text, gen) if q]
+        n_text = len(text) if text else 0
+        gen_ids = gen.ids if gen else ()
+        rows = np.concatenate([q.rows for q in queries]) if queries else None
+        del text, gen, queries  # the stacked rows are the one copy held
+        best, nearest, n_segments = _nearest_segments(rows, train_seg_emb())
+        if n_segments and n_text:
             report.retrieval_max = float(np.mean(best[:n_text]))
-        if n_segments and "gen" in queries:
+        if n_segments and gen_ids:
             report.nn_audit = [
                 {"gen_id": gen_id, "segment_id": seg_id, "similarity": float(b)}
-                for gen_id, seg_id, b in zip(gen_emb.ids, nearest[n_text:], best[n_text:])
+                for gen_id, seg_id, b in zip(gen_ids, nearest[n_text:], best[n_text:])
             ]
             for tau in sorted(thresholds):
                 report.sim_aa[float(tau)] = float(np.mean(best[n_text:] >= tau))
-            report.provenance["sim_sizes"] = [len(gen_emb), n_segments]
+            report.provenance["sim_sizes"] = [len(gen_ids), n_segments]
     return report
 
 
-def _nearest_segments(queries, blocks):
-    """Each query row's best cosine over every block of training segments,
-    and the id of the segment that reaches it, for the rows of ``queries``
-    stacked in order; also the number of segments. Every block is read,
-    even with no queries, so that a fault anywhere in the set is raised.
+def _nearest_segments(rows, blocks):
+    """Each row of the query matrix ``rows`` (or None, for no queries): its
+    best cosine over every block of training segments, and the id of the
+    segment that reaches it; also the number of segments. Every block is
+    read, even with no queries, so that a fault anywhere in the set is
+    raised.
 
-    One search covers all queries per block: the kernel's result for a
-    query does not depend on which other queries it is searched with.
+    ``rows`` is scaled once for the whole search and held, not copied.
     Within a block ties go to the lowest index, the smallest id; a later
     block wins on a greater value, or an equal one at a smaller id. So the
     result is that of one search over the whole set in id order.
     """
-    rows = None
-    if queries:
-        # scaled once for the whole search, not once per block
-        rows = _kernels.ScaledQueries(np.concatenate([q.rows for q in queries.values()]))
+    queries = None if rows is None else _kernels.ScaledQueries(rows)
     best = nearest = None
     n_segments = 0
     for block in blocks:
         n_segments += len(block)
-        if block and queries:
-            for name, query in queries.items():
-                if query.dim != block.dim:
-                    raise DimMismatch(f"{name} dim {query.dim} vs segment dim {block.dim}")
-            value, index = _kernels.nn_max_dot(rows, block.rows)
+        if block and queries is not None:
+            if queries.shape[1] != block.dim:
+                raise DimMismatch(f"query dim {queries.shape[1]} vs segment dim {block.dim}")
+            value, index = _kernels.nn_max_dot(queries, block.rows)
             seg_ids = np.array(block.ids, dtype=object)[index]
             if best is None:
                 best, nearest = value, seg_ids

@@ -74,31 +74,26 @@ def _parse_chunks(data: bytes):
 
 
 def _decode_samples(body: bytes, fmt: int, bits: int, n_channels: int) -> np.ndarray:
+    """The frames of ``body`` as float64, PCM scaled into [-1, 1), in an
+    encoding that ``_wav_format`` accepted."""
     if fmt == _FMT_FLOAT:
-        if bits != 32:
-            raise UnsupportedFormat(f"{bits}-bit float WAV not supported")
         x = np.frombuffer(body, dtype="<f4").astype(np.float64)
-    elif fmt == _FMT_PCM:
-        if bits == 16:
-            x = np.frombuffer(body, dtype="<i2").astype(np.float64)
-        elif bits == 32:
-            x = np.frombuffer(body, dtype="<i4").astype(np.float64)
-        elif bits == 24:
-            triples = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-            vals = triples[:, 0] | (triples[:, 1] << 8) | (triples[:, 2] << 16)
-            vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
-            x = vals.astype(np.float64)
-        else:
-            raise UnsupportedFormat(f"{bits}-bit PCM not supported")
-        x /= float(1 << (bits - 1))  # in place: one float64 copy of the samples, not two
+    elif bits == 24:
+        triples = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+        vals = triples[:, 0] | (triples[:, 1] << 8) | (triples[:, 2] << 16)
+        x = np.where(vals >= 1 << 23, vals - (1 << 24), vals).astype(np.float64)
     else:
-        raise UnsupportedFormat(f"WAV format tag 0x{fmt:04x} not supported")
+        x = np.frombuffer(body, dtype=f"<i{bits // 8}").astype(np.float64)
+    if fmt == _FMT_PCM:
+        x /= float(1 << (bits - 1))  # in place: one float64 copy of the samples, not two
     return x.reshape(-1, n_channels)
 
 
 def _wav_format(chunks):
     """Check the fmt and data chunks of a parsed WAV file and return its
-    format tag, channel count, sample rate, bits per sample and frame count."""
+    format tag, channel count, sample rate, bits per sample and frame count.
+    The encoding must be one ``_decode_samples`` reads, so that a file this
+    header check passes is one every stage can decode."""
     if b"fmt " not in chunks:
         raise CorruptFile("missing fmt chunk")
     if b"data" not in chunks:
@@ -115,7 +110,13 @@ def _wav_format(chunks):
         raise CorruptFile("channel count of zero")
     if rate < MIN_RATE:
         raise UnsupportedFormat(f"sample rate {rate} Hz is below {MIN_RATE} Hz")
-    n_frames, partial = divmod(len(chunks[b"data"]), n_channels * max(bits // 8, 1))
+    if fmt == _FMT_FLOAT and bits != 32:
+        raise UnsupportedFormat(f"{bits}-bit float WAV not supported")
+    if fmt == _FMT_PCM and bits not in (16, 24, 32):
+        raise UnsupportedFormat(f"{bits}-bit PCM not supported")
+    if fmt not in (_FMT_FLOAT, _FMT_PCM):
+        raise UnsupportedFormat(f"WAV format tag 0x{fmt:04x} not supported")
+    n_frames, partial = divmod(len(chunks[b"data"]), n_channels * bits // 8)
     if partial:
         raise CorruptFile("data chunk is not a whole number of frames")
     return fmt, n_channels, rate, bits, n_frames
@@ -209,7 +210,8 @@ def load_mel(cache_dir, digest, decode) -> np.ndarray:
 
 def normalized_length(data: bytes) -> int:
     """Sample count a WAV file's bytes give after normalization, from the
-    header alone, without decoding the audio."""
+    header alone, without decoding the audio. An encoding that no stage
+    decodes raises UnsupportedFormat here, as ``load_wav`` would."""
     _, _, rate, _, n_frames = _wav_format(_parse_chunks(data))
     g = gcd(rate, SAMPLE_RATE)
     return (n_frames * (SAMPLE_RATE // g)) // (rate // g)

@@ -202,13 +202,14 @@ def test_criterion_08_sim_aa_contract():
         return RecordSet.from_records([f"{prefix}{i:05d}" for i in range(n)], mat)
 
     segs = unit_set(40, 16, "s")
-    self_ok = MT.build_report(gen_emb=segs, train_seg_emb=[segs]).sim_aa == {0.90: 1.0, 0.95: 1.0}
+    self_report = MT.build_report(gen_emb={"s": lambda: segs}, train_seg_emb=lambda: [segs])
+    self_ok = self_report.sim_aa == {0.90: 1.0, 0.95: 1.0}
 
     monotone_ok = True
     for _ in range(100):
         gen = unit_set(6, 8, "g")
         train = unit_set(25, 8, "t")
-        ratios = MT.build_report(gen_emb=gen, train_seg_emb=[train]).sim_aa
+        ratios = MT.build_report(gen_emb={"g": lambda: gen}, train_seg_emb=lambda: [train]).sim_aa
         monotone_ok &= ratios[0.95] <= ratios[0.90]
 
     def brute_force(q, r):

@@ -20,7 +20,7 @@ from beatmix import gateway as G
 from beatmix import cli, manifest as manifest_mod, metrics, mixup, wavio
 from beatmix.beats import BeatGrid, save_beat_annotation
 from beatmix.cli import main
-from beatmix.dsp import mel_spectrogram
+from beatmix.dsp import N_MELS, mel_spectrogram
 from beatmix.errors import DimMismatch, DuplicateId, InputError, SchemaError, ZeroNorm
 from beatmix.manifest import (
     Manifest,
@@ -1081,11 +1081,12 @@ def test_eval_streamed_blocks_match_the_whole_set(tmp_path, rng, monkeypatch):
     search = metrics._kernels.nn_max_dot
     monkeypatch.setattr(metrics._kernels, "nn_max_dot",
                         lambda q, r: calls.append(len(r)) or search(q, r))
+    queries = {"gen_emb": {"g": lambda: gen}, "text_emb": lambda: text}
     streamed = metrics.build_report(
-        gen_emb=gen, text_emb=text, train_seg_emb=G.read_embedding_blocks(seg_path)
+        **queries, train_seg_emb=lambda: G.read_embedding_blocks(seg_path)
     )
     assert calls == [7, 7, 7, 7, 7, 5]
-    assert streamed == metrics.build_report(gen_emb=gen, text_emb=text, train_seg_emb=[whole])
+    assert streamed == metrics.build_report(**queries, train_seg_emb=lambda: [whole])
     assert streamed.nn_audit[0]["segment_id"] == min(ids[3], ids[12])
     assert streamed.nn_audit[1]["segment_id"] == min(ids[20], ids[30])
     assert streamed.provenance["sim_sizes"] == [12, 40]
@@ -1121,7 +1122,9 @@ def test_eval_searches_each_block_with_no_other_block_or_reader_buffer_held(
 
     monkeypatch.setattr(G.RecordSet, "from_records", from_records)
     monkeypatch.setattr(metrics._kernels, "nn_max_dot", nn_max_dot)
-    report = metrics.build_report(gen_emb=gen, train_seg_emb=G.read_embedding_blocks(seg_path))
+    report = metrics.build_report(
+        gen_emb={"g": lambda: gen}, train_seg_emb=lambda: G.read_embedding_blocks(seg_path)
+    )
     assert len(blocks) == 6 and report.provenance["sim_sizes"] == [12, 40]
 
 
@@ -1162,6 +1165,18 @@ def test_eval_streamed_fault_exits_one_and_writes_nothing(
         list(G.read_embedding_blocks(seg_path))
 
 
+def _traced_peak(argv):
+    """The ``tracemalloc`` peak of a run of ``main`` that exits 0."""
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
 def test_eval_holds_one_block_of_the_training_segments(tmp_path, rng, monkeypatch):
     n, d = 2048, 256
     seg_path = tmp_path / "segments.emb"
@@ -1171,15 +1186,42 @@ def test_eval_holds_one_block_of_the_training_segments(tmp_path, rng, monkeypatc
     gen_path = tmp_path / "gen.emb"
     save_embedding_set(gen_path, gen)
     monkeypatch.setattr(G, "BLOCK_ROWS", 128)  # 16 blocks
-    tracemalloc.start()
-    try:
-        code = run(["eval", "--gen-emb", gen_path, "--train-seg-emb", seg_path,
-                    "--out", tmp_path / "report"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 0
+    peak = _traced_peak(["eval", "--gen-emb", gen_path, "--train-seg-emb", seg_path,
+                         "--out", tmp_path / "report"])
     assert peak < (n * d * 8) / 2 + gen.rows.nbytes
+
+
+def test_eval_holds_each_input_only_while_its_metrics_run(tmp_path, rng):
+    """Eval's peak is its training-segment search, whatever else it scores:
+    the sets that only FD, the inception score, KL or the test-set
+    similarity read are released before the search."""
+    n, m, d = 1000, 4096, 512
+    ids = [f"g{i:04d}" for i in range(n)]
+
+    def write(name, magic, rows, row_ids=ids):
+        write_raw(tmp_path / name, magic, row_ids, rows)
+        return tmp_path / name
+
+    def posteriors():
+        p = rng.exponential(size=(n, 527))
+        return p / p.sum(axis=1, keepdims=True)
+
+    search = [
+        "--gen-emb", f"pann={write('gen.emb', EMB_MAGIC, rng.normal(size=(n, d)))}",
+        "--text-emb", write("text.emb", EMB_MAGIC, rng.normal(size=(n, d))),
+        "--train-seg-emb",
+        write("seg.emb", EMB_MAGIC, rng.normal(size=(m, d)), [f"s{i:04d}" for i in range(m)]),
+    ]
+    rest = [
+        "--gen-emb", f"vggish={write('gen2.emb', EMB_MAGIC, rng.normal(size=(n, 128)))}",
+        "--gt-emb", f"pann={write('gt.emb', EMB_MAGIC, rng.normal(size=(n, d)))}",
+        "--gt-emb", f"vggish={write('gt2.emb', EMB_MAGIC, rng.normal(size=(n, 128)))}",
+        "--gen-post", write("gen.post", POS_MAGIC, posteriors()),
+        "--gt-post", write("gt.post", POS_MAGIC, posteriors()),
+    ]
+    only_search = _traced_peak(["eval", *search, "--out", tmp_path / "search"])
+    every_input = _traced_peak(["eval", *search, *rest, "--out", tmp_path / "all"])
+    assert every_input <= 1.05 * only_search, (every_input / 2**20, only_search / 2**20)
 
 
 def test_usage_error_exits_one():
@@ -1669,13 +1711,17 @@ def _one_track_corpus(seconds=6.0):
     return os.path.abspath(os.path.join("corpus", "track00.beats.json"))
 
 
-def _float64_wav(grouped):
-    os.mkdir("corpus")
-    with open(os.path.join("corpus", "f64.wav"), "wb") as fh:
-        fh.write(_wav_from_raw(np.zeros((1600, 1), "<f8"), 3, 64))
-    assert run(["ingest", "corpus"]) == 0  # its header alone is well formed
-    return (["fit-codec", "--manifest", "manifest.json"],
-            ["error: f64.wav: 64-bit float WAV not supported"])
+def _undecodable_wav(name, raw, tag, bits, message):
+    """A corpus of one WAV whose chunks are well formed but whose encoding
+    no stage decodes: ingest rejects it from the header."""
+
+    def setup(grouped):
+        os.mkdir("corpus")
+        with open(os.path.join("corpus", name), "wb") as fh:
+            fh.write(_wav_from_raw(raw, tag, bits))
+        return ["ingest", "corpus"], [f"error: {name}: {message}"]
+
+    return setup
 
 
 def _zero_channel_wav(grouped):
@@ -1714,8 +1760,35 @@ def _sidecar_payload(**fields):
 def _short_track(grouped):
     _one_track_corpus(seconds=3.0)
     return ["analyze", "--manifest", "manifest.json"], [
-        "warning: track00: TooShort: tempo estimation needs at least 4 seconds",
+        "warning: track00: TooShort: track00.wav: tempo estimation needs at least 4 seconds",
         "error: analysis failed for every track",
+    ]
+
+
+def _short_mel_cache(grouped):
+    """A track whose cached mel is one frame: with its sidecar gone, analyze
+    reads that cache and fails the track, naming its file."""
+    _one_track_corpus()
+    assert run(["analyze", "--manifest", "manifest.json"]) == 0
+    (entry,) = load_manifest("manifest.json").entries
+    os.unlink(os.path.join("corpus", entry.beats_path))
+    np.save(os.path.join(wavio.MEL_CACHE, f"{entry.content_hash}.npy"), np.zeros((1, N_MELS)))
+    return ["analyze", "--manifest", "manifest.json"], [
+        "warning: track00: TooShort: track00.wav: need at least 2 frames for a flux envelope",
+        "error: analysis failed for every track",
+    ]
+
+
+def _short_sample_cache(grouped):
+    """Cached samples shorter than the manifest's n_samples: mix cuts no clip
+    from them."""
+    with open("manifest.json", "w") as fh:
+        fh.write(grouped)
+    os.mkdir(wavio.NORMALIZED_CACHE)
+    for entry in json.loads(grouped)["entries"]:
+        np.save(os.path.join(wavio.NORMALIZED_CACHE, f"{entry['content_hash']}.npy"), np.zeros(100))
+    return [*MIX, "--manifest", "manifest.json", "--out", "mixes"], [
+        "error: track03: clip at 46080 runs past end of track"
     ]
 
 
@@ -1765,7 +1838,12 @@ def _captions_not_an_object(grouped):
 
 
 INPUT_FAULTS = {
-    "wav-float64": _float64_wav,
+    "wav-float64": _undecodable_wav(
+        "f64.wav", np.zeros((1600, 1), "<f8"), 3, 64, "64-bit float WAV not supported"
+    ),
+    "wav-pcm8": _undecodable_wav(
+        "u8.wav", np.full((1600, 1), 128, "u1"), 1, 8, "8-bit PCM not supported"
+    ),
     "wav-zero-channels": _zero_channel_wav,
     "sidecar-not-an-object": _sidecar("[120]", "SchemaError: {sidecar}: expected a JSON object"),
     "sidecar-malformed-field": _sidecar(
@@ -1777,6 +1855,8 @@ INPUT_FAULTS = {
     ),
     "sidecar-missing": _sidecar(None, "InputError: {sidecar}: external annotation missing"),
     "track-shorter-than-4-s": _short_track,
+    "mel-cache-of-one-frame": _short_mel_cache,
+    "sample-cache-shorter-than-track": _short_sample_cache,
     "manifest-not-a-manifest": _manifest(lambda payload: [payload], "not a manifest"),
     "manifest-malformed-entry": _manifest(_edit_entry("bogus", 1), "malformed entry ("),
     "manifest-boolean-field": _manifest(
@@ -2038,6 +2118,25 @@ def test_eval_failed_rename_leaves_no_report(tmp_path, rng, monkeypatch, capsys)
     assert full_eval(files, tmp_path / "report") == 2  # an OSError naming no file
     assert "internal error: OSError: rename failed" in capsys.readouterr().err
     assert os.listdir(tmp_path / "report") == []
+
+
+def test_eval_crashed_at_any_write_leaves_no_truncated_report(tmp_path, rng, crash_at, capsys):
+    files, _ = make_embedding_files(tmp_path, rng)
+    opened = crash_at(0)
+    assert full_eval(files, tmp_path / "clean") == 0
+    expect = {name: (tmp_path / "clean" / name).read_bytes() for name in
+              ("nn_audit.json", "report.json", "report.txt")}
+    assert sorted(os.listdir(tmp_path / "clean")) == sorted(expect) and len(opened) == 3
+    for k in range(1, len(opened) + 1):
+        out = tmp_path / f"crash{k}"
+        crash_at(k)
+        assert full_eval(files, out) == 2
+        assert "internal error: InjectedCrash: crashed writing" in capsys.readouterr().err
+        # the files written before the crash are whole, and no other file is left
+        kept = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        assert len(kept) == k - 1 and all(expect.get(name) == data for name, data in kept.items())
+        assert full_eval(files, out) == 0
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == expect
 
 
 # --- artifact form ------------------------------------------------------------------

@@ -288,7 +288,9 @@ def test_one_eval_search_scales_the_queries_once(rng, monkeypatch):
         RecordSet.from_records([f"s{b}{i:02d}" for i in range(9)], _unit_rows(rng, 9, 16))
         for b in range(4)
     ]
-    report = metrics.build_report(gen_emb=gen, text_emb=text, train_seg_emb=iter(blocks))
+    report = metrics.build_report(
+        gen_emb={"g": lambda: gen}, text_emb=lambda: text, train_seg_emb=lambda: iter(blocks)
+    )
     assert scaled == [50, 9, 9, 9, 9]
     assert buffers[0] is None and all(b is buffers[1] is not None for b in buffers[1:])
     assert report.provenance["sim_sizes"] == [30, 36]

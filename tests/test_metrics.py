@@ -76,7 +76,7 @@ def test_reference_value_formatting():
 # --- retrieval max --------------------------------------------------------------
 
 def retrieval_max(text, audio):
-    return MT.build_report(text_emb=text, train_seg_emb=[audio]).retrieval_max
+    return MT.build_report(text_emb=lambda: text, train_seg_emb=lambda: [audio]).retrieval_max
 
 
 def test_retrieval_max_verbatim_texts(rng):
@@ -101,7 +101,9 @@ def test_retrieval_max_matches_double_loop_oracle(rng):
 # --- nearest neighbor ratio -------------------------------------------------------
 
 def sim_aa(gen, train, *thresholds):
-    return MT.build_report(gen_emb=gen, train_seg_emb=[train], thresholds=thresholds)
+    return MT.build_report(
+        gen_emb={"g": lambda: gen}, train_seg_emb=lambda: [train], thresholds=thresholds
+    )
 
 
 def test_nn_ratio_self_match(rng):
@@ -355,15 +357,16 @@ def test_paired_kl_inconsistent_k():
 
 def test_report_to_json(rng):
     gen = unit_set(rng, 10, 8, "g")
+    gt = unit_set(rng, 10, 8, "g")
     train = unit_set(rng, 30, 8, "s")
     posts = posterior_set(np.full((10, 5), 0.2), "g")
     report = MT.build_report(
-        fd_sets={"pann": (gen, train)},
-        gen_emb=gen,
-        train_seg_emb=[train],
-        text_emb=gen,
-        gen_post=posts,
-        gt_post=posts,
+        gen_emb={"pann": lambda: gen},
+        gt_emb={"pann": lambda: gt},
+        train_seg_emb=lambda: [train],
+        text_emb=lambda: gen,
+        gen_post=lambda: posts,
+        gt_post=lambda: posts,
     )
     payload = json.loads(report.to_json())
     assert payload["sim_aa"].keys() == {"0.90", "0.95"}
@@ -384,7 +387,10 @@ def test_report_searches_once_for_all_thresholds(rng, monkeypatch):
     search = MT._kernels.nn_max_dot
     monkeypatch.setattr(MT._kernels, "nn_max_dot", lambda q, r: calls.append(1) or search(q, r))
     report = MT.build_report(
-        gen_emb=gen, train_seg_emb=[train], text_emb=text, thresholds=thresholds
+        gen_emb={"g": lambda: gen},
+        train_seg_emb=lambda: [train],
+        text_emb=lambda: text,
+        thresholds=thresholds,
     )
     assert len(calls) == 1
     assert report.sim_aa == {t: float(np.mean(gen_best >= t)) for t in thresholds}
@@ -397,14 +403,14 @@ def test_report_searches_once_for_all_thresholds(rng, monkeypatch):
 
 def test_report_default_thresholds(rng):
     gen = unit_set(rng, 5, 8, "g")
-    report = MT.build_report(gen_emb=gen, train_seg_emb=[gen])
+    report = MT.build_report(gen_emb={"g": lambda: gen}, train_seg_emb=lambda: [gen])
     assert set(report.sim_aa) == {0.90, 0.95}
     assert report.sim_aa[0.90] == 1.0 and report.sim_aa[0.95] == 1.0
 
 
 def test_report_without_posteriors_omits_is_kl(rng):
     gen = unit_set(rng, 5, 8, "g")
-    report = MT.build_report(gen_emb=gen, train_seg_emb=[gen])
+    report = MT.build_report(gen_emb={"g": lambda: gen}, train_seg_emb=lambda: [gen])
     assert report.inception_score is None and report.paired_kl is None
     table = MT.render_table(report)
     assert "---" in table
@@ -414,7 +420,7 @@ def test_report_sim_monotone(rng):
     gen = unit_set(rng, 20, 8, "g")
     train = unit_set(rng, 60, 8, "s")
     report = MT.build_report(
-        gen_emb=gen, train_seg_emb=[train], thresholds=(0.5, 0.7, 0.9)
+        gen_emb={"g": lambda: gen}, train_seg_emb=lambda: [train], thresholds=(0.5, 0.7, 0.9)
     )
     ratios = [report.sim_aa[t] for t in sorted(report.sim_aa)]
     assert all(a >= b for a, b in zip(ratios, ratios[1:]))
