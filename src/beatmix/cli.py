@@ -37,18 +37,14 @@ from .errors import (
 )
 from .manifest import (
     FINGERPRINTS,
+    Fingerprints,
     Manifest,
     TrackEntry,
     atomic_write,
     canonical_json,
-    current_hash,
-    fingerprint,
-    load_fingerprints,
     load_manifest,
     read_json,
-    save_fingerprints,
     save_manifest,
-    trusted_hash,
     validate_manifest,
 )
 
@@ -132,25 +128,11 @@ def _track_mel(manifest, entry, digest, caches):
         return wavio.load_mel(mels_dir, digest, lambda: wavio.load_normalized(path, samples_dir, digest))
 
 
-def _fingerprints(args):
-    """The fingerprint file beside the manifest, and the records it holds."""
-    path = _beside_manifest(args, FINGERPRINTS)
-    return path, load_fingerprints(path)
-
-
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):  # not on every OS
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _probe(path):
-    """``wavio.probe_wav(path)``, with the fingerprint record of its read in
-    place of the bare hash."""
-    record = fingerprint(path)
-    n_samples, record["sha256"], data = wavio.probe_wav(path)
-    return n_samples, record, data
 
 
 # --- ingest -----------------------------------------------------------------
@@ -177,7 +159,7 @@ def cmd_ingest(args) -> int:
             if not isinstance(caption, str):
                 raise SchemaError(f"{args.captions}: caption of {track_id!r} is not a string")
 
-    fingerprints, known = _fingerprints(args)
+    prints = Fingerprints(_beside_manifest(args, FINGERPRINTS))
     entries = []
     seen = {}
     missing_captions = 0
@@ -188,8 +170,8 @@ def cmd_ingest(args) -> int:
         seen[track_id] = rel
         full = os.path.join(root, rel)
         with _naming(rel):
-            n_samples, record, _ = _probe(full)
-        known[full] = record
+            digest, data = prints.read(full)
+            n_samples = wavio.normalized_length(data)
         caption = caption_map.get(track_id, "")
         if not caption:
             txt = os.path.splitext(full)[0] + ".txt"
@@ -204,13 +186,13 @@ def cmd_ingest(args) -> int:
                 n_samples=n_samples,
                 duration_s=n_samples / SAMPLE_RATE,
                 caption=caption,
-                content_hash=record["sha256"],
+                content_hash=digest,
             )
         )
 
     manifest = Manifest(root=root, entries=entries)
     save_manifest(manifest, args.manifest)
-    save_fingerprints(fingerprints, known)
+    prints.save()
     log(f"ingested {len(entries)} tracks -> {args.manifest}")
     if missing_captions:
         log(f"warning: {missing_captions} tracks have no caption")
@@ -219,20 +201,19 @@ def cmd_ingest(args) -> int:
 
 # --- analyze ----------------------------------------------------------------
 
-def _analyze_one(manifest, entry, external, caches, known):
-    """Analyze one track; also return the fingerprint record of the read
-    that hashed its WAV, or None if ``known`` vouched for the stored hash."""
+def _analyze_one(manifest, entry, external, caches, prints):
+    """Analyze one track: the entry, then "cached" or "analyzed"."""
     path = manifest.track_path(entry)
     sidecar_rel = os.path.splitext(entry.path)[0] + ".beats.json"
     sidecar = os.path.join(manifest.root, sidecar_rel)
-    n_samples, record, data = entry.n_samples, None, None
-    digest = trusted_hash(path, known)
+    n_samples, data = entry.n_samples, None
+    digest = prints.trusted(path)
     if digest != entry.content_hash:
         # Not vouched for: one read gives the hash, the length and, on a
         # miss, the samples. Otherwise a miss reads the file only to decode it.
         with _naming(entry.path):
-            n_samples, record, data = _probe(path)
-        digest = record["sha256"]
+            digest, data = prints.read(path)
+            n_samples = wavio.normalized_length(data)
     if (
         not external  # an external sidecar may have been replaced: always read it
         and entry.tempo_bpm is not None
@@ -240,7 +221,7 @@ def _analyze_one(manifest, entry, external, caches, known):
         and entry.beats_path == sidecar_rel
         and os.path.exists(sidecar)
     ):
-        return entry, "cached", record
+        return entry, "cached"
     # the length that goes with the hash: the stored one, or the file's as ingest takes it
     entry.n_samples = n_samples
     entry.duration_s = entry.n_samples / SAMPLE_RATE
@@ -260,24 +241,24 @@ def _analyze_one(manifest, entry, external, caches, known):
     entry.beats_path = sidecar_rel
     entry.tempo_bpm = float(grid.tempo_bpm)
     entry.analysis_error = None
-    return entry, "analyzed", record
+    return entry, "analyzed"
 
 
 def cmd_analyze(args) -> int:
     manifest = load_manifest(args.manifest)
     validate_manifest(manifest, args.manifest)
     caches = _caches(args)
-    fingerprints, known = _fingerprints(args)
+    prints = Fingerprints(_beside_manifest(args, FINGERPRINTS))
 
     outcomes = {"cached": 0, "analyzed": 0, "failed": 0}
 
     def work(entry):
         try:
-            return _analyze_one(manifest, entry, args.external_beats, caches, known)
+            return _analyze_one(manifest, entry, args.external_beats, caches, prints)
         except InputError as exc:
             entry.analysis_error = f"{type(exc).__name__}: {exc}"
             entry.tempo_bpm = None
-            return entry, "failed", None
+            return entry, "failed"
 
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
@@ -285,12 +266,10 @@ def cmd_analyze(args) -> int:
     else:
         results = [work(e) for e in manifest.entries]
 
-    for entry, outcome, record in results:
+    for entry, outcome in results:
         outcomes[outcome] += 1
         if outcome == "failed":
             log(f"warning: {entry.id}: {entry.analysis_error}")
-        if record is not None:  # recorded here, not by the worker threads
-            known[os.path.abspath(manifest.track_path(entry))] = record
 
     save_manifest(manifest, args.manifest)
     log(
@@ -299,7 +278,7 @@ def cmd_analyze(args) -> int:
     )
     if manifest.entries and outcomes["failed"] == len(manifest.entries):
         raise InputError("analysis failed for every track")
-    save_fingerprints(fingerprints, known)
+    prints.save()
     return 0
 
 
@@ -333,12 +312,12 @@ def cmd_fit_codec(args) -> int:
     if not usable:
         raise MissingPrerequisite(f"{args.manifest}: no usable tracks to fit the codec on")
     caches = _caches(args)
-    fingerprints, known = _fingerprints(args)
+    prints = Fingerprints(_beside_manifest(args, FINGERPRINTS))
 
     def corpus_mels():
         for entry in usable:
             # the current hash, so that an edited WAV is decoded afresh
-            mel = _track_mel(manifest, entry, current_hash(manifest.track_path(entry), known), caches)
+            mel = _track_mel(manifest, entry, prints.current(manifest.track_path(entry)), caches)
             t = (mel.shape[0] // patch) * patch  # crop to whole patches
             if t:
                 yield mel[:t]
@@ -346,7 +325,7 @@ def cmd_fit_codec(args) -> int:
     codec = codec_mod.fit(corpus_mels(), n_components=args.components, patch_size=patch)
     out = args.out or _beside_manifest(args, "codec.bin")
     codec_mod.save(codec, out)
-    save_fingerprints(fingerprints, known)
+    prints.save()
     log(
         f"fit-codec: {codec.fit_stats['n_patches']} patches, C={args.components}, "
         f"P={patch} -> {out}"
@@ -390,10 +369,10 @@ def cmd_mix(args) -> int:
     # Offsets sit on the downbeats of each track's last analysis: a track
     # edited since then must be analyzed again before it is cut.
     by_id = manifest.by_id()
-    fingerprints, known = _fingerprints(args)
+    prints = Fingerprints(_beside_manifest(args, FINGERPRINTS))
     for track_id in sorted({s.track_a for s in specs} | {s.track_b for s in specs} - {None}):
         entry = by_id[track_id]
-        if current_hash(manifest.track_path(entry), known) != entry.content_hash:
+        if prints.current(manifest.track_path(entry)) != entry.content_hash:
             raise MissingPrerequisite(
                 f"{entry.path} changed since it was analyzed; run `beatmix analyze`"
             )
@@ -407,7 +386,8 @@ def cmd_mix(args) -> int:
             samples = wavio.load_normalized(manifest.track_path(entry), caches[0], entry.content_hash)
         clip = samples[offset : offset + n]
         if clip.size != n:
-            raise InputError(f"{track_id}: clip at {offset} runs past end of track")
+            name = os.path.join(wavio.NORMALIZED_CACHE, f"{entry.content_hash}.npy")
+            raise InputError(f"{track_id}: {name}: clip at {offset} runs past end of track")
         # a copy, so that the mapping of the whole track closes after each clip
         return np.array(clip)
 
@@ -415,7 +395,8 @@ def cmd_mix(args) -> int:
         entry = by_id[track_id]
         rows = _track_mel(manifest, entry, entry.content_hash, caches)[first : first + n]
         if len(rows) != n:
-            raise InputError(f"{track_id}: clip at frame {first} runs past end of track")
+            name = os.path.join(wavio.MEL_CACHE, f"{entry.content_hash}.npy")
+            raise InputError(f"{track_id}: {name}: clip at frame {first} runs past end of track")
         return rows
 
     def render(spec):
@@ -449,7 +430,7 @@ def cmd_mix(args) -> int:
     else:
         for spec in specs:  # a bam render is one axpy: no pool pays for it
             write(spec, render(spec))
-    save_fingerprints(fingerprints, known)
+    prints.save()
     n_mixed = sum(spec.mixed for spec in specs)
     log(f"mix: wrote {args.count} clips ({n_mixed} mixed) -> {args.out}")
     return 0

@@ -5,7 +5,7 @@ id (the WAV basename), ordered and serialized canonically so re-running a
 stage on unchanged inputs reproduces the file byte for byte. Caching is
 keyed on content hashes. A stage learns a WAV's hash from the fingerprint
 file beside the manifest when the file's stat shows it unchanged since it
-was hashed (``current_hash``), and reads and hashes it otherwise.
+was hashed, and reads and hashes it otherwise (``Fingerprints.current``).
 """
 
 import contextlib
@@ -47,14 +47,6 @@ class Manifest:
         return os.path.join(self.root, entry.path)
 
 
-def content_hash(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 # Name of the fingerprint file beside the manifest: each WAV's content hash
 # with the stat it had when it was hashed. It is a cache, safe to delete.
 FINGERPRINTS = "wav-fingerprints.json"
@@ -71,46 +63,6 @@ def _stat(path) -> list:
     return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
 
 
-def fingerprint(path) -> dict:
-    """A fingerprint record of ``path`` without its hash: the clock, then
-    the file's stat. Take it just before the read that hashes the file and
-    store the hash under ``"sha256"``. An edit made after this stat changes
-    the file's ctime, or falls within ``RACY_NS`` of the clock reading, so
-    the record never vouches for an edited file."""
-    taken_ns = time.time_ns()
-    return {"stat": _stat(path), "taken_ns": taken_ns}
-
-
-def trusted_hash(path, known) -> str | None:
-    """The content hash that ``known`` (absolute path -> fingerprint record)
-    holds for ``path``, if the file's stat is still the recorded one and its
-    last change came ``RACY_NS`` or more before the record was taken; else
-    None. ctime counts because no user-space call sets it back, so an edit
-    followed by ``touch -r`` is seen."""
-    record = known.get(os.path.abspath(path))
-    if record is None:
-        return None
-    try:
-        now = _stat(path)
-    except OSError:
-        return None  # hashing it raises the error that names the file
-    if now != record["stat"] or max(now[3], now[4]) + RACY_NS > record["taken_ns"]:
-        return None
-    return record["sha256"]
-
-
-def current_hash(path, known) -> str:
-    """``content_hash(path)``, from ``known`` if ``trusted_hash`` vouches
-    for it; otherwise the file is hashed and its new record stored in
-    ``known``."""
-    digest = trusted_hash(path, known)
-    if digest is None:
-        record = fingerprint(path)
-        digest = record["sha256"] = content_hash(path)
-        known[os.path.abspath(path)] = record
-    return digest
-
-
 def _is_record(record) -> bool:
     return (
         isinstance(record, dict)
@@ -123,29 +75,68 @@ def _is_record(record) -> bool:
     )
 
 
-def load_fingerprints(path) -> dict:
-    """The fingerprint records stored in ``path``; a missing, unreadable or
-    malformed file holds none."""
-    if not os.path.exists(path):
-        return {}  # the usual case at a first ingest, not an error
-    try:
-        known = read_json(path, "fingerprints")
-    except (OSError, SchemaError):
-        return {}
-    if not isinstance(known, dict) or not all(map(_is_record, known.values())):
-        return {}
-    return known
+class Fingerprints:
+    """The fingerprint file ``path``: a record per WAV, keyed by its absolute
+    path, of its content hash, its stat and the clock just before that stat.
+    The one place where a WAV is read to be hashed."""
 
+    def __init__(self, path):
+        self.path = path
+        self.records = {}  # a missing, unreadable or malformed file holds none
+        try:
+            records = read_json(path, "fingerprints")
+        except (OSError, SchemaError):
+            return
+        if isinstance(records, dict) and all(map(_is_record, records.values())):
+            self.records = records
 
-def save_fingerprints(path, known) -> None:
-    """Write ``known`` canonically, through ``atomic_write``: when nothing
-    new was recorded, the file is left as it is. A file that cannot be
-    written is skipped: it only saves reading, and a stage whose other
-    caches are warm needs no write access beside the manifest."""
-    try:
-        atomic_write(path, canonical_json(known))
-    except OSError:
-        pass
+    def trusted(self, path) -> str | None:
+        """The content hash recorded for ``path``, if the file's stat is
+        still the recorded one and its last change came ``RACY_NS`` or more
+        before the record was taken; else None. ctime counts because no
+        user-space call sets it back, so an edit followed by ``touch -r`` is
+        seen."""
+        record = self.records.get(os.path.abspath(path))
+        if record is None:
+            return None
+        try:
+            now = _stat(path)
+        except OSError:
+            return None  # reading it raises the error that names the file
+        if now != record["stat"] or max(now[3], now[4]) + RACY_NS > record["taken_ns"]:
+            return None
+        return record["sha256"]
+
+    def read(self, path) -> tuple[str, bytes]:
+        """The content hash of ``path`` and its bytes, from one read, with
+        the new record of that read stored. The clock and the stat are taken
+        before the read: an edit made after that stat changes the file's
+        ctime, or falls within ``RACY_NS`` of the clock reading, so the
+        record never vouches for an edited file. The record goes in with one
+        dict store, which is atomic in CPython, so threads may call this at
+        once."""
+        taken_ns = time.time_ns()
+        stat = _stat(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        digest = hashlib.sha256(data).hexdigest()
+        self.records[os.path.abspath(path)] = {"sha256": digest, "stat": stat, "taken_ns": taken_ns}
+        return digest, data
+
+    def current(self, path) -> str:
+        """The content hash of ``path``: the trusted one, or else read."""
+        return self.trusted(path) or self.read(path)[0]
+
+    def save(self) -> None:
+        """Write the records canonically, through ``atomic_write``: when
+        nothing new was recorded, the file is left as it is. A file that
+        cannot be written is skipped: it only saves reading, and a stage
+        whose other caches are warm needs no write access beside the
+        manifest."""
+        try:
+            atomic_write(self.path, canonical_json(self.records))
+        except OSError:
+            pass
 
 
 @contextlib.contextmanager

@@ -16,7 +16,6 @@ computed once. Writing always emits mono 16-bit PCM at ``dsp.SAMPLE_RATE``.
 """
 
 import functools
-import hashlib
 import io
 import os
 import struct
@@ -215,14 +214,6 @@ def normalized_length(data: bytes) -> int:
     _, _, rate, _, n_frames = _wav_format(_parse_chunks(data))
     g = gcd(rate, SAMPLE_RATE)
     return (n_frames * (SAMPLE_RATE // g)) // (rate // g)
-
-
-def probe_wav(path) -> tuple[int, str, bytes]:
-    """``normalized_length`` of the file, its ``content_hash`` and its bytes,
-    from one read."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return normalized_length(data), hashlib.sha256(data).hexdigest(), data
 
 
 def wav_bytes(x: np.ndarray) -> bytes:

@@ -1,4 +1,6 @@
 import contextlib
+import ctypes
+import io
 import json
 import os
 import subprocess
@@ -59,6 +61,37 @@ def test_serial_blas_without_openblas_runs_the_block_unchanged(monkeypatch):
     with pytest.raises(KeyError):
         with _blas.serial_blas():
             raise KeyError("raised in the block")
+
+
+def _unloadable(lib):
+    raise OSError(f"{lib}: cannot open shared object file")
+
+
+_MAPS = "7f0000000000-7f0000001000 r-xp 00000000 00:00 0 /usr/lib/libopenblas.so.0\n"
+
+
+@pytest.mark.parametrize("maps, cdll", [
+    (None, None),
+    (_MAPS, _unloadable),
+    (_MAPS, lambda lib: object()),  # no thread-count symbols
+], ids=["no-proc-maps", "unloadable-library", "no-thread-count-symbols"])
+def test_serial_blas_without_controls_found_runs_the_block_unchanged(monkeypatch, maps, cdll):
+    def fake_open(path, *args, **kwargs):
+        if maps is None:
+            raise FileNotFoundError(2, "No such file or directory", path)
+        return io.StringIO(maps)
+
+    monkeypatch.setattr(_blas, "open", fake_open, raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    _blas._controls.cache_clear()  # neither this case nor a later test sees a cached lookup
+    try:
+        assert _blas._controls() is None
+        ran = []
+        with _blas.serial_blas():
+            ran.append(True)
+        assert ran == [True]
+    finally:
+        _blas._controls.cache_clear()
 
 
 def test_mel_and_inversion_bits_do_not_depend_on_the_blas_thread_count(blas, rng):

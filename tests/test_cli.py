@@ -22,16 +22,7 @@ from beatmix.beats import BeatGrid, save_beat_annotation
 from beatmix.cli import main
 from beatmix.dsp import N_MELS, mel_spectrogram
 from beatmix.errors import DimMismatch, DuplicateId, InputError, SchemaError, ZeroNorm
-from beatmix.manifest import (
-    Manifest,
-    canonical_json,
-    content_hash,
-    fingerprint,
-    load_fingerprints,
-    load_manifest,
-    save_manifest,
-    trusted_hash,
-)
+from beatmix.manifest import Fingerprints, Manifest, canonical_json, load_manifest, save_manifest
 from beatmix.gateway import (
     EMB_MAGIC,
     POS_MAGIC,
@@ -45,6 +36,7 @@ from test_wavio import (
     _wav_from_raw,
     add_stray_bytes,
     extensible,
+    sha256_of,
     write_raw_wav,
     write_short_fmt_wav,
 )
@@ -121,7 +113,7 @@ def test_ingest_reads_each_wav_once_and_stores_its_content_hash(corpus, monkeypa
     assert sorted(opened) == sorted(e["path"] for e in entries) and len(entries) == 5
     for e in entries:
         path = root / e["path"]
-        assert e["content_hash"] == content_hash(path)
+        assert e["content_hash"] == sha256_of(path)
         assert e["n_samples"] == load_wav(path).size
 
 
@@ -479,7 +471,7 @@ def test_fit_codec_cold_warm_and_rewritten_track(corpus):
     save_wav(track, x)  # rewritten after analyze
     fresh = fit("fresh.bin", cold=False)
     assert fresh != (corpus / "warm.bin").read_bytes()
-    assert np.load(cache / f"{content_hash(track)}.npy").tobytes() == load_wav(track).tobytes()
+    assert np.load(cache / f"{sha256_of(track)}.npy").tobytes() == load_wav(track).tobytes()
     assert fresh == fit("fresh_cold.bin", cold=True)
 
 
@@ -577,9 +569,9 @@ def test_an_edited_wav_gets_a_new_mel(corpus):
     x, _ = click_track(140, 14.0, seed=99)
     save_wav(track, x)
     assert run(["analyze", "--manifest", manifest]) == 0
-    assert set(os.listdir(mels)) - before == {f"{content_hash(track)}.npy"}
+    assert set(os.listdir(mels)) - before == {f"{sha256_of(track)}.npy"}
     expect = mel_spectrogram(load_wav(track))
-    assert np.load(mels / f"{content_hash(track)}.npy").tobytes() == expect.tobytes()
+    assert np.load(mels / f"{sha256_of(track)}.npy").tobytes() == expect.tobytes()
 
 
 # --- analyze re-reads an edited WAV ----------------------------------------------
@@ -910,13 +902,17 @@ def test_mix_blm_without_the_mel_cache_writes_the_same_bytes_and_analyze_s_mels(
     assert rewritten == {name: analyzed[name] for name in rewritten}
 
 
-def test_mix_blm_with_a_short_cached_mel_exits_one_naming_the_track(blm_ready, capsys):
+def test_mix_blm_with_a_short_cached_mel_exits_one_naming_the_cache_file(blm_ready, capsys):
     for path in _mels_dir(blm_ready.parent).glob("*.npy"):
         np.save(path, np.load(path)[:200])  # a valid mel, shorter than its track
     capsys.readouterr()
     assert _mix_blm(blm_ready, blm_ready.parent / "blm") == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: track\d\d: clip at frame \d+ runs past end of track\n", err)
+    found = re.fullmatch(rf"error: (track\d\d): {re.escape(wavio.MEL_CACHE)}/([0-9a-f]{{64}})\.npy: "
+                         r"clip at frame \d+ runs past end of track\n", err)
+    assert found, err
+    track_id, digest = found.groups()
+    assert load_manifest(blm_ready).by_id()[track_id].content_hash == digest
 
 
 def test_segment_counting(tmp_path, capsys):
@@ -1455,14 +1451,15 @@ def _edit_in_the_racy_window(track, fingerprints, monkeypatch):
     # An edit in the timestamp tick of the stat taken before hashing leaves the
     # stat as recorded: the record holds the old hash with the edited file's
     # stat, taken a moment after the edit.
-    old = content_hash(track)
+    old = sha256_of(track)
     _flip_bytes_in_place(track)
-    known = load_fingerprints(fingerprints)
-    known[str(track)].update(fingerprint(track))
-    fingerprints.write_text(json.dumps(known))
+    prints = Fingerprints(fingerprints)
+    prints.read(track)  # the edited file's stat and clock...
+    prints.records[str(track)]["sha256"] = old  # ...with the hash from before the edit
+    prints.save()
     with monkeypatch.context() as m:
         m.setattr(manifest_mod, "RACY_NS", 0)
-        assert trusted_hash(track, load_fingerprints(fingerprints)) == old  # the stat shows nothing
+        assert Fingerprints(fingerprints).trusted(track) == old  # the stat shows nothing
 
 
 def _edit_and_set_mtime_back(track, fingerprints, monkeypatch):
@@ -1496,13 +1493,13 @@ def test_an_edit_after_fingerprinting_is_seen(corpus, monkeypatch, capsys, edit,
     with monkeypatch.context() as m:
         m.setattr(manifest_mod, "RACY_NS", 0)
         assert run(["analyze", "--manifest", manifest]) == 0  # now every record vouches
-    assert trusted_hash(track, load_fingerprints(fingerprints)) is None  # written just now
+    assert Fingerprints(fingerprints).trusted(track) is None  # written just now
     edit(track, fingerprints, monkeypatch)
     capsys.readouterr()
     if stage == "analyze":
         assert run(["analyze", "--manifest", manifest]) == 0
         assert "1 analyzed, 3 cached, 0 failed" in capsys.readouterr().err
-        assert load_manifest(manifest).by_id()["track00"].content_hash == content_hash(track)
+        assert load_manifest(manifest).by_id()["track00"].content_hash == sha256_of(track)
     else:
         out = corpus / "mixes"
         assert run(["mix", "--manifest", manifest, "--strategy", "bam", "--count", "20",
@@ -1512,22 +1509,27 @@ def test_an_edit_after_fingerprinting_is_seen(corpus, monkeypatch, capsys, edit,
         assert not out.exists()
 
 
+def test_a_record_of_a_file_deleted_since_vouches_for_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(manifest_mod, "RACY_NS", 0)
+    track = tmp_path / "track.wav"
+    save_wav(track, np.zeros(100))
+    prints = Fingerprints(tmp_path / manifest_mod.FINGERPRINTS)
+    digest, _ = prints.read(track)
+    assert prints.trusted(track) == digest
+    track.unlink()
+    assert prints.trusted(track) is None
+
+
 def _count_hashing(monkeypatch):
-    """Count the WAVs that the stages hash: every ``content_hash`` and
-    ``probe_wav`` call, through the modules that call them."""
+    """Count the WAVs that the stages hash: every ``Fingerprints.read``."""
     hashed = []
-    real_hash, real_probe = manifest_mod.content_hash, wavio.probe_wav
+    real_read = Fingerprints.read
 
-    def counting_hash(path):
+    def counting_read(self, path):
         hashed.append(os.path.basename(path))
-        return real_hash(path)
+        return real_read(self, path)
 
-    def counting_probe(path):
-        hashed.append(os.path.basename(path))
-        return real_probe(path)
-
-    monkeypatch.setattr(manifest_mod, "content_hash", counting_hash)
-    monkeypatch.setattr(wavio, "probe_wav", counting_probe)
+    monkeypatch.setattr(Fingerprints, "read", counting_read)
     return hashed
 
 
@@ -1558,7 +1560,7 @@ def test_a_damaged_or_deleted_fingerprint_file_means_hashing_again(corpus, monke
         fingerprints.write_text(damaged)
     assert run(FIT + ["--manifest", manifest]) == 0
     assert sorted(hashed) == [f"track{i:02d}.wav" for i in range(4)]
-    rebuilt = load_fingerprints(fingerprints)
+    rebuilt = Fingerprints(fingerprints).records
     assert sorted(rebuilt) == sorted(str(p) for p in (corpus / "corpus").glob("*.wav"))
     assert run(FIT + ["--manifest", manifest]) == 0
     assert len(hashed) == 4
@@ -1572,7 +1574,7 @@ def test_a_fingerprint_is_never_used_for_another_path(corpus, monkeypatch, capsy
     assert run(["analyze", "--manifest", manifest]) == 0
     # track01's record moves to another path, and track00's record (another
     # hash) to track01's path: neither vouches for track01
-    known = load_fingerprints(fingerprints)
+    known = Fingerprints(fingerprints).records
     record = known.pop(str(root / "track01.wav"))
     known[str(root / "moved.wav")] = {**record, "sha256": "0" * 64}
     known[str(root / "track01.wav")] = known[str(root / "track00.wav")]
@@ -1581,8 +1583,8 @@ def test_a_fingerprint_is_never_used_for_another_path(corpus, monkeypatch, capsy
     assert run(["mix", "--manifest", manifest, "--strategy", "bam", "--count", "20", "--p", "1",
                 "--out", corpus / "mixes"]) == 0
     assert hashed == ["track01.wav"]
-    again = load_fingerprints(fingerprints)
-    assert again[str(root / "track01.wav")]["sha256"] == content_hash(root / "track01.wav")
+    again = Fingerprints(fingerprints).records
+    assert again[str(root / "track01.wav")]["sha256"] == sha256_of(root / "track01.wav")
 
 
 def test_a_fingerprint_file_that_cannot_be_written_fails_no_stage(corpus, monkeypatch):
@@ -1650,7 +1652,7 @@ def test_each_wav_is_read_twice_and_hashed_once_across_the_pipeline(corpus, monk
     assert len(wavs) == 4
     assert sorted(opened) == sorted(wavs * 2)
     counts = Counter(digests)
-    assert [counts[content_hash(root / name)] for name in wavs] == [1] * 4
+    assert [counts[sha256_of(root / name)] for name in wavs] == [1] * 4
 
 
 def test_a_warm_external_analyze_opens_no_wav_but_hashes_an_edited_one(corpus, monkeypatch, capsys):
@@ -1675,7 +1677,7 @@ def test_a_warm_external_analyze_opens_no_wav_but_hashes_an_edited_one(corpus, m
     assert run(external) == 0
     assert opened == ["track00.wav"]
     entry = load_manifest(manifest).by_id()["track00"]
-    assert entry.content_hash == content_hash(track)
+    assert entry.content_hash == sha256_of(track)
     assert entry.content_hash != before.content_hash
     assert entry.n_samples == len(load_wav(track)) < before.n_samples
 
@@ -1785,10 +1787,12 @@ def _short_sample_cache(grouped):
     with open("manifest.json", "w") as fh:
         fh.write(grouped)
     os.mkdir(wavio.NORMALIZED_CACHE)
-    for entry in json.loads(grouped)["entries"]:
-        np.save(os.path.join(wavio.NORMALIZED_CACHE, f"{entry['content_hash']}.npy"), np.zeros(100))
+    hashes = {e["id"]: e["content_hash"] for e in json.loads(grouped)["entries"]}
+    for digest in hashes.values():
+        np.save(os.path.join(wavio.NORMALIZED_CACHE, f"{digest}.npy"), np.zeros(100))
     return [*MIX, "--manifest", "manifest.json", "--out", "mixes"], [
-        "error: track03: clip at 46080 runs past end of track"
+        f"error: track03: {wavio.NORMALIZED_CACHE}/{hashes['track03']}.npy: "
+        "clip at 46080 runs past end of track"
     ]
 
 
@@ -2095,7 +2099,7 @@ def _source_wav(directory, rng):
 
 def _normalize_source(path, rng):
     source = _source_wav(path.parent.parent, rng)
-    return load_normalized(source, path.parent, content_hash(source))
+    return load_normalized(source, path.parent, sha256_of(source))
 
 
 def _failing_rename(src, dst):

@@ -10,9 +10,9 @@ import pytest
 from beatmix import codec, gateway
 from beatmix.errors import InputError
 from beatmix.gateway import RecordSet
-from beatmix.wavio import load_wav, probe_wav
+from beatmix.wavio import load_wav
 from sets import save_embedding_set, save_posterior_set
-from test_wavio import write_raw_wav
+from test_wavio import probe_wav, write_raw_wav
 
 MUTANTS = 300
 

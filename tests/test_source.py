@@ -19,25 +19,36 @@ def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _imports(path):
+    """(line, module) of each absolute import in ``path``."""
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
 def test_runtime_imports_are_stdlib_or_numpy():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11
-    foreign = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                top = name.partition(".")[0]
-                if top != "numpy" and top not in sys.stdlib_module_names:
-                    foreign.append(f"{path.name}:{node.lineno}: {name}")
+    foreign = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _imports(path)
+        if name.partition(".")[0] not in {"numpy", *sys.stdlib_module_names}
+    ]
     assert foreign == []
     with open(ROOT / "pyproject.toml", "rb") as fh:
         dependencies = tomllib.load(fh)["project"]["dependencies"]
     assert [re.match(r"[\w.-]+", dep).group() for dep in dependencies] == ["numpy"]
+
+
+def test_wavs_are_hashed_in_one_place():
+    # a WAV is read and hashed only by the fingerprint store, and the codec
+    # hashes its own payload
+    hashing = [path.stem for path in sorted(SRC.glob("*.py"))
+               if any(name == "hashlib" for _, name in _imports(path))]
+    assert hashing == ["codec", "manifest"]
 
 
 def _referenced_names(node):

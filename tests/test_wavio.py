@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import tracemalloc
@@ -8,16 +9,27 @@ import pytest
 from beatmix import wavio
 from beatmix.dsp import N_MELS, SAMPLE_RATE, mel_spectrogram
 from beatmix.errors import CorruptFile, UnsupportedFormat
-from beatmix.manifest import content_hash
 from beatmix.wavio import (
     _polyphase_table,
     load_mel,
     load_normalized,
     load_wav,
-    probe_wav,
     save_wav,
     wav_bytes,
 )
+
+
+def sha256_of(path) -> str:
+    """The content hash of a file, which names its cache files."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def probe_wav(path) -> int:
+    """What ingest and analyze take from a WAV's bytes before any decode:
+    its length after normalization."""
+    with open(path, "rb") as fh:
+        return wavio.normalized_length(fh.read())
 
 
 def write_raw_wav(path, frames: np.ndarray, rate: int, fmt: str):
@@ -157,7 +169,7 @@ def test_resample_matches_tap_by_tap_oracle(tmp_path, rate):
         write_raw_wav(path, x[:, None], rate, "float32")
         y = _resample(x, rate)
         assert y.dtype == np.float64
-        assert y.size == (n * up) // down == probe_wav(path)[0]
+        assert y.size == (n * up) // down == probe_wav(path)
         assert np.abs(y - _resample_oracle(x, up, down)).max(initial=0.0) <= 1e-12
         assert _resample(x, rate).tobytes() == y.tobytes()
         # load_wav resamples the file's samples the same way, then clips
@@ -248,7 +260,7 @@ def test_probe_matches_load(tmp_path):
     x = 0.1 * np.sin(2 * np.pi * 100 * t)
     path = tmp_path / "probe.wav"
     write_raw_wav(path, x[:, None], 22050, "pcm16")
-    assert probe_wav(path) == (load_wav(path).size, content_hash(path), path.read_bytes())
+    assert probe_wav(path) == load_wav(path).size
 
 
 def _stereo_44k(path):
@@ -262,10 +274,10 @@ def test_normalized_cache_matches_load_wav_bit_for_bit(tmp_path):
     _stereo_44k(path)
     cache = tmp_path / "cache"
     expect = load_wav(path)
-    cold = load_normalized(path, cache, content_hash(path))
-    cached = cache / f"{content_hash(path)}.npy"
+    cold = load_normalized(path, cache, sha256_of(path))
+    cached = cache / f"{sha256_of(path)}.npy"
     assert os.listdir(cache) == [cached.name]
-    warm = load_normalized(path, cache, content_hash(path))
+    warm = load_normalized(path, cache, sha256_of(path))
     for samples in (cold, np.load(cached), warm):
         assert samples.dtype == np.float64 and samples.tobytes() == expect.tobytes()
     assert isinstance(warm.base, np.memmap)
@@ -289,11 +301,11 @@ def test_damaged_cache_file_is_rebuilt(tmp_path, damage):
     path = tmp_path / "in.wav"
     _stereo_44k(path)
     cache = tmp_path / "cache"
-    load_normalized(path, cache, content_hash(path))
-    cached = cache / f"{content_hash(path)}.npy"
+    load_normalized(path, cache, sha256_of(path))
+    cached = cache / f"{sha256_of(path)}.npy"
     damage(cached)
     expect = load_wav(path).tobytes()
-    assert load_normalized(path, cache, content_hash(path)).tobytes() == expect
+    assert load_normalized(path, cache, sha256_of(path)).tobytes() == expect
     assert np.load(cached).tobytes() == expect
     assert os.listdir(cache) == [cached.name]
 
@@ -425,7 +437,7 @@ def test_1_khz_is_the_lowest_rate_read():
     with pytest.raises(UnsupportedFormat, match="sample rate 999 Hz is below 1000 Hz"):
         load_wav("slow.wav", slow)
     with pytest.raises(UnsupportedFormat, match="sample rate 999 Hz is below 1000 Hz"):
-        wavio.normalized_length(slow)  # what probe_wav reads
+        wavio.normalized_length(slow)  # what ingest reads
 
 
 def test_the_polyphase_table_cache_holds_at_most_four_tables(tmp_path):
@@ -472,7 +484,7 @@ def test_load_wav_holds_less_than_a_whole_interleaved_copy():
 def _mel_setup(tmp_path):
     path = tmp_path / "in.wav"
     _stereo_44k(path)
-    return path, tmp_path / wavio.MEL_CACHE, content_hash(path)
+    return path, tmp_path / wavio.MEL_CACHE, sha256_of(path)
 
 
 def test_mel_cache_hit_equals_a_fresh_mel_bit_for_bit(tmp_path):
