@@ -26,8 +26,7 @@ import numpy as np
 from . import beats as beats_mod
 from . import codec as codec_mod
 from . import gateway, metrics, mixup, wavio
-from ._blas import serial_blas
-from .dsp import SAMPLE_RATE
+from .dsp import N_MELS, SAMPLE_RATE
 from .errors import (
     DuplicateBasename,
     EmptyCorpus,
@@ -71,6 +70,9 @@ def _checked(convert, ok, expect):
 _fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+# the codec cuts every mel's N_MELS columns into whole patches
+_patch_size = _checked(int, lambda v: v > 0 and N_MELS % v == 0,
+                       f"a positive integer that divides {N_MELS}")
 # report.json keys each SIM_AA result by its threshold to two decimals, so
 # two thresholds with one key would lose a result.
 _thresholds = _checked(
@@ -411,8 +413,8 @@ def cmd_mix(args) -> int:
         atomic_write(spec_path, canonical_json(payload))
 
     if args.strategy == "blm":
-        # A blm render is tens of milliseconds of Griffin-Lim, so the clips
-        # render on a thread per CPU, BLAS on one thread each, a batch of one
+        # A blm render is tens of milliseconds of Griffin-Lim and makes no
+        # BLAS call, so the clips render on a thread per CPU, a batch of one
         # clip per thread at a time. A batch is written in spec order once
         # all of it has rendered: at most one batch is held, a failed spec's
         # error ends the command with the specs before it written, and no
@@ -420,7 +422,7 @@ def cmd_mix(args) -> int:
         # parents a pool thread's spans on what the calling thread is in,
         # nests every render in the command.
         workers = _cpus()
-        with serial_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             for lo in range(0, len(specs), workers):
                 batch = specs[lo : lo + workers]
                 futures = [pool.submit(render, spec) for spec in batch]
@@ -558,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-codec", help="fit the patch-PCA latent codec")
     p.add_argument("--manifest", required=True)
     p.add_argument("--components", "-C", type=_positive_int, default=16)
-    p.add_argument("--patch", "-P", type=_positive_int, default=8)
+    p.add_argument("--patch", "-P", type=_patch_size, default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fit_codec)
 

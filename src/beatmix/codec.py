@@ -6,8 +6,11 @@ directions. A mel therefore maps to a plain (C, T/P, F/P) float64 array;
 for a 10.24 s clip (T=1024, F=128) and the default P=8, C=16 that is
 (16, 128, 16). ``decode`` takes such an array from the same codec and gives
 back the mel, clamped at ``dsp.LOG_FLOOR``. P must divide ``dsp.N_MELS``
-(128): ``fit`` needs it to cut any mel into tiles, and ``load`` rejects a
-file that breaks it.
+(128), and T must be a multiple of P: ``fit-codec`` checks its ``--patch``
+and crops each mel to whole patches, ``load`` rejects a file whose P does
+not divide 128, and a clip's 1024 rows are a multiple of any P that does.
+``encode`` and ``decode`` make no BLAS call, so that a blm render's bits do
+not depend on the BLAS; ``fit`` uses the BLAS and LAPACK.
 
 Because encode and decode are affine, a convex combination of two latents
 decodes to the same convex combination of the two reconstructions, which is
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import LOG_FLOOR, N_MELS
-from .errors import HashMismatch, InsufficientData, NonDivisibleShape, SchemaError
+from .errors import HashMismatch, InsufficientData, SchemaError
 from .manifest import atomic_write
 
 _MAGIC = b"BMPC"
@@ -53,8 +56,6 @@ def _payload_hash(codec: PcaCodec) -> bytes:
 
 def _to_patches(frames: np.ndarray, patch: int) -> np.ndarray:
     t, f = frames.shape
-    if t % patch or f % patch:
-        raise NonDivisibleShape(f"mel shape {t}x{f} not divisible by patch size {patch}")
     tiles = frames.reshape(t // patch, patch, f // patch, patch)
     return tiles.transpose(0, 2, 1, 3).reshape(-1, patch * patch)
 
@@ -108,7 +109,8 @@ def encode(codec: PcaCodec, mel: np.ndarray) -> np.ndarray:
     t, f = mel.shape
     p = codec.patch_size
     patches = _to_patches(mel, p)
-    coeffs = (patches - codec.mean.astype(np.float64)) @ codec.basis.T.astype(np.float64)
+    coeffs = np.einsum("np,cp->nc", patches - codec.mean.astype(np.float64),
+                       codec.basis.astype(np.float64), optimize=False)
     return coeffs.reshape(t // p, f // p, codec.n_components).transpose(2, 0, 1)
 
 
@@ -118,7 +120,8 @@ def decode(codec: PcaCodec, latent: np.ndarray) -> np.ndarray:
     c, tp, fp = latent.shape
     p = codec.patch_size
     coeffs = latent.transpose(1, 2, 0).reshape(-1, c)
-    patches = coeffs @ codec.basis.astype(np.float64) + codec.mean.astype(np.float64)
+    patches = np.einsum("nc,cp->np", coeffs, codec.basis.astype(np.float64), optimize=False)
+    patches += codec.mean.astype(np.float64)
     frames = _from_patches(patches, tp * p, fp * p, p)
     return np.maximum(frames, LOG_FLOOR)
 

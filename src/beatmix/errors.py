@@ -52,10 +52,6 @@ class InsufficientData(InputError):
     """Too few patches to fit the requested number of components."""
 
 
-class NonDivisibleShape(InputError):
-    """Mel dimensions are not divisible by the patch size."""
-
-
 class HashMismatch(InputError):
     """Stored content hash does not match the payload (tampered file)."""
 

@@ -31,7 +31,6 @@ from beatmix.gateway import (
 from beatmix.wavio import load_normalized, load_wav, save_wav, wav_bytes
 from sets import save_embedding_set, save_posterior_set, write_raw
 from synth import click_track
-from test_blas import blas, blas_threads  # noqa: F401 - blas is a fixture
 from test_wavio import (
     _wav_from_raw,
     add_stray_bytes,
@@ -759,20 +758,6 @@ def test_mix_blm_writes_the_same_bytes_on_one_thread_and_on_three(blm_ready, mon
                 if name.startswith(".tmp-")]
 
 
-def test_main_leaves_the_blas_thread_count_as_it_found_it(blm_ready, blas, monkeypatch):
-    get, _ = blas
-    render, seen = mixup.render_spec, []
-
-    def recorded(*args, **kwargs):
-        seen.append(get())
-        return render(*args, **kwargs)
-
-    monkeypatch.setattr(mixup, "render_spec", recorded)
-    with blas_threads(blas, 2):
-        assert _mix_blm(blm_ready, blm_ready.parent / "blm", count=2) == 0
-        assert get() == 2 and seen == [1] * 2  # each clip rendered on one BLAS thread
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mix_blm_failing_spec_exits_one_and_writes_only_the_specs_before_it(
     blm_ready, monkeypatch, capsys, workers
@@ -796,17 +781,15 @@ def test_mix_blm_failing_spec_exits_one_and_writes_only_the_specs_before_it(
     ]
 
 
-def test_mix_blm_holds_at_most_one_render_per_thread(blm_ready, monkeypatch, blas):
-    get, _ = blas
+def test_mix_blm_holds_at_most_one_render_per_thread(blm_ready, monkeypatch):
     render, save = mixup.render_spec, wavio.save_wav
     lock = threading.Lock()
-    held, most, threads = [0], [0], []
+    held, most = [0], [0]
 
     def counted_render(spec, load_clip, load_mel=None, codec=None):
         with lock:
             held[0] += 1
             most[0] = max(most[0], held[0])
-            threads.append(get())
         return render(spec, load_clip, load_mel, codec)
 
     def counted_save(path, x):
@@ -817,10 +800,8 @@ def test_mix_blm_holds_at_most_one_render_per_thread(blm_ready, monkeypatch, bla
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
     monkeypatch.setattr(mixup, "render_spec", counted_render)
     monkeypatch.setattr(wavio, "save_wav", counted_save)
-    with blas_threads(blas, 2):
-        assert _mix_blm(blm_ready, blm_ready.parent / "blm") == 0
+    assert _mix_blm(blm_ready, blm_ready.parent / "blm") == 0
     assert held == [0] and most == [2]
-    assert threads == [1] * 5  # every render ran with BLAS on one thread
 
 
 # --- blm encodes the rows of the track mels in the mel cache ---------------------
@@ -1249,6 +1230,8 @@ def test_usage_error_exits_one():
     # report.json would key both as "0.00" and keep one result
     (["eval", "--gen-emb", "gen.emb", "--thresholds", "0.001,0.004"], "distinct to two decimals"),
     (["ingest", "corpus", "--config", "beatmix.cfg"], "unrecognized arguments: --config"),
+    # the codec cuts a mel's 128 bands into whole patches
+    (["fit-codec", "--manifest", "m.json", "-P", "3", "-C", "4"], "--patch"),
 ])
 def test_out_of_range_argument_exits_one_before_any_io(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)  # no file the arguments name exists
@@ -1841,6 +1824,21 @@ def _captions_not_an_object(grouped):
             ["error: captions.json: expected an object of id -> caption"])
 
 
+def _tampered_codec(grouped):
+    """A codec file with one payload byte flipped after it was saved."""
+    with open("manifest.json", "w") as fh:
+        fh.write(grouped)
+    codec_mod.save(codec_mod.PcaCodec(patch_size=8, n_components=4, mean=np.zeros(64),
+                                      basis=np.eye(4, 64)), "codec.bin")
+    with open("codec.bin", "rb") as fh:
+        data = bytearray(fh.read())
+    data[-1] ^= 1  # the basis's last byte
+    with open("codec.bin", "wb") as fh:
+        fh.write(data)
+    return [*MIX, "--strategy", "blm", "--p", "1", "--manifest", "manifest.json",
+            "--codec", "codec.bin"], ["error: codec.bin: content hash mismatch"]
+
+
 INPUT_FAULTS = {
     "wav-float64": _undecodable_wav(
         "f64.wav", np.zeros((1600, 1), "<f8"), 3, 64, "64-bit float WAV not supported"
@@ -1879,6 +1877,7 @@ INPUT_FAULTS = {
         _edit_every_entry("analysis_error", "NoOnsets: silence"),
         "no usable tracks to fit the codec on", argv=["fit-codec"],
     ),
+    "codec-payload-byte-flipped": _tampered_codec,
     "no-analyzed-tracks": _manifest(
         _edit_every_entry("tempo_bpm", None), "no analyzed tracks", argv=MIX
     ),
@@ -2124,23 +2123,48 @@ def test_eval_failed_rename_leaves_no_report(tmp_path, rng, monkeypatch, capsys)
     assert os.listdir(tmp_path / "report") == []
 
 
+def crash_at_each_write(crash_at, capsys, stage, tmp):
+    """Run ``stage(out)``, a command that writes only into ``out``, clean;
+    then crash it at each of its writes in turn. Each crashed run exits 2,
+    leaves whole the files it wrote before the crash and no other file, and
+    a clean re-run into its directory writes the clean run's bytes. Returns
+    the clean run's files."""
+    opened = crash_at(0)
+    assert stage(tmp / "clean") == 0
+    expect = _tree_bytes(tmp / "clean")
+    assert len(opened) == len(expect)
+    for k in range(1, len(opened) + 1):
+        out = tmp / f"crash{k}"
+        crash_at(k)
+        assert stage(out) == 2
+        assert "internal error: InjectedCrash: crashed writing" in capsys.readouterr().err
+        kept = _tree_bytes(out)
+        assert len(kept) == k - 1 and all(expect.get(name) == data for name, data in kept.items())
+        assert stage(out) == 0
+        assert _tree_bytes(out) == expect
+    return expect
+
+
 def test_eval_crashed_at_any_write_leaves_no_truncated_report(tmp_path, rng, crash_at, capsys):
     files, _ = make_embedding_files(tmp_path, rng)
-    opened = crash_at(0)
-    assert full_eval(files, tmp_path / "clean") == 0
-    expect = {name: (tmp_path / "clean" / name).read_bytes() for name in
-              ("nn_audit.json", "report.json", "report.txt")}
-    assert sorted(os.listdir(tmp_path / "clean")) == sorted(expect) and len(opened) == 3
-    for k in range(1, len(opened) + 1):
-        out = tmp_path / f"crash{k}"
-        crash_at(k)
-        assert full_eval(files, out) == 2
-        assert "internal error: InjectedCrash: crashed writing" in capsys.readouterr().err
-        # the files written before the crash are whole, and no other file is left
-        kept = {name: (out / name).read_bytes() for name in os.listdir(out)}
-        assert len(kept) == k - 1 and all(expect.get(name) == data for name, data in kept.items())
-        assert full_eval(files, out) == 0
-        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == expect
+    expect = crash_at_each_write(crash_at, capsys, lambda out: full_eval(files, out), tmp_path)
+    assert sorted(expect) == ["nn_audit.json", "report.json", "report.txt"]
+
+
+@pytest.mark.parametrize("strategy, workers", [("bam", 1), ("blm", 1), ("blm", 2)])
+def test_mix_crashed_at_any_write_leaves_no_truncated_clip(
+    blm_ready, crash_at, capsys, monkeypatch, strategy, workers
+):
+    monkeypatch.setattr(manifest_mod, "RACY_NS", 0)  # mix hashes no track: it writes only clips
+    monkeypatch.setattr(cli, "_cpus", lambda: workers)
+    monkeypatch.setattr(mixup, "GL_ITERATIONS", 1)  # the writes are under test, not the renders
+
+    def mix(out):
+        return run(["mix", "--manifest", blm_ready, "--strategy", strategy, "--p", "1",
+                    "--count", "3", "--seed", "2", "--out", out])
+
+    expect = crash_at_each_write(crash_at, capsys, mix, blm_ready.parent)
+    assert sorted(expect) == [f"mix_0000{k}.{ext}" for k in range(3) for ext in ("mixspec.json", "wav")]
 
 
 # --- artifact form ------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from beatmix import codec as C
 from beatmix.dsp import LOG_FLOOR
-from beatmix.errors import HashMismatch, InsufficientData, NonDivisibleShape
+from beatmix.errors import HashMismatch, InsufficientData
 
 
 def random_mels(rng, count=6, t=64, f=128):
@@ -122,20 +122,6 @@ def test_fit_insufficient_data():
     tiny = [np.zeros((8, 8))]  # 1 patch of 8x8
     with pytest.raises(InsufficientData):
         C.fit(tiny, n_components=4, patch_size=8)
-
-
-def test_fit_non_divisible_shape(rng):
-    bad = [np.zeros((16, 12))]
-    with pytest.raises(NonDivisibleShape):
-        C.fit(bad, n_components=4, patch_size=8)
-
-
-def test_encode_shape_mismatch(rng):
-    mels = random_mels(rng)
-    codec = C.fit(mels, n_components=8, patch_size=8)
-    odd = np.zeros((30, 128))
-    with pytest.raises(NonDivisibleShape):
-        C.encode(codec, odd)
 
 
 def test_save_load_bit_exact(tmp_path, rng):

@@ -114,10 +114,17 @@ def test_invert_output_length():
 
 # --- Fast Griffin-Lim against plain Griffin-Lim ------------------------------
 
+def plain_target(mel):
+    """The clamped linear spectrum Griffin-Lim restores: the mel's amplitudes
+    times the program's pseudo-inverse, through ``invert_mel``'s ``einsum``."""
+    amp = 10.0 ** (mel / 20.0)
+    return np.maximum(np.einsum("tm,mf->tf", amp, _filterbank_pinv(), optimize=False), 0.0)
+
+
 def plain_griffin_lim_errors(mel, iterations):
     """The consistency error of each iteration of plain Griffin-Lim from zero
     phase: the reference the default iteration count must match."""
-    target = np.maximum(10.0 ** (mel / 20.0) @ _filterbank_pinv().T, 0.0)
+    target = plain_target(mel)
     n_frames = target.shape[0]
     window_sum = _window_sum(n_frames)
     angles = np.ones_like(target, dtype=np.complex128)
@@ -207,6 +214,13 @@ def test_filterbank_product_is_the_matrix_product(rng):
     assert np.all(np.abs(got - want) <= 2e-15 * want)  # want > 0: every band has a bin
 
 
+def test_filterbank_pinv_is_the_svd_pseudo_inverse():
+    fb = dsp.mel_filterbank()
+    assert not np.triu(fb @ fb.T, 2).any()  # only adjacent bands share a bin
+    want = np.linalg.pinv(fb).T
+    assert np.abs(_filterbank_pinv() - want).max() <= 1e-13 * np.abs(want).max()
+
+
 # 7 frames is the fewest a signal gives: one window of samples
 @pytest.mark.parametrize("n_frames", [
     frame_count(WINDOW), TILE_FRAMES - 1, TILE_FRAMES, TILE_FRAMES + 1,
@@ -255,7 +269,7 @@ def plain_invert_mel(mel, iterations, callback):
     each iteration with the relative spectral consistency error of that
     iteration's STFT(ISTFT(.))."""
     win = _hann()
-    target = np.maximum(10.0 ** (mel / 20.0) @ _filterbank_pinv().T, 0.0)
+    target = plain_target(mel)
     target_norm = np.linalg.norm(target)
     n_frames = target.shape[0]
     size = (n_frames - 1) * HOP + WINDOW

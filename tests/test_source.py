@@ -51,6 +51,12 @@ def test_wavs_are_hashed_in_one_place():
     assert hashing == ["codec", "manifest"]
 
 
+def test_no_module_loads_a_shared_library_by_hand():
+    loading = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+               for line, name in _imports(path) if name.partition(".")[0] == "ctypes"]
+    assert loading == []
+
+
 def _referenced_names(node):
     """Every name, attribute and imported name that ``node`` mentions."""
     for sub in ast.walk(node):
