@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -41,6 +42,7 @@ print(json.dumps({name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in r
 """
 
 
+@functools.cache  # each run starts an interpreter; the tests share them
 def _probe(coretype, threads):
     """The probe's digests with OpenBLAS on ``threads`` threads and its
     ``coretype`` kernel (None: the one it picks for this CPU)."""
@@ -53,6 +55,12 @@ def _probe(coretype, threads):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-4000:]
     return json.loads(done.stdout)
+
+
+def test_mel_and_inversion_bits_do_not_depend_on_the_blas_thread_count():
+    one, two = _probe(None, 1), _probe(None, 2)
+    for name in ("mel", "invert_mel"):
+        assert one[name] == two[name], name
 
 
 def test_mel_bits_do_not_depend_on_the_blas_kernel_or_thread_count():
