@@ -27,13 +27,7 @@ from . import beats as beats_mod
 from . import codec as codec_mod
 from . import gateway, metrics, mixup, wavio
 from .dsp import N_MELS, SAMPLE_RATE
-from .errors import (
-    DuplicateBasename,
-    EmptyCorpus,
-    InputError,
-    MissingPrerequisite,
-    SchemaError,
-)
+from .errors import InputError, SchemaError
 from .manifest import (
     FINGERPRINTS,
     Fingerprints,
@@ -150,7 +144,7 @@ def cmd_ingest(args) -> int:
                 wavs.append(os.path.relpath(os.path.join(dirpath, name), root))
     wavs.sort()
     if not wavs:
-        raise EmptyCorpus(f"no .wav files under {root}")
+        raise InputError(f"no .wav files under {root}")
 
     caption_map = {}
     if args.captions:
@@ -168,7 +162,7 @@ def cmd_ingest(args) -> int:
     for rel in wavs:
         track_id = os.path.splitext(os.path.basename(rel))[0]
         if track_id in seen:
-            raise DuplicateBasename(f"{rel} and {seen[track_id]} both map to id {track_id!r}")
+            raise InputError(f"{rel} and {seen[track_id]} both map to id {track_id!r}")
         seen[track_id] = rel
         full = os.path.join(root, rel)
         with _naming(rel):
@@ -291,7 +285,7 @@ def cmd_group(args) -> int:
     manifest = load_manifest(args.manifest)
     tempos = [e.tempo_bpm for e in manifest.entries if e.tempo_bpm is not None]
     if not tempos:
-        raise MissingPrerequisite(
+        raise InputError(
             f"{args.manifest}: no analyzed tracks; run `beatmix analyze` first"
         )
     groups = {mixup.group_id_for(bpm) for bpm in tempos}
@@ -312,7 +306,7 @@ def cmd_fit_codec(args) -> int:
     patch = args.patch
     usable = [e for e in manifest.entries if e.analysis_error is None]
     if not usable:
-        raise MissingPrerequisite(f"{args.manifest}: no usable tracks to fit the codec on")
+        raise InputError(f"{args.manifest}: no usable tracks to fit the codec on")
     caches = _caches(args)
     prints = Fingerprints(_beside_manifest(args, FINGERPRINTS))
 
@@ -343,7 +337,7 @@ def cmd_mix(args) -> int:
 
     analyzed = [e for e in manifest.entries if e.tempo_bpm is not None and e.beats_path]
     if not analyzed:
-        raise MissingPrerequisite(
+        raise InputError(
             f"{args.manifest}: no analyzed tracks; run `beatmix analyze` first"
         )
 
@@ -351,7 +345,7 @@ def cmd_mix(args) -> int:
     if args.strategy == "blm":
         codec_path = args.codec or _beside_manifest(args, "codec.bin")
         if not os.path.exists(codec_path):
-            raise MissingPrerequisite(
+            raise InputError(
                 f"blm mixing needs a fitted codec, and {codec_path} does not exist; "
                 "run `beatmix fit-codec` or pass --codec"
             )
@@ -375,7 +369,7 @@ def cmd_mix(args) -> int:
     for track_id in sorted({s.track_a for s in specs} | {s.track_b for s in specs} - {None}):
         entry = by_id[track_id]
         if prints.current(manifest.track_path(entry)) != entry.content_hash:
-            raise MissingPrerequisite(
+            raise InputError(
                 f"{entry.path} changed since it was analyzed; run `beatmix analyze`"
             )
     os.makedirs(args.out, exist_ok=True)

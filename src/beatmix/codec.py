@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import LOG_FLOOR, N_MELS
-from .errors import HashMismatch, InsufficientData, SchemaError
+from .errors import InputError, SchemaError
 from .manifest import atomic_write
 
 _MAGIC = b"BMPC"
@@ -71,19 +71,29 @@ def fit(mels, n_components: int, patch_size: int) -> PcaCodec:
     Covariance is accumulated in one streaming pass, so the corpus never has
     to fit in memory at once. Deterministic for a fixed corpus order; each
     eigenvector's sign is fixed by making its largest-magnitude entry
-    positive.
+    positive. The (P*P, P*P) sum starts only once ``n_components`` patches
+    are in, so a corpus too small for the fit never allocates it: at P=128
+    it is 2 GiB.
     """
     p2 = patch_size * patch_size
     count = 0
     total = np.zeros(p2)
-    outer = np.zeros((p2, p2))
+    outer = 0.0  # until the first product: 0.0 + it has the bits of an np.zeros + it
+    held = []  # each mel's patches, until n_components patches are in
     for mel in mels:
         patches = _to_patches(np.asarray(mel, dtype=np.float64), patch_size)
         count += patches.shape[0]
         total += patches.sum(axis=0)
-        outer += patches.T @ patches
+        held.append(patches)
+        if count >= n_components:
+            for patches in held:
+                outer += patches.T @ patches
+            held.clear()
     if count < n_components:
-        raise InsufficientData(f"{count} patches < {n_components} components")
+        # fit-codec's flags: a smaller patch cuts more patches from each mel
+        raise InputError(
+            f"{count} patches < {n_components} components: lower --components or --patch"
+        )
 
     mean = total / count
     cov = outer / count - np.outer(mean, mean)
@@ -165,5 +175,5 @@ def load(path) -> PcaCodec:
     )
     codec = PcaCodec(patch_size=patch_size, n_components=n_components, mean=mean, basis=basis)
     if _payload_hash(codec) != stored_hash:
-        raise HashMismatch(f"{path}: content hash mismatch (file corrupted or tampered)")
+        raise InputError(f"{path}: content hash mismatch (file corrupted or tampered)")
     return codec

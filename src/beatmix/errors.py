@@ -1,8 +1,12 @@
 """Exception taxonomy shared by every beatmix module.
 
-Errors that name a broken input contract derive from ``InputError`` so the
+Errors that name a broken input contract are ``InputError``s, so the
 command-line layer can map them to exit code 1; everything else is treated
-as an internal failure (exit code 2).
+as an internal failure (exit code 2). ``main`` prints only the message, so
+a subclass exists only where its name is output: ``analyze`` records a
+failed track as ``analysis_error = "<class>: <message>"``, and the classes
+below are those its per-track work can raise. Every other fault is a plain
+``InputError`` whose message names the file or flag at fault.
 """
 
 
@@ -40,67 +44,7 @@ class InvariantViolation(InputError):
     """A loaded annotation breaks a BeatGrid invariant."""
 
 
-# --- mixup ----------------------------------------------------------------
-
-class NoEligibleDownbeat(InputError):
-    """No downbeat leaves enough audio after it for a full clip."""
-
-
-# --- latent codec ---------------------------------------------------------
-
-class InsufficientData(InputError):
-    """Too few patches to fit the requested number of components."""
-
-
-class HashMismatch(InputError):
-    """Stored content hash does not match the payload (tampered file)."""
-
-
-# --- embedding gateway ----------------------------------------------------
+# --- JSON and binary files ------------------------------------------------
 
 class SchemaError(InputError):
     """File does not follow the documented layout."""
-
-
-class DimMismatch(InputError):
-    """Vector dimensionality disagrees with the declared dimension."""
-
-
-class DuplicateId(InputError):
-    """Two records in one set share an id."""
-
-
-class ZeroNorm(InputError):
-    """Cannot normalize a zero vector."""
-
-
-class NotAProbability(InputError):
-    """Posterior row is negative or does not sum close to one."""
-
-
-# --- metrics --------------------------------------------------------------
-
-class EmptySet(InputError):
-    """Metric requires a non-empty input set."""
-
-
-class InconsistentK(InputError):
-    """Posteriors in one set have differing class counts."""
-
-
-class MissingPartner(InputError):
-    """Paired metric input lacks the groundtruth partner for an id."""
-
-
-# --- pipeline -------------------------------------------------------------
-
-class EmptyCorpus(InputError):
-    """Ingest found no audio files."""
-
-
-class DuplicateBasename(InputError):
-    """Two corpus files would collide on the same track id."""
-
-
-class MissingPrerequisite(InputError):
-    """A pipeline stage ran before the stage it depends on."""

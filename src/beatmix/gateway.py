@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, DuplicateId, NotAProbability, SchemaError, ZeroNorm
+from .errors import InputError, SchemaError
 
 EMB_MAGIC = b"EMB1"
 POS_MAGIC = b"POS1"
@@ -31,15 +31,18 @@ BLOCK_ROWS = 4096  # records per block of a binary set read from a file
 @dataclass(frozen=True, eq=False)
 class RecordSet:
     """One embedding or posterior set as a matrix: ``rows[i]`` is the float64
-    vector of ``ids[i]``, and the ids are sorted and unique. Build one from
-    records in any order with ``RecordSet.from_records``."""
+    vector of ``ids[i]``, and the ids are sorted and unique. ``source``, the
+    file it was read from, is what a fault in the set is named by. Build one
+    from records in any order with ``RecordSet.from_records``."""
 
     ids: tuple
     rows: np.ndarray
+    source: str = "record set"
 
     @classmethod
     def from_records(cls, ids, rows, source="record set") -> "RecordSet":
-        """Put the records in id order; a repeated id raises DuplicateId."""
+        """Put the records in id order; a repeated id is an InputError naming
+        ``source``."""
         rows = np.asarray(rows)
         order = sorted(range(len(ids)), key=ids.__getitem__)
         sorted_ids = tuple(ids[i] for i in order)
@@ -49,7 +52,7 @@ class RecordSet:
         # a signalling NaN read from a file warns as it is cast; the readers
         # reject every non-finite row right after, as an InputError
         with np.errstate(invalid="ignore"):
-            return cls(sorted_ids, np.ascontiguousarray(rows, dtype=np.float64))
+            return cls(sorted_ids, np.ascontiguousarray(rows, dtype=np.float64), source)
 
     @property
     def dim(self) -> int:
@@ -62,7 +65,7 @@ class RecordSet:
 def _check_unique(sorted_ids, source) -> None:
     for prev, rec_id in zip(sorted_ids, sorted_ids[1:]):
         if prev == rec_id:
-            raise DuplicateId(f"{source}: id {rec_id!r} appears twice")
+            raise InputError(f"{source}: id {rec_id!r} appears twice")
 
 
 # --- file transport ---------------------------------------------------------
@@ -93,7 +96,7 @@ def _read_blocks(path, magic: bytes):
                 raise SchemaError(f"{path}: truncated record header")
             id_len = int.from_bytes(id_len, "little")
             if fh.tell() + id_len + 4 * dim > size:
-                raise DimMismatch(
+                raise InputError(
                     f"{path}: record for dim {dim} runs past end of file (truncated row?)"
                 )
             try:
@@ -129,14 +132,14 @@ def _joined(blocks, source) -> RecordSet:
 
 def _unit_rows(ids, rows: np.ndarray, source) -> np.ndarray:
     """Scale each row of ``rows`` to unit L2 norm, in place; a row with no
-    direction raises ZeroNorm naming ``source`` and its id."""
+    direction is an InputError naming ``source`` and its id."""
     # vecdot (NumPy 2.0) computes each row's norm as the dot product
     # row @ row does, so every row gets the same bits as v / np.sqrt(v @ v);
     # einsum does not
     norms = np.sqrt(np.vecdot(rows, rows))
     bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
     if bad.size:
-        raise ZeroNorm(f"{source}: embedding {ids[bad[0]]!r} has no direction")
+        raise InputError(f"{source}: embedding {ids[bad[0]]!r} has no direction")
     rows /= norms[:, None]
     return rows
 
@@ -145,7 +148,7 @@ def read_embedding_blocks(path):
     """Read an embedding set once, as RecordSet blocks of at most
     ``BLOCK_ROWS`` records in file order, each with its rows in id order and
     scaled to unit L2 norm. A row with no direction is rejected in its
-    block; an id repeated in two blocks raises DuplicateId after the last
+    block; an id repeated in two blocks is rejected after the last
     block, so a caller that consumes every block has seen every fault. The
     reader holds one block at a time, plus every id read so far for that
     check: the ids are the one part that grows with the number of records."""
@@ -172,13 +175,13 @@ def load_posterior_set(path) -> RecordSet:
     rows = posteriors.rows
     bad = np.flatnonzero((rows < 0).any(axis=1) | ~np.isfinite(rows).all(axis=1))
     if bad.size:
-        raise NotAProbability(
+        raise InputError(
             f"{path}: row {posteriors.ids[bad[0]]!r} has negative or non-finite entries"
         )
     totals = rows.sum(axis=1)
     bad = np.flatnonzero((totals < 0.99) | (totals > 1.01))
     if bad.size:
-        raise NotAProbability(
+        raise InputError(
             f"{path}: row {posteriors.ids[bad[0]]!r} sums to {totals[bad[0]]:.4f}, not ~1"
         )
     rows /= totals[:, None]

@@ -217,6 +217,8 @@ def _has_type(value, kind) -> bool:
 
 
 def load_manifest(path) -> Manifest:
+    """The manifest in the file ``path``. One that breaks the schema, or
+    repeats a track id, raises a SchemaError naming ``path``."""
     payload = read_json(path, "manifest")
     if not isinstance(payload, dict) or "entries" not in payload:
         raise SchemaError(f"{path}: not a manifest")
@@ -236,6 +238,7 @@ def load_manifest(path) -> Manifest:
         entries = [TrackEntry(**e) for e in payload["entries"]]
     except TypeError as exc:
         raise SchemaError(f"{path}: malformed entry ({exc})") from exc
+    seen = set()
     for entry in entries:
         for f in fields(TrackEntry):
             kinds = typing.get_args(f.type) or (f.type,)
@@ -245,16 +248,16 @@ def load_manifest(path) -> Manifest:
                 raise SchemaError(
                     f"{path}: track {entry.id!r}: field {f.name} is {value!r}, expected {expected}"
                 )
+        # every stage keys tracks by id, and segment names its segments by it
+        if entry.id in seen:
+            raise SchemaError(f"{path}: duplicate track id {entry.id!r}")
+        seen.add(entry.id)
     return Manifest(root=root, entries=entries)
 
 
 def validate_manifest(manifest: Manifest, path) -> None:
     """Raise an InvariantViolation naming ``path``, the manifest's file,
-    unless its track ids are distinct and every track's WAV exists."""
-    seen = set()
+    unless every track's WAV exists."""
     for entry in manifest.entries:
-        if entry.id in seen:
-            raise InvariantViolation(f"{path}: duplicate track id {entry.id!r}")
-        seen.add(entry.id)
         if not os.path.exists(manifest.track_path(entry)):
             raise InvariantViolation(f"{path}: missing audio file {manifest.track_path(entry)}")

@@ -19,7 +19,7 @@ from math import fsum
 import numpy as np
 
 from . import _kernels
-from .errors import DimMismatch, EmptySet, InconsistentK, MissingPartner
+from .errors import InputError
 from .gateway import RecordSet
 from .manifest import canonical_json
 
@@ -30,9 +30,10 @@ COV_REG = 1e-6
 
 def mean_text_audio_similarity(text: RecordSet, audio: RecordSet) -> float:
     """Mean cosine similarity of the text/audio pairs that share an id (rows
-    are unit-norm)."""
+    are unit-norm). A fault names both sets' sources."""
+    pair = f"{text.source} and {audio.source}"
     if text.dim != audio.dim:
-        raise DimMismatch(f"text dim {text.dim} vs audio dim {audio.dim}")
+        raise InputError(f"{pair}: text dim {text.dim} vs audio dim {audio.dim}")
     audio_row = {rec_id: i for i, rec_id in enumerate(audio.ids)}
     # one dot product per pair keeps the bits a batched product would not
     sims = [
@@ -41,7 +42,7 @@ def mean_text_audio_similarity(text: RecordSet, audio: RecordSet) -> float:
         if rec_id in audio_row
     ]
     if not sims:
-        raise EmptySet("no ids shared between text and audio sets")
+        raise InputError(f"{pair}: no ids shared between text and audio sets")
     return float(np.mean(sims))
 
 
@@ -56,9 +57,9 @@ def frechet_distance(set_a: np.ndarray, set_b: np.ndarray) -> float:
     a = np.atleast_2d(np.asarray(set_a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(set_b, dtype=np.float64))
     if a.size == 0 or b.size == 0:
-        raise EmptySet("frechet distance needs two non-empty sets")
+        raise InputError("frechet distance needs two non-empty sets")
     if a.shape[1] != b.shape[1]:
-        raise DimMismatch(f"dims differ: {a.shape[1]} vs {b.shape[1]}")
+        raise InputError(f"dims differ: {a.shape[1]} vs {b.shape[1]}")
     dim = a.shape[1]
 
     mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
@@ -101,7 +102,7 @@ def inception_score(posteriors: RecordSet) -> float:
     ``fsum`` rounds them, so identical posteriors yield a bitwise-zero KL.
     """
     if not posteriors:
-        raise EmptySet("empty posterior set")
+        raise InputError(f"{posteriors.source}: empty posterior set")
     probs = posteriors.rows
     n = probs.shape[0]
     marginal = _fsums(probs.T) / n
@@ -152,15 +153,17 @@ def _fsums(x: np.ndarray) -> np.ndarray:
 
 def paired_kl(gen_posteriors: RecordSet, gt_posteriors: RecordSet) -> float:
     """Mean KL(groundtruth || generated) over id-paired posteriors, with an
-    epsilon floor so exact zeros stay finite."""
+    epsilon floor so exact zeros stay finite. A fault names both sets'
+    sources."""
+    pair = f"{gen_posteriors.source} and {gt_posteriors.source}"
     if gen_posteriors.dim != gt_posteriors.dim:
-        raise InconsistentK(
-            f"generated K={gen_posteriors.dim} vs groundtruth K={gt_posteriors.dim}"
+        raise InputError(
+            f"{pair}: generated K={gen_posteriors.dim} vs groundtruth K={gt_posteriors.dim}"
         )
     gt_row = {rec_id: i for i, rec_id in enumerate(gt_posteriors.ids)}
     missing = [i for i in gen_posteriors.ids if i not in gt_row]
     if missing:
-        raise MissingPartner(f"no groundtruth posterior for ids {missing[:5]}")
+        raise InputError(f"{pair}: no groundtruth posterior for ids {missing[:5]}")
     # Row i of p is the groundtruth partner of generated row i. Each row sum
     # is the same pairwise sum as a 1-D sum of that row, so this is the
     # per-pair formula to the bit.
@@ -254,7 +257,10 @@ def build_report(
         gen_set = gen_emb[provider]() if provider in gen_emb else None
         gt_set = gt_emb[provider]() if provider in gt_emb else None
         if gen_set is not None and gt_set is not None:
-            report.fd[provider] = frechet_distance(gen_set.rows, gt_set.rows)
+            try:
+                report.fd[provider] = frechet_distance(gen_set.rows, gt_set.rows)
+            except InputError as exc:  # an empty set, or two dims
+                raise InputError(f"{gen_set.source} and {gt_set.source}: {exc}") from exc
             report.provenance[f"fd_{provider}_sizes"] = [len(gen_set), len(gt_set)]
         if provider == primary:
             gen = gen_set
@@ -284,8 +290,9 @@ def build_report(
         n_text = len(text) if text else 0
         gen_ids = gen.ids if gen else ()
         rows = np.concatenate([q.rows for q in queries]) if queries else None
+        sources = " and ".join(str(q.source) for q in queries)
         del text, gen, queries  # the stacked rows are the one copy held
-        best, nearest, n_segments = _nearest_segments(rows, train_seg_emb())
+        best, nearest, n_segments = _nearest_segments(rows, sources, train_seg_emb())
         if n_segments and n_text:
             report.retrieval_max = float(np.mean(best[:n_text]))
         if n_segments and gen_ids:
@@ -299,12 +306,13 @@ def build_report(
     return report
 
 
-def _nearest_segments(rows, blocks):
+def _nearest_segments(rows, sources, blocks):
     """Each row of the query matrix ``rows`` (or None, for no queries): its
     best cosine over every block of training segments, and the id of the
     segment that reaches it; also the number of segments. Every block is
     read, even with no queries, so that a fault anywhere in the set is
-    raised.
+    raised; a block whose dim is not the queries' names ``sources``, the
+    queries' files, and its own.
 
     ``rows`` is scaled once for the whole search and held, not copied.
     Within a block ties go to the lowest index, the smallest id; a later
@@ -318,7 +326,10 @@ def _nearest_segments(rows, blocks):
         n_segments += len(block)
         if block and queries is not None:
             if queries.shape[1] != block.dim:
-                raise DimMismatch(f"query dim {queries.shape[1]} vs segment dim {block.dim}")
+                raise InputError(
+                    f"{sources} and {block.source}: "
+                    f"query dim {queries.shape[1]} vs segment dim {block.dim}"
+                )
             value, index = _kernels.nn_max_dot(queries, block.rows)
             seg_ids = np.array(block.ids, dtype=object)[index]
             if best is None:

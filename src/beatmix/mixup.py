@@ -27,7 +27,7 @@ import numpy as np
 from . import codec as codec_mod
 from .beats import BeatGrid
 from .dsp import GL_ITERATIONS, HOP, SAMPLE_RATE, invert_mel
-from .errors import NoEligibleDownbeat
+from .errors import InputError
 
 BUCKET_RANGE = (60.0, 180.0)
 BUCKET_WIDTH = 4.0  # BPM; partners share a bucket
@@ -115,7 +115,7 @@ def plan_mixup_pass(
     }
     usable = sorted(tid for tid, offs in eligible.items() if offs.size > 0)
     if not usable:
-        raise NoEligibleDownbeat("no track offers a downbeat with a full clip after it")
+        raise InputError("no track offers a downbeat with a full clip after it")
     partners = {
         tid: [
             other

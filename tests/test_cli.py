@@ -21,7 +21,7 @@ from beatmix import cli, manifest as manifest_mod, metrics, mixup, wavio
 from beatmix.beats import BeatGrid, save_beat_annotation
 from beatmix.cli import main
 from beatmix.dsp import N_MELS, mel_spectrogram
-from beatmix.errors import DimMismatch, DuplicateId, InputError, SchemaError, ZeroNorm
+from beatmix.errors import InputError, SchemaError
 from beatmix.manifest import Fingerprints, Manifest, canonical_json, load_manifest, save_manifest
 from beatmix.gateway import (
     EMB_MAGIC,
@@ -1120,9 +1120,12 @@ def _zero_row_in_a_later_block(path):
 
 
 @pytest.mark.parametrize("fault, error, message", [
-    (_repeat_id_across_blocks, DuplicateId, "appears twice"),
-    (_zero_row_in_a_later_block, ZeroNorm, "has no direction"),
-    (lambda path: path.write_bytes(path.read_bytes()[:-4]), DimMismatch, "runs past end of file"),
+    pytest.param(_repeat_id_across_blocks, InputError,
+                 r"segments\.emb: id 's\d{3}' appears twice", id="repeated-id"),
+    pytest.param(_zero_row_in_a_later_block, InputError,
+                 r"segments\.emb: embedding 's\d{3}' has no direction", id="zero-row"),
+    pytest.param(lambda path: path.write_bytes(path.read_bytes()[:-4]), InputError,
+                 r"segments\.emb: record for dim 32 runs past end of file", id="truncated-row"),
     (lambda path: path.write_bytes(path.read_bytes() + b"xx"), SchemaError, "2 trailing bytes"),
 ])
 def test_eval_streamed_fault_exits_one_and_writes_nothing(
@@ -1136,7 +1139,7 @@ def test_eval_streamed_fault_exits_one_and_writes_nothing(
     files["train"] = seg_path
     out = tmp_path / "report"
     assert full_eval(files, out) == 1
-    assert message in capsys.readouterr().err
+    assert re.search(message, capsys.readouterr().err)
     assert not out.exists()
     with pytest.raises(error, match=message):
         list(G.read_embedding_blocks(seg_path))
@@ -1839,6 +1842,40 @@ def _tampered_codec(grouped):
             "--codec", "codec.bin"], ["error: codec.bin: content hash mismatch"]
 
 
+def _too_few_patches(grouped):
+    """A codec of 128x128 patches and as many components: four 14 s tracks
+    cut 40 such patches."""
+    with open("manifest.json", "w") as fh:
+        fh.write(grouped)
+    return ["fit-codec", "--manifest", "manifest.json", "-P", "128", "-C", "16384"], [
+        "error: 40 patches < 16384 components: lower --components or --patch"
+    ]
+
+
+EVAL_IDS = ["a", "b"]
+
+
+def _eval(message, **sets):
+    """``eval`` of the given sets, each ``flag=(file, ids, rows)`` written to
+    ./file, a posterior set if its name ends in .post; the generated
+    embeddings default to two rows of dim 3 in ./gen.emb. Both audio sets
+    are one provider's, so that FD compares them."""
+
+    def setup(grouped):
+        argv = ["eval"]
+        for flag, (name, ids, rows) in {"gen_emb": ("gen.emb", EVAL_IDS, np.eye(2, 3)),
+                                        **sets}.items():
+            write_raw(name, POS_MAGIC if name.endswith(".post") else EMB_MAGIC, ids, rows)
+            provider = "pann=" if flag in ("gen_emb", "gt_emb") else ""
+            argv += ["--" + flag.replace("_", "-"), provider + name]
+        return argv, [f"error: {message}"]
+
+    return setup
+
+
+HALVES = np.full((2, 2), 0.5)  # two posterior rows over K=2
+
+
 INPUT_FAULTS = {
     "wav-float64": _undecodable_wav(
         "f64.wav", np.zeros((1600, 1), "<f8"), 3, 64, "64-bit float WAV not supported"
@@ -1887,6 +1924,44 @@ INPUT_FAULTS = {
     ),
     "no-gen-emb": lambda grouped: (
         ["eval", "--gt-emb", "x.emb"], ["error: at least one --gen-emb is required"]
+    ),
+    "fewer-patches-than-components": _too_few_patches,
+    "manifest-duplicate-id-segment": _manifest(
+        _edit_entry("id", "track00"), "duplicate track id 'track00'", argv=["segment"]
+    ),
+    "eval-fd-dims-differ": _eval(
+        "gen.emb and gt.emb: dims differ: 3 vs 4", gt_emb=("gt.emb", EVAL_IDS, np.eye(2, 4))
+    ),
+    "eval-fd-empty-set": _eval(
+        "gen.emb and gt.emb: frechet distance needs two non-empty sets",
+        gen_emb=("gen.emb", [], np.empty((0, 3))), gt_emb=("gt.emb", EVAL_IDS, np.eye(2, 3)),
+    ),
+    "eval-text-dim": _eval(
+        "text.emb and gen.emb: text dim 4 vs audio dim 3",
+        text_emb=("text.emb", EVAL_IDS, np.eye(2, 4)),
+    ),
+    "eval-no-shared-ids": _eval(
+        "text.emb and gen.emb: no ids shared between text and audio sets",
+        text_emb=("text.emb", ["x", "y"], np.eye(2, 3)),
+    ),
+    "eval-segment-dim": _eval(
+        "gen.emb and seg.emb: query dim 3 vs segment dim 4",
+        train_seg_emb=("seg.emb", ["s"], np.eye(1, 4)),
+    ),
+    "eval-empty-posterior-set": _eval(
+        "gen.post: empty posterior set", gen_post=("gen.post", [], np.empty((0, 2)))
+    ),
+    "eval-negative-posterior": _eval(
+        "gen.post: row 'b' has negative or non-finite entries",
+        gen_post=("gen.post", EVAL_IDS, [[0.5, 0.5], [1.2, -0.2]]),
+    ),
+    "eval-posterior-k-differs": _eval(
+        "gen.post and gt.post: generated K=2 vs groundtruth K=4",
+        gen_post=("gen.post", EVAL_IDS, HALVES), gt_post=("gt.post", EVAL_IDS, np.full((2, 4), 0.25)),
+    ),
+    "eval-no-groundtruth-partner": _eval(
+        "gen.post and gt.post: no groundtruth posterior for ids ['b']",
+        gen_post=("gen.post", EVAL_IDS, HALVES), gt_post=("gt.post", ["a"], HALVES[:1]),
     ),
 }
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from beatmix import codec as C
 from beatmix.dsp import LOG_FLOOR
-from beatmix.errors import HashMismatch, InsufficientData
+from beatmix.errors import InputError
 
 
 def random_mels(rng, count=6, t=64, f=128):
@@ -120,7 +120,7 @@ def test_fit_determinism_and_sign_convention(rng):
 
 def test_fit_insufficient_data():
     tiny = [np.zeros((8, 8))]  # 1 patch of 8x8
-    with pytest.raises(InsufficientData):
+    with pytest.raises(InputError, match="1 patches < 4 components: lower --components or --patch"):
         C.fit(tiny, n_components=4, patch_size=8)
 
 
@@ -147,7 +147,7 @@ def test_tampered_file_raises_hash_mismatch(tmp_path, rng):
     raw = bytearray(path.read_bytes())
     raw[60] ^= 0xFF
     path.write_bytes(bytes(raw))
-    with pytest.raises(HashMismatch):
+    with pytest.raises(InputError, match=r"codec\.bin: content hash mismatch \(file corrupted"):
         C.load(path)
 
 

@@ -5,13 +5,7 @@ import pytest
 
 from beatmix import gateway as G
 from beatmix.cli import main
-from beatmix.errors import (
-    DimMismatch,
-    DuplicateId,
-    NotAProbability,
-    SchemaError,
-    ZeroNorm,
-)
+from beatmix.errors import InputError, SchemaError
 from sets import save_embedding_set, save_posterior_set, write_raw
 
 
@@ -30,7 +24,7 @@ def test_normalize_unit_unchanged(rng):
 
 
 def test_normalize_zero_raises():
-    with pytest.raises(ZeroNorm, match="src: embedding 'z' has no direction"):
+    with pytest.raises(InputError, match="src: embedding 'z' has no direction"):
         G._unit_rows(["z"], np.zeros((1, 8)), "src")
 
 
@@ -97,7 +91,7 @@ def test_blocks_join_to_the_whole_set(tmp_path, rng, monkeypatch):
 def test_header_larger_than_file_allocates_no_buffer(tmp_path):
     path = tmp_path / "huge.emb"
     path.write_bytes(G.EMB_MAGIC + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF) + b"\x01\x00a")
-    with pytest.raises(DimMismatch):
+    with pytest.raises(InputError, match="huge.emb: record for dim 4294967295 runs past end of file"):
         G.load_embedding_set(path)
 
 
@@ -107,14 +101,14 @@ def test_embedding_truncated_row(tmp_path):
         fh.write(G.EMB_MAGIC + struct.pack("<II", 512, 1))
         fh.write(struct.pack("<H", 1) + b"a")
         fh.write(np.zeros(511, dtype="<f4").tobytes())  # one value short
-    with pytest.raises(DimMismatch):
+    with pytest.raises(InputError, match="short.emb: record for dim 512 runs past end of file"):
         G.load_embedding_set(path)
 
 
 def test_embedding_duplicate_id(tmp_path):
     path = tmp_path / "dup.emb"
     write_raw(path, G.EMB_MAGIC, ["a", "b", "a"], np.ones((3, 4)))
-    with pytest.raises(DuplicateId, match="dup.emb.*'a'"):
+    with pytest.raises(InputError, match="dup.emb: id 'a' appears twice"):
         G.load_embedding_set(path)
 
 
@@ -123,7 +117,7 @@ def test_embedding_zero_row_names_id_and_file(tmp_path):
     rows = np.ones((3, 4))
     rows[1] = 0.0
     write_raw(path, G.EMB_MAGIC, ["a", "b", "c"], rows)
-    with pytest.raises(ZeroNorm, match="zero.emb.*'b'"):
+    with pytest.raises(InputError, match="zero.emb: embedding 'b' has no direction"):
         G.load_embedding_set(path)
 
 
@@ -194,7 +188,7 @@ def test_posterior_uniform_accepted(tmp_path):
 def test_posterior_half_sum_rejected(tmp_path):
     path = tmp_path / "p.post"
     save_posterior_set(path, posteriors([[0.5, 0.5], [0.25, 0.25]]))
-    with pytest.raises(NotAProbability, match="p.post.*'p1' sums to 0.5000"):
+    with pytest.raises(InputError, match="p.post: row 'p1' sums to 0.5000, not ~1"):
         G.load_posterior_set(path)
 
 
@@ -208,5 +202,5 @@ def test_posterior_near_one_renormalized(tmp_path):
 def test_posterior_negative_rejected(tmp_path):
     path = tmp_path / "p.post"
     save_posterior_set(path, posteriors([[0.5, 0.5], [1.2, -0.2]]))
-    with pytest.raises(NotAProbability, match="p.post.*'p1' has negative"):
+    with pytest.raises(InputError, match="p.post: row 'p1' has negative or non-finite entries"):
         G.load_posterior_set(path)

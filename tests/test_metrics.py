@@ -7,30 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beatmix import metrics as MT
-from beatmix.errors import (
-    DimMismatch,
-    EmptySet,
-    InconsistentK,
-    MissingPartner,
-)
+from beatmix.errors import InputError
 from beatmix.gateway import RecordSet
 
 
+# each set's source is named after its id prefix, as a fault names it
 def unit_set(rng, n, d, prefix):
     rows = rng.normal(size=(n, d))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    return RecordSet.from_records([f"{prefix}{i:04d}" for i in range(n)], rows)
+    return RecordSet.from_records([f"{prefix}{i:04d}" for i in range(n)], rows, f"{prefix}.emb")
 
 
 def unit_rows(rows, prefix="x"):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    return RecordSet.from_records([f"{prefix}{i:04d}" for i in range(len(rows))], rows)
+    return RecordSet.from_records(
+        [f"{prefix}{i:04d}" for i in range(len(rows))], rows, f"{prefix}.emb"
+    )
 
 
 def posterior_set(rows, prefix="p"):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    return RecordSet.from_records([f"{prefix}{i:04d}" for i in range(len(rows))], rows)
+    return RecordSet.from_records(
+        [f"{prefix}{i:04d}" for i in range(len(rows))], rows, f"{prefix}.post"
+    )
 
 
 def similarity(a, b):
@@ -52,7 +52,7 @@ def test_similarity_opposite_is_minus_one():
 
 
 def test_similarity_dim_mismatch():
-    with pytest.raises(DimMismatch):
+    with pytest.raises(InputError, match="x.emb and x.emb: text dim 2 vs audio dim 3"):
         similarity([1, 0], [1, 0, 0])
 
 
@@ -64,7 +64,7 @@ def test_mean_similarity_arithmetic():
 
 
 def test_mean_similarity_empty():
-    with pytest.raises(EmptySet):
+    with pytest.raises(InputError, match="t.emb and a.emb: no ids shared between text and audio sets"):
         MT.mean_text_audio_similarity(unit_rows([1, 0], "t"), unit_rows([1, 0], "a"))
 
 
@@ -129,9 +129,9 @@ def test_nn_ratio_monotone_in_threshold(rng):
 
 
 def test_nn_dim_mismatch(rng):
-    with pytest.raises(DimMismatch):
+    with pytest.raises(InputError, match="g.emb and s.emb: query dim 8 vs segment dim 6"):
         sim_aa(unit_set(rng, 3, 8, "g"), unit_set(rng, 5, 6, "s"), 0.9)
-    with pytest.raises(DimMismatch):
+    with pytest.raises(InputError, match="t.emb and s.emb: query dim 8 vs segment dim 6"):
         retrieval_max(unit_set(rng, 3, 8, "t"), unit_set(rng, 5, 6, "s"))
 
 
@@ -186,12 +186,12 @@ def test_fd_regularizes_small_sets(rng):
 
 
 def test_fd_empty_raises():
-    with pytest.raises(EmptySet):
+    with pytest.raises(InputError, match="frechet distance needs two non-empty sets"):
         MT.frechet_distance(np.zeros((0, 4)), np.zeros((5, 4)))
 
 
 def test_fd_dim_mismatch():
-    with pytest.raises(DimMismatch):
+    with pytest.raises(InputError, match="dims differ: 3 vs 4"):
         MT.frechet_distance(np.zeros((5, 3)), np.zeros((5, 4)))
 
 
@@ -220,7 +220,7 @@ def test_is_bounds(seed, n, k):
 
 
 def test_is_empty_set():
-    with pytest.raises(EmptySet):
+    with pytest.raises(InputError, match="p.post: empty posterior set"):
         MT.inception_score(posterior_set(np.zeros((0, 4))))
 
 
@@ -344,12 +344,12 @@ def test_paired_kl_equals_the_per_pair_formula_bitwise(rng, n, k):
 
 
 def test_paired_kl_missing_partner():
-    with pytest.raises(MissingPartner):
+    with pytest.raises(InputError, match=r"a.post and b.post: no groundtruth posterior for ids \['a0000'\]"):
         MT.paired_kl(posterior_set([0.5, 0.5], "a"), posterior_set([0.5, 0.5], "b"))
 
 
 def test_paired_kl_inconsistent_k():
-    with pytest.raises(InconsistentK):
+    with pytest.raises(InputError, match="p.post and p.post: generated K=4 vs groundtruth K=5"):
         MT.paired_kl(posterior_set(np.full(4, 0.25)), posterior_set(np.full(5, 0.2)))
 
 

@@ -8,7 +8,7 @@ from beatmix import mixup as M
 from beatmix.beats import BeatGrid
 from beatmix.dsp import SAMPLE_RATE as SR
 from beatmix.dsp import GL_ITERATIONS, HOP, LOG_FLOOR, N_MELS, mel_spectrogram
-from beatmix.errors import NoEligibleDownbeat
+from beatmix.errors import InputError
 from synth import click_track
 
 
@@ -79,7 +79,7 @@ def test_align_downbeats_on_two_second_grid():
 def test_align_too_short_track():
     grid = make_grid(120.0, duration_s=8.0)
     assert M.eligible_downbeat_offsets(grid, 8 * SR).size == 0
-    with pytest.raises(NoEligibleDownbeat):
+    with pytest.raises(InputError, match="no track offers a downbeat with a full clip after it"):
         two_track_pass(grid, 8 * SR, seed=0)
 
 

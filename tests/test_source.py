@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import beatmix
+from beatmix import errors
 
 SRC = Path(beatmix.__file__).parent
 ROOT = SRC.parent.parent
@@ -87,3 +88,14 @@ def unused_top_level_names(paths):
 def test_every_top_level_name_is_used_outside_the_tests():
     paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     assert unused_top_level_names(paths) == []
+
+
+def test_the_readme_lists_every_error_class_as_what_analysis_error_holds():
+    # a class exists only where its name is output: analyze's analysis_error
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    analyze = readme.split("* **analyze**", 1)[1].split("\n* **", 1)[0]
+    sentence = re.search(r"`analysis_error` holds[^.]*\.", analyze).group()
+    listed = set(re.findall(r"`([A-Z]\w+)`", sentence))
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.InputError)}
+    assert listed == defined
